@@ -40,8 +40,11 @@
 // -dms-groups (partition groups separated by ";", replica addresses
 // comma-separated leader-first) and -dms-cuts (cut directories, assigned
 // round-robin to partitions 1..N-1), plus its own -partition/-replica
-// coordinates; clients add -dms-sharded and dial partition 0's leader as
-// the bootstrap -dms. Note the wire-format flag day: sharded-era binaries
+// coordinates. A DMS started without -dms-groups is the same partition node
+// running the solo map: one partition, one replica, itself. Clients need no
+// flag either way: they ask the -dms address for the partition map when
+// they dial (any replica answers; a solo DMS's version-0 map leaves it the
+// one route). Note the wire-format flag day: sharded-era binaries
 // carry a partition-map version in every message header, so servers and
 // clients must be built from the same release.
 //
@@ -58,7 +61,7 @@
 //	locofsd -role dms -listen :7010 -partition 0 -replica 1 -dms-groups ... -dms-cuts /data
 //	locofsd -role dms -listen :7001 -partition 1 -replica 0 -dms-groups ... -dms-cuts /data
 //	locofsd -role dms -listen :7011 -partition 1 -replica 1 -dms-groups ... -dms-cuts /data
-//	locofsd -role client -dms h0:7000 -dms-sharded ...
+//	locofsd -role client -dms h0:7000 ...
 //
 // Online elasticity: the client role doubles as the membership-change
 // coordinator. Start the new FMS process first, then grow the ring from
@@ -133,11 +136,10 @@ func main() {
 	breakerFailures := flag.Int("breaker-failures", 0, "consecutive failures that trip the per-server circuit breaker (client role; 0 = breaker off)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "how long a tripped breaker fails fast before probing (client role; 0 = 1s)")
 	leaseDur := flag.Duration("lease-dur", 0, "directory lease duration granted to clients (dms role; 0 = default 30s)")
-	dmsGroups := flag.String("dms-groups", "", "sharded DMS deployment: semicolon-separated partition groups, each a comma-separated replica address list leader-first (dms role; empty = single unsharded DMS)")
+	dmsGroups := flag.String("dms-groups", "", "sharded DMS deployment: semicolon-separated partition groups, each a comma-separated replica address list leader-first (dms role; empty = one partition, one replica: this process)")
 	dmsCuts := flag.String("dms-cuts", "", "comma-separated namespace cut directories, assigned round-robin to partitions 1..N-1 (dms role with -dms-groups)")
 	dmsPartition := flag.Int("partition", 0, "this node's partition id (dms role with -dms-groups)")
 	dmsReplica := flag.Int("replica", 0, "this node's replica slot in its partition group, 0 = leader (dms role with -dms-groups)")
-	dmsSharded := flag.Bool("dms-sharded", false, "route directory operations by partition map fetched from -dms (client role against a -dms-groups deployment)")
 	dmsLogCap := flag.Int("dms-log-cap", 0, "retained op-log entries per DMS partition before the leader truncates below the group-wide applied watermark (dms role with -dms-groups; 0 = default 4096)")
 	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with -dms-groups; 0 = on-demand only)")
 	lease := flag.Duration("lease", 0, "directory cache lease for the TTL-only fallback (client role; 0 = default 30s)")
@@ -185,44 +187,38 @@ func main() {
 	}
 	switch *role {
 	case "dms":
+		// The DMS is always served by a partition node. Without -dms-groups
+		// it runs the solo map (Map nil) — one partition, one replica — which
+		// needs no advertised address: -listen 0.0.0.0:7000 just works.
 		name := "dms"
+		opts := dms.Options{CheckPermissions: true, LeaseDur: *leaseDur}
+		cfg := partition.Config{
+			Dialer:       netsim.TCPDialer{},
+			Journal:      srv.flightJ,
+			LogCap:       *dmsLogCap,
+			CatchupEvery: *dmsCatchup,
+		}
 		if *dmsGroups != "" {
 			name = fmt.Sprintf("dms-p%d-r%d", *dmsPartition, *dmsReplica)
-		}
-		store := kv.Instrument(durable(name, kv.NewBTreeStore()), kv.RAM)
-		opts := dms.Options{Store: store, CheckPermissions: true, LeaseDur: *leaseDur}
-		if *dmsGroups != "" {
 			// Replicas of one partition must produce byte-identical inodes
 			// from log replay, so they share a deterministic ServerID (high
 			// bit keeps it out of the FMS id range).
 			opts.ServerID = 0x80000000 | uint32(*dmsPartition)
+			cfg.PID, cfg.Index = uint32(*dmsPartition), *dmsReplica
+			var err error
+			if cfg.Map, cfg.Self, err = parsePartMap(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica); err != nil {
+				fmt.Fprintln(os.Stderr, "locofsd:", err)
+				os.Exit(2)
+			}
 		}
+		store := kv.Instrument(durable(name, kv.NewBTreeStore()), kv.RAM)
+		opts.Store = store
 		d := dms.New(opts)
 		d.SetFlight(srv.flightJ, name)
 		srv.hot = map[string]*trace.TopK{name: d.HotKeys()}
 		srv.extraReg = d.RegisterMetrics
-		attach := d.Attach
-		if *dmsGroups != "" {
-			pm, self, err := parsePartMap(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "locofsd:", err)
-				os.Exit(2)
-			}
-			node := partition.New(partition.Config{
-				PID:          uint32(*dmsPartition),
-				Index:        *dmsReplica,
-				Self:         self,
-				Map:          pm,
-				DMS:          d,
-				Dialer:       netsim.TCPDialer{},
-				Journal:      srv.flightJ,
-				Source:       name,
-				LogCap:       *dmsLogCap,
-				CatchupEvery: *dmsCatchup,
-			})
-			attach = node.Attach
-		}
-		srv.serve(*listen, name, store, attach)
+		cfg.DMS, cfg.Source = d, name
+		srv.serve(*listen, name, store, partition.New(cfg).Attach)
 	case "fms":
 		name := fmt.Sprintf("fms-%d", *id)
 		store := kv.Instrument(durable(name, kv.NewHashStore()), kv.RAM)
@@ -247,7 +243,6 @@ func main() {
 			hotEntries: *hotEntriesN,
 			hotFactor:  *hotFactor,
 			hotRefresh: *hotRefresh,
-			sharded:    *dmsSharded,
 		}
 		runClient(*dmsAddr, *fmsAddrs, *ossAddrs, *cmds, srv, cc, opts)
 	case "status":
@@ -520,7 +515,6 @@ type cacheFlags struct {
 	hotEntries int
 	hotFactor  int
 	hotRefresh time.Duration
-	sharded    bool // -dms-sharded: route directory ops by partition map
 }
 
 // runClient connects to a TCP cluster and executes simple commands.
@@ -568,7 +562,6 @@ func runClient(dmsAddr, fmsList, ossList, cmds string, sf serverFlags, cc cacheF
 	cl, err := client.Dial(client.Config{
 		Dialer:                netsim.TCPDialer{},
 		DMSAddr:               dmsAddr,
-		DMSSharded:            cc.sharded,
 		FMSAddrs:              strings.Split(fmsList, ","),
 		OSSAddrs:              strings.Split(ossList, ","),
 		Metrics:               reg,

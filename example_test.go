@@ -41,7 +41,8 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// 8 round trips: one membership fetch at dial, then mkdir 1, create 2,
+	// 8 round trips: one bootstrap fetch at dial (partition map and
+	// membership in one batch), then mkdir 1, create 2,
 	// open 1, write 2 (update-size + block), stat 1 — the paper's one-or-two
 	// trips per metadata operation.
 	fmt.Printf("size=%d trips=%d\n", attr.Size, fs.Trips())

@@ -53,12 +53,11 @@ type dirCache struct {
 	fifo []fifoRec // insertion order; stale records skipped lazily
 	seq  uint64    // ties entries to their live fifo record
 
-	// srcs holds one watermark pair per recall source. Against a single
-	// (unsharded) DMS every sequence comes from source 0; against a
-	// partitioned DMS each partition runs its own lease table with its own
-	// recall log, so the sequences are comparable only within one partition
-	// and the cache keys its watermarks by partition id. Entries carry the
-	// source they were granted by, and freshness is judged against that
+	// srcs holds one watermark pair per recall source. Each DMS partition
+	// runs its own lease table with its own recall log, so the sequences
+	// are comparable only within one partition and the cache keys its
+	// watermarks by partition id (a lone DMS is partition 0). Entries carry
+	// the source they were granted by, and freshness is judged against that
 	// source's watermarks alone — sound because the partition cut rules
 	// guarantee every mutation that can invalidate a path's cached state is
 	// published by the partition that granted it (seed updates republish
@@ -278,10 +277,6 @@ func (c *dirCache) marksIfAny(src uint32) *srcMarks {
 	return m
 }
 
-// observe records a recall sequence seen on a response header from the
-// single legacy source. Monotonic.
-func (c *dirCache) observe(seq uint64) { c.observeFrom(0, seq) }
-
 // observeFrom records a recall sequence seen on a response header from
 // source src. Monotonic per source.
 func (c *dirCache) observeFrom(src uint32, seq uint64) {
@@ -293,10 +288,6 @@ func (c *dirCache) observeFrom(src uint32, seq uint64) {
 		}
 	}
 }
-
-// behind reports whether the cache has observed legacy-source recalls it has
-// not applied, returning the applied watermark to fetch from.
-func (c *dirCache) behind() (since uint64, ok bool) { return c.behindFrom(0) }
 
 // behindFrom reports whether the cache has observed recalls from source src
 // it has not applied, returning that source's applied watermark.
@@ -453,18 +444,13 @@ func (c *dirCache) leaseFor(path string, g wire.LeaseGrant) (time.Duration, uint
 	return dur, g.Seq
 }
 
-// put caches an inode under path, evicting the oldest entries if the cap is
-// exceeded. In coherent mode an invalid grant is not cached at all: a
-// sequence-less entry cannot be matched against recalls, and stamping it
-// grantSeq 0 would get it silently rejected below as soon as any recall
-// had been applied — a coherent client requires a lease-granting server on
-// every OK lookup (TTL-only mode caches under the configured lease as
-// before).
-func (c *dirCache) put(path string, inode layout.DirInode, g wire.LeaseGrant) {
-	c.putFrom(0, path, inode, g)
-}
-
-// putFrom is put for an entry granted by recall source src.
+// putFrom caches an inode granted by recall source src under path, evicting
+// the oldest entries if the cap is exceeded. In coherent mode an invalid
+// grant is not cached at all: a sequence-less entry cannot be matched
+// against recalls, and stamping it grantSeq 0 would get it silently rejected
+// below as soon as any recall had been applied — a coherent client requires
+// a lease-granting server on every OK lookup (TTL-only mode caches under the
+// configured lease as before).
 func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wire.LeaseGrant) {
 	if c.coherent && !g.Valid() {
 		return
@@ -489,9 +475,7 @@ func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wir
 	c.compactLocked()
 }
 
-// putNeg caches an ENOENT result under the server's negative-entry grant.
-func (c *dirCache) putNeg(path string, g wire.LeaseGrant) { c.putNegFrom(0, path, g) }
-
+// putNegFrom caches an ENOENT result under source src's negative-entry grant.
 func (c *dirCache) putNegFrom(src uint32, path string, g wire.LeaseGrant) {
 	if !c.negatives || !g.Valid() {
 		return
@@ -511,12 +495,8 @@ func (c *dirCache) putNegFrom(src uint32, path string, g wire.LeaseGrant) {
 	c.compactLocked()
 }
 
-// putList caches a complete subdirectory listing under the server's listing
-// grant.
-func (c *dirCache) putList(path string, ents []DirEntry, g wire.LeaseGrant) {
-	c.putListFrom(0, path, ents, g)
-}
-
+// putListFrom caches a complete subdirectory listing under source src's
+// listing grant.
 func (c *dirCache) putListFrom(src uint32, path string, ents []DirEntry, g wire.LeaseGrant) {
 	if !c.coherent || !g.Valid() {
 		return
@@ -608,16 +588,11 @@ func (c *dirCache) compactLocked() {
 	}
 }
 
-// applyRecalls applies a fetched recall log segment: every entry drops
-// exactly the cached state its mutation could have invalidated, skipping
-// entries granted at or after the recall (they postdate the mutation). A
-// reset — the client fell behind the server's bounded log — drops
-// everything. The applied watermark advances to cur.
-func (c *dirCache) applyRecalls(cur uint64, reset bool, entries []wire.Recall) {
-	c.applyRecallsFrom(0, cur, reset, entries)
-}
-
-// applyRecallsFrom is applyRecalls for a segment fetched from source src.
+// applyRecallsFrom applies a recall log segment fetched from source src:
+// every entry drops exactly the cached state its mutation could have
+// invalidated, skipping entries granted at or after the recall (they
+// postdate the mutation). A reset — the client fell behind the server's
+// bounded log — drops everything. The applied watermark advances to cur.
 // Drops are scoped to entries granted by that source: a partition's recall
 // log describes exactly the mutations of its own key range (including seed
 // updates republished locally), so entries granted elsewhere are untouched
@@ -765,32 +740,16 @@ func (c *dirCache) selfApply(src uint32, last uint64, n uint32, ops ...selfOp) {
 	c.mu.Unlock()
 }
 
-func (c *dirCache) selfCreated(path string, last uint64, n uint32) {
-	c.selfCreatedFrom(0, path, last, n)
-}
-
 func (c *dirCache) selfCreatedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallCreated, path})
-}
-
-func (c *dirCache) selfRemoved(path string, last uint64, n uint32) {
-	c.selfRemovedFrom(0, path, last, n)
 }
 
 func (c *dirCache) selfRemovedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallRemoved, path})
 }
 
-func (c *dirCache) selfPatched(path string, last uint64, n uint32) {
-	c.selfPatchedFrom(0, path, last, n)
-}
-
 func (c *dirCache) selfPatchedFrom(src uint32, path string, last uint64, n uint32) {
 	c.selfApply(src, last, n, selfOp{wire.RecallPatched, path})
-}
-
-func (c *dirCache) selfRenamed(oldPath, newPath string, last uint64, n uint32) {
-	c.selfRenamedFrom(0, oldPath, newPath, last, n)
 }
 
 func (c *dirCache) selfRenamedFrom(src uint32, oldPath, newPath string, last uint64, n uint32) {

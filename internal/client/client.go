@@ -1,10 +1,11 @@
 // Package client implements LocoLib, the LocoFS client library (§3.1).
 //
-// LocoLib routes directory operations to the single Directory Metadata
-// Server, file metadata operations to the File Metadata Server chosen by
-// consistent-hashing directory_uuid + file_name, and data operations
-// straight to the object store — so the common path of every operation is
-// one or two round trips. A client-side directory inode cache with leases
+// LocoLib routes directory operations to the Directory Metadata Server (the
+// leader of the partition owning the path — for the paper's single DMS, the
+// one address it dialed), file metadata operations to the File Metadata
+// Server chosen by consistent-hashing directory_uuid + file_name, and data
+// operations straight to the object store — so the common path of every
+// operation is one or two round trips. A client-side directory inode cache with leases
 // (§3.2.2) removes the DMS hop from repeated operations in the same
 // directory.
 package client
@@ -38,16 +39,13 @@ type Config struct {
 	// Link is the modeled network link used for virtual-time accounting
 	// (see rpc.Client.SetLink). Zero models a co-located deployment.
 	Link netsim.LinkConfig
-	// DMSAddr is the directory metadata server address. Against a sharded
-	// DMS this is the bootstrap endpoint — any replica of any partition —
-	// from which the client fetches the partition map.
+	// DMSAddr is the directory metadata server address. Dial asks it for the
+	// partition map, so against a sharded DMS it is only the bootstrap
+	// endpoint — a replica of partition 0, normally its leader (the
+	// connection's lease sequences are booked to partition 0); a lone DMS
+	// answers with the version-0 solo map and stays the one route.
 	DMSAddr string
-	// DMSSharded declares the DMS partitioned: Dial fetches the partition
-	// map synchronously before returning (failing if no replica serves
-	// one), so the first operation routes correctly instead of discovering
-	// the sharding through an EWRONGPART round trip. Leave false for an
-	// unsharded DMS; the client then also adopts a map pushed via response
-	// headers, just lazily.
+	// Deprecated: ignored. Dial always asks DMSAddr for the partition map.
 	DMSSharded bool
 	// FMSAddrs lists file metadata servers; the slice index is the server
 	// ID used by the consistent-hash ring (unless FMSIDs overrides it).
@@ -160,7 +158,6 @@ func WithBreaker(b BreakerConfig) DialOption {
 
 // Client is one LocoLib instance. It is safe for concurrent use.
 type Client struct {
-	dms   *endpoint
 	oss   []*endpoint
 	oring *chash.Ring
 	cache *dirCache // nil when disabled
@@ -180,16 +177,13 @@ type Client struct {
 	refreshing atomic.Bool
 
 	// DMS partition routing (see route.go): pmap holds the installed
-	// partition map (nil against an unsharded DMS — the zero-cost legacy
-	// mode), dmsEps is the by-address DMS connection registry (the
-	// bootstrap endpoint is seeded under dmsAddr), maxPVer the highest map
-	// version seen on the wire, and pmRefreshing collapses concurrent
-	// async map refreshes into one.
+	// partition map (never nil: Dial starts from the solo map of dmsAddr),
+	// dmsEps is the by-address DMS connection registry, and pmRefreshing
+	// collapses concurrent async map refreshes into one.
 	pmap         atomic.Pointer[wire.PartMap]
 	pmapMu       sync.Mutex // serializes map installs
 	pmapFetchMu  sync.Mutex // serializes map fetches
 	pmFetchGen   atomic.Uint64
-	maxPVer      atomic.Uint64
 	pmRefreshing atomic.Bool
 	dmsEpMu      sync.Mutex
 	dmsEps       map[string]*endpoint
@@ -313,8 +307,10 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 	}
 	res := newResilience(cfg.OpTimeout, cfg.Retry, cfg.Breaker, cfg.Now)
 	c.res = res
+	// Only the DMS runs a lease table and a partition map, so FMS and OSS
+	// endpoints watch the membership epoch alone.
 	dial := func(addr string) (*endpoint, error) {
-		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch, c.observeLease, nil)
+		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch, nil, nil)
 	}
 	c.eps = make(map[string]*endpoint)
 	c.dialFMS = dial
@@ -327,8 +323,9 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch,
 			func(seq uint64) { c.observeLeaseFrom(pid, seq) }, c.observePMap)
 	}
-	var err error
-	if c.dms, err = c.dmsEndpointAt(cfg.DMSAddr, 0); err != nil {
+	c.pmap.Store(wire.SoloMap(cfg.DMSAddr))
+	boot, err := c.dmsEndpointAt(cfg.DMSAddr, 0)
+	if err != nil {
 		return nil, fmt.Errorf("client: dial DMS: %w", err)
 	}
 	if cfg.FMSIDs != nil && len(cfg.FMSIDs) != len(cfg.FMSAddrs) {
@@ -393,27 +390,9 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 			return float64(c.cache.size())
 		}, c.label)
 	}
-	// Against a declared-sharded DMS, fetch the partition map before the
-	// first operation: routing is then correct from the start and the
-	// membership fetch below already goes to the right leader.
-	if cfg.DMSSharded {
-		if err := c.refreshPartMap(opCtx{}, ""); err != nil {
-			c.Close()
-			return nil, fmt.Errorf("client: fetch partition map: %w", err)
-		}
-		if c.pmap.Load() == nil {
-			c.Close()
-			return nil, fmt.Errorf("client: DMS at %s serves no partition map", cfg.DMSAddr)
-		}
-	}
-	// Align the view with the cluster's installed membership (if any) up
-	// front: the static config above may be behind a cluster that has
-	// already grown or shrunk, and a synchronous refresh here means the
-	// first workload response never triggers a background one — keeping
-	// per-operation trip counts deterministic.
-	if err := c.refreshView(opCtx{}); err != nil {
+	if err := c.bootstrap(boot); err != nil {
 		c.Close()
-		return nil, fmt.Errorf("client: fetch membership: %w", err)
+		return nil, err
 	}
 	return c, nil
 }
@@ -857,7 +836,7 @@ func (c *Client) resolveForReaddir(cleaned string, oc opCtx) (ino layout.DirInod
 		ino, err = c.resolveDir(cleaned, oc)
 		return ino, nil, false, 0, false, err
 	}
-	if pm := c.partMap(); pm != nil && pm.Locate(cleaned) != pm.LocateList(cleaned) {
+	if pm := c.pmap.Load(); pm.Locate(cleaned) != pm.LocateList(cleaned) {
 		// cleaned is a partition cut: its inode lives with its parent's
 		// partition while its listing lives on the partition it roots, so
 		// the lookup and the first page cannot share one batch. Resolve
@@ -924,7 +903,7 @@ func (c *Client) ReaddirContext(ctx context.Context, path string) (out []DirEntr
 		return nil, err
 	}
 	// The subdirectory pages come from the partition owning cleaned's
-	// listing (the bootstrap DMS when unsharded).
+	// listing.
 	listEp, listSrc, err := c.routeDMS(cleaned, true)
 	if err != nil {
 		return nil, err
@@ -1389,11 +1368,7 @@ func (c *Client) RenameDirContext(ctx context.Context, oldPath, newPath string) 
 	moved := d.U64()
 	if c.cache != nil {
 		last, n := decodePub(d)
-		cross := false
-		if pm := c.partMap(); pm != nil && pm.Locate(oldC) != pm.Locate(newC) {
-			cross = true
-		}
-		if !cross {
+		if pm := c.pmap.Load(); pm.Locate(oldC) == pm.Locate(newC) {
 			c.cache.selfRenamedFrom(src, oldC, newC, last, n)
 		} else {
 			// Two partitions published recalls for this rename but the

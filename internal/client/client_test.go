@@ -7,12 +7,19 @@ import (
 	"time"
 
 	"locofs/internal/dms"
+	"locofs/internal/dms/partition"
 	"locofs/internal/fms"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
 	"locofs/internal/rpc"
 	"locofs/internal/wire"
 )
+
+// soloDMS puts d on an rpc.Server the way every deployment does: through a
+// partition node, here running the solo map.
+func soloDMS(d *dms.Server) func(*rpc.Server) {
+	return partition.New(partition.Config{DMS: d}).Attach
+}
 
 // testCluster wires a minimal DMS/FMS/OSS deployment directly (without the
 // core package, which has its own tests) so the client package can be
@@ -31,7 +38,7 @@ func testCluster(t *testing.T, fmsCount int) (*netsim.Network, Config) {
 		go rs.Serve(l)
 		t.Cleanup(rs.Shutdown)
 	}
-	serve("dms", dms.New(dms.Options{}).Attach)
+	serve("dms", soloDMS(dms.New(dms.Options{})))
 	cfg := Config{Dialer: n, DMSAddr: "dms"}
 	for i := 0; i < fmsCount; i++ {
 		addr := fmt.Sprintf("fms-%d", i)

@@ -164,25 +164,9 @@ func (e *endpoint) retire(cl *rpc.Client) {
 	e.mu.Unlock()
 }
 
-// Call issues one untraced request; see CallT.
-func (e *endpoint) Call(op wire.Op, body []byte) (wire.Status, []byte, error) {
-	return e.CallT(opCtx{}, op, body)
-}
-
 // CallT issues one request in the context of operation oc; see CallV.
 func (e *endpoint) CallT(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte, error) {
 	st, resp, _, err := e.CallV(oc, op, body)
-	return st, resp, err
-}
-
-// CallTR is CallT with an explicit dedup request id. A non-zero req pins
-// the id across callers' own higher-level retries — the partition router
-// uses it so a mutation re-sent to a promoted leader after a failover
-// replays from the replicated applied table instead of executing twice.
-// req == 0 behaves exactly like CallT (the endpoint mints one per call for
-// non-idempotent ops).
-func (e *endpoint) CallTR(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Status, []byte, error) {
-	st, resp, _, err := e.callV(oc, op, body, req)
 	return st, resp, err
 }
 
@@ -201,6 +185,11 @@ func (e *endpoint) CallV(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte
 	return e.callV(oc, op, body, 0)
 }
 
+// callV is CallV with an explicit dedup request id. A non-zero req pins the
+// id across the caller's own higher-level retries — the partition router
+// uses it so a mutation re-sent to a promoted leader after a failover
+// replays from the replicated applied table instead of executing twice.
+// req == 0 has the endpoint mint one per call for non-idempotent ops.
 func (e *endpoint) callV(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
 	sp := oc.sp.StartChild("rpc:" + op.String())
 	if sp != nil {
@@ -227,36 +216,6 @@ func (e *endpoint) callV(oc opCtx, op wire.Op, body []byte, req uint64) (wire.St
 		sp.Finish()
 	}
 	return st, resp, virt, err
-}
-
-// pendingCall is the future returned by CallAsync.
-type pendingCall struct {
-	done chan struct{}
-	st   wire.Status
-	resp []byte
-	virt time.Duration
-	err  error
-}
-
-// Wait blocks for the call's completion and returns its outcome, including
-// the call's modeled (virtual) time.
-func (p *pendingCall) Wait() (wire.Status, []byte, time.Duration, error) {
-	<-p.done
-	return p.st, p.resp, p.virt, p.err
-}
-
-// CallAsync issues the request without blocking and returns a future. The
-// underlying rpc.Client multiplexes concurrent in-flight calls over one
-// connection, matching responses by request id, so many CallAsync calls on
-// one endpoint overlap on the wire; each is covered by the client's
-// in-flight gauge and per-op telemetry exactly like CallV.
-func (e *endpoint) CallAsync(oc opCtx, op wire.Op, body []byte) *pendingCall {
-	p := &pendingCall{done: make(chan struct{})}
-	go func() {
-		defer close(p.done)
-		p.st, p.resp, p.virt, p.err = e.CallV(oc, op, body)
-	}()
-	return p
 }
 
 // CallBatch packs subs into one wire.OpBatch message, sends it as a single

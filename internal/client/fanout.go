@@ -131,8 +131,7 @@ func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor
 
 // readSubdirPages drains the DMS subdirectory listing for a directory
 // whose inode was cached but whose listing was not. e is the endpoint
-// owning the listing (the routed partition leader, or the bootstrap DMS
-// when unsharded) and src its partition. It is readPages with one
+// owning the listing (the routed partition leader) and src its partition. It is readPages with one
 // addition: when the first page is the complete listing and carries a
 // listing lease, it is installed in the directory cache, so the next
 // readdir's DMS branch costs zero trips (the cold-miss path does the same

@@ -7,7 +7,7 @@ import (
 )
 
 // Lease coherence, client side (DESIGN.md §14). Every DMS response header
-// carries the server's recall sequence (wire.Msg.Lease); observeLease feeds
+// carries the server's recall sequence (wire.Msg.Lease); observeLeaseFrom feeds
 // it into the cache's maxSeq watermark. When the watermark runs ahead of
 // what the cache has applied, cached entries stop being served (they might
 // be stale) and the next DMS round trip piggybacks an OpLeaseRecall fetch —
@@ -19,15 +19,12 @@ import (
 // Config.HotRefreshInterval is zero.
 const DefaultHotRefreshInterval = 5 * time.Second
 
-// observeLease receives the recall sequence stamped on every response
-// header (rpc.CallSpec.OnLease) by the single unsharded DMS. TTL-only
-// caches ignore it: they trust entries for the configured lease regardless
-// of server-side mutations.
-func (c *Client) observeLease(seq uint64) { c.observeLeaseFrom(0, seq) }
-
-// observeLeaseFrom receives a recall sequence stamped by DMS partition src.
-// Each partition endpoint's OnLease hook is bound to its partition id, so
-// the per-source cache watermarks never mix incomparable sequences.
+// observeLeaseFrom receives the recall sequence DMS partition src stamps on
+// every response header (rpc.CallSpec.OnLease). Each partition endpoint's
+// OnLease hook is bound to its partition id, so the per-source cache
+// watermarks never mix incomparable sequences. TTL-only caches ignore it:
+// they trust entries for the configured lease regardless of server-side
+// mutations.
 func (c *Client) observeLeaseFrom(src uint32, seq uint64) {
 	if ca := c.cache; ca != nil && ca.coherent {
 		ca.observeFrom(src, seq)
@@ -116,9 +113,8 @@ func (c *Client) hotRefreshLoop(n int, interval time.Duration, clk func() time.T
 // set (so subsequent puts stretch their leases), and re-resolves them — in
 // one batched DMS round trip per partition when batching is enabled — so
 // hot entries are renewed in the background instead of expiring under
-// foreground traffic. Against a sharded DMS the hot paths are grouped by
-// their owning partition leader first (one group, the bootstrap endpoint,
-// when unsharded).
+// foreground traffic. The hot paths are grouped by their owning partition
+// leader first.
 func (c *Client) refreshHot(n int) {
 	ca := c.cache
 	if ca == nil || ca.hot == nil {

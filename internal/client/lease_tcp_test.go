@@ -38,7 +38,7 @@ func testLeaseCoherenceOverTCP(t *testing.T, disableBatch bool) {
 		t.Cleanup(rs.Shutdown)
 		return l.Addr()
 	}
-	dmsAddr := listen(dms.New(dms.Options{}).Attach)
+	dmsAddr := listen(soloDMS(dms.New(dms.Options{})))
 	fmsAddr := listen(fms.New(fms.Options{ServerID: 1}).Attach)
 	ossAddr := listen(objstore.New(nil).Attach)
 
@@ -121,7 +121,7 @@ func TestHotTierRefreshOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	rs := rpc.NewServer()
-	dms.New(dms.Options{LeaseDur: 50 * time.Millisecond}).Attach(rs)
+	soloDMS(dms.New(dms.Options{LeaseDur: 50 * time.Millisecond}))(rs)
 	go rs.Serve(l)
 	t.Cleanup(rs.Shutdown)
 	fl, err := netsim.ListenTCP("127.0.0.1:0")

@@ -54,7 +54,7 @@ type RebalanceReport struct {
 // ClusterMembership fetches the installed membership from the DMS, or nil
 // when the cluster runs a static topology (none was ever installed).
 func (c *Client) ClusterMembership() (*wire.Membership, error) {
-	st, resp, err := c.dms.CallT(opCtx{}, wire.OpGetMembership, nil)
+	st, resp, _, err := c.dmsCall(opCtx{}, "/", false, wire.OpGetMembership, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -199,9 +199,10 @@ func (c *Client) changeFMS(cur *wire.Membership, next []wire.Member) (rep *Rebal
 }
 
 // pushMembership installs m on every server: the DMS first (it is where
-// clients refresh from), then every FMS in the union of m's current and
-// previous sets (each told its own ring ID), then the object stores
-// (epoch tracking only).
+// clients refresh from) — every replica of every partition in the installed
+// map, followers included, so whichever one a failover promotes already
+// serves m — then every FMS in the union of m's current and previous sets
+// (each told its own ring ID), then the object stores (epoch tracking only).
 func (c *Client) pushMembership(oc opCtx, m *wire.Membership) error {
 	push := func(e *endpoint, self int) error {
 		st, _, err := e.CallT(oc, wire.OpSetMembership, wire.EncodeSetMembership(m, self))
@@ -212,8 +213,16 @@ func (c *Client) pushMembership(oc opCtx, m *wire.Membership) error {
 		// coordinator won the race; this change must not proceed.
 		return st.Err()
 	}
-	if err := push(c.dms, -1); err != nil {
-		return fmt.Errorf("dms: %w", err)
+	for pid, g := range c.pmap.Load().Groups {
+		for _, addr := range g {
+			e, err := c.dmsEndpointAt(addr, uint32(pid))
+			if err == nil {
+				err = push(e, -1)
+			}
+			if err != nil {
+				return fmt.Errorf("dms %s: %w", addr, err)
+			}
+		}
 	}
 	pushed := make(map[string]bool, len(m.FMS)+len(m.Prev))
 	for _, set := range [][]wire.Member{m.FMS, m.Prev} {

@@ -30,7 +30,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 		go rs.Serve(l)
 		return rs
 	}
-	serve("dms", dms.New(dms.Options{}).Attach)
+	serve("dms", soloDMS(dms.New(dms.Options{})))
 	fmsStore := kv.NewHashStore() // shared "durable" state across restarts
 	fmsServer := serve("fms-0", fms.New(fms.Options{Store: fmsStore, ServerID: 1}).Attach)
 	serve("oss", objstore.New(nil).Attach)
@@ -99,7 +99,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		if _, _, err := e.Call(1, nil); err != nil { // OpPing
+		if _, _, err := e.CallT(opCtx{}, 1, nil); err != nil { // OpPing
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := e.Call(1, nil); err == nil {
+		if _, _, err := e.CallT(opCtx{}, 1, nil); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -135,7 +135,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	}
 	// A closed endpoint refuses calls.
 	e.Close()
-	if _, _, err := e.Call(1, nil); err == nil {
+	if _, _, err := e.CallT(opCtx{}, 1, nil); err == nil {
 		t.Error("call on closed endpoint succeeded")
 	}
 }

@@ -1,12 +1,12 @@
 package client
 
-// DMS partition routing (DESIGN.md §16). A sharded DMS splits the directory
+// DMS partition routing (DESIGN.md §16). The DMS splits the directory
 // namespace into subtree range partitions, each a replicated group whose
 // leader serves that range's operations. The client holds the versioned
 // partition map (wire.PartMap) and routes every DMS request before dialing:
-// path → partition (deepest-cut match) → leader endpoint. Against an
-// unsharded DMS the map is nil and every request goes to the bootstrap
-// endpoint, byte-for-byte the pre-sharding behavior.
+// path → partition (deepest-cut match) → leader endpoint. A lone DMS is the
+// solo map — version 0, one group holding only the bootstrap address — which
+// Dial installs before any request, so there is always a map to route by.
 //
 // Map staleness is learned two ways, mirroring the FMS membership epoch
 // protocol (view.go): passively, from the partition-map version stamped on
@@ -31,32 +31,67 @@ import (
 // retries after map refreshes triggered by EWRONGPART or a dead leader.
 const dmsRouteAttempts = 4
 
-// partMap returns the installed partition map, nil when unsharded.
-func (c *Client) partMap() *wire.PartMap { return c.pmap.Load() }
+// onlyRoute reports whether pm offers exactly one DMS address: a request
+// that failed against it has nowhere else to go, so refreshing the map and
+// retrying would only repeat the failure.
+func onlyRoute(pm *wire.PartMap) bool {
+	return len(pm.Groups) == 1 && len(pm.Groups[0]) == 1
+}
 
 // observePMap receives the partition-map version stamped on every response
-// header. It keeps maxPVer at the highest version seen and kicks off one
-// asynchronous map refresh when the installed map has fallen behind — the
-// passive path by which clients notice a failover within about one round
-// trip. A client of an unsharded cluster never sees a non-zero version and
-// never pays anything here.
+// header and kicks off one asynchronous map refresh when the installed map
+// has fallen behind — the passive path by which clients notice a failover
+// within about one round trip. A solo DMS never stamps a version (its map is
+// version 0), so its clients never pay anything here.
 func (c *Client) observePMap(ver uint64) {
-	for {
-		cur := c.maxPVer.Load()
-		if ver <= cur {
-			break
-		}
-		if c.maxPVer.CompareAndSwap(cur, ver) {
-			break
-		}
-	}
-	pm := c.pmap.Load()
-	if (pm == nil || ver > pm.Ver) && c.pmRefreshing.CompareAndSwap(false, true) {
+	if ver > c.pmap.Load().Ver && c.pmRefreshing.CompareAndSwap(false, true) {
 		go func() {
 			defer c.pmRefreshing.Store(false)
 			c.refreshPartMap(opCtx{}, "")
 		}()
 	}
+}
+
+// bootstrap aligns a freshly dialed client with the cluster: the partition
+// map and the FMS membership, both asked of the bootstrap endpoint in one
+// batched round trip on every topology. A solo DMS serves its version-0 map,
+// which never beats the one the client started from; a static topology
+// serves no membership (ENOENT) and the configured FMS list stands. Doing
+// this synchronously means the first workload response never triggers a
+// background refresh, which keeps per-operation trip counts deterministic.
+func (c *Client) bootstrap(boot *endpoint) error {
+	// The answers' own headers carry the epoch and map version being
+	// fetched; holding both latches keeps observeEpoch and observePMap from
+	// answering them with a redundant background fetch.
+	c.refreshing.Store(true)
+	c.pmRefreshing.Store(true)
+	defer c.refreshing.Store(false)
+	defer c.pmRefreshing.Store(false)
+	if c.disableBatch {
+		if err := c.refreshPartMap(opCtx{}, ""); err != nil {
+			return fmt.Errorf("client: fetch partition map: %w", err)
+		}
+		if err := c.refreshView(opCtx{}); err != nil {
+			return fmt.Errorf("client: fetch membership: %w", err)
+		}
+		return nil
+	}
+	resps, _, err := boot.CallBatch(opCtx{}, []wire.SubReq{{Op: wire.OpGetPartMap}, {Op: wire.OpGetMembership}})
+	if err != nil {
+		return fmt.Errorf("client: bootstrap from %s: %w", boot.addr, err)
+	}
+	if st := resps[0].Status; st != wire.StatusOK {
+		return fmt.Errorf("client: partition map from %s: %w", boot.addr, st.Err())
+	}
+	pm, err := wire.DecodePartMap(resps[0].Body)
+	if err != nil {
+		return fmt.Errorf("client: partition map from %s: %w", boot.addr, err)
+	}
+	c.installPartMap(pm)
+	if err := c.installMembershipResp(resps[1].Status, resps[1].Body); err != nil {
+		return fmt.Errorf("client: membership from %s: %w", boot.addr, err)
+	}
+	return nil
 }
 
 // MetricPMapSuppressed counts partition-map fetches coalesced into a
@@ -73,8 +108,8 @@ const MetricPMapSuppressed = "locofs_client_pmap_refresh_suppressed_total"
 // issuing their own OpGetPartMap storm. Candidates are tried in order:
 // every replica of the installed map (leaders first — they are
 // known-recent), then the bootstrap endpoint; avoid (a just-failed leader
-// address) is demoted to last. The first decodable map wins. Finding no
-// map anywhere leaves the client in its current mode.
+// address) is demoted to last. The first decodable map wins (a solo DMS's
+// version-0 map never beats the installed one, so it changes nothing).
 func (c *Client) refreshPartMap(oc opCtx, avoid string) error {
 	gen := c.pmFetchGen.Load()
 	c.pmapFetchMu.Lock()
@@ -98,16 +133,15 @@ func (c *Client) refreshPartMap(oc opCtx, avoid string) error {
 			cands = append(cands, cand{addr, pid})
 		}
 	}
-	if pm := c.pmap.Load(); pm != nil {
-		for pid, g := range pm.Groups {
-			if len(g) > 0 {
-				add(g[0], uint32(pid))
-			}
+	pm := c.pmap.Load()
+	for pid, g := range pm.Groups {
+		if len(g) > 0 {
+			add(g[0], uint32(pid))
 		}
-		for pid, g := range pm.Groups {
-			for _, a := range g[min(1, len(g)):] {
-				add(a, uint32(pid))
-			}
+	}
+	for pid, g := range pm.Groups {
+		for _, a := range g[min(1, len(g)):] {
+			add(a, uint32(pid))
 		}
 	}
 	add(c.dmsAddr, 0)
@@ -132,8 +166,6 @@ func (c *Client) refreshPartMap(oc opCtx, avoid string) error {
 			continue
 		}
 		if st != wire.StatusOK {
-			// ENOENT/EINVAL: the node has no map (or is a legacy DMS that
-			// does not speak the op). Not an error — try the next candidate.
 			lastErr = st.Err()
 			continue
 		}
@@ -158,16 +190,10 @@ func (c *Client) installPartMap(pm *wire.PartMap) {
 	}
 	c.pmapMu.Lock()
 	defer c.pmapMu.Unlock()
-	if cur := c.pmap.Load(); cur != nil && pm.Ver <= cur.Ver {
+	if pm.Ver <= c.pmap.Load().Ver {
 		return
 	}
 	c.pmap.Store(pm)
-	for {
-		cur := c.maxPVer.Load()
-		if pm.Ver <= cur || c.maxPVer.CompareAndSwap(cur, pm.Ver) {
-			break
-		}
-	}
 }
 
 // dmsEndpointAt returns the connection to the DMS replica at addr, dialing
@@ -190,8 +216,7 @@ func (c *Client) dmsEndpointAt(addr string, pid uint32) (*endpoint, error) {
 }
 
 // dmsEndpoints snapshots every DMS connection ever dialed (for Close,
-// Trips, Cost). The bootstrap endpoint is seeded into the registry at Dial,
-// so it appears exactly once.
+// Trips, Cost).
 func (c *Client) dmsEndpoints() []*endpoint {
 	c.dmsEpMu.Lock()
 	defer c.dmsEpMu.Unlock()
@@ -205,13 +230,9 @@ func (c *Client) dmsEndpoints() []*endpoint {
 // routeDMS resolves the DMS endpoint and recall source for a cleaned path:
 // the leader of the partition owning the path's metadata — or, with list
 // set, the path's subdir listing (a cut directory's inode and listing live
-// on different partitions, see wire.PartMap.LocateList). Unsharded clients
-// route everything to the bootstrap endpoint as source 0.
+// on different partitions, see wire.PartMap.LocateList).
 func (c *Client) routeDMS(path string, list bool) (*endpoint, uint32, error) {
 	pm := c.pmap.Load()
-	if pm == nil {
-		return c.dms, 0, nil
-	}
 	var pid uint32
 	if list {
 		pid = pm.LocateList(path)
@@ -267,7 +288,7 @@ func (c *Client) dmsCallV(oc opCtx, path string, list bool, op wire.Op, body []b
 		}
 		st, resp, virt, err = e.callV(oc, op, body, req)
 		if err != nil {
-			if c.pmap.Load() == nil {
+			if onlyRoute(c.pmap.Load()) {
 				return st, resp, virt, e, src, err
 			}
 			c.refreshPartMap(oc, e.addr)
@@ -303,7 +324,7 @@ func (c *Client) dmsBatch(oc opCtx, path string, list bool, subs []wire.SubReq) 
 		}
 		resps, _, err = e.CallBatch(oc, subs)
 		if err != nil {
-			if c.pmap.Load() == nil {
+			if onlyRoute(c.pmap.Load()) {
 				return resps, src, err
 			}
 			c.refreshPartMap(oc, e.addr)

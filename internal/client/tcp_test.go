@@ -27,7 +27,7 @@ func TestFullStackOverTCP(t *testing.T) {
 		t.Cleanup(rs.Shutdown)
 		return l.Addr(), rs
 	}
-	dmsAddr, _ := listen(dms.New(dms.Options{}).Attach)
+	dmsAddr, _ := listen(soloDMS(dms.New(dms.Options{})))
 	fmsAddr1, _ := listen(fms.New(fms.Options{ServerID: 1}).Attach)
 	fmsAddr2, _ := listen(fms.New(fms.Options{ServerID: 2}).Attach)
 	ossAddr, _ := listen(objstore.New(nil).Attach)
@@ -95,7 +95,7 @@ func TestFMSCrashSurfacesErrors(t *testing.T) {
 		go rs.Serve(l)
 		return rs
 	}
-	serve("dms", dms.New(dms.Options{}).Attach)
+	serve("dms", soloDMS(dms.New(dms.Options{})))
 	fmsServers := []*rpc.Server{
 		serve("fms-0", fms.New(fms.Options{ServerID: 1}).Attach),
 		serve("fms-1", fms.New(fms.Options{ServerID: 2}).Attach),

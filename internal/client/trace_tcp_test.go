@@ -39,7 +39,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Cleanup(rs.Shutdown)
 		return l.Addr()
 	}
-	dmsAddr := listen("dms", dms.New(dms.Options{}).Attach)
+	dmsAddr := listen("dms", soloDMS(dms.New(dms.Options{})))
 	fms1 := listen("fms-0", fms.New(fms.Options{ServerID: 1}).Attach)
 	fms2 := listen("fms-1", fms.New(fms.Options{ServerID: 2}).Attach)
 	ossAddr := listen("oss", objstore.New(nil).Attach)
@@ -194,7 +194,7 @@ func TestHotKeysRankSkewedWorkload(t *testing.T) {
 	}
 	d := dms.New(dms.Options{})
 	f := fms.New(fms.Options{ServerID: 1})
-	serve("dms", d.Attach)
+	serve("dms", soloDMS(d))
 	serve("fms-0", f.Attach)
 	serve("oss", objstore.New(nil).Attach)
 

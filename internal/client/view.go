@@ -153,8 +153,6 @@ func (c *Client) observeEpoch(e uint64) {
 }
 
 // refreshView fetches the cluster membership from the DMS and installs it.
-// A cluster with no membership pushed (static topology) reports ENOENT;
-// that is not an error, there is simply nothing to install.
 func (c *Client) refreshView(oc opCtx) error {
 	// Mark the refresh in flight for its whole duration (unless a caller
 	// already did): the fetch's own response carries the new epoch before
@@ -164,18 +162,19 @@ func (c *Client) refreshView(oc opCtx) error {
 		defer c.refreshing.Store(false)
 	}
 	// Membership lives on partition 0 (the residual partition, which owns
-	// the root); route there so the fetch survives a bootstrap-leader
-	// failover. Unsharded clients route straight to the bootstrap DMS.
-	e := c.dms
-	if c.pmap.Load() != nil {
-		if ep, _, rerr := c.routeDMS("/", false); rerr == nil {
-			e = ep
-		}
-	}
-	st, resp, err := e.CallT(oc, wire.OpGetMembership, nil)
+	// the root); routing there like any directory op means the fetch
+	// survives a leader failover.
+	st, resp, _, err := c.dmsCall(oc, "/", false, wire.OpGetMembership, nil)
 	if err != nil {
 		return err
 	}
+	return c.installMembershipResp(st, resp)
+}
+
+// installMembershipResp installs the membership an OpGetMembership response
+// carries. A cluster with no membership pushed (static topology) reports
+// ENOENT; that is not an error, there is simply nothing to install.
+func (c *Client) installMembershipResp(st wire.Status, resp []byte) error {
 	if st == wire.StatusNotFound {
 		return nil
 	}

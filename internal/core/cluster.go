@@ -1,6 +1,7 @@
-// Package core assembles LocoFS deployments: a single Directory Metadata
-// Server, a configurable number of File Metadata Servers, and object store
-// servers, wired to clients over a simulated-latency fabric or real TCP.
+// Package core assembles LocoFS deployments: the Directory Metadata Server
+// (one partition node by default, a sharded and replicated set on request), a
+// configurable number of File Metadata Servers, and object store servers,
+// wired to clients over a simulated-latency fabric or real TCP.
 // It is the top of the LocoFS stack and the entry point used by examples,
 // experiments, and the command-line tools.
 package core
@@ -47,8 +48,8 @@ type Options struct {
 	// (the Fig 14 "hash" rename mode).
 	DMSOnHashStore bool
 	// DMSPartitions shards the directory namespace across this many DMS
-	// partitions (DESIGN.md §16). Default/0/1 with DMSReplicas <= 1 keeps
-	// the single unsharded DMS. Partition 0 is the residual partition
+	// partitions (DESIGN.md §16). Default/0/1 is the paper's single DMS:
+	// one partition. Partition 0 is the residual partition
 	// (it owns the root); partition i >= 1 owns the proper descendants of
 	// DMSCuts[i-1].
 	DMSPartitions int
@@ -73,14 +74,6 @@ type Options struct {
 	// ack within it is excluded from the live fan-out set and must catch
 	// up to rejoin. 0 = partition.DefaultRepTimeout.
 	DMSRepTimeout time.Duration
-	// DMSCatchupEvery, when positive, has follower replicas periodically
-	// probe their leader for missed log entries, so a replica excluded
-	// while unreachable rejoins on its own. Zero leaves catch-up
-	// on-demand (append gaps, map installs, Node.CatchUp).
-	DMSCatchupEvery time.Duration
-	// DMSDevice/FMSDevice charge virtual storage time per KV op (Fig 14's
-	// HDD vs SSD). Zero means RAM (no charge).
-	DMSDevice kv.DeviceModel
 	// CheckPermissions enables the ancestor ACL walk (on in the paper; the
 	// work Fig 13 measures).
 	CheckPermissions bool
@@ -113,15 +106,9 @@ type Options struct {
 	// registry (time-local quantiles, SLO burn). The zero value keeps the
 	// telemetry package defaults (6 × 10 s).
 	Window telemetry.WindowConfig
-	// FlightBuf sizes the cluster's shared flight-recorder journal
-	// (0 = flight.DefaultBufEvents). The journal is always on — every
-	// server, and every client the cluster dials, emits into one timeline.
-	FlightBuf int
-	// FlightDir spools anomaly-triggered diagnostic bundles to disk
-	// ("" = memory only).
+	// FlightDir spools the always-on flight recorder's anomaly-triggered
+	// diagnostic bundles to disk ("" = memory only).
 	FlightDir string
-	// FlightRules overrides the anomaly rule set (nil = flight.DefaultRules).
-	FlightRules []flight.Rule
 }
 
 // KVCost prices Kyoto-Cabinet-style storage work on the paper's metadata
@@ -211,14 +198,14 @@ type Cluster struct {
 	opts Options
 	net  *netsim.Network
 
-	// DMS and DMSStore are the directory metadata server and its store.
-	// On a sharded cluster they alias the current leader of partition 0
-	// (the residual partition) and are repointed by FailoverDMS.
+	// DMS and DMSStore are the directory metadata server and its store:
+	// aliases of the current leader of partition 0 (the residual
+	// partition), repointed by FailoverDMS.
 	DMS      *dms.Server
 	DMSStore *kv.Instrumented
-	// DMSNodes, on a sharded cluster, holds each partition's live replica
-	// nodes leader-first (mirroring the partition map's groups). Tests use
-	// it to reach a leader's crash hooks; FailoverDMS trims it.
+	// DMSNodes holds each partition's live replica nodes leader-first
+	// (mirroring the partition map's groups). Tests use it to reach a
+	// leader's crash hooks; FailoverDMS trims it.
 	DMSNodes [][]*partition.Node
 	FMS      []*fms.Server
 	OSS      []*objstore.Server
@@ -253,12 +240,11 @@ type Cluster struct {
 	epoch      uint64
 	clientRegs []*telemetry.Registry
 
-	// Sharded-DMS state (DESIGN.md §16), guarded by mu after Start.
+	// DMS partition state (DESIGN.md §16), guarded by mu after Start.
 	// dmsGroups mirrors the current partition map's replica groups
 	// (leader first); dmsStores parallels DMSNodes; dmsAllNodes keeps every
 	// node ever started so Close can release peer connections of replaced
 	// leaders too.
-	sharded     bool
 	dmsCuts     []wire.PartCut
 	dmsGroups   [][]string
 	dmsStores   [][]*kv.Instrumented
@@ -283,8 +269,7 @@ func Start(opts Options) (*Cluster, error) {
 	// then the status sources exist.
 	c.Flight = flight.New(flight.Config{
 		Server:  "cluster",
-		Journal: flight.NewJournal(opts.FlightBuf),
-		Rules:   opts.FlightRules,
+		Journal: flight.NewJournal(0),
 		Tracer:  opts.Tracer,
 		SLO:     func() []slo.ClassStatus { return c.ClusterStatus().SLO },
 		Extra: func() map[string]any {
@@ -298,18 +283,8 @@ func Start(opts Options) (*Cluster, error) {
 		Dir: opts.FlightDir,
 	})
 
-	// Directory metadata service: one unsharded server, or a partitioned,
-	// replicated node set (DESIGN.md §16).
-	newDMSStore := func() *kv.Instrumented {
-		var base kv.Store
-		if opts.DMSOnHashStore {
-			base = kv.NewHashStore()
-		} else {
-			base = kv.NewBTreeStore()
-		}
-		return kv.Instrument(base, opts.DMSDevice)
-	}
-	c.sharded = opts.DMSPartitions > 1 || opts.DMSReplicas > 1
+	// Directory metadata service: DMSPartitions x DMSReplicas partition
+	// nodes (DESIGN.md §16) — one node when both are 1.
 	if len(opts.DMSCuts) < opts.DMSPartitions-1 {
 		return nil, fmt.Errorf("core: %d DMS partitions need at least %d cut directories, got %d",
 			opts.DMSPartitions, opts.DMSPartitions-1, len(opts.DMSCuts))
@@ -317,81 +292,72 @@ func Start(opts Options) (*Cluster, error) {
 	if opts.DMSPartitions == 1 && len(opts.DMSCuts) > 0 {
 		return nil, fmt.Errorf("core: DMS cuts given but only one partition configured")
 	}
-	if !c.sharded {
-		c.DMSStore = newDMSStore()
-		c.DMS = dms.New(dms.Options{
-			Store:            c.DMSStore,
-			CheckPermissions: opts.CheckPermissions,
-			LeaseDur:         opts.Lease,
-		})
-		c.DMS.SetFlight(c.Flight.Journal(), "dms")
-		if err := c.serve("dms", c.DMSStore, c.DMS.Attach); err != nil {
-			return nil, err
+	for i, d := range opts.DMSCuts {
+		cd, err := fspath.Clean(d)
+		if err != nil || cd == "/" {
+			return nil, fmt.Errorf("core: invalid DMS cut %q", d)
 		}
-		c.DMS.RegisterMetrics(c.Metrics["dms"])
-	} else {
-		for i, d := range opts.DMSCuts {
-			cd, err := fspath.Clean(d)
-			if err != nil || cd == "/" {
-				return nil, fmt.Errorf("core: invalid DMS cut %q", d)
-			}
-			for _, prev := range c.dmsCuts {
-				if prev.Dir == cd {
-					return nil, fmt.Errorf("core: duplicate DMS cut %q", cd)
-				}
-			}
-			c.dmsCuts = append(c.dmsCuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
-		}
-		c.dmsGroups = make([][]string, opts.DMSPartitions)
-		for pid := range c.dmsGroups {
-			for rep := 0; rep < opts.DMSReplicas; rep++ {
-				c.dmsGroups[pid] = append(c.dmsGroups[pid], dmsAddr(pid, rep))
+		for _, prev := range c.dmsCuts {
+			if prev.Dir == cd {
+				return nil, fmt.Errorf("core: duplicate DMS cut %q", cd)
 			}
 		}
-		c.pmVer = 1
-		pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: c.dmsGroups}
-		c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
-		c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
-		for pid := 0; pid < opts.DMSPartitions; pid++ {
-			for rep := 0; rep < opts.DMSReplicas; rep++ {
-				addr := dmsAddr(pid, rep)
-				store := newDMSStore()
-				// Replicas of one partition share a ServerID: UUIDs are
-				// drawn deterministically from it, so applying the same op
-				// log yields byte-identical inodes on every replica. The
-				// high bit keeps the IDs clear of the FMS range.
-				ds := dms.New(dms.Options{
-					Store:            store,
-					CheckPermissions: opts.CheckPermissions,
-					LeaseDur:         opts.Lease,
-					ServerID:         0x80000000 | uint32(pid),
-				})
-				ds.SetFlight(c.Flight.Journal(), addr)
-				node := partition.New(partition.Config{
-					PID:          uint32(pid),
-					Index:        rep,
-					Self:         addr,
-					Map:          pm,
-					DMS:          ds,
-					Dialer:       c.net,
-					Journal:      c.Flight.Journal(),
-					Source:       addr,
-					LogCap:       opts.DMSLogCap,
-					RepTimeout:   opts.DMSRepTimeout,
-					CatchupEvery: opts.DMSCatchupEvery,
-				})
-				if err := c.serve(addr, store, node.Attach); err != nil {
-					return nil, err
-				}
-				ds.RegisterMetrics(c.Metrics[addr])
-				c.DMSNodes[pid] = append(c.DMSNodes[pid], node)
-				c.dmsStores[pid] = append(c.dmsStores[pid], store)
-				c.dmsAllNodes = append(c.dmsAllNodes, node)
-			}
-		}
-		c.DMS = c.DMSNodes[0][0].DMS()
-		c.DMSStore = c.dmsStores[0][0]
+		c.dmsCuts = append(c.dmsCuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
 	}
+	c.dmsGroups = make([][]string, opts.DMSPartitions)
+	for pid := range c.dmsGroups {
+		for rep := 0; rep < opts.DMSReplicas; rep++ {
+			c.dmsGroups[pid] = append(c.dmsGroups[pid], dmsAddr(pid, rep))
+		}
+	}
+	c.pmVer = 1
+	pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: c.dmsGroups}
+	c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
+	c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
+	for pid := 0; pid < opts.DMSPartitions; pid++ {
+		for rep := 0; rep < opts.DMSReplicas; rep++ {
+			addr := dmsAddr(pid, rep)
+			var base kv.Store
+			if opts.DMSOnHashStore {
+				base = kv.NewHashStore()
+			} else {
+				base = kv.NewBTreeStore()
+			}
+			store := kv.Instrument(base, kv.RAM)
+			// Replicas of one partition share a ServerID: UUIDs are
+			// drawn deterministically from it, so applying the same op
+			// log yields byte-identical inodes on every replica. The
+			// high bit keeps the IDs clear of the FMS range.
+			ds := dms.New(dms.Options{
+				Store:            store,
+				CheckPermissions: opts.CheckPermissions,
+				LeaseDur:         opts.Lease,
+				ServerID:         0x80000000 | uint32(pid),
+			})
+			ds.SetFlight(c.Flight.Journal(), addr)
+			node := partition.New(partition.Config{
+				PID:        uint32(pid),
+				Index:      rep,
+				Self:       addr,
+				Map:        pm,
+				DMS:        ds,
+				Dialer:     c.net,
+				Journal:    c.Flight.Journal(),
+				Source:     addr,
+				LogCap:     opts.DMSLogCap,
+				RepTimeout: opts.DMSRepTimeout,
+			})
+			if err := c.serve(addr, store, node.Attach); err != nil {
+				return nil, err
+			}
+			ds.RegisterMetrics(c.Metrics[addr])
+			c.DMSNodes[pid] = append(c.DMSNodes[pid], node)
+			c.dmsStores[pid] = append(c.dmsStores[pid], store)
+			c.dmsAllNodes = append(c.dmsAllNodes, node)
+		}
+	}
+	c.DMS = c.DMSNodes[0][0].DMS()
+	c.DMSStore = c.dmsStores[0][0]
 	// The journal is cluster-wide, so its counters are exported exactly once
 	// (through the bootstrap DMS registry) to keep SumCounter from
 	// double-counting.
@@ -451,9 +417,8 @@ func Start(opts Options) (*Cluster, error) {
 }
 
 // dmsAddr names DMS partition pid's replica rep on the fabric. Partition
-// 0's leader keeps the address "dms": it is the bootstrap endpoint clients
-// dial first, and the residual partition owning the root — exactly where an
-// unsharded cluster's single DMS lives.
+// 0's first leader has the address "dms": the residual partition owning the
+// root, and the whole DMS of a one-partition cluster.
 func dmsAddr(pid, rep int) string {
 	if pid == 0 && rep == 0 {
 		return "dms"
@@ -546,12 +511,14 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	for i, m := range c.members {
 		fmsIDs[i] = int(m.ID)
 	}
+	// Bootstrap from partition 0's current leader: "dms" is gone once a
+	// failover has replaced it.
+	bootstrap := c.dmsGroups[0][0]
 	c.mu.Unlock()
 	cl, err := client.Dial(client.Config{
 		Dialer:                c.net,
 		Link:                  c.opts.Link,
-		DMSAddr:               "dms",
-		DMSSharded:            c.sharded,
+		DMSAddr:               bootstrap,
 		FMSAddrs:              fmsAddrs,
 		FMSIDs:                fmsIDs,
 		OSSAddrs:              c.ossAddrs,
@@ -689,7 +656,7 @@ func (c *Cluster) RemoveFMS() (*client.RebalanceReport, error) {
 // non-excluded replicas.
 func (c *Cluster) FailoverDMS(pid int) error {
 	c.mu.Lock()
-	if !c.sharded || pid < 0 || pid >= len(c.dmsGroups) {
+	if pid < 0 || pid >= len(c.dmsGroups) {
 		c.mu.Unlock()
 		return fmt.Errorf("core: no such DMS partition %d", pid)
 	}
@@ -765,9 +732,9 @@ func (c *Cluster) MetadataOpsServed() uint64 {
 }
 
 // DMSOpsServed returns completed requests on the directory metadata service
-// alone — the offered load client caching is supposed to shed. On a sharded
-// cluster it sums every partition replica (including deposed leaders, whose
-// pre-failover traffic still counts).
+// alone — the offered load client caching is supposed to shed. It sums every
+// partition replica (including deposed leaders, whose pre-failover traffic
+// still counts).
 func (c *Cluster) DMSOpsServed() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -781,7 +748,7 @@ func (c *Cluster) DMSOpsServed() uint64 {
 }
 
 // DMSBusy returns cumulative service time per DMS server — one entry per
-// partition replica on a sharded cluster, in deterministic (address) order.
+// partition replica, in deterministic (address) order.
 func (c *Cluster) DMSBusy() []time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -147,8 +148,12 @@ func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 		t.Fatalf("no lease_recall events after coherent mutation; counts = %v", j.KindCounts())
 	}
 	// AddFMS migrates keys and installs a new epoch; both event kinds land.
-	if err := cl.Create("/flight/f1", 0o644); err != nil {
-		t.Fatal(err)
+	// Which keys move depends on the directory's UUID, so create enough
+	// files that the grown ring must take some (a third of them on average).
+	for i := 0; i < 32; i++ {
+		if err := cl.Create(fmt.Sprintf("/flight/f%d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := c.AddFMS(); err != nil {
 		t.Fatal(err)

@@ -23,7 +23,6 @@ import (
 	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/layout"
-	"locofs/internal/rpc"
 	"locofs/internal/telemetry"
 	"locofs/internal/trace"
 	"locofs/internal/uuid"
@@ -63,7 +62,8 @@ type PathInode struct {
 }
 
 // Server is the directory metadata server. Its exported metadata methods are
-// the service logic; Attach wires them to an rpc.Server.
+// the service logic; a partition.Node (internal/dms/partition) is what puts
+// them on an rpc.Server.
 type Server struct {
 	mu        sync.RWMutex
 	store     kv.Store
@@ -635,9 +635,9 @@ func appendPub(e *wire.Enc, pr pubResult) *wire.Enc {
 	return e.U64(pr.Last).U32(pr.N)
 }
 
-// Ops lists every client-facing operation the DMS serves. Attach registers
-// a handler per op; the sharded-DMS partition node wraps the same set with
-// its range guard and replication (see internal/dms/partition).
+// Ops lists every client-facing operation the DMS serves. The partition
+// node registers a handler per op, wrapped with its range guard and
+// replication (see internal/dms/partition).
 var Ops = []wire.Op{
 	wire.OpMkdir, wire.OpLookupDir, wire.OpLeaseRecall, wire.OpStatDir,
 	wire.OpReaddirSubdirs, wire.OpRmdir, wire.OpChmodDir, wire.OpChownDir,
@@ -645,7 +645,7 @@ var Ops = []wire.Op{
 }
 
 // MutationOp reports whether op changes DMS state (and therefore must go
-// through a partition's replicated op log when the DMS is sharded).
+// through the partition's replicated op log).
 func MutationOp(op wire.Op) bool {
 	switch op {
 	case wire.OpMkdir, wire.OpRmdir, wire.OpChmodDir, wire.OpChownDir, wire.OpRenameDir:
@@ -655,8 +655,8 @@ func MutationOp(op wire.Op) bool {
 }
 
 // Dispatch executes one DMS operation against local state and returns the
-// wire response. It is the single entry point shared by the RPC handlers
-// (Attach) and the sharded DMS's log-apply path — a follower replaying a
+// wire response. It is the single entry point shared by the partition
+// node's read handlers and its log-apply path — a follower replaying a
 // replicated op-log entry produces byte-identical state and responses by
 // dispatching the entry's opcode and body here under a pinned clock.
 func (s *Server) Dispatch(op wire.Op, body []byte) (wire.Status, []byte) {
@@ -796,18 +796,4 @@ func (s *Server) Dispatch(op wire.Op, body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, appendPub(wire.NewEnc().U64(uint64(moved)), pr).Bytes()
 	}
 	return wire.StatusInval, nil
-}
-
-// Attach registers the DMS request handlers on an rpc.Server. Every handler
-// feeds the path it operates on into the hot-directory sketch; lookups and
-// readdirs additionally grant lease trailers, mutations publish recalls,
-// and the server stamps the recall sequence on every response header.
-func (s *Server) Attach(rs *rpc.Server) {
-	rs.SetLeaseFunc(s.leases.Seq)
-	for _, op := range Ops {
-		op := op
-		rs.Handle(op, func(body []byte) (wire.Status, []byte) {
-			return s.Dispatch(op, body)
-		})
-	}
 }

@@ -51,7 +51,7 @@ func (n *Node) catchUp(why string) error {
 	defer n.catching.Store(false)
 
 	pm := n.pm.Load()
-	if pm == nil || n.IsLeader() {
+	if n.IsLeader() {
 		return nil
 	}
 	leader := pm.Leader(n.pid)

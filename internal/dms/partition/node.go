@@ -1,5 +1,8 @@
-// Package partition turns a set of dms.Server instances into a sharded,
-// replicated directory metadata service (DESIGN.md §16).
+// Package partition is the serving layer of the directory metadata service
+// (DESIGN.md §16): a Node is the only thing that puts dms.Server handlers on
+// an rpc.Server. A lone DMS is a Node running the static solo map — one
+// partition, one replica, no cuts — so every deployment, from the paper's
+// single DMS (§3.1) to a sharded, replicated one, runs the same code.
 //
 // The namespace is split into subtree range partitions by a versioned
 // wire.PartMap. Each partition is a replica group of Nodes wrapping one
@@ -70,7 +73,12 @@ type Config struct {
 	PID   uint32
 	Index int
 	Self  string
-	// Map is the initial partition map.
+	// Map is the initial partition map. Nil runs the static solo map:
+	// version 0, one group holding only this node as its leader (PID and
+	// Index are taken as 0), no cuts. Version 0 is never stamped on a
+	// response and loses to every map a client holds — the meaning epoch 0
+	// has for the FMS membership — so nobody ever routes by the solo map's
+	// addresses and the node needs no advertised one (Self may be empty).
 	Map *wire.PartMap
 	// DMS is the node's local directory metadata server.
 	DMS *dms.Server
@@ -230,6 +238,10 @@ type Node struct {
 
 // New builds a Node. Call Attach to wire it to the replica's rpc.Server.
 func New(cfg Config) *Node {
+	if cfg.Map == nil {
+		cfg.Map = wire.SoloMap(cfg.Self)
+		cfg.PID, cfg.Index = 0, 0
+	}
 	n := &Node{
 		dms:        cfg.DMS,
 		pid:        cfg.PID,
@@ -327,19 +339,14 @@ func (n *Node) emit(op string, value int64, detail string) {
 	}
 }
 
-// Attach registers the partition-aware handler set on rs: the full DMS op
-// set wrapped with the range guard and replication, the replication ops
-// (OpLogAppend, OpLogFetch, OpSeedUpdate), the 2PC destination ops, and the
-// partition-map admin ops. It replaces dms.Server.Attach for sharded
-// deployments.
+// Attach registers the DMS handler set on rs: the full DMS op set wrapped
+// with the range guard and replication, the replication ops (OpLogAppend,
+// OpLogFetch, OpSeedUpdate), the 2PC destination ops, and the partition-map
+// admin ops. The server stamps the lease-recall sequence and the map version
+// on every response header.
 func (n *Node) Attach(rs *rpc.Server) {
 	rs.SetLeaseFunc(n.dms.LeaseSeq)
-	rs.SetPMapFunc(func() uint64 {
-		if pm := n.pm.Load(); pm != nil {
-			return pm.Ver
-		}
-		return 0
-	})
+	rs.SetPMapFunc(func() uint64 { return n.pm.Load().Ver })
 	for _, op := range dms.Ops {
 		op := op
 		if dms.MutationOp(op) {
@@ -359,11 +366,7 @@ func (n *Node) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpRenameCommit, n.serveRenameDecision(wire.OpRenameCommit))
 	rs.Handle(wire.OpRenameAbort, n.serveRenameDecision(wire.OpRenameAbort))
 	rs.Handle(wire.OpGetPartMap, func([]byte) (wire.Status, []byte) {
-		pm := n.pm.Load()
-		if pm == nil {
-			return wire.StatusNotFound, nil
-		}
-		return wire.StatusOK, wire.EncodePartMap(pm)
+		return wire.StatusOK, wire.EncodePartMap(n.pm.Load())
 	})
 	rs.Handle(wire.OpSetPartMap, n.serveSetPartMap)
 }
@@ -595,7 +598,7 @@ func (n *Node) applyInOrderLocked(le *wire.LogEntry) (wire.Status, []byte) {
 // node and minus excluded replicas.
 func (n *Node) followersLocked() []string {
 	pm := n.pm.Load()
-	if pm == nil || int(n.pid) >= len(pm.Groups) {
+	if int(n.pid) >= len(pm.Groups) {
 		return nil
 	}
 	var out []string
@@ -611,7 +614,7 @@ func (n *Node) followersLocked() []string {
 // under the installed map.
 func (n *Node) inGroupLocked(addr string) bool {
 	pm := n.pm.Load()
-	if pm == nil || int(n.pid) >= len(pm.Groups) {
+	if int(n.pid) >= len(pm.Groups) {
 		return false
 	}
 	for _, a := range pm.Groups[n.pid] {
@@ -1156,8 +1159,7 @@ func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
 		return wire.StatusInval, []byte("partition id mismatch")
 	}
 	n.mu.Lock()
-	cur := n.pm.Load()
-	if cur != nil && pm.Ver <= cur.Ver {
+	if pm.Ver <= n.pm.Load().Ver {
 		n.mu.Unlock()
 		return wire.StatusStale, nil
 	}

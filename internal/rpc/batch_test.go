@@ -161,7 +161,7 @@ func TestBatchServiceSummed(t *testing.T) {
 		subs[i] = wire.SubReq{Op: wire.Op(0x0F00)}
 	}
 	body, _ := wire.EncodeBatch(subs)
-	_, _, virt, err := c.CallTracedV(wire.OpBatch, body, 0)
+	_, _, virt, err := c.Do(CallSpec{Op: wire.OpBatch, Body: body})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestBatchTracePropagates(t *testing.T) {
 
 	const trace = 0xabc123
 	body, _ := wire.EncodeBatch([]wire.SubReq{{Op: wire.Op(0x0F00), Body: []byte("x")}})
-	if _, _, err := c.CallTraced(wire.OpBatch, body, trace); err != nil {
+	if _, _, _, err := c.Do(CallSpec{Op: wire.OpBatch, Body: body, Trace: trace}); err != nil {
 		t.Fatal(err)
 	}
 	logged := buf.String()

@@ -147,7 +147,7 @@ func TestServerMetricsConcurrent(t *testing.T) {
 	t.Fatal("Mkdir request counter not found")
 }
 
-func TestCallTracedEchoesTrace(t *testing.T) {
+func TestServerEchoesTrace(t *testing.T) {
 	net := netsim.NewNetwork(netsim.Loopback)
 	defer net.Close()
 	l, err := net.Listen("srv")
@@ -158,7 +158,7 @@ func TestCallTracedEchoesTrace(t *testing.T) {
 	go s.Serve(l)
 	defer s.Shutdown()
 
-	// The echo is on the wire, not surfaced by CallTraced itself; observe
+	// The echo is on the wire, not surfaced by Do itself; observe
 	// it at the transport by wrapping a raw connection.
 	conn, err := net.Dial("srv")
 	if err != nil {

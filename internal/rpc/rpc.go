@@ -24,12 +24,12 @@ import (
 // observe seconds (Prometheus convention) bucketed logarithmically; every
 // series carries an op label with the wire.Op name.
 const (
-	MetricRequests = "locofs_rpc_requests_total"  // server: completed requests
-	MetricErrors   = "locofs_rpc_errors_total"    // server: non-OK responses
-	MetricService  = "locofs_rpc_service_seconds" // server: handler service time (measured + modeled)
-	MetricQueue    = "locofs_rpc_queue_seconds"   // server: receipt -> handler start (worker queue wait)
-	MetricRTT      = "locofs_client_rtt_seconds"  // client: wall-clock round trip
-	MetricCalls    = "locofs_client_calls_total"  // client: calls issued
+	MetricRequests = "locofs_rpc_requests_total"   // server: completed requests
+	MetricErrors   = "locofs_rpc_errors_total"     // server: non-OK responses
+	MetricService  = "locofs_rpc_service_seconds"  // server: handler service time (measured + modeled)
+	MetricQueue    = "locofs_rpc_queue_seconds"    // server: receipt -> handler start (worker queue wait)
+	MetricRTT      = "locofs_client_rtt_seconds"   // client: wall-clock round trip
+	MetricCalls    = "locofs_client_calls_total"   // client: calls issued
 	MetricDedup    = "locofs_rpc_dedup_hits_total" // server: duplicate requests answered from the dedup window
 	// MetricDedupInflightSkips counts dedup-window evictions skipped because
 	// the entry's first delivery was still executing — evicting it would
@@ -237,12 +237,12 @@ func (s *Server) leaseSeq() uint64 {
 
 // SetPMapFunc installs the source of the partition-map version stamped on
 // every response (see wire.Msg.PMap). fn must be safe for concurrent use
-// and cheap — it runs on every response send. Sharded DMS nodes install
-// their partition node's map version here.
+// and cheap — it runs on every response send. DMS partition nodes install
+// their map version here.
 func (s *Server) SetPMapFunc(fn func() uint64) { s.pmapFn.Store(&fn) }
 
 // pmapVer returns the current partition-map version, 0 when no source is
-// installed (unsharded DMS, FMS/OSS servers, tests).
+// installed (FMS/OSS servers, tests).
 func (s *Server) pmapVer() uint64 {
 	if fn := s.pmapFn.Load(); fn != nil {
 		return (*fn)()
@@ -721,36 +721,12 @@ func (c *Client) failAll(err error) {
 	c.mu.Unlock()
 }
 
-// Call sends one request and blocks for its response. The returned error
-// covers transport failures only; application-level failures arrive as a
-// non-OK status.
+// Call sends one request and blocks for its response: Do with every optional
+// CallSpec field off. The returned error covers transport failures only;
+// application-level failures arrive as a non-OK status.
 func (c *Client) Call(op wire.Op, body []byte) (wire.Status, []byte, error) {
-	return c.CallTraced(op, body, 0)
-}
-
-// CallTraced is Call with an explicit trace ID stamped on the wire header,
-// so every RPC of one logical operation can be correlated in server-side
-// slow-request logs. Trace 0 means untraced.
-func (c *Client) CallTraced(op wire.Op, body []byte, trace uint64) (wire.Status, []byte, error) {
-	st, resp, _, err := c.CallTracedV(op, body, trace)
+	st, resp, _, err := c.Do(CallSpec{Op: op, Body: body})
 	return st, resp, err
-}
-
-// CallTracedV is CallTraced that additionally returns this call's modeled
-// (virtual) time — link delays plus server-reported service time — so
-// callers that overlap several calls can account the group's latency as the
-// slowest branch instead of the serial sum. The per-call cost is also
-// accumulated into VirtualTime as before.
-func (c *Client) CallTracedV(op wire.Op, body []byte, trace uint64) (wire.Status, []byte, time.Duration, error) {
-	return c.CallSpanV(op, body, trace, 0)
-}
-
-// CallSpanV is CallTracedV with the caller's span ID stamped on the wire
-// header's parent-span field, so the server opens its child span under the
-// caller's — the link that joins client-side and server-side span trees.
-// Span 0 means no parent span.
-func (c *Client) CallSpanV(op wire.Op, body []byte, trace, span uint64) (wire.Status, []byte, time.Duration, error) {
-	return c.Do(CallSpec{Op: op, Body: body, Trace: trace, Span: span})
 }
 
 // CallSpec fully describes one RPC: the operation and body plus the wire

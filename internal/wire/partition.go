@@ -32,6 +32,15 @@ type PartMap struct {
 	Groups [][]string
 }
 
+// SoloMap is the map of a lone DMS: version 0, one partition whose only
+// replica (and so leader) is addr, no cuts. Version 0 is never stamped on a
+// response and loses to every map a cluster serves, so it is only ever
+// routed by where it was built: the node itself, and a client that has
+// dialed addr and not yet been told otherwise.
+func SoloMap(addr string) *PartMap {
+	return &PartMap{Groups: [][]string{{addr}}}
+}
+
 // Locate returns the partition owning the metadata of cleaned path p: the
 // partition of the deepest cut whose directory is a proper ancestor of p,
 // or partition 0 when no cut covers p. Locating the owner of a directory's

@@ -73,8 +73,8 @@ const (
 	// OpSetMembership installs a Membership on the server if its epoch is
 	// not older than the installed one (StatusStale otherwise).
 	OpSetMembership Op = 0x0003
-	// OpGetPartMap returns the server's current encoded PartMap
-	// (StatusNotFound if none was ever installed — an unsharded DMS).
+	// OpGetPartMap returns the DMS node's current encoded PartMap (a lone
+	// DMS serves its version-0 solo map, which replaces nobody's).
 	OpGetPartMap Op = 0x0004
 	// OpSetPartMap installs a PartMap on a DMS node if its version is not
 	// older than the installed one (StatusStale otherwise).
@@ -438,8 +438,8 @@ type Msg struct {
 	// exactly as Epoch piggybacks FMS membership: a value newer than the
 	// client's routing map means partitions split, merged, or failed over,
 	// and the client refreshes via OpGetPartMap before its routing goes
-	// stale enough to draw StatusWrongPartition. Zero means "no partition
-	// map installed" (single unsharded DMS) and is ignored.
+	// stale enough to draw StatusWrongPartition. Zero is the version of the
+	// solo map a lone DMS runs (or a non-DMS server) and is ignored.
 	PMap uint64
 	Body []byte
 }

@@ -2,7 +2,7 @@
 // distributed file system with a loosely-coupled metadata service
 // (Li et al., SC'17).
 //
-// The metadata service separates directory metadata (one Directory Metadata
+// The metadata service separates directory metadata (the Directory Metadata
 // Server holding every d-inode, keyed by full path in a B+-tree store) from
 // file metadata (File Metadata Servers holding per-file access/content
 // parts, placed by consistent-hashing directory UUID + name), with file
@@ -44,11 +44,17 @@
 //
 // # Sharded directory metadata
 //
+// The DMS is always served by partition nodes (DESIGN.md §16). The paper's
+// single DMS is the solo map — one partition, one replica, version 0 — which
+// is what NewDMS and a plain `locofsd -role dms` run, and which a client
+// assumes of the address it dials until that address serves a real map.
 // Options.DMSPartitions/DMSCuts/DMSReplicas shard the directory namespace
-// into replicated subtree partitions (DESIGN.md §16). Clients route by
-// path using a versioned partition map fetched from the cluster and
-// refreshed automatically when responses carry a newer map version or a
-// partition refuses a misrouted path (see ErrStale). Note the wire-format
+// into replicated subtree partitions. Clients route by path using the
+// versioned partition map, fetched with the membership in the one bootstrap
+// round trip of Dial and refreshed automatically when responses carry a
+// newer map version or a partition refuses a misrouted path (see ErrStale).
+// Version 0 is never stamped on a response and never installed over another
+// map, as epoch 0 is for the FMS membership. Note the wire-format
 // flag day: sharded-era servers and clients exchange a partition-map
 // version field in every message header, so both sides must be built from
 // the same release.
@@ -64,6 +70,7 @@ import (
 	"locofs/internal/client"
 	"locofs/internal/core"
 	"locofs/internal/dms"
+	"locofs/internal/dms/partition"
 	"locofs/internal/fms"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
@@ -80,8 +87,9 @@ type ClientConfig = core.ClientConfig
 // Cluster is a running in-process LocoFS deployment.
 type Cluster = core.Cluster
 
-// Start launches an in-process cluster: one DMS, Options.FMSCount file
-// metadata servers, and Options.OSSCount object store servers.
+// Start launches an in-process cluster: the DMS (one partition node unless
+// Options shards or replicates it), Options.FMSCount file metadata servers,
+// and Options.OSSCount object store servers.
 func Start(opts Options) (*Cluster, error) { return core.Start(opts) }
 
 // KVCost prices server-side work for modeled-hardware experiments.
@@ -168,8 +176,9 @@ func ListenTCP(addr string) (*netsim.TCPListener, error) { return netsim.ListenT
 type (
 	// DMSOptions configures a directory metadata server.
 	DMSOptions = dms.Options
-	// DMS is the directory metadata server.
-	DMS = dms.Server
+	// DMS is the directory metadata server as it is served: a partition
+	// node around the directory store.
+	DMS = partition.Node
 	// FMSOptions configures a file metadata server.
 	FMSOptions = fms.Options
 	// FMS is a file metadata server.
@@ -180,8 +189,11 @@ type (
 	RPCServer = rpc.Server
 )
 
-// NewDMS builds a directory metadata server.
-func NewDMS(opts DMSOptions) *DMS { return dms.New(opts) }
+// NewDMS builds a standalone directory metadata server: one partition, one
+// replica (the solo map), ready to Attach to an RPCServer.
+func NewDMS(opts DMSOptions) *DMS {
+	return partition.New(partition.Config{DMS: dms.New(opts), Dialer: netsim.TCPDialer{}})
+}
 
 // NewFMS builds a file metadata server. Each FMS needs a unique ServerID.
 func NewFMS(opts FMSOptions) *FMS { return fms.New(opts) }
