@@ -42,10 +42,10 @@
 // round-robin to partitions 1..N-1), plus its own -partition/-replica
 // coordinates. A DMS started without -dms-groups is the same partition node
 // running the solo map: one partition, one replica, itself. Clients need no
-// flag either way: they ask the -dms address for the partition map when
-// they dial (any replica answers; a solo DMS's version-0 map leaves it the
-// one route). Note the wire-format flag day: sharded-era binaries
-// carry a partition-map version in every message header, so servers and
+// flag either way: they ask the -dms address — any replica of any partition
+// — for the cluster map when they dial (a solo DMS's version-0 map leaves it
+// the one route). Note the wire-format flag day: every message header
+// carries one cluster-map version field (61-byte header), so servers and
 // clients must be built from the same release.
 //
 // Replication-plane knobs: -dms-log-cap bounds each partition's retained
@@ -63,13 +63,21 @@
 //	locofsd -role dms -listen :7011 -partition 1 -replica 1 -dms-groups ... -dms-cuts /data
 //	locofsd -role client -dms h0:7000 ...
 //
-// Online elasticity: the client role doubles as the membership-change
-// coordinator. Start the new FMS process first, then grow the ring from
-// any client (the namespace stays fully readable while keys migrate):
+// Changing the cluster map: the client role doubles as the coordinator of
+// every map change (DESIGN.md §12). Start the new FMS process first, then
+// grow the ring from any client (the namespace stays fully readable while
+// keys migrate):
 //
 //	locofsd -role fms -listen :7005 -id 4       # new server, fresh ring ID
 //	locofsd -role client ... -cmd "addfms 4 host:7005"
 //	locofsd -role client ... -cmd "rmfms 4"     # drain it back out
+//
+// DMS failover is the same move: once a replica is dead (and only then — a
+// dropped leader that still serves would split the partition), drop it from
+// the map; dropping a leader promotes the next replica of its group. Point
+// -dms at a replica that is still alive:
+//
+//	locofsd -role client -dms h0:7010 ... -cmd "dropdms h0:7000"
 //
 // Every role accepts -metrics-addr to expose an admin HTTP endpoint with
 // Prometheus-text /metrics (per-op request counts and latency histograms,
@@ -109,7 +117,6 @@ import (
 	"locofs/internal/dms/partition"
 	"locofs/internal/flight"
 	"locofs/internal/fms"
-	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
@@ -206,7 +213,7 @@ func main() {
 			opts.ServerID = 0x80000000 | uint32(*dmsPartition)
 			cfg.PID, cfg.Index = uint32(*dmsPartition), *dmsReplica
 			var err error
-			if cfg.Map, cfg.Self, err = parsePartMap(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica); err != nil {
+			if cfg.Map, err = parseClusterMap(*dmsGroups, *dmsCuts, *dmsPartition, *dmsReplica); err != nil {
 				fmt.Fprintln(os.Stderr, "locofsd:", err)
 				os.Exit(2)
 			}
@@ -270,50 +277,40 @@ type serverFlags struct {
 	extraReg func(*telemetry.Registry)
 }
 
-// parsePartMap builds the version-1 partition map every node of a sharded
+// parseClusterMap builds the version-1 cluster map every node of a sharded
 // deployment starts from: groups is the -dms-groups spec (semicolon-
 // separated partitions, comma-separated replica addresses leader-first),
 // cuts the -dms-cuts list assigned round-robin to partitions 1..N-1 in
-// order — the same convention as the in-process cluster. It returns the map
-// and this node's own address (groups[pid][rep]).
-func parsePartMap(groups, cuts string, pid, rep int) (*wire.PartMap, string, error) {
-	pm := &wire.PartMap{Ver: 1}
+// order (partition.NewMap, as the in-process cluster). It names no FMS set:
+// clients keep the list they were configured with until the first addfms.
+// pid and rep must name a replica of the map.
+func parseClusterMap(groups, cuts string, pid, rep int) (*wire.ClusterMap, error) {
+	var gs [][]string
 	for _, g := range strings.Split(groups, ";") {
-		var addrs []string
-		for _, a := range strings.Split(g, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
+		addrs := splitList(g)
 		if len(addrs) == 0 {
-			return nil, "", fmt.Errorf("-dms-groups: empty partition group in %q", groups)
+			return nil, fmt.Errorf("-dms-groups: empty partition group in %q", groups)
 		}
-		pm.Groups = append(pm.Groups, addrs)
+		gs = append(gs, addrs)
 	}
-	parts := len(pm.Groups)
-	var cutList []string
-	for _, cd := range strings.Split(cuts, ",") {
-		if cd = strings.TrimSpace(cd); cd != "" {
-			cutList = append(cutList, cd)
+	if pid < 0 || pid >= len(gs) {
+		return nil, fmt.Errorf("-partition %d out of range for %d groups", pid, len(gs))
+	}
+	if rep < 0 || rep >= len(gs[pid]) {
+		return nil, fmt.Errorf("-replica %d out of range for partition %d's %d replicas", rep, pid, len(gs[pid]))
+	}
+	return partition.NewMap(gs, splitList(cuts))
+}
+
+// splitList splits a comma-separated flag value, dropping blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
 		}
 	}
-	if parts > 1 && len(cutList) < parts-1 {
-		return nil, "", fmt.Errorf("-dms-cuts: %d partitions need at least %d cut directories, got %d", parts, parts-1, len(cutList))
-	}
-	for i, cd := range cutList {
-		clean, err := fspath.Clean(cd)
-		if err != nil || clean == "/" {
-			return nil, "", fmt.Errorf("-dms-cuts: bad cut directory %q", cd)
-		}
-		pm.Cuts = append(pm.Cuts, wire.PartCut{Dir: clean, PID: uint32(i%(parts-1)) + 1})
-	}
-	if pid < 0 || pid >= parts {
-		return nil, "", fmt.Errorf("-partition %d out of range for %d groups", pid, parts)
-	}
-	if rep < 0 || rep >= len(pm.Groups[pid]) {
-		return nil, "", fmt.Errorf("-replica %d out of range for partition %d's %d replicas", rep, pid, len(pm.Groups[pid]))
-	}
-	return pm, pm.Groups[pid][rep], nil
+	return out
 }
 
 // peer is one -peers entry: a display name and its /debug/slo URL.
@@ -449,7 +446,7 @@ func (sf serverFlags) serve(addr, name string, store *kv.Instrumented, attach fu
 	local := func() *slo.ServerStatus {
 		opts := slo.CollectOptions{
 			Server: name,
-			Epoch:  rs.Epoch(),
+			MapVer: rs.MapVer(),
 			Hot:    hotEntries(sf.hot),
 		}
 		if rec != nil {
@@ -675,9 +672,25 @@ func execCmd(cl *client.Client, fields []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("epoch %d -> %d: moved %d/%d files in %d scan passes\n",
-			rep.FromEpoch, rep.ToEpoch, rep.Moved, rep.Total, rep.Passes)
+		fmt.Printf("map version %d -> %d: moved %d/%d files in %d scan passes%s\n",
+			rep.FromVer, rep.ToVer, rep.Moved, rep.Total, rep.Passes, unreachedNote(rep.Unreached))
+		return nil
+	case "dropdms":
+		m, unreached, err := cl.DropDMSReplica(arg(1))
+		if err != nil {
+			return err
+		}
+		fmt.Printf("map version %d: dropped %s, DMS groups now %v%s\n", m.Ver, arg(1), m.Groups, unreachedNote(unreached))
 		return nil
 	}
-	return fmt.Errorf("unknown command %q (mkdir rmdir touch rm ls stat write read mv addfms rmfms)", cmd)
+	return fmt.Errorf("unknown command %q (mkdir rmdir touch rm ls stat write read mv addfms rmfms dropdms)", cmd)
+}
+
+// unreachedNote renders the best-effort map receivers a change did not
+// reach, which catch up on their own.
+func unreachedNote(addrs []string) string {
+	if len(addrs) == 0 {
+		return ""
+	}
+	return "; not reached (they pull the map when they next catch up): " + strings.Join(addrs, ", ")
 }

@@ -36,10 +36,9 @@ var (
 	// matches both staleness classes the servers raise — ESTALE (an FMS
 	// ownership guard refusing a misrouted request during a membership
 	// change) and EWRONGPART (a DMS partition refusing a request for a
-	// path it does not own under the current partition map) — so callers
+	// path it does not own under the current cluster map) — so callers
 	// branch on one sentinel regardless of which routing layer went stale.
-	// The client refreshes its membership view or partition map and
-	// retries internally; ErrStale surfaces only when those bounded
+	// The client refreshes its cluster map and retries internally; ErrStale surfaces only when those bounded
 	// retries are exhausted, which normally indicates churn still in
 	// progress. The operation is safe to retry.
 	ErrStale error = wire.StatusStale.Err()

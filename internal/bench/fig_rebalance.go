@@ -91,12 +91,12 @@ func FigRebalance(env Env) (*Table, error) {
 		Title: "Rebalance: online FMS membership change with key migration",
 		Note: fmt.Sprintf("%d files; stat workload running throughout; moved vs the 1/n consistent-hash ideal; link RTT = %v",
 			files, env.Link.RTT),
-		Headers: []string{"change", "epochs", "files", "moved", "frac", "ideal", "passes", "bg ops", "ENOENT"},
+		Headers: []string{"change", "map ver", "files", "moved", "frac", "ideal", "passes", "bg ops", "ENOENT"},
 	}
 	addRow := func(change string, rep *client.RebalanceReport, n int) {
 		frac := float64(rep.Moved) / float64(rep.Total)
 		t.AddRow(change,
-			fmt.Sprintf("%d->%d", rep.FromEpoch, rep.ToEpoch),
+			fmt.Sprintf("%d->%d", rep.FromVer, rep.ToVer),
 			fmt.Sprint(rep.Total),
 			fmt.Sprint(rep.Moved),
 			fmt.Sprintf("%.3f", frac),

@@ -139,10 +139,10 @@ func FigSLOStorm(env Env) (*Table, error) {
 			wg.Wait()
 			return nil, fmt.Errorf("slostorm: cluster status has %d servers, want 6", len(cs.Servers))
 		}
-		if !cs.EpochAgreement {
+		if !cs.MapAgreement {
 			close(stop)
 			wg.Wait()
-			return nil, fmt.Errorf("slostorm: epoch disagreement in a static cluster")
+			return nil, fmt.Errorf("slostorm: map version disagreement in a static cluster")
 		}
 		at := time.Since(start).Round(10 * time.Millisecond)
 		for _, c := range cs.SLO {

@@ -21,7 +21,6 @@ const DefaultVirtualNodes = 128
 type Ring struct {
 	mu     sync.RWMutex
 	vnodes int
-	epoch  uint64
 	points []point // sorted by hash
 	ids    map[int]struct{}
 }
@@ -131,28 +130,13 @@ func (r *Ring) Size() int {
 	return len(r.ids)
 }
 
-// Epoch returns the ring's membership epoch. Epochs are assigned by the
-// membership-change coordinator; a ring built statically has epoch 0.
-func (r *Ring) Epoch() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.epoch
-}
-
-// SetEpoch stamps the ring with a membership epoch.
-func (r *Ring) SetEpoch(e uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.epoch = e
-}
-
-// Clone returns an independent copy of the ring (same vnode count, servers
-// and epoch). The copy shares no state with the original, so one side can be
+// Clone returns an independent copy of the ring (same vnode count and
+// servers). The copy shares no state with the original, so one side can be
 // mutated to model a membership change while the other keeps serving.
 func (r *Ring) Clone() *Ring {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c := &Ring{vnodes: r.vnodes, epoch: r.epoch, ids: make(map[int]struct{}, len(r.ids))}
+	c := &Ring{vnodes: r.vnodes, ids: make(map[int]struct{}, len(r.ids))}
 	for id := range r.ids {
 		c.ids[id] = struct{}{}
 	}

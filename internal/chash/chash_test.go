@@ -97,24 +97,16 @@ func TestAddIdempotent(t *testing.T) {
 	}
 }
 
-func TestEpochAndClone(t *testing.T) {
+func TestClone(t *testing.T) {
 	r := NewRing(0, 0, 1, 2, 3)
-	if r.Epoch() != 0 {
-		t.Errorf("fresh ring epoch = %d, want 0", r.Epoch())
-	}
-	r.SetEpoch(7)
 	c := r.Clone()
-	if c.Epoch() != 7 {
-		t.Errorf("clone epoch = %d, want 7", c.Epoch())
-	}
 	if got := c.Servers(); len(got) != 4 {
 		t.Fatalf("clone servers = %v", got)
 	}
 	// Mutating the clone must not affect the original.
 	c.Add(4)
-	c.SetEpoch(8)
-	if r.Size() != 4 || r.Epoch() != 7 {
-		t.Errorf("original mutated by clone: size=%d epoch=%d", r.Size(), r.Epoch())
+	if r.Size() != 4 {
+		t.Errorf("original mutated by clone: size=%d", r.Size())
 	}
 	// Identical membership ⇒ identical placement.
 	key := []byte("dir-uuid+file-name")

@@ -40,22 +40,18 @@ type Config struct {
 	// (see rpc.Client.SetLink). Zero models a co-located deployment.
 	Link netsim.LinkConfig
 	// DMSAddr is the directory metadata server address. Dial asks it for the
-	// partition map, so against a sharded DMS it is only the bootstrap
-	// endpoint — a replica of partition 0, normally its leader (the
-	// connection's lease sequences are booked to partition 0); a lone DMS
-	// answers with the version-0 solo map and stays the one route.
+	// cluster map, so against a sharded DMS it is only the bootstrap
+	// endpoint: any replica of any partition, leader or follower, will do.
+	// A lone DMS answers with the version-0 solo map and stays the one route.
 	DMSAddr string
-	// Deprecated: ignored. Dial always asks DMSAddr for the partition map.
+	// Deprecated: ignored. Dial always asks DMSAddr for the cluster map.
 	DMSSharded bool
-	// FMSAddrs lists file metadata servers; the slice index is the server
-	// ID used by the consistent-hash ring (unless FMSIDs overrides it).
+	// FMSAddrs lists file metadata servers. The slice index is the server's
+	// consistent-hash ring ID for as long as the cluster map names no FMS
+	// set of its own (see wire.ClusterMap); once it does — after the first
+	// AddFMS, or in a cluster started with one — the map's set and its
+	// stable ring IDs replace this list.
 	FMSAddrs []string
-	// FMSIDs optionally assigns each FMS its stable ring ID (parallel to
-	// FMSAddrs). Ring IDs must stay stable across membership changes — a
-	// grown cluster keeps existing servers' arcs only if their IDs do not
-	// shift — so clusters that may scale online pass explicit IDs. Nil
-	// means the slice index, the historical static-topology behavior.
-	FMSIDs []int
 	// OSSAddrs lists object store servers (at least one).
 	OSSAddrs []string
 	// DisableCache turns off the client directory cache (LocoFS-NC).
@@ -164,32 +160,23 @@ type Client struct {
 	uid   uint32
 	gid   uint32
 
-	// FMS routing is epoch-versioned (see view.go): view holds the
-	// immutable current picture, eps is the by-address connection registry
-	// feeding it, maxEpoch the highest membership epoch seen on the wire,
-	// and refreshing collapses concurrent async refreshes into one.
-	view       atomic.Pointer[fmsView]
-	viewMu     sync.Mutex // serializes view installs
-	epMu       sync.Mutex
-	eps        map[string]*endpoint
-	dialFMS    func(addr string) (*endpoint, error)
-	maxEpoch   atomic.Uint64
-	refreshing atomic.Bool
-
-	// DMS partition routing (see route.go): pmap holds the installed
-	// partition map (never nil: Dial starts from the solo map of dmsAddr),
-	// dmsEps is the by-address DMS connection registry, and pmRefreshing
-	// collapses concurrent async map refreshes into one.
-	pmap         atomic.Pointer[wire.PartMap]
-	pmapMu       sync.Mutex // serializes map installs
-	pmapFetchMu  sync.Mutex // serializes map fetches
-	pmFetchGen   atomic.Uint64
-	pmRefreshing atomic.Bool
-	dmsEpMu      sync.Mutex
-	dmsEps       map[string]*endpoint
-	dialDMSPart  func(addr string, pid uint32) (*endpoint, error)
-	dmsAddr      string
-	res          *resilience
+	// Routing is versioned by the cluster map (see view.go): view holds the
+	// immutable current picture (nil only while Dial bootstraps), eps is the
+	// by-address registry of every DMS replica and FMS connection feeding
+	// it, static the configured FMS list an installed map with no FMS set of
+	// its own stands for, maxVer the highest map version seen on the wire,
+	// and fetching the one in-flight map fetch (nil when none; see
+	// refreshMap).
+	view     atomic.Pointer[view]
+	epMu     sync.Mutex
+	eps      map[string]*endpoint
+	dial     func(addr string) (*endpoint, error)
+	static   []wire.Member
+	maxVer   atomic.Uint64
+	fetchMu  sync.Mutex
+	fetching chan struct{}
+	dmsAddr  string
+	res      *resilience
 
 	serialFanOut bool
 	disableBatch bool
@@ -305,54 +292,29 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 		tracer:       cfg.Tracer,
 		traceBase:    (nextClientID.Add(1) & 0xffff) << 48,
 	}
-	res := newResilience(cfg.OpTimeout, cfg.Retry, cfg.Breaker, cfg.Now)
-	c.res = res
-	// Only the DMS runs a lease table and a partition map, so FMS and OSS
-	// endpoints watch the membership epoch alone.
-	dial := func(addr string) (*endpoint, error) {
-		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch, nil, nil)
+	c.res = newResilience(cfg.OpTimeout, cfg.Retry, cfg.Breaker, cfg.Now)
+	// Every endpoint reports the map version its server stamps; a lease
+	// stamp (only a DMS writes one) is booked to the partition the installed
+	// map places the address in, so recall sequences of different partitions
+	// never mix (see observeLease).
+	c.dial = func(addr string) (*endpoint, error) {
+		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, c.res, c.observeMap,
+			func(seq uint64) { c.observeLease(addr, seq) })
 	}
 	c.eps = make(map[string]*endpoint)
-	c.dialFMS = dial
-	// DMS endpoints bind their lease hook to the partition they serve (so
-	// recall sequences from different partitions land in different cache
-	// watermark sources) and report partition-map versions to the router.
-	c.dmsEps = make(map[string]*endpoint)
 	c.dmsAddr = cfg.DMSAddr
-	c.dialDMSPart = func(addr string, pid uint32) (*endpoint, error) {
-		return dialEndpoint(cfg.Dialer, addr, cfg.Link, c.telem, res, c.observeEpoch,
-			func(seq uint64) { c.observeLeaseFrom(pid, seq) }, c.observePMap)
-	}
-	c.pmap.Store(wire.SoloMap(cfg.DMSAddr))
-	boot, err := c.dmsEndpointAt(cfg.DMSAddr, 0)
-	if err != nil {
+	if _, err := c.endpointAt(cfg.DMSAddr); err != nil {
 		return nil, fmt.Errorf("client: dial DMS: %w", err)
 	}
-	if cfg.FMSIDs != nil && len(cfg.FMSIDs) != len(cfg.FMSAddrs) {
-		c.Close()
-		return nil, fmt.Errorf("client: FMSIDs/FMSAddrs length mismatch")
-	}
-	// The initial view is epoch 0 — a static topology. A cluster running
-	// the membership protocol stamps its epoch on the first response and
-	// the client refreshes to the real membership from there.
-	members := make([]fmsMember, 0, len(cfg.FMSAddrs))
-	ids := make([]int, 0, len(cfg.FMSAddrs))
 	for i, a := range cfg.FMSAddrs {
-		ep, err := c.fmsEndpoint(a)
-		if err != nil {
+		if _, err := c.endpointAt(a); err != nil {
 			c.Close()
 			return nil, fmt.Errorf("client: dial FMS %s: %w", a, err)
 		}
-		id := i
-		if cfg.FMSIDs != nil {
-			id = cfg.FMSIDs[i]
-		}
-		members = append(members, fmsMember{id: int32(id), ep: ep})
-		ids = append(ids, id)
+		c.static = append(c.static, wire.Member{ID: int32(i), Addr: a})
 	}
-	c.view.Store(&fmsView{cur: members, ring: chash.NewRing(0, ids...)})
 	for _, a := range cfg.OSSAddrs {
-		cl, err := dial(a)
+		cl, err := c.endpointAt(a)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("client: dial OSS %s: %w", a, err)
@@ -390,7 +352,7 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 			return float64(c.cache.size())
 		}, c.label)
 	}
-	if err := c.bootstrap(boot); err != nil {
+	if err := c.bootstrap(); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -411,12 +373,7 @@ func (c *Client) Close() error {
 	if c.cache != nil {
 		c.cache.met.unregister(c.telem.reg, c.label)
 	}
-	fmsEps := c.fmsEndpoints()
-	dmsEps := c.dmsEndpoints()
-	eps := make([]*endpoint, 0, len(dmsEps)+len(fmsEps)+len(c.oss))
-	eps = append(eps, dmsEps...)
-	eps = append(eps, fmsEps...)
-	eps = append(eps, c.oss...)
+	eps := c.endpoints()
 	c.fanOut(opCtx{}, "close", len(eps), func(_ opCtx, i int) (time.Duration, error) {
 		eps[i].Close()
 		return 0, nil
@@ -428,13 +385,7 @@ func (c *Client) Close() error {
 // unit the paper's latency figures are normalized in.
 func (c *Client) Trips() uint64 {
 	var n uint64
-	for _, cl := range c.dmsEndpoints() {
-		n += cl.Trips()
-	}
-	for _, cl := range c.fmsEndpoints() {
-		n += cl.Trips()
-	}
-	for _, cl := range c.oss {
+	for _, cl := range c.endpoints() {
 		n += cl.Trips()
 	}
 	return n
@@ -447,13 +398,7 @@ func (c *Client) Trips() uint64 {
 // the delta of Cost around the operation.
 func (c *Client) Cost() time.Duration {
 	var d time.Duration
-	for _, cl := range c.dmsEndpoints() {
-		d += cl.VirtualTime()
-	}
-	for _, cl := range c.fmsEndpoints() {
-		d += cl.VirtualTime()
-	}
-	for _, cl := range c.oss {
+	for _, cl := range c.endpoints() {
 		d += cl.VirtualTime()
 	}
 	return d - time.Duration(c.parSavedNS.Load())
@@ -478,13 +423,9 @@ func (c *Client) CacheDetail() CacheDetail {
 	return c.cache.detail()
 }
 
-// FMSCount returns the number of file metadata servers in the current
-// membership view.
-func (c *Client) FMSCount() int { return len(c.view.Load().cur) }
-
-// Epoch returns the client's installed membership epoch (zero on a static
-// topology).
-func (c *Client) Epoch() uint64 { return c.view.Load().epoch }
+// Map returns the client's installed cluster map: the solo map of the
+// address it dialed (version 0) until a server serves a real one.
+func (c *Client) Map() *wire.ClusterMap { return c.view.Load().m }
 
 // ossFor returns the object store endpoint owning block blk of u.
 func (c *Client) ossFor(u uuid.UUID, blk uint64) *endpoint {
@@ -731,7 +672,7 @@ func (c *Client) RmdirContext(ctx context.Context, path string) (err error) {
 	// During a migration window the probe set is the union of the current
 	// and previous FMS sets — a not-yet-migrated file must still veto the
 	// rmdir.
-	fmsEps := c.view.Load().endpoints()
+	fmsEps := c.view.Load().fms
 	probe := wire.NewEnc().UUID(ino.UUID()).Bytes()
 	err = c.fanOut(oc, "probe", len(fmsEps), func(boc opCtx, i int) (time.Duration, error) {
 		st, resp, virt, err := fmsEps[i].CallV(boc, wire.OpDirHasFiles, probe)
@@ -836,7 +777,7 @@ func (c *Client) resolveForReaddir(cleaned string, oc opCtx) (ino layout.DirInod
 		ino, err = c.resolveDir(cleaned, oc)
 		return ino, nil, false, 0, false, err
 	}
-	if pm := c.pmap.Load(); pm.Locate(cleaned) != pm.LocateList(cleaned) {
+	if pm := c.Map(); pm.Locate(cleaned) != pm.LocateList(cleaned) {
 		// cleaned is a partition cut: its inode lives with its parent's
 		// partition while its listing lives on the partition it roots, so
 		// the lookup and the first page cannot share one batch. Resolve
@@ -920,7 +861,7 @@ func (c *Client) ReaddirContext(ctx context.Context, path string) (out []DirEntr
 	// seeded first page, if any); branches 1..n page one FMS each. During
 	// a migration window the FMS set is the union of the current and
 	// previous members, so files not yet migrated still list.
-	fmsEps := c.view.Load().endpoints()
+	fmsEps := c.view.Load().fms
 	parts := make([][]DirEntry, 1+len(fmsEps))
 	err = c.fanOut(oc, "page", len(parts), func(boc opCtx, i int) (time.Duration, error) {
 		var ents []DirEntry
@@ -1368,7 +1309,7 @@ func (c *Client) RenameDirContext(ctx context.Context, oldPath, newPath string) 
 	moved := d.U64()
 	if c.cache != nil {
 		last, n := decodePub(d)
-		if pm := c.pmap.Load(); pm.Locate(oldC) == pm.Locate(newC) {
+		if pm := c.Map(); pm.Locate(oldC) == pm.Locate(newC) {
 			c.cache.selfRenamedFrom(src, oldC, newC, last, n)
 		} else {
 			// Two partitions published recalls for this rename but the

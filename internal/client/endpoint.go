@@ -90,23 +90,16 @@ type endpoint struct {
 	res    *resilience  // never nil
 	brk    *breaker     // never nil (may be disabled)
 
-	// onEpoch, when set, receives the membership epoch stamped on every
-	// response (see wire.Msg.Epoch) — the client's passive channel for
-	// noticing an FMS membership change without any push protocol.
-	onEpoch func(epoch uint64)
+	// onMap, when set, receives the cluster-map version stamped on every
+	// response (see wire.Msg.Map) — the client's passive channel for
+	// noticing an FMS set change or a DMS failover without any push
+	// protocol.
+	onMap func(ver uint64)
 
 	// onLease, when set, receives the recall sequence stamped on every
 	// response (see wire.Msg.Lease) — the same passive channel, for
 	// noticing directory mutations that may invalidate cached leases.
-	// For DMS partition endpoints the hook is bound to the endpoint's
-	// partition id, so sequences from different lease tables never mix.
 	onLease func(seq uint64)
-
-	// onPMap, when set, receives the partition-map version stamped on
-	// every response (see wire.Msg.PMap) — the passive channel for
-	// noticing that the DMS partition map changed (a failover or re-split)
-	// without any push protocol.
-	onPMap func(ver uint64)
 
 	mu        sync.Mutex
 	cl        *rpc.Client
@@ -116,8 +109,8 @@ type endpoint struct {
 }
 
 // dialEndpoint connects the first generation.
-func dialEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *clientTelem, res *resilience, onEpoch, onLease, onPMap func(uint64)) (*endpoint, error) {
-	e := &endpoint{dialer: d, addr: addr, link: link, telem: telem, res: res, onEpoch: onEpoch, onLease: onLease, onPMap: onPMap}
+func dialEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *clientTelem, res *resilience, onMap, onLease func(uint64)) (*endpoint, error) {
+	e := &endpoint{dialer: d, addr: addr, link: link, telem: telem, res: res, onMap: onMap, onLease: onLease}
 	e.brk = newBreaker(res.breaker, res.now, func(state string) {
 		telem.reg.Counter(MetricBreaker,
 			telemetry.L("addr", addr), telemetry.L("state", state)).Inc()
@@ -345,9 +338,8 @@ func (e *endpoint) callOnce(oc opCtx, sp *trace.Span, op wire.Op, body []byte, r
 		Op: op, Body: body, Ctx: oc.ctx,
 		Trace: oc.tid, Span: sp.ID(), Req: req,
 		Timeout: e.res.timeout,
-		OnEpoch: e.onEpoch,
+		OnMap:   e.onMap,
 		OnLease: e.onLease,
-		OnPMap:  e.onPMap,
 	})
 	if err != nil {
 		// The connection is unusable (died) or suspect (a response may

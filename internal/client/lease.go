@@ -7,7 +7,7 @@ import (
 )
 
 // Lease coherence, client side (DESIGN.md §14). Every DMS response header
-// carries the server's recall sequence (wire.Msg.Lease); observeLeaseFrom feeds
+// carries the server's recall sequence (wire.Msg.Lease); observeLease feeds
 // it into the cache's maxSeq watermark. When the watermark runs ahead of
 // what the cache has applied, cached entries stop being served (they might
 // be stale) and the next DMS round trip piggybacks an OpLeaseRecall fetch —
@@ -19,15 +19,20 @@ import (
 // Config.HotRefreshInterval is zero.
 const DefaultHotRefreshInterval = 5 * time.Second
 
-// observeLeaseFrom receives the recall sequence DMS partition src stamps on
-// every response header (rpc.CallSpec.OnLease). Each partition endpoint's
-// OnLease hook is bound to its partition id, so the per-source cache
-// watermarks never mix incomparable sequences. TTL-only caches ignore it:
-// they trust entries for the configured lease regardless of server-side
-// mutations.
-func (c *Client) observeLeaseFrom(src uint32, seq uint64) {
-	if ca := c.cache; ca != nil && ca.coherent {
-		ca.observeFrom(src, seq)
+// observeLease receives the recall sequence stamped on a response from
+// addr (rpc.CallSpec.OnLease) and books it to the partition the installed
+// map places addr in, so the per-source cache watermarks never mix
+// incomparable sequences. An address the map does not list — the bootstrap
+// address before the first map is in, a replica just dropped — is booked
+// nowhere: the sequence belongs to one partition's lease table, and guessing
+// the partition would poison another's watermark (the stamp rides on every
+// later response too). TTL-only caches ignore it: they trust entries for the
+// configured lease regardless of server-side mutations.
+func (c *Client) observeLease(addr string, seq uint64) {
+	if ca, v := c.cache, c.view.Load(); ca != nil && ca.coherent && v != nil {
+		if pid, ok := v.src[addr]; ok {
+			ca.observeFrom(pid, seq)
+		}
 	}
 }
 

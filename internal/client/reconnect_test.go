@@ -93,7 +93,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 
 	e, err := dialEndpoint(n, "srv", netsim.LinkConfig{RTT: time.Millisecond},
 		&clientTelem{reg: telemetry.NewRegistry()},
-		newResilience(0, RetryPolicy{}, BreakerConfig{}, nil), nil, nil, nil)
+		newResilience(0, RetryPolicy{}, BreakerConfig{}, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

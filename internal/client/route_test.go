@@ -10,21 +10,21 @@ import (
 	"locofs/internal/wire"
 )
 
-// TestRefreshPartMapSingleFlight: concurrent refresh calls — the shape a
+// TestRefreshMapSingleFlight: concurrent refresh calls — the shape a
 // failover produces, when every in-flight request trips EWRONGPART or a
-// dead leader at once — coalesce into one fetch. Callers that queued
-// behind the running fetch return without issuing their own, counted by
-// the suppressed-fetch metric.
-func TestRefreshPartMapSingleFlight(t *testing.T) {
+// dead leader at once — coalesce into one fetch. Callers that found the
+// fetch running return without issuing their own, counted by the
+// suppressed-fetch metric.
+func TestRefreshMapSingleFlight(t *testing.T) {
 	var (
 		dialMu sync.Mutex
 		dials  int
 	)
 	gate := make(chan struct{})
 	c := &Client{
-		telem:  &clientTelem{reg: telemetry.NewRegistry()},
-		dmsEps: map[string]*endpoint{},
-		dialDMSPart: func(addr string, pid uint32) (*endpoint, error) {
+		telem: &clientTelem{reg: telemetry.NewRegistry()},
+		eps:   map[string]*endpoint{},
+		dial: func(addr string) (*endpoint, error) {
 			dialMu.Lock()
 			dials++
 			dialMu.Unlock()
@@ -32,7 +32,7 @@ func TestRefreshPartMapSingleFlight(t *testing.T) {
 			return nil, errors.New("test dialer: no fabric")
 		},
 	}
-	c.pmap.Store(&wire.PartMap{Ver: 1, Groups: [][]string{{"p0-l"}}})
+	c.view.Store(&view{m: &wire.ClusterMap{Ver: 1, Groups: [][]string{{"p0-l"}}}})
 
 	inFetch := make(chan struct{})
 	var wg sync.WaitGroup
@@ -40,7 +40,7 @@ func TestRefreshPartMapSingleFlight(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(inFetch)
-		c.refreshPartMap(opCtx{}, "") // the one real fetch, held at the gate
+		c.refreshMap(opCtx{}, "") // the one real fetch, held at the gate
 	}()
 	<-inFetch
 	time.Sleep(20 * time.Millisecond) // let the leader goroutine reach the gate
@@ -50,11 +50,10 @@ func TestRefreshPartMapSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs <- c.refreshPartMap(opCtx{}, "")
+			errs <- c.refreshMap(opCtx{}, "")
 		}()
 	}
-	// Give the followers time to read the generation and queue on the lock,
-	// then release the fetch.
+	// Give the followers time to find the fetch in flight, then release it.
 	time.Sleep(50 * time.Millisecond)
 	close(gate)
 	wg.Wait()
@@ -67,7 +66,7 @@ func TestRefreshPartMapSingleFlight(t *testing.T) {
 	if dials != 1 {
 		t.Errorf("dial attempts = %d, want 1 (followers must not fetch again)", dials)
 	}
-	if got := c.telem.reg.Counter(MetricPMapSuppressed).Load(); got != 2 {
+	if got := c.telem.reg.Counter(MetricMapSuppressed).Load(); got != 2 {
 		t.Errorf("suppressed counter = %d, want 2", got)
 	}
 }

@@ -25,15 +25,15 @@ type StatusSource struct {
 }
 
 // LocalSource builds a StatusSource over an in-process server's registry.
-// epoch (nil ok) supplies the server's live membership epoch and hot
-// (nil ok) its heavy-hitter sketch.
-func LocalSource(name string, reg *telemetry.Registry, epoch func() uint64, hot *trace.TopK, objs []slo.Objective) StatusSource {
+// mapVer (nil ok) supplies the version of the cluster map the server holds
+// and hot (nil ok) its heavy-hitter sketch.
+func LocalSource(name string, reg *telemetry.Registry, mapVer func() uint64, hot *trace.TopK, objs []slo.Objective) StatusSource {
 	return StatusSource{
 		Name: name,
 		Fetch: func() (*slo.ServerStatus, error) {
 			opts := slo.CollectOptions{Server: name, Objectives: objs}
-			if epoch != nil {
-				opts.Epoch = epoch()
+			if mapVer != nil {
+				opts.MapVer = mapVer()
 			}
 			if hot != nil {
 				for _, hk := range hot.Top(hotTopN) {
@@ -59,8 +59,8 @@ func HTTPSource(name, url string, timeout time.Duration) StatusSource {
 
 // Aggregator polls a set of status sources and merges them into one
 // cluster-wide snapshot. Sources is re-invoked on every poll, so a source
-// list derived from live membership (Cluster.StatusSources) automatically
-// follows AddFMS/RemoveFMS.
+// list derived from the cluster map (Cluster.StatusSources) automatically
+// follows AddFMS/RemoveFMS and FailoverDMS.
 //
 // A source whose fetch fails does not fail the poll: the merged snapshot
 // simply lists it under Unreachable — a partially-scraped cluster view is
@@ -140,40 +140,40 @@ func (a *Aggregator) Run(interval time.Duration, stop <-chan struct{}) {
 	}
 }
 
-// StatusSources returns one local source per live server — DMS, the
-// current FMS set (membership-driven: servers added or removed online
-// appear/disappear on the next poll), and every OSS — plus one source per
-// tracked client registry, so client-side dircache/breaker/RTT telemetry
-// (PR 7) joins the merge.
+// StatusSources returns one local source per live server of the cluster map
+// — every DMS replica, the current FMS set (servers added, removed or failed
+// over online appear/disappear on the next poll), and every OSS — plus one
+// source per tracked client registry, so client-side dircache/breaker/RTT
+// telemetry (PR 7) joins the merge.
 func (c *Cluster) StatusSources() []StatusSource {
 	c.mu.Lock()
-	addrs := append([]string{"dms"}, c.fmsAddrs...)
-	addrs = append(addrs, c.ossAddrs...)
-	hots := map[string]*trace.TopK{"dms": c.DMS.HotKeys()}
-	for i, fa := range c.fmsAddrs {
-		if i < len(c.FMS) {
-			hots[fa] = c.FMS[i].HotKeys()
-		}
-	}
-	regs := make(map[string]*telemetry.Registry, len(addrs))
-	epochs := make(map[string]func() uint64, len(addrs))
-	for _, addr := range addrs {
-		if rs := c.rsByAddr[addr]; rs != nil {
-			epochs[addr] = rs.Epoch
-		}
-		regs[addr] = c.Metrics[addr]
-	}
-	clientRegs := append([]*telemetry.Registry{}, c.clientRegs...)
-	c.mu.Unlock()
-
+	defer c.mu.Unlock()
 	var out []StatusSource
-	for _, addr := range addrs {
-		if regs[addr] == nil || epochs[addr] == nil {
-			continue
+	add := func(addr string, hot *trace.TopK) {
+		if rs, reg := c.rsByAddr[addr], c.Metrics[addr]; rs != nil && reg != nil {
+			out = append(out, LocalSource(addr, reg, rs.MapVer, hot, slo.ServerObjectives()))
 		}
-		out = append(out, LocalSource(addr, regs[addr], epochs[addr], hots[addr], slo.ServerObjectives()))
 	}
-	for i, reg := range clientRegs {
+	for pid, g := range c.cmap.Groups {
+		live := c.DMSNodes[pid]
+		for _, a := range g {
+			if !c.killed[a] && len(live) > 0 {
+				add(a, live[0].DMS().HotKeys())
+				live = live[1:]
+			}
+		}
+	}
+	for i, m := range c.cmap.FMS {
+		var hot *trace.TopK
+		if i < len(c.FMS) {
+			hot = c.FMS[i].HotKeys()
+		}
+		add(m.Addr, hot)
+	}
+	for _, a := range c.ossAddrs {
+		add(a, nil)
+	}
+	for i, reg := range c.clientRegs {
 		out = append(out, LocalSource(fmt.Sprintf("client-%d", i), reg, nil, nil, slo.ClientObjectives()))
 	}
 	return out

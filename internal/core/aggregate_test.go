@@ -55,8 +55,8 @@ func TestClusterStatusMergesAllServers(t *testing.T) {
 	if len(cs.Unreachable) != 0 {
 		t.Errorf("unreachable = %v, want none", cs.Unreachable)
 	}
-	if cs.Epoch != 1 || !cs.EpochAgreement {
-		t.Errorf("epoch/agreement = %d/%v, want 1/true", cs.Epoch, cs.EpochAgreement)
+	if cs.MapVer != 1 || !cs.MapAgreement {
+		t.Errorf("map version/agreement = %d/%v, want 1/true", cs.MapVer, cs.MapAgreement)
 	}
 	if len(cs.Service) == 0 {
 		t.Fatal("no merged service windows after traffic")
@@ -136,10 +136,10 @@ func TestClusterStatusFollowsMembership(t *testing.T) {
 	if !found {
 		t.Fatal("freshly added fms-2 missing from cluster status")
 	}
-	if cs.Epoch < 2 {
-		t.Errorf("epoch = %d, want >= 2 after AddFMS", cs.Epoch)
+	if cs.MapVer < 2 {
+		t.Errorf("map version = %d, want >= 2 after AddFMS", cs.MapVer)
 	}
-	if !cs.EpochAgreement {
-		t.Error("epoch disagreement after completed AddFMS")
+	if !cs.MapAgreement {
+		t.Error("map version disagreement after completed AddFMS")
 	}
 }

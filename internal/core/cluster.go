@@ -18,7 +18,6 @@ import (
 	"locofs/internal/dms/partition"
 	"locofs/internal/flight"
 	"locofs/internal/fms"
-	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
@@ -227,29 +226,25 @@ type Cluster struct {
 	rsByAddr   map[string]*rpc.Server
 	ossAddrs   []string
 
-	// mu guards the mutable membership state below. members is the live
-	// FMS set (stable ring IDs, never reused); nextFMSID is the next fresh
-	// ID an AddFMS will assign. clientRegs tracks the registries of clients
-	// this cluster dialed (deduped), so client-side telemetry — dircache
-	// counters, breaker transitions, RTT windows — joins the cluster status
-	// merge.
-	mu         sync.Mutex
-	fmsAddrs   []string
-	members    []wire.Member
-	nextFMSID  int32
-	epoch      uint64
-	clientRegs []*telemetry.Registry
-
-	// DMS partition state (DESIGN.md §16), guarded by mu after Start.
-	// dmsGroups mirrors the current partition map's replica groups
-	// (leader first); dmsStores parallels DMSNodes; dmsAllNodes keeps every
-	// node ever started so Close can release peer connections of replaced
-	// leaders too.
-	dmsCuts     []wire.PartCut
-	dmsGroups   [][]string
+	// mu guards the mutable state below. cmap is the newest cluster map
+	// this Cluster knows: the one Start installed, then whatever its admin
+	// clients' map changes left installed (changeMap). FMS parallels
+	// cmap.FMS; DMSNodes and dmsStores hold the live replicas of cmap.Groups
+	// in the same order; killed names the DMS replicas FailoverDMS shut down,
+	// which cmap may still list until the drop is installed. nextFMSID is
+	// the next fresh ring ID an AddFMS will assign (ring IDs are never
+	// reused). clientRegs tracks the registries of clients this cluster
+	// dialed (deduped), so client-side telemetry — dircache counters, breaker
+	// transitions, RTT windows — joins the cluster status merge. dmsAllNodes
+	// keeps every node ever started so Close can release peer connections of
+	// replaced leaders too.
+	mu          sync.Mutex
+	cmap        *wire.ClusterMap
+	killed      map[string]bool
+	nextFMSID   int32
+	clientRegs  []*telemetry.Registry
 	dmsStores   [][]*kv.Instrumented
 	dmsAllNodes []*partition.Node
-	pmVer       uint64
 }
 
 // Start builds and starts a cluster.
@@ -260,6 +255,7 @@ func Start(opts Options) (*Cluster, error) {
 		net:      netsim.NewNetwork(netsim.Loopback),
 		Metrics:  make(map[string]*telemetry.Registry),
 		rsByAddr: make(map[string]*rpc.Server),
+		killed:   make(map[string]bool),
 	}
 
 	// Black-box flight recorder: one journal shared by every server (and
@@ -275,43 +271,33 @@ func Start(opts Options) (*Cluster, error) {
 		Extra: func() map[string]any {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return map[string]any{
-				"epoch":   c.epoch,
-				"members": append([]wire.Member{}, c.members...),
-			}
+			return map[string]any{"map": c.cmap}
 		},
 		Dir: opts.FlightDir,
 	})
 
-	// Directory metadata service: DMSPartitions x DMSReplicas partition
-	// nodes (DESIGN.md §16) — one node when both are 1.
-	if len(opts.DMSCuts) < opts.DMSPartitions-1 {
-		return nil, fmt.Errorf("core: %d DMS partitions need at least %d cut directories, got %d",
-			opts.DMSPartitions, opts.DMSPartitions-1, len(opts.DMSCuts))
-	}
-	if opts.DMSPartitions == 1 && len(opts.DMSCuts) > 0 {
-		return nil, fmt.Errorf("core: DMS cuts given but only one partition configured")
-	}
-	for i, d := range opts.DMSCuts {
-		cd, err := fspath.Clean(d)
-		if err != nil || cd == "/" {
-			return nil, fmt.Errorf("core: invalid DMS cut %q", d)
-		}
-		for _, prev := range c.dmsCuts {
-			if prev.Dir == cd {
-				return nil, fmt.Errorf("core: duplicate DMS cut %q", cd)
-			}
-		}
-		c.dmsCuts = append(c.dmsCuts, wire.PartCut{Dir: cd, PID: uint32(i%(opts.DMSPartitions-1)) + 1})
-	}
-	c.dmsGroups = make([][]string, opts.DMSPartitions)
-	for pid := range c.dmsGroups {
+	// The version-1 cluster map every server starts from, which makes the
+	// cluster elasticity- and failover-ready: servers stamp the version on
+	// responses and map changes can install successors. The DMS side is
+	// DMSPartitions x DMSReplicas partition nodes (DESIGN.md §16) — one node
+	// when both are 1.
+	groups := make([][]string, opts.DMSPartitions)
+	for pid := range groups {
 		for rep := 0; rep < opts.DMSReplicas; rep++ {
-			c.dmsGroups[pid] = append(c.dmsGroups[pid], dmsAddr(pid, rep))
+			groups[pid] = append(groups[pid], dmsAddr(pid, rep))
 		}
 	}
-	c.pmVer = 1
-	pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: c.dmsGroups}
+	pm, err := partition.NewMap(groups, opts.DMSCuts)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	c.cmap = pm
+	// Ring IDs start as the FMS indices, matching a client's static-config
+	// ring exactly.
+	for i := 0; i < opts.FMSCount; i++ {
+		pm.FMS = append(pm.FMS, wire.Member{ID: int32(i), Addr: fmt.Sprintf("fms-%d", i)})
+	}
+	c.nextFMSID = int32(opts.FMSCount)
 	c.DMSNodes = make([][]*partition.Node, opts.DMSPartitions)
 	c.dmsStores = make([][]*kv.Instrumented, opts.DMSPartitions)
 	for pid := 0; pid < opts.DMSPartitions; pid++ {
@@ -338,7 +324,6 @@ func Start(opts Options) (*Cluster, error) {
 			node := partition.New(partition.Config{
 				PID:        uint32(pid),
 				Index:      rep,
-				Self:       addr,
 				Map:        pm,
 				DMS:        ds,
 				Dialer:     c.net,
@@ -364,22 +349,13 @@ func Start(opts Options) (*Cluster, error) {
 	c.Flight.RegisterMetrics(c.Metrics["dms"])
 
 	// File metadata servers.
-	for i := 0; i < opts.FMSCount; i++ {
-		fstore := kv.Instrument(kv.NewHashStore(), kv.RAM)
-		f := fms.New(fms.Options{
-			Store:            fstore,
-			ServerID:         uint32(i + 1),
-			Coupled:          opts.CoupledFileMetadata,
-			CheckPermissions: opts.CheckPermissions,
-			BlockSize:        opts.BlockSize,
-		})
-		c.FMS = append(c.FMS, f)
-		addr := fmt.Sprintf("fms-%d", i)
-		f.SetFlight(c.Flight.Journal(), addr)
-		c.fmsAddrs = append(c.fmsAddrs, addr)
-		if err := c.serve(addr, fstore, f.Attach); err != nil {
+	for _, m := range pm.FMS {
+		f, err := c.startFMS(m)
+		if err != nil {
 			return nil, err
 		}
+		c.FMS = append(c.FMS, f)
+		c.rsByAddr[m.Addr].InstallMap(pm, wire.FMSCoords(m.ID))
 	}
 
 	// Object store servers.
@@ -392,28 +368,23 @@ func Start(opts Options) (*Cluster, error) {
 		if err := c.serve(addr, ostore, o.Attach); err != nil {
 			return nil, err
 		}
-	}
-
-	// Install the initial membership (epoch 1) on every server, making the
-	// cluster elasticity-ready: servers stamp the epoch on responses and
-	// AddFMS/RemoveFMS can install successors. Ring IDs start as the FMS
-	// indices, matching the client's static-config ring exactly.
-	for i := 0; i < opts.FMSCount; i++ {
-		c.members = append(c.members, wire.Member{ID: int32(i), Addr: c.fmsAddrs[i]})
-	}
-	c.nextFMSID = int32(opts.FMSCount)
-	c.epoch = 1
-	m := &wire.Membership{Epoch: c.epoch, FMS: c.members}
-	for addr, rs := range c.rsByAddr {
-		self := -1
-		for _, mm := range c.members {
-			if mm.Addr == addr {
-				self = int(mm.ID)
-			}
-		}
-		rs.SetMembership(m, self)
+		c.rsByAddr[addr].InstallMap(pm, wire.FMSCoords(-1))
 	}
 	return c, nil
+}
+
+// startFMS builds and serves the file metadata server m names.
+func (c *Cluster) startFMS(m wire.Member) (*fms.Server, error) {
+	fstore := kv.Instrument(kv.NewHashStore(), kv.RAM)
+	f := fms.New(fms.Options{
+		Store:            fstore,
+		ServerID:         uint32(m.ID + 1),
+		Coupled:          c.opts.CoupledFileMetadata,
+		CheckPermissions: c.opts.CheckPermissions,
+		BlockSize:        c.opts.BlockSize,
+	})
+	f.SetFlight(c.Flight.Journal(), m.Addr)
+	return f, c.serve(m.Addr, fstore, f.Attach)
 }
 
 // dmsAddr names DMS partition pid's replica rep on the fabric. Partition
@@ -505,22 +476,21 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	if lease == 0 {
 		lease = c.opts.Lease
 	}
+	// Bootstrap from the first live replica of partition 0: "dms" is gone
+	// once a failover has replaced it. The FMS addresses are only dialed;
+	// their ring IDs come with the bootstrap map.
 	c.mu.Lock()
-	fmsAddrs := append([]string{}, c.fmsAddrs...)
-	fmsIDs := make([]int, len(c.members))
-	for i, m := range c.members {
-		fmsIDs[i] = int(m.ID)
+	bootstrap := c.liveLocked(0)
+	fmsAddrs := make([]string, len(c.cmap.FMS))
+	for i, m := range c.cmap.FMS {
+		fmsAddrs[i] = m.Addr
 	}
-	// Bootstrap from partition 0's current leader: "dms" is gone once a
-	// failover has replaced it.
-	bootstrap := c.dmsGroups[0][0]
 	c.mu.Unlock()
 	cl, err := client.Dial(client.Config{
 		Dialer:                c.net,
 		Link:                  c.opts.Link,
 		DMSAddr:               bootstrap,
 		FMSAddrs:              fmsAddrs,
-		FMSIDs:                fmsIDs,
 		OSSAddrs:              c.ossAddrs,
 		DisableCache:          cfg.DisableCache || c.opts.DisableClientCache,
 		Lease:                 lease,
@@ -564,157 +534,132 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	return cl, nil
 }
 
-// AddFMS grows the cluster by one file metadata server while it serves
-// traffic: it starts the server, installs the next membership epoch with
-// the migration window open, relocates the ~1/n of keys the grown ring
-// places on the newcomer, and closes the window. Clients notice the new
-// epoch on their next response and re-route; the namespace stays fully
-// readable throughout (dual-read). Returns the coordinator's report.
-func (c *Cluster) AddFMS() (*client.RebalanceReport, error) {
-	c.mu.Lock()
-	id := c.nextFMSID
-	c.nextFMSID++
-	addr := fmt.Sprintf("fms-%d", id)
-	c.mu.Unlock()
-
-	fstore := kv.Instrument(kv.NewHashStore(), kv.RAM)
-	f := fms.New(fms.Options{
-		Store:            fstore,
-		ServerID:         uint32(id + 1),
-		Coupled:          c.opts.CoupledFileMetadata,
-		CheckPermissions: c.opts.CheckPermissions,
-		BlockSize:        c.opts.BlockSize,
-	})
-	f.SetFlight(c.Flight.Journal(), addr)
-	if err := c.serve(addr, fstore, f.Attach); err != nil {
-		return nil, err
+// liveLocked returns the first replica of DMS partition pid that has not
+// been killed: its leader, once the map catches up with the kills.
+func (c *Cluster) liveLocked(pid int) string {
+	for _, a := range c.cmap.Groups[pid] {
+		if !c.killed[a] {
+			return a
+		}
 	}
+	return ""
+}
 
-	admin, err := c.NewClient(ClientConfig{})
+// Map returns the newest cluster map this Cluster knows.
+func (c *Cluster) Map() *wire.ClusterMap {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cmap
+}
+
+// MapVer returns the version of Map.
+func (c *Cluster) MapVer() uint64 { return c.Map().Ver }
+
+// changeMap runs one map change through a fresh admin client and adopts
+// the map it leaves installed. The admin client bounds each attempt by the
+// replication timeout, like the replication plane itself: what a
+// best-effort push to a dark follower costs.
+func (c *Cluster) changeMap(change func(admin *client.Client) error) error {
+	admin, err := c.NewClient(ClientConfig{OpTimeout: c.opts.DMSRepTimeout})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer admin.Close()
-	rep, err := admin.AddFMS(id, addr)
-	if err != nil {
-		return rep, err
-	}
+	err = change(admin)
 	c.mu.Lock()
-	c.FMS = append(c.FMS, f)
-	c.fmsAddrs = append(c.fmsAddrs, addr)
-	c.members = append(c.members, wire.Member{ID: id, Addr: addr})
-	c.epoch = rep.ToEpoch
+	if m := admin.Map(); m.Ver > c.cmap.Ver {
+		c.cmap = m
+	}
 	c.mu.Unlock()
-	return rep, nil
+	return err
+}
+
+// AddFMS grows the cluster by one file metadata server while it serves
+// traffic: it starts the server, opens the migration window in the cluster
+// map, relocates the ~1/n of keys the grown ring places on the newcomer,
+// and closes the window. Clients notice the new map version on their next
+// response and re-route; the namespace stays fully readable throughout
+// (dual-read). Returns the coordinator's report.
+func (c *Cluster) AddFMS() (rep *client.RebalanceReport, err error) {
+	c.mu.Lock()
+	m := wire.Member{ID: c.nextFMSID, Addr: fmt.Sprintf("fms-%d", c.nextFMSID)}
+	c.nextFMSID++
+	c.mu.Unlock()
+
+	f, err := c.startFMS(m)
+	if err != nil {
+		return nil, err
+	}
+	err = c.changeMap(func(admin *client.Client) error {
+		rep, err = admin.AddFMS(m.ID, m.Addr)
+		return err
+	})
+	if err == nil {
+		c.mu.Lock()
+		c.FMS = append(c.FMS, f)
+		c.mu.Unlock()
+	}
+	return rep, err
 }
 
 // RemoveFMS shrinks the cluster by the most recently listed file metadata
 // server, draining every file it holds to the survivors before the window
 // closes. The drained server keeps running — in-flight dual-reads may
 // still land on it — but owns no keys afterwards.
-func (c *Cluster) RemoveFMS() (*client.RebalanceReport, error) {
-	c.mu.Lock()
-	if len(c.members) <= 1 {
-		c.mu.Unlock()
+func (c *Cluster) RemoveFMS() (rep *client.RebalanceReport, err error) {
+	set := c.Map().FMS
+	if len(set) <= 1 {
 		return nil, fmt.Errorf("core: cannot remove the last FMS")
 	}
-	victim := c.members[len(c.members)-1]
-	c.mu.Unlock()
-
-	admin, err := c.NewClient(ClientConfig{})
-	if err != nil {
-		return nil, err
+	err = c.changeMap(func(admin *client.Client) error {
+		rep, err = admin.RemoveFMS(set[len(set)-1].ID)
+		return err
+	})
+	if err == nil {
+		c.mu.Lock()
+		c.FMS = c.FMS[:len(set)-1]
+		c.mu.Unlock()
 	}
-	defer admin.Close()
-	rep, err := admin.RemoveFMS(victim.ID)
-	if err != nil {
-		return rep, err
-	}
-	c.mu.Lock()
-	c.members = c.members[:len(c.members)-1]
-	for i, a := range c.fmsAddrs {
-		if a == victim.Addr {
-			c.fmsAddrs = append(c.fmsAddrs[:i], c.fmsAddrs[i+1:]...)
-			c.FMS = append(c.FMS[:i], c.FMS[i+1:]...)
-			break
-		}
-	}
-	c.epoch = rep.ToEpoch
-	c.mu.Unlock()
-	return rep, nil
+	return rep, err
 }
 
 // FailoverDMS kills the current leader of DMS partition pid and promotes
 // its first surviving follower: the leader's rpc server is shut down (its
 // fabric address disappears, so in-flight client calls fail fast and
-// re-route), a successor partition map with a bumped version is built, and
-// the map is pushed to every live replica of every partition. The promoted
-// follower recovers its partition state (replaying un-applied log entries
-// and resolving in-flight cross-partition renames) synchronously inside the
-// push, so when FailoverDMS returns the partition is serving again. Every
-// mutation the dead leader acked survives — acked means logged on all
-// non-excluded replicas.
+// re-route), and one map change drops its address from its group. The
+// promoted follower recovers its partition state (replaying un-applied log
+// entries and resolving in-flight cross-partition renames) synchronously
+// inside the push, so when FailoverDMS returns the partition is serving
+// again. Every mutation the dead leader acked survives — acked means logged
+// on all non-excluded replicas.
 func (c *Cluster) FailoverDMS(pid int) error {
 	c.mu.Lock()
-	if pid < 0 || pid >= len(c.dmsGroups) {
+	if pid < 0 || pid >= len(c.DMSNodes) {
 		c.mu.Unlock()
 		return fmt.Errorf("core: no such DMS partition %d", pid)
 	}
-	if len(c.dmsGroups[pid]) < 2 {
+	if len(c.DMSNodes[pid]) < 2 {
 		c.mu.Unlock()
 		return fmt.Errorf("core: DMS partition %d has no follower to promote", pid)
 	}
-	dead := c.dmsGroups[pid][0]
-	deadRS := c.rsByAddr[dead]
-	groups := make([][]string, len(c.dmsGroups))
-	for i, g := range c.dmsGroups {
-		groups[i] = append([]string{}, g...)
-	}
-	groups[pid] = groups[pid][1:]
-	c.pmVer++
-	pm := &wire.PartMap{Ver: c.pmVer, Cuts: c.dmsCuts, Groups: groups}
-	c.dmsGroups = groups
+	dead := c.liveLocked(pid)
+	c.killed[dead] = true
 	c.DMSNodes[pid] = c.DMSNodes[pid][1:]
 	c.dmsStores[pid] = c.dmsStores[pid][1:]
 	if pid == 0 {
 		c.DMS = c.DMSNodes[0][0].DMS()
 		c.DMSStore = c.dmsStores[0][0]
 	}
+	deadRS := c.rsByAddr[dead]
 	c.mu.Unlock()
 
-	// Kill first: the address must be gone before the successor map is
-	// live, or a slow client could keep talking to a deposed leader.
-	if deadRS != nil {
-		deadRS.Shutdown()
-	}
-
-	var firstErr error
-	for p := range groups {
-		for idx, addr := range groups[p] {
-			cl, err := rpc.Dial(c.net, addr)
-			if err == nil {
-				var st wire.Status
-				st, _, err = cl.Call(wire.OpSetPartMap, wire.EncodeSetPartMap(pm, uint32(p), idx))
-				cl.Close()
-				// ESTALE means the replica already holds this or a newer
-				// map — fine.
-				if err == nil && st != wire.StatusOK && st != wire.StatusStale {
-					err = st.Err()
-				}
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("core: push partition map to %s: %w", addr, err)
-			}
-		}
-	}
-	return firstErr
-}
-
-// Epoch returns the cluster's current membership epoch.
-func (c *Cluster) Epoch() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.epoch
+	// Kill first: DropDMSReplica's precondition is a replica that no longer
+	// serves, or a slow client could keep talking to a deposed leader.
+	deadRS.Shutdown()
+	return c.changeMap(func(admin *client.Client) error {
+		_, _, err := admin.DropDMSReplica(dead)
+		return err
+	})
 }
 
 // Network exposes the cluster's in-process fabric, mainly so tests and the

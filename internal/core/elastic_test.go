@@ -96,14 +96,14 @@ func TestElasticAddRemoveFMS(t *testing.T) {
 	if frac < 0.08 || frac > 0.40 {
 		t.Errorf("grow moved fraction %.3f implausible for 1/5 ideal", frac)
 	}
-	if rep.FromEpoch != 1 || rep.ToEpoch != 3 {
-		t.Errorf("grow epochs %d->%d, want 1->3", rep.FromEpoch, rep.ToEpoch)
+	if rep.FromVer != 1 || rep.ToVer != 3 || len(rep.Unreached) != 0 {
+		t.Errorf("grow map versions %d->%d (unreached %v), want 1->3", rep.FromVer, rep.ToVer, rep.Unreached)
 	}
 
 	// Every file reachable after the grow, from the old client and a fresh
 	// one that dials the grown cluster directly.
 	fresh := newClient(t, c, ClientConfig{})
-	if got := fresh.FMSCount(); got != 5 {
+	if got := len(fresh.Map().FMS); got != 5 {
 		t.Errorf("fresh client sees %d FMS, want 5", got)
 	}
 	for _, name := range names {
@@ -148,8 +148,8 @@ func TestElasticAddRemoveFMS(t *testing.T) {
 	if ents, err := cl.Readdir("/d"); err != nil || len(ents) != n {
 		t.Errorf("after shrink, readdir = %d entries err=%v, want %d", len(ents), err, n)
 	}
-	if got := c.Epoch(); got != 5 {
-		t.Errorf("cluster epoch = %d, want 5", got)
+	if got := c.MapVer(); got != 5 {
+		t.Errorf("cluster map version = %d, want 5", got)
 	}
 }
 

@@ -97,9 +97,9 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 	if !strings.Contains(b.Goroutines, "goroutine") {
 		t.Error("bundle goroutine profile empty")
 	}
-	// Cluster membership snapshot rode along in Extra.
-	if b.Extra["epoch"] == nil || b.Extra["members"] == nil {
-		t.Errorf("bundle extra lacks membership state: %+v", b.Extra)
+	// The cluster map rode along in Extra.
+	if b.Extra["map"] == nil {
+		t.Errorf("bundle extra lacks the cluster map: %+v", b.Extra)
 	}
 	// Spooled to disk as JSON.
 	if b.File == "" {
@@ -123,12 +123,12 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 }
 
 // TestClusterJournalCollectsServerAndClientEvents checks the shared-journal
-// wiring: epoch installs from the servers and lease recalls from the DMS
+// wiring: map installs from the servers and lease recalls from the DMS
 // land in one timeline alongside client-side events.
 func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 	c := startCluster(t, Options{FMSCount: 2})
 	j := c.Flight.Journal()
-	// Start installed epoch 1 on every server: one KindEpoch per rpc server.
+	// Start installed map version 1 on every server: one KindEpoch per rpc server.
 	if got := j.KindCounts()["epoch"]; got == 0 {
 		t.Fatalf("no epoch events after Start; counts = %v", j.KindCounts())
 	}
@@ -147,7 +147,7 @@ func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 	if got := j.KindCounts()["lease_recall"]; got == 0 {
 		t.Fatalf("no lease_recall events after coherent mutation; counts = %v", j.KindCounts())
 	}
-	// AddFMS migrates keys and installs a new epoch; both event kinds land.
+	// AddFMS migrates keys and installs new map versions; both event kinds land.
 	// Which keys move depends on the directory's UUID, so create enough
 	// files that the grown ring must take some (a third of them on average).
 	for i := 0; i < 32; i++ {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -153,12 +155,15 @@ func TestTopologyParity(t *testing.T) {
 			if got := fs.Trips(); got != 1 {
 				t.Errorf("Dial took %d round trips, want 1", got)
 			}
+			if got := newClient(t, c, ClientConfig{DisableBatchRPC: true}).Trips(); got != 1 {
+				t.Errorf("Dial without batching took %d round trips, want 1", got)
+			}
 			got := runSteps(fs, steps)
 
 			// A retried mutation: the leader executes the mkdir but its
 			// answer is lost; the retry must replay the recorded outcome,
 			// not run again into EEXIST.
-			c.Network().SetFault(c.dmsGroups[0][0], netsim.FaultConfig{DropResponses: 1})
+			c.Network().SetFault(c.Map().Leader(0), netsim.FaultConfig{DropResponses: 1})
 			before := fs.Trips()
 			if err := fs.Mkdir("/retried", 0o755); err != nil {
 				t.Errorf("retried mkdir: %v", err)
@@ -179,11 +184,11 @@ func TestTopologyParity(t *testing.T) {
 			}
 
 			// Grow the FMS set mid-script; once the client has caught up with
-			// the new epoch the script's reads must cost what they did.
+			// the new map the script's reads must cost what they did.
 			if _, err := c.AddFMS(); err != nil {
 				t.Fatalf("AddFMS: %v", err)
 			}
-			waitEpoch(t, fs, c.Epoch())
+			waitMapVer(t, fs, c.MapVer())
 			gotAfter := runSteps(fs, reads)
 
 			if want == nil {
@@ -208,17 +213,17 @@ func compareRecords(t *testing.T, phase string, steps []parityStep, want, got []
 	}
 }
 
-// waitEpoch drives fs until its membership view reaches epoch: a client
-// learns of a change from the epoch stamped on its next response and
+// waitMapVer drives fs until its view reaches map version ver: a client
+// learns of a change from the version stamped on its next response and
 // refreshes in the background.
-func waitEpoch(t *testing.T, fs *client.Client, epoch uint64) {
+func waitMapVer(t *testing.T, fs *client.Client, ver uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for fs.Epoch() != epoch {
+	for fs.Map().Ver != ver {
 		if time.Now().After(deadline) {
-			t.Fatalf("client still at epoch %d, cluster at %d", fs.Epoch(), epoch)
+			t.Fatalf("client still at map version %d, cluster at %d", fs.Map().Ver, ver)
 		}
-		fs.StatFile("/epoch-probe") // ENOENT from an FMS, stamped with its epoch
+		fs.StatFile("/ver-probe") // ENOENT from an FMS, stamped with its map version
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -260,7 +265,7 @@ func TestMembershipSurvivesDMSPromotion(t *testing.T) {
 		if missing > 0 {
 			t.Errorf("%s client: %d/%d files fail to stat after AddFMS + FailoverDMS (%d keys had moved)", name, missing, n, rep.Moved)
 		}
-		waitEpoch(t, fs, rep.ToEpoch)
+		waitMapVer(t, fs, c.MapVer())
 	}
 	check("pre-existing", old)
 	check("fresh", newClient(t, c, ClientConfig{}))
@@ -295,5 +300,303 @@ func TestClusterAdminAfterDMSFailover(t *testing.T) {
 	}
 	if _, err := c.RemoveFMS(); err != nil {
 		t.Errorf("RemoveFMS after failover: %v", err)
+	}
+}
+
+// dialVia connects a client that bootstraps from the DMS replica at addr.
+func dialVia(t *testing.T, c *Cluster, addr string) *client.Client {
+	t.Helper()
+	m := c.Map()
+	cfg := client.Config{Dialer: c.Network(), DMSAddr: addr, OSSAddrs: c.ossAddrs}
+	for _, mm := range m.FMS {
+		cfg.FMSAddrs = append(cfg.FMSAddrs, mm.Addr)
+	}
+	fs, err := client.Dial(cfg)
+	if err != nil {
+		t.Fatalf("dial via %s: %v", addr, err)
+	}
+	t.Cleanup(func() { fs.Close() })
+	return fs
+}
+
+// TestDialAnyDMSReplica: Config.DMSAddr is only where the map comes from,
+// so any replica of any partition must do — leader or follower. Whichever
+// one a client bootstraps from, the parity script gives the same results at
+// the same cost, and the directory cache stays coherent per partition: at
+// the parent commit the bootstrap connection's lease sequences were booked
+// to partition 0 whatever partition it belonged to, so dialing partition
+// 1's leader turned every cached partition-0 entry into a stale miss for
+// the life of the client (50 round trips where there should be none).
+func TestDialAnyDMSReplica(t *testing.T) {
+	steps := parityScript()
+	var want []parityRecord
+	for _, addr := range []string{"dms", "dms-p0-r1", "dms-p1-r0", "dms-p1-r1"} {
+		t.Run(addr, func(t *testing.T) {
+			c := startTopology(t, 2, 2)
+			fs := dialVia(t, c, addr)
+			if got := fs.Trips(); got != 1 {
+				t.Errorf("Dial took %d round trips, want 1", got)
+			}
+			got := runSteps(fs, steps)
+			if want == nil {
+				want = got
+			}
+			for i, st := range steps {
+				if got[i] != want[i] {
+					t.Errorf("%s = %+v, want %+v as when dialed via dms", st.name, got[i], want[i])
+				}
+			}
+
+			// Advance partition 1's recall sequence well past partition 0's,
+			// then read two cached directories, one on each side of the cut.
+			cached := []string{"/a/holder", parityCut + "/e"}
+			for _, p := range cached {
+				if _, err := fs.StatDir(p); err != nil {
+					t.Fatalf("warm %s: %v", p, err)
+				}
+			}
+			for i := 0; i < 20; i++ {
+				p := fmt.Sprintf("%s/tmp%d", parityCut, i)
+				if err := fs.Mkdir(p, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := fs.Rmdir(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before, detail := fs.Trips(), fs.CacheDetail()
+			for i := 0; i < 100; i++ {
+				if _, err := fs.StatDir(cached[i%2]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			after := fs.CacheDetail()
+			if d := fs.Trips() - before; d != 0 || after.StaleMisses != detail.StaleMisses {
+				t.Errorf("100 StatDir of cached directories took %d round trips and %d stale misses, want 0 and 0 (cache: %+v)",
+					d, after.StaleMisses-detail.StaleMisses, after)
+			}
+		})
+	}
+}
+
+// runBounded fails the test if fn has not returned after limit: a map change
+// that waits on an unreachable server hangs rather than fails.
+func runBounded(t *testing.T, what string, limit time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(limit):
+		t.Fatalf("%s still blocked after %v", what, limit)
+	}
+}
+
+// checkMapAgreement requires every live server — DMS replicas, FMS, OSS —
+// to hold the cluster's newest map version.
+func checkMapAgreement(t *testing.T, c *Cluster) {
+	t.Helper()
+	cs := c.ClusterStatus()
+	if !cs.MapAgreement || cs.MapVer != c.MapVer() {
+		t.Errorf("cluster status: map version %d, agreement %v; want %d, true", cs.MapVer, cs.MapAgreement, c.MapVer())
+	}
+	for _, st := range cs.Servers {
+		if !strings.HasPrefix(st.Server, "client-") && st.MapVer != c.MapVer() {
+			t.Errorf("%s holds map version %d, want %d", st.Server, st.MapVer, c.MapVer())
+		}
+	}
+}
+
+// TestAddFMSWithDarkDMSFollower: a DMS follower the network has swallowed
+// must not hold a membership change hostage (at the parent commit AddFMS
+// never returned: the push had to reach every replica and had no deadline).
+// The change goes through and names the follower as unreached; when the
+// follower is back it pulls the map while catching up, so promoting it
+// afterwards loses neither the FMS set nor a directory made while it was
+// dark.
+func TestAddFMSWithDarkDMSFollower(t *testing.T) {
+	for _, parts := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%dx2", parts), func(t *testing.T) {
+			opts := Options{FMSCount: 2, DMSPartitions: parts, DMSReplicas: 2, DMSRepTimeout: 150 * time.Millisecond}
+			if parts > 1 {
+				opts.DMSCuts = []string{parityCut}
+			}
+			c := startCluster(t, opts)
+			old := newClient(t, c, ClientConfig{})
+			if err := old.Mkdir("/d", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			const n = 200
+			for i := 0; i < n; i++ {
+				if err := old.Create(fmt.Sprintf("/d/f%03d", i), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			const dark = "dms-p0-r1"
+			c.Network().SetFault(dark, netsim.FaultConfig{Blackhole: true})
+			var rep *client.RebalanceReport
+			runBounded(t, "AddFMS with a blackholed DMS follower", 10*time.Second, func() {
+				var err error
+				if rep, err = c.AddFMS(); err != nil {
+					t.Errorf("AddFMS: %v", err)
+				}
+			})
+			if rep == nil || rep.Moved == 0 {
+				t.Fatalf("degenerate grow: %+v", rep)
+			}
+			if len(rep.Unreached) == 0 {
+				t.Errorf("report names no unreached server; want %s", dark)
+			}
+			for _, a := range rep.Unreached {
+				if a != dark {
+					t.Errorf("report lists %s as unreached; only %s was dark", a, dark)
+				}
+			}
+			// Acked while the follower is dark: the leader excludes it.
+			if err := old.Mkdir("/during", 0o755); err != nil {
+				t.Fatal(err)
+			}
+
+			c.Network().SetFault(dark, netsim.FaultConfig{})
+			follower := c.DMSNodes[0][1]
+			if err := follower.CatchUp(); err != nil {
+				t.Fatalf("catch-up after healing: %v", err)
+			}
+			if got := follower.Map().Ver; got != c.MapVer() {
+				t.Fatalf("healed follower holds map version %d, want %d", got, c.MapVer())
+			}
+			if err := c.FailoverDMS(0); err != nil {
+				t.Fatalf("FailoverDMS onto the healed follower: %v", err)
+			}
+
+			for name, fs := range map[string]*client.Client{"pre-existing": old, "fresh": newClient(t, c, ClientConfig{})} {
+				missing := 0
+				for i := 0; i < n; i++ {
+					if _, err := fs.StatFile(fmt.Sprintf("/d/f%03d", i)); err != nil {
+						missing++
+					}
+				}
+				if missing > 0 {
+					t.Errorf("%s client: %d/%d files fail to stat (%d keys had moved)", name, missing, n, rep.Moved)
+				}
+				if _, err := fs.StatDir("/during"); err != nil {
+					t.Errorf("%s client: directory made while the follower was dark: %v", name, err)
+				}
+			}
+			checkMapAgreement(t, c)
+		})
+	}
+}
+
+// TestMapChangesCompose runs the two kinds of map change against each other
+// on 2x2: a DMS failover in the middle of an FMS grow's drain, then another
+// in the middle of a shrink's. Both go through changeMap, so each edit lands
+// on the newest map: the closing edit of the FMS change must keep the
+// failover that happened during its drain, and the failover must keep the
+// open migration window. A background reader sees no file go missing.
+func TestMapChangesCompose(t *testing.T) {
+	c := startCluster(t, Options{FMSCount: 2, DMSPartitions: 2, DMSReplicas: 2, DMSCuts: []string{parityCut}})
+	fs := newClient(t, c, ClientConfig{})
+	const n = 400
+	for _, d := range []string{"/d", parityCut, parityCut + "/d"} {
+		if err := fs.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/d/f%03d", i)
+		if i%2 == 1 {
+			paths[i] = parityCut + paths[i]
+		}
+		if err := fs.Create(paths[i], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var reads, missing atomic.Int64
+	var wg sync.WaitGroup
+	reader := newClient(t, c, ClientConfig{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A transport error while a leader is being replaced is fair;
+			// ENOENT for a file that exists throughout never is.
+			if _, err := reader.StatFile(paths[(i*7)%n]); err == nil {
+				reads.Add(1)
+			} else if wire.StatusOf(err) == wire.StatusNotFound {
+				missing.Add(1)
+			}
+		}
+	}()
+
+	// compose starts the FMS change, waits until its migration window is
+	// open on an FMS, and fails partition pid over while the drain runs.
+	compose := func(what string, change func() (*client.RebalanceReport, error), pid int) {
+		t.Helper()
+		opened, fms0 := c.MapVer()+1, c.rsByAddr["fms-0"]
+		var rep *client.RebalanceReport
+		var err error
+		done := make(chan struct{})
+		go func() { defer close(done); rep, err = change() }()
+		deadline := time.Now().Add(10 * time.Second)
+		for fms0.MapVer() < opened {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: migration window not open after 10s", what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		if ferr := c.FailoverDMS(pid); ferr != nil {
+			t.Errorf("FailoverDMS(%d) during %s: %v", pid, what, ferr)
+		}
+		<-done
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if rep.Moved == 0 || rep.ToVer <= rep.FromVer+1 {
+			t.Errorf("%s report %+v: want keys moved and a closing version past the window's", what, rep)
+		}
+	}
+	compose("AddFMS", c.AddFMS, 0)
+	compose("RemoveFMS", c.RemoveFMS, 1)
+	close(stop)
+	wg.Wait()
+
+	if m := missing.Load(); m != 0 || reads.Load() == 0 {
+		t.Errorf("background reader: %d ENOENT for existing files in %d reads", m, reads.Load())
+	}
+	m := c.Map()
+	wantFMS := []wire.Member{{ID: 0, Addr: "fms-0"}, {ID: 1, Addr: "fms-1"}}
+	if len(m.FMS) != 2 || m.FMS[0] != wantFMS[0] || m.FMS[1] != wantFMS[1] || len(m.Prev) != 0 {
+		t.Errorf("final FMS set %v (window %v), want %v and no window", m.FMS, m.Prev, wantFMS)
+	}
+	if len(m.Groups) != 2 || len(m.Groups[0]) != 1 || m.Groups[0][0] != "dms-p0-r1" ||
+		len(m.Groups[1]) != 1 || m.Groups[1][0] != "dms-p1-r1" {
+		t.Errorf("final DMS groups %v, want both promoted followers alone", m.Groups)
+	}
+	// Six changes, each serialised once: open, failover, close, twice over.
+	if m.Ver != 7 {
+		t.Errorf("final map version %d, want 7", m.Ver)
+	}
+	checkMapAgreement(t, c)
+	for name, cl := range map[string]*client.Client{"pre-existing": fs, "fresh": newClient(t, c, ClientConfig{})} {
+		for _, p := range paths {
+			if _, err := cl.StatFile(p); err != nil {
+				t.Fatalf("%s client: %s after both changes: %v", name, p, err)
+			}
+		}
+		for _, d := range []string{"/after-" + name, parityCut + "/after-" + name} {
+			if err := cl.Mkdir(d, 0o755); err != nil {
+				t.Errorf("%s client: mkdir %s through the promoted leaders: %v", name, d, err)
+			}
+		}
 	}
 }

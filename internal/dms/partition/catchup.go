@@ -4,6 +4,7 @@ import (
 	"errors"
 	"time"
 
+	"locofs/internal/rpc"
 	"locofs/internal/wire"
 )
 
@@ -50,14 +51,6 @@ func (n *Node) catchUp(why string) error {
 	}
 	defer n.catching.Store(false)
 
-	pm := n.pm.Load()
-	if n.IsLeader() {
-		return nil
-	}
-	leader := pm.Leader(n.pid)
-	if leader == "" || leader == n.self {
-		return nil
-	}
 	// The started/caught_up pair is only journaled once the pass finds
 	// actual work: the periodic probe resolves to an at-tip no-op every
 	// cycle in steady state, and journaling that would drown the ring.
@@ -69,15 +62,26 @@ func (n *Node) catchUp(why string) error {
 			return nil
 		default:
 		}
+		pm, idx := n.cur()
+		if idx == 0 {
+			return nil
+		}
+		leader, self := pm.Leader(n.pid), pm.Groups[n.pid][idx]
 		n.mu.Lock()
 		from := n.nextIndex
 		n.mu.Unlock()
 
-		st, resp, err := n.callPeerT(leader, wire.OpLogFetch,
-			wire.EncodeLogFetch(n.self, from, catchupBatch), n.repTimeout)
+		var leaderVer uint64
+		st, resp, err := n.callPeerSpec(leader, rpc.CallSpec{
+			Op: wire.OpLogFetch, Body: wire.EncodeLogFetch(self, from, catchupBatch),
+			Timeout: n.repTimeout, OnMap: func(v uint64) { leaderVer = v },
+		})
 		if err != nil {
 			n.emit("catchup_failed", int64(from), err.Error())
 			return err
+		}
+		if leaderVer > pm.Ver {
+			n.pullMap(leader, self)
 		}
 		if st != wire.StatusOK {
 			// EEXPIRED: the needed range was truncated — this replica can
@@ -128,6 +132,24 @@ func (n *Node) catchUp(why string) error {
 	}
 }
 
+// pullMap fetches the newer map a leader's reply header advertised and
+// installs it under this replica's slot in it. Map pushes to followers are
+// best-effort, so this is how one that was dark during a push converges; a
+// replica the newer map no longer lists leaves its own alone.
+func (n *Node) pullMap(leader, self string) {
+	st, resp, err := n.callPeerT(leader, wire.OpGetMap, nil, n.repTimeout)
+	if err != nil || st != wire.StatusOK {
+		return
+	}
+	m, err := wire.DecodeClusterMap(resp)
+	if err != nil {
+		return
+	}
+	if pid, idx, ok := m.PartitionOf(self); ok && pid == n.pid {
+		n.installMap(m, wire.DMSCoords(pid, idx))
+	}
+}
+
 // serveLogFetch is the leader side of catch-up: serve the requested log
 // range, or — when the requester is already at the tip — readmit it to the
 // live fan-out set in the same locked step that proves no append is in
@@ -142,7 +164,7 @@ func (n *Node) serveLogFetch(body []byte) (wire.Status, []byte) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.inGroupLocked(self) {
+	if pid, _, ok := n.Map().PartitionOf(self); !ok || pid != n.pid {
 		// A stray fetcher (stale map, replaced replica) must not be
 		// readmitted or allowed to pin truncation.
 		return wire.StatusInval, []byte("not a member of this partition's group")
@@ -166,7 +188,7 @@ func (n *Node) serveLogFetch(body []byte) (wire.Status, []byte) {
 	if from < n.firstIndex {
 		// The range the replica needs is already truncated: it cannot be
 		// repaired from the log. The operator replaces it via a map push
-		// (serveSetPartMap reconciles the old identity away).
+		// (installMap reconciles the old identity away).
 		n.emit("catchup_impossible", int64(from), self)
 		return wire.StatusExpired, []byte("op log truncated past requested index")
 	}

@@ -146,8 +146,8 @@ func TestExcludedResetOnMapInstall(t *testing.T) {
 	if exc := ts.nodes["l"].Excluded(); len(exc) != 1 {
 		t.Fatalf("excluded = %v, want [f]", exc)
 	}
-	pm2 := &wire.PartMap{Ver: 2, Groups: [][]string{{"l", "g"}}}
-	if st, _ := ts.call(t, "l", wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, 0, 0), 0); st != wire.StatusOK {
+	pm2 := &wire.ClusterMap{Ver: 2, Groups: [][]string{{"l", "g"}}}
+	if st, _ := ts.call(t, "l", wire.OpSetMap, wire.EncodeSetMap(pm2, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
 		t.Fatalf("map install: %v", st)
 	}
 	if exc := ts.nodes["l"].Excluded(); len(exc) != 0 {
@@ -235,7 +235,7 @@ func TestMintTxIDAcrossPromotion(t *testing.T) {
 		t.Fatalf("crash-injected rename = %v, want EIO", st)
 	}
 	ts.rss["p0-l"].Shutdown()
-	pm2 := &wire.PartMap{
+	pm2 := &wire.ClusterMap{
 		Ver:    2,
 		Cuts:   []wire.PartCut{{Dir: "/b", PID: 1}},
 		Groups: [][]string{{"p0-f"}, {"p1-l", "p1-f"}},
@@ -245,7 +245,7 @@ func TestMintTxIDAcrossPromotion(t *testing.T) {
 		if addr == "p1-f" {
 			idx = 1
 		}
-		if st, _ := ts.call(t, addr, wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, pid, idx), 0); st != wire.StatusOK {
+		if st, _ := ts.call(t, addr, wire.OpSetMap, wire.EncodeSetMap(pm2, wire.DMSCoords(pid, idx)), 0); st != wire.StatusOK {
 			t.Fatalf("map push to %s: %v", addr, st)
 		}
 	}
@@ -288,4 +288,44 @@ func TestPeriodicCatchupRejoins(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("follower did not rejoin via periodic catch-up: excluded=%v", ts.nodes["l"].Excluded())
+}
+
+// TestFollowerPullsMapOnCatchUp: map pushes to followers are best-effort, so
+// a follower that missed one must converge on its own. The version stamped
+// on its leader's OpLogFetch reply tells it; it pulls the map and installs
+// it under its own slot. A replica the newer map no longer lists keeps the
+// map it has.
+func TestFollowerPullsMapOnCatchUp(t *testing.T) {
+	ts := startShard(t, onePartitionMap("l", "f"), fastRep)
+	v2 := onePartitionMap("l", "f")
+	v2.Ver, v2.FMS = 2, []wire.Member{{ID: 0, Addr: "fms-0"}, {ID: 1, Addr: "fms-1"}}
+	if st, _ := ts.call(t, "l", wire.OpSetMap, wire.EncodeSetMap(v2, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
+		t.Fatalf("push version 2 to the leader alone: %v", st)
+	}
+	if got := ts.nodes["f"].Map().Ver; got != 1 {
+		t.Fatalf("follower at version %d before catching up, want 1", got)
+	}
+	if err := ts.nodes["f"].CatchUp(); err != nil {
+		t.Fatalf("catch-up: %v", err)
+	}
+	if m := ts.nodes["f"].Map(); m.Ver != 2 || len(m.FMS) != 2 || ts.nodes["f"].IsLeader() {
+		t.Fatalf("follower after catch-up holds %+v (leader: %v), want version 2 as a follower", m, ts.nodes["f"].IsLeader())
+	}
+	if got := ts.rss["f"].MapVer(); got != 2 {
+		t.Errorf("follower stamps version %d, want 2", got)
+	}
+
+	// Version 3 drops the follower. Its fetch is refused (not a member), the
+	// refusal is stamped 3, and the pulled map has no slot for it.
+	v3 := onePartitionMap("l")
+	v3.Ver = 3
+	if st, _ := ts.call(t, "l", wire.OpSetMap, wire.EncodeSetMap(v3, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
+		t.Fatalf("push version 3: %v", st)
+	}
+	if err := ts.nodes["f"].CatchUp(); err == nil {
+		t.Error("catch-up of a dropped replica succeeded")
+	}
+	if got := ts.nodes["f"].Map().Ver; got != 2 {
+		t.Errorf("dropped replica moved to version %d, want it left at 2", got)
+	}
 }

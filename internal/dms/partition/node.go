@@ -4,8 +4,8 @@
 // partition, one replica, no cuts — so every deployment, from the paper's
 // single DMS (§3.1) to a sharded, replicated one, runs the same code.
 //
-// The namespace is split into subtree range partitions by a versioned
-// wire.PartMap. Each partition is a replica group of Nodes wrapping one
+// The namespace is split into subtree range partitions by the versioned
+// wire.ClusterMap. Each partition is a replica group of Nodes wrapping one
 // dms.Server each; replica 0 is the leader. Mutations reach the leader,
 // which appends them to a replicated op log under the partition lock, then
 // fans the entry out to every live follower through per-follower ordered
@@ -37,6 +37,7 @@
 package partition
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,18 +69,17 @@ const (
 // Config assembles one partition replica.
 type Config struct {
 	// PID is the partition this node belongs to; Index its replica slot in
-	// the partition's group (0 = leader). Self is this node's own fabric
-	// address (so it can exclude itself from replication fan-out).
+	// the partition's group (0 = leader). The node's own fabric address is
+	// Map.Groups[PID][Index]: a node names itself by its slot in the
+	// installed map, never by comparing addresses.
 	PID   uint32
 	Index int
-	Self  string
-	// Map is the initial partition map. Nil runs the static solo map:
+	// Map is the initial cluster map. Nil runs the static solo map:
 	// version 0, one group holding only this node as its leader (PID and
 	// Index are taken as 0), no cuts. Version 0 is never stamped on a
-	// response and loses to every map a client holds — the meaning epoch 0
-	// has for the FMS membership — so nobody ever routes by the solo map's
-	// addresses and the node needs no advertised one (Self may be empty).
-	Map *wire.PartMap
+	// response and loses to every other map, so nobody ever routes by the
+	// solo map's addresses and the node needs no advertised one.
+	Map *wire.ClusterMap
 	// DMS is the node's local directory metadata server.
 	DMS *dms.Server
 	// Dialer reaches peer nodes (followers, other partition leaders).
@@ -106,6 +106,27 @@ type Config struct {
 	// therefore receives no more appends to trip over) rejoins on its own.
 	// Zero leaves catch-up on-demand (append gaps, map installs, CatchUp).
 	CatchupEvery time.Duration
+}
+
+// NewMap builds the version-1 cluster map a deployment starts from.
+// groups[pid] lists partition pid's replica addresses leader-first; cuts
+// are the cut directories — at least one per partition beyond the first —
+// assigned round-robin to partitions 1..N-1 in order, so a partition may own
+// several subtrees. The map names no FMS set.
+func NewMap(groups [][]string, cuts []string) (*wire.ClusterMap, error) {
+	m := &wire.ClusterMap{Ver: 1, Groups: groups}
+	if len(cuts) < len(groups)-1 || (len(groups) == 1 && len(cuts) > 0) {
+		return nil, fmt.Errorf("partition: %d DMS partitions need at least %d cut directories (one partition takes none), got %d",
+			len(groups), len(groups)-1, len(cuts))
+	}
+	for i, d := range cuts {
+		cd, err := fspath.Clean(d)
+		if err != nil || cd == "/" || isCutDir(m, cd) {
+			return nil, fmt.Errorf("partition: invalid or duplicate DMS cut %q", d)
+		}
+		m.Cuts = append(m.Cuts, wire.PartCut{Dir: cd, PID: uint32(i%(len(groups)-1)) + 1})
+	}
+	return m, nil
 }
 
 type appliedRes struct {
@@ -137,17 +158,21 @@ type catchSession struct {
 type Node struct {
 	dms    *dms.Server
 	pid    uint32
-	self   string
 	dialer netsim.Dialer
 	j      *flight.Journal
 	source string
 	now    func() int64
 
-	logCap     int
-	repTimeout time.Duration
+	logCap       int
+	repTimeout   time.Duration
+	catchupEvery time.Duration
 
-	pm  atomic.Pointer[wire.PartMap]
-	idx atomic.Int32 // replica index; 0 = leader
+	// rs is the rpc.Server the node is attached to. It owns the installed
+	// cluster map and this replica's slot in it (see cur); bootMap and
+	// bootIdx hold the initial pair until Attach hands it over.
+	rs      *rpc.Server
+	bootMap *wire.ClusterMap
+	bootIdx int
 
 	// txSeq generates fallback transaction ids for cross-partition renames
 	// issued without a client dedup id (see mintTxID). It restarts at zero
@@ -239,36 +264,36 @@ type Node struct {
 // New builds a Node. Call Attach to wire it to the replica's rpc.Server.
 func New(cfg Config) *Node {
 	if cfg.Map == nil {
-		cfg.Map = wire.SoloMap(cfg.Self)
+		cfg.Map = wire.SoloMap("")
 		cfg.PID, cfg.Index = 0, 0
 	}
 	n := &Node{
-		dms:        cfg.DMS,
-		pid:        cfg.PID,
-		self:       cfg.Self,
-		dialer:     cfg.Dialer,
-		j:          cfg.Journal,
-		source:     cfg.Source,
-		now:        cfg.Now,
-		logCap:     cfg.LogCap,
-		repTimeout: cfg.RepTimeout,
-		closed:     make(chan struct{}),
-		preApplied: make(map[uint64]appliedRes),
-		applied:    make(map[uint64]appliedRes),
-		reqFloor:   make(map[uint64]uint64),
-		pendingReq: make(map[uint64]uint64),
-		excluded:   make(map[string]bool),
-		ackMark:    make(map[string]uint64),
-		catch:      make(map[string]catchSession),
-		reps:       make(map[string]*replicator),
-		frozen:     make(map[string]int),
-		dtx:        make(map[uint64]*wire.RenamePrepare),
-		stx:        make(map[uint64]*srcTx),
-		peers:      make(map[string]*rpc.Client),
+		dms:          cfg.DMS,
+		pid:          cfg.PID,
+		dialer:       cfg.Dialer,
+		j:            cfg.Journal,
+		source:       cfg.Source,
+		now:          cfg.Now,
+		logCap:       cfg.LogCap,
+		repTimeout:   cfg.RepTimeout,
+		catchupEvery: cfg.CatchupEvery,
+		bootMap:      cfg.Map,
+		bootIdx:      cfg.Index,
+		closed:       make(chan struct{}),
+		preApplied:   make(map[uint64]appliedRes),
+		applied:      make(map[uint64]appliedRes),
+		reqFloor:     make(map[uint64]uint64),
+		pendingReq:   make(map[uint64]uint64),
+		excluded:     make(map[string]bool),
+		ackMark:      make(map[string]uint64),
+		catch:        make(map[string]catchSession),
+		reps:         make(map[string]*replicator),
+		frozen:       make(map[string]int),
+		dtx:          make(map[uint64]*wire.RenamePrepare),
+		stx:          make(map[uint64]*srcTx),
+		peers:        make(map[string]*rpc.Client),
 	}
 	n.applyC = sync.NewCond(&n.mu)
-	n.pm.Store(cfg.Map)
-	n.idx.Store(int32(cfg.Index))
 	if n.now == nil {
 		n.now = defaultNow
 	}
@@ -278,9 +303,6 @@ func New(cfg Config) *Node {
 	if n.repTimeout <= 0 {
 		n.repTimeout = DefaultRepTimeout
 	}
-	if cfg.CatchupEvery > 0 {
-		go n.catchupLoop(cfg.CatchupEvery)
-	}
 	return n
 }
 
@@ -289,11 +311,26 @@ func defaultNow() int64 { return time.Now().UnixNano() }
 // DMS returns the node's local directory metadata server.
 func (n *Node) DMS() *dms.Server { return n.dms }
 
-// Map returns the node's installed partition map.
-func (n *Node) Map() *wire.PartMap { return n.pm.Load() }
+// cur returns the installed cluster map and this replica's slot in its
+// partition's group (0 = leader), read as one consistent pair. The install
+// step guarantees the slot exists: m.Groups[n.pid][idx] is this node's own
+// address under m.
+func (n *Node) cur() (m *wire.ClusterMap, idx int) {
+	m, at := n.rs.Map()
+	return m, int(at.Idx)
+}
+
+// Map returns the node's installed cluster map.
+func (n *Node) Map() *wire.ClusterMap {
+	m, _ := n.cur()
+	return m
+}
 
 // IsLeader reports whether this node currently leads its partition.
-func (n *Node) IsLeader() bool { return n.idx.Load() == 0 }
+func (n *Node) IsLeader() bool {
+	_, idx := n.cur()
+	return idx == 0
+}
 
 // LogLen returns the replicated op log's length — total entries ever
 // appended, including the truncated prefix (tests assert replica
@@ -339,14 +376,17 @@ func (n *Node) emit(op string, value int64, detail string) {
 	}
 }
 
-// Attach registers the DMS handler set on rs: the full DMS op set wrapped
-// with the range guard and replication, the replication ops (OpLogAppend,
-// OpLogFetch, OpSeedUpdate), the 2PC destination ops, and the partition-map
-// admin ops. The server stamps the lease-recall sequence and the map version
-// on every response header.
+// Attach hands the initial map to rs, which owns it from here on, and
+// registers the DMS handler set: the full DMS op set wrapped with the range
+// guard and replication, the replication ops (OpLogAppend, OpLogFetch,
+// OpSeedUpdate), the 2PC destination ops, and the node's own OpSetMap (the
+// install must run under the partition lock, see installMap). The server
+// stamps the lease-recall sequence and the map version on every response
+// header. A node must be attached before it is used.
 func (n *Node) Attach(rs *rpc.Server) {
+	n.rs = rs
+	rs.InstallMap(n.bootMap, wire.DMSCoords(n.pid, n.bootIdx))
 	rs.SetLeaseFunc(n.dms.LeaseSeq)
-	rs.SetPMapFunc(func() uint64 { return n.pm.Load().Ver })
 	for _, op := range dms.Ops {
 		op := op
 		if dms.MutationOp(op) {
@@ -365,10 +405,10 @@ func (n *Node) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpRenamePrepare, n.serveRenamePrepare)
 	rs.Handle(wire.OpRenameCommit, n.serveRenameDecision(wire.OpRenameCommit))
 	rs.Handle(wire.OpRenameAbort, n.serveRenameDecision(wire.OpRenameAbort))
-	rs.Handle(wire.OpGetPartMap, func([]byte) (wire.Status, []byte) {
-		return wire.StatusOK, wire.EncodePartMap(n.pm.Load())
-	})
-	rs.Handle(wire.OpSetPartMap, n.serveSetPartMap)
+	rs.Handle(wire.OpSetMap, n.serveSetMap)
+	if n.catchupEvery > 0 {
+		go n.catchupLoop(n.catchupEvery)
+	}
 }
 
 // ---- reads ----
@@ -379,7 +419,7 @@ func (n *Node) serveRead(op wire.Op, body []byte) (wire.Status, []byte) {
 		return wire.StatusInval, nil
 	}
 	if hasPath {
-		pm := n.pm.Load()
+		pm := n.Map()
 		owner := pm.Locate(p1)
 		if op == wire.OpReaddirSubdirs {
 			owner = pm.LocateList(p1)
@@ -398,12 +438,12 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 	if err != nil {
 		return wire.StatusInval, nil
 	}
-	pm := n.pm.Load()
+	pm, idx := n.cur()
 	if op == wire.OpRenameDir {
 		if pm.CutWithin(p1) || pm.CutWithin(p2) {
 			return wire.StatusInval, []byte("rename source or target subtree straddles a partition cut")
 		}
-		if pm.Locate(p1) != n.pid || !n.IsLeader() {
+		if pm.Locate(p1) != n.pid || idx != 0 {
 			return wire.StatusWrongPartition, nil
 		}
 		if dst := pm.Locate(p2); dst != n.pid {
@@ -417,7 +457,7 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 		// the cut. EBUSY analog.
 		return wire.StatusInval, []byte("directory is a partition cut point")
 	}
-	if pm.Locate(p1) != n.pid || !n.IsLeader() {
+	if pm.Locate(p1) != n.pid || idx != 0 {
 		return wire.StatusWrongPartition, nil
 	}
 	st, respBody := n.replicate(op, req, body, p1, "")
@@ -427,7 +467,7 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 	return st, respBody
 }
 
-func isCutDir(pm *wire.PartMap, p string) bool {
+func isCutDir(pm *wire.ClusterMap, p string) bool {
 	for _, c := range pm.Cuts {
 		if c.Dir == p {
 			return true
@@ -491,7 +531,7 @@ type fanout struct {
 // enqueues it on every live follower's replicator (ordered per follower;
 // the actual sends run outside n.mu). It returns nil — appending nothing —
 // when this node is not, or no longer, the partition leader: the check runs
-// under n.mu, the same lock serveSetPartMap installs maps under, so a
+// under n.mu, the same lock installMap installs maps under, so a
 // deposed leader cannot slip an entry in after its successor took over.
 //
 // Every non-nil return must be finished with exactly one finishAppend (or
@@ -507,7 +547,7 @@ type fanout struct {
 // apply touches pure bookkeeping (no store state) may be eager; freezing
 // early is conservative, the symmetric unfreeze stays strictly in order.
 func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
-	if n.idx.Load() != 0 {
+	if !n.IsLeader() {
 		return nil
 	}
 	le.Index = n.nextIndex
@@ -595,34 +635,18 @@ func (n *Node) applyInOrderLocked(le *wire.LogEntry) (wire.Status, []byte) {
 }
 
 // followersLocked lists the live replication targets: the group minus this
-// node and minus excluded replicas.
+// node's own slot and minus excluded replicas. The slot, not the address,
+// names this node: a solo DMS handed a map that lists it by whatever address
+// the pushing client dialed must not replicate to itself.
 func (n *Node) followersLocked() []string {
-	pm := n.pm.Load()
-	if int(n.pid) >= len(pm.Groups) {
-		return nil
-	}
+	pm, idx := n.cur()
 	var out []string
-	for _, addr := range pm.Groups[n.pid] {
-		if addr != n.self && !n.excluded[addr] {
+	for i, addr := range pm.Groups[n.pid] {
+		if i != idx && !n.excluded[addr] {
 			out = append(out, addr)
 		}
 	}
 	return out
-}
-
-// inGroupLocked reports whether addr is a member of this partition's group
-// under the installed map.
-func (n *Node) inGroupLocked(addr string) bool {
-	pm := n.pm.Load()
-	if int(n.pid) >= len(pm.Groups) {
-		return false
-	}
-	for _, a := range pm.Groups[n.pid] {
-		if a == addr {
-			return true
-		}
-	}
-	return false
 }
 
 // excludeFollower drops addr from the live fan-out set: its replicator is
@@ -794,7 +818,7 @@ func (n *Node) reqExpiredLocked(req uint64) bool {
 // Followers mirror the leader's floor from the value piggybacked on every
 // append, so the whole group truncates identically.
 func (n *Node) maybePruneLocked() {
-	if n.idx.Load() != 0 || int(n.nextIndex-n.firstIndex) <= n.logCap {
+	if !n.IsLeader() || int(n.nextIndex-n.firstIndex) <= n.logCap {
 		return
 	}
 	target := n.nextIndex - uint64(n.logCap)
@@ -882,7 +906,7 @@ func (n *Node) frozenConflictLocked(p string) bool {
 // mutations of one path cannot reorder their absolute-state updates.
 // A push failure only degrades that partition's seed freshness (flight
 // event); the local mutation is already acked and must stand.
-func (n *Node) pushSeeds(p string, pm *wire.PartMap) {
+func (n *Node) pushSeeds(p string, pm *wire.ClusterMap) {
 	targets := pm.SeedTargets(p, n.pid)
 	if len(targets) == 0 {
 		return
@@ -972,7 +996,7 @@ func (n *Node) mintTxID(ver uint64) uint64 {
 	return 1<<63 | (ver&(1<<22-1))<<41 | (n.txSeq.Add(1) & (1<<41 - 1))
 }
 
-func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.PartMap) (wire.Status, []byte) {
+func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.ClusterMap) (wire.Status, []byte) {
 	dest := pm.Leader(dstPID)
 	if dest == "" {
 		return wire.StatusUnavailable, nil
@@ -1148,39 +1172,44 @@ func (n *Node) serveRenameDecision(op wire.Op) rpc.HandlerFunc {
 	}
 }
 
-// ---- partition map administration / failover ----
+// ---- cluster map install / failover ----
 
-func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
-	pm, pid, idx, err := wire.DecodeSetPartMap(body)
+func (n *Node) serveSetMap(body []byte) (wire.Status, []byte) {
+	m, at, err := wire.DecodeSetMap(body)
 	if err != nil {
 		return wire.StatusInval, []byte(err.Error())
 	}
-	if pid != n.pid {
-		return wire.StatusInval, []byte("partition id mismatch")
+	return n.installMap(m, at), nil
+}
+
+// installMap is the node's install step, for a pushed map (serveSetMap) and
+// for one a follower pulled from its leader (pullMap): hand m to the
+// rpc.Server under n.mu — the lock appendLocked checks leadership under —
+// then reconcile the replication bookkeeping with the new group and act on
+// a change of this replica's slot.
+func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
+	if at.PID != int32(n.pid) || int(n.pid) >= len(m.Groups) ||
+		at.Idx < 0 || int(at.Idx) >= len(m.Groups[n.pid]) {
+		return wire.StatusInval // the coordinates name no replica of this partition
 	}
 	n.mu.Lock()
-	if pm.Ver <= n.pm.Load().Ver {
+	wasLeader := n.IsLeader()
+	if !n.rs.InstallMap(m, at) {
 		n.mu.Unlock()
-		return wire.StatusStale, nil
+		return wire.StatusStale
 	}
-	wasLeader := n.idx.Load() == 0
-	n.pm.Store(pm)
-	n.idx.Store(int32(idx))
-	// Reconcile replication bookkeeping with the new group: the exclusion,
-	// ack watermark, and catch-up session of an address the group no longer
-	// lists die with the map install — a replaced replica must not stay
-	// excluded, hold truncation back, or count toward the group watermark
-	// under a map that no longer knows it.
+	// The exclusion, ack watermark, and catch-up session of an address the
+	// group no longer lists die with the map install — a replaced replica
+	// must not stay excluded, hold truncation back, or count toward the
+	// group watermark under a map that no longer knows it.
 	group := make(map[string]bool)
-	if int(n.pid) < len(pm.Groups) {
-		for _, a := range pm.Groups[n.pid] {
-			group[a] = true
-		}
+	for _, a := range m.Groups[n.pid] {
+		group[a] = true
 	}
 	for a := range n.excluded {
 		if !group[a] {
 			delete(n.excluded, a)
-			n.emit("exclusion_dropped", int64(pm.Ver), a)
+			n.emit("exclusion_dropped", int64(m.Ver), a)
 		}
 	}
 	for a := range n.ackMark {
@@ -1195,7 +1224,7 @@ func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
 	}
 	var stopped []*replicator
 	for a, r := range n.reps {
-		if idx != 0 || !group[a] {
+		if at.Idx != 0 || !group[a] {
 			delete(n.reps, a)
 			stopped = append(stopped, r)
 		}
@@ -1204,19 +1233,18 @@ func (n *Node) serveSetPartMap(body []byte) (wire.Status, []byte) {
 	for _, r := range stopped {
 		r.stop()
 	}
-	n.emit("map_installed", int64(pm.Ver), n.self)
-	if idx == 0 && !wasLeader {
-		n.emit("promoted", int64(pm.Ver), n.self)
+	if at.Idx == 0 && !wasLeader {
+		n.emit("promoted", int64(m.Ver), m.Groups[n.pid][0])
 		n.Recover()
 	}
-	if idx != 0 {
+	if at.Idx != 0 {
 		// A (re-)added or demoted replica pulls itself to the leader's tip
 		// and rejoins the live fan-out set; an already-current one gets a
 		// cheap at-tip ack. Asynchronous — the map push must not block on
 		// a leader that is itself mid-recovery.
 		n.startCatchUp("map-install")
 	}
-	return wire.StatusOK, nil
+	return wire.StatusOK
 }
 
 // Recover finishes or aborts cross-partition renames left open by the
@@ -1237,8 +1265,8 @@ func (n *Node) Recover() {
 	for txid, tx := range n.stx {
 		acts = append(acts, action{txid: txid, commit: tx.committed, destPID: tx.sp.DestPID})
 	}
-	pm := n.pm.Load()
 	n.mu.Unlock()
+	pm := n.Map()
 
 	for _, a := range acts {
 		dest := pm.Leader(a.destPID)
@@ -1277,15 +1305,7 @@ func (n *Node) peer(addr string) (*rpc.Client, error) {
 }
 
 func (n *Node) callPeer(addr string, op wire.Op, body []byte) (wire.Status, []byte, error) {
-	cl, err := n.peer(addr)
-	if err != nil {
-		return wire.StatusIO, nil, err
-	}
-	st, respBody, err := cl.Call(op, body)
-	if err != nil {
-		n.dropPeer(addr, cl)
-	}
-	return st, respBody, err
+	return n.callPeerSpec(addr, rpc.CallSpec{Op: op, Body: body})
 }
 
 // callPeerT is callPeer with a per-attempt deadline, used on the
@@ -1293,11 +1313,15 @@ func (n *Node) callPeer(addr string, op wire.Op, body []byte) (wire.Status, []by
 // peer must cost one bounded timeout, never a hang: netsim faults swallow
 // messages without closing the connection, so only a deadline detects them.
 func (n *Node) callPeerT(addr string, op wire.Op, body []byte, timeout time.Duration) (wire.Status, []byte, error) {
+	return n.callPeerSpec(addr, rpc.CallSpec{Op: op, Body: body, Timeout: timeout})
+}
+
+func (n *Node) callPeerSpec(addr string, spec rpc.CallSpec) (wire.Status, []byte, error) {
 	cl, err := n.peer(addr)
 	if err != nil {
 		return wire.StatusIO, nil, err
 	}
-	st, respBody, _, err := cl.Do(rpc.CallSpec{Op: op, Body: body, Timeout: timeout})
+	st, respBody, _, err := cl.Do(spec)
 	if err != nil {
 		n.dropPeer(addr, cl)
 	}

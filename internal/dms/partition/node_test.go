@@ -15,7 +15,7 @@ import (
 // fabric, exactly as core.Start wires a sharded cluster (minus telemetry).
 type testShard struct {
 	net    *netsim.Network
-	pm     *wire.PartMap
+	pm     *wire.ClusterMap
 	nodes  map[string]*Node
 	rss    map[string]*rpc.Server
 	stores map[string]*kv.Instrumented
@@ -23,7 +23,7 @@ type testShard struct {
 
 // startShard builds the shard; mods tweak each replica's Config before New
 // (replication timeout, log cap, ...).
-func startShard(t *testing.T, pm *wire.PartMap, mods ...func(*Config)) *testShard {
+func startShard(t *testing.T, pm *wire.ClusterMap, mods ...func(*Config)) *testShard {
 	t.Helper()
 	ts := &testShard{
 		net:    netsim.NewNetwork(netsim.Loopback),
@@ -43,7 +43,7 @@ func startShard(t *testing.T, pm *wire.PartMap, mods ...func(*Config)) *testShar
 				ServerID: 0x80000000 | uint32(pid),
 			})
 			cfg := Config{
-				PID: uint32(pid), Index: idx, Self: addr,
+				PID: uint32(pid), Index: idx,
 				Map: pm, DMS: ds, Dialer: ts.net,
 			}
 			for _, mod := range mods {
@@ -94,12 +94,12 @@ func renameBody(oldPath, newPath string) []byte {
 	return wire.NewEnc().Str(oldPath).Str(newPath).U32(0).U32(0).Bytes()
 }
 
-func onePartitionMap(addrs ...string) *wire.PartMap {
-	return &wire.PartMap{Ver: 1, Groups: [][]string{addrs}}
+func onePartitionMap(addrs ...string) *wire.ClusterMap {
+	return &wire.ClusterMap{Ver: 1, Groups: [][]string{addrs}}
 }
 
-func twoPartitionMap() *wire.PartMap {
-	return &wire.PartMap{
+func twoPartitionMap() *wire.ClusterMap {
+	return &wire.ClusterMap{
 		Ver:    1,
 		Cuts:   []wire.PartCut{{Dir: "/b", PID: 1}},
 		Groups: [][]string{{"p0-l", "p0-f"}, {"p1-l", "p1-f"}},
@@ -198,8 +198,8 @@ func TestPromotionReplaysDedup(t *testing.T) {
 		t.Fatalf("mkdir: %v", st)
 	}
 	ts.rss["l"].Shutdown()
-	pm2 := &wire.PartMap{Ver: 2, Groups: [][]string{{"f"}}}
-	if st, _ := ts.call(t, "f", wire.OpSetPartMap, wire.EncodeSetPartMap(pm2, 0, 0), 0); st != wire.StatusOK {
+	pm2 := &wire.ClusterMap{Ver: 2, Groups: [][]string{{"f"}}}
+	if st, _ := ts.call(t, "f", wire.OpSetMap, wire.EncodeSetMap(pm2, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
 		t.Fatalf("promote follower: %v", st)
 	}
 	if !ts.nodes["f"].IsLeader() {
@@ -223,23 +223,23 @@ func TestPromotionReplaysDedup(t *testing.T) {
 // TestStaleMapPushRejected: a map no newer than the installed one is ESTALE.
 func TestStaleMapPushRejected(t *testing.T) {
 	ts := startShard(t, onePartitionMap("l", "f"))
-	pm1 := &wire.PartMap{Ver: 1, Groups: [][]string{{"l", "f"}}}
-	if st, _ := ts.call(t, "f", wire.OpSetPartMap, wire.EncodeSetPartMap(pm1, 0, 1), 0); st != wire.StatusStale {
+	pm1 := &wire.ClusterMap{Ver: 1, Groups: [][]string{{"l", "f"}}}
+	if st, _ := ts.call(t, "f", wire.OpSetMap, wire.EncodeSetMap(pm1, wire.DMSCoords(0, 1)), 0); st != wire.StatusStale {
 		t.Fatalf("same-version map push = %v, want ESTALE", st)
 	}
 }
 
-// TestGetPartMap: every node serves the current map.
-func TestGetPartMap(t *testing.T) {
+// TestGetMap: every node serves the current map.
+func TestGetMap(t *testing.T) {
 	ts := startShard(t, twoPartitionMap())
 	for _, addr := range []string{"p0-l", "p0-f", "p1-l", "p1-f"} {
-		st, body := ts.call(t, addr, wire.OpGetPartMap, nil, 0)
+		st, body := ts.call(t, addr, wire.OpGetMap, nil, 0)
 		if st != wire.StatusOK {
-			t.Fatalf("GetPartMap at %s: %v", addr, st)
+			t.Fatalf("GetMap at %s: %v", addr, st)
 		}
-		pm, err := wire.DecodePartMap(body)
+		pm, err := wire.DecodeClusterMap(body)
 		if err != nil || pm.Ver != 1 || len(pm.Groups) != 2 {
-			t.Fatalf("GetPartMap at %s: pm=%+v err=%v", addr, pm, err)
+			t.Fatalf("GetMap at %s: pm=%+v err=%v", addr, pm, err)
 		}
 	}
 }
@@ -279,5 +279,49 @@ func TestCrossPartitionRenameAtNodes(t *testing.T) {
 	// Retrying the whole transaction under the same dedup id replays OK.
 	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 5); st != wire.StatusOK {
 		t.Fatalf("replayed cross-partition rename = %v, want OK", st)
+	}
+}
+
+// TestNodeNamesItselfBySlot: a solo DMS knows no address of its own, and the
+// first map change a client pushes names it by whatever address that client
+// dialed. The node must find itself by the (partition, slot) the push
+// carries — comparing addresses, it would take the only entry of its group
+// for a follower and replicate every mutation to itself.
+func TestNodeNamesItselfBySlot(t *testing.T) {
+	net := netsim.NewNetwork(netsim.Loopback)
+	t.Cleanup(func() { net.Close() })
+	n := New(Config{DMS: dms.New(dms.Options{}), Dialer: net})
+	t.Cleanup(n.Close)
+	rs := rpc.NewServer()
+	n.Attach(rs)
+	l, err := net.Listen("dms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(l)
+	t.Cleanup(rs.Shutdown)
+	ts := &testShard{net: net}
+
+	if m := n.Map(); m.Ver != 0 || !n.IsLeader() || rs.MapVer() != 0 {
+		t.Fatalf("solo node starts with %+v (leader: %v)", m, n.IsLeader())
+	}
+	v1 := onePartitionMap("dms") // the address the pushing client dialed
+	for _, at := range []wire.Coords{wire.DMSCoords(1, 0), wire.DMSCoords(0, 1), wire.FMSCoords(0)} {
+		if st, _ := ts.call(t, "dms", wire.OpSetMap, wire.EncodeSetMap(v1, at), 0); st != wire.StatusInval {
+			t.Errorf("push with coordinates %+v = %v, want EINVAL", at, st)
+		}
+	}
+	if st, _ := ts.call(t, "dms", wire.OpSetMap, wire.EncodeSetMap(v1, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
+		t.Fatalf("push version 1: %v", st)
+	}
+	before := rs.Served.Load()
+	if st, _ := ts.call(t, "dms", wire.OpMkdir, mkdirBody("/d"), 1); st != wire.StatusOK {
+		t.Fatalf("mkdir under the pushed map: %v", st)
+	}
+	if got := rs.Served.Load() - before; got != 1 {
+		t.Errorf("one mkdir cost the node %d requests, want 1 (it appended to itself)", got)
+	}
+	if exc := n.Excluded(); len(exc) != 0 {
+		t.Errorf("excluded = %v, want none", exc)
 	}
 }

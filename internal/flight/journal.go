@@ -1,7 +1,7 @@
 // Package flight is the black-box flight recorder of the reproduction: an
 // always-on, lock-cheap journal of typed cluster events (breaker
 // transitions, retries, dedup replays, lease recalls, suppression
-// overflows, membership epoch changes, migration batches, SLO window
+// overflows, cluster-map installs, migration batches, SLO window
 // rollovers, slow requests) plus an anomaly engine that watches the
 // journal's event rates and the SLO layer's rotating windows against
 // declarative rules, and on trigger captures a one-shot diagnostic bundle —
@@ -46,7 +46,7 @@ const (
 	KindDedupReplay                   // server at-most-once window replayed a completed execution
 	KindLeaseRecall                   // dms published a lease recall
 	KindLeaseOverflow                 // dms lease table entered publish-everything overflow
-	KindEpoch                         // membership epoch installed/changed
+	KindEpoch                         // cluster-map version installed
 	KindMigration                     // one migration batch exported or installed
 	KindWindowRoll                    // a telemetry rotating window closed (SLO rollover)
 	KindSlowRequest                   // server handler exceeded the slow threshold
@@ -98,7 +98,7 @@ type Event struct {
 	Op string
 	// Trace is the 64-bit trace id of the request involved, 0 when none.
 	Trace uint64
-	// Value is the kind-specific magnitude: epoch number for KindEpoch,
+	// Value is the kind-specific magnitude: map version for KindEpoch,
 	// batch size for KindMigration, service nanoseconds for
 	// KindSlowRequest, recall seq for KindLeaseRecall, attempt number for
 	// KindRetry.

@@ -674,11 +674,12 @@ func (s *Server) Attach(rs *rpc.Server) {
 		withMeta := d.Bool()
 		if d.Err() == nil {
 			s.touchFile(dir, name)
-			// Ownership guard: when a membership is installed and the
-			// current ring places this key elsewhere, refuse the create
-			// with ESTALE so a client on an old ring refreshes and
+			// Ownership guard: when the installed cluster map names an FMS
+			// set and its ring places this key elsewhere, refuse the
+			// create with ESTALE so a client on an old map refreshes and
 			// retries at the right owner instead of stranding the file
-			// here. Static topologies (no membership) skip the check.
+			// here. Static topologies (no map, or one naming no FMS set)
+			// skip the check.
 			if owns, known := rs.OwnsKey(FileKey(dir, name)); known && !owns {
 				return wire.StatusStale, nil
 			}

@@ -106,22 +106,16 @@ type Server struct {
 	slowNS    atomic.Int64 // slow-request log threshold (0 = disabled)
 	dedup     dedupWindow  // at-most-once replay cache for retried mutations
 
-	// member holds the installed FMS membership (nil on a static
-	// topology); epoch mirrors member's epoch for lock-free stamping on
-	// every response header. memberMu serializes installs (a cold path).
-	memberMu sync.Mutex
-	member   atomic.Pointer[memberState]
-	epoch    atomic.Uint64
+	// cmap holds the installed cluster map with this server's coordinates in
+	// it (nil until one is installed); its version is stamped on every
+	// response header. mapMu serializes installs (a cold path).
+	mapMu sync.Mutex
+	cmap  atomic.Pointer[mapState]
 
 	// leaseFn, when set (DMS only), supplies the current lease-recall
 	// sequence stamped on every response header's Lease field, the same
-	// piggyback channel epoch uses for membership staleness.
+	// piggyback channel the map version uses for routing staleness.
 	leaseFn atomic.Pointer[func() uint64]
-
-	// pmapFn, when set (sharded DMS only), supplies the current partition-
-	// map version stamped on every response header's PMap field — the third
-	// piggyback channel, for partition-routing staleness.
-	pmapFn atomic.Pointer[func() uint64]
 
 	// Served counts completed requests, for load accounting in experiments.
 	Served atomic.Uint64
@@ -154,19 +148,16 @@ func NewServerWithWorkers(workers int) *Server {
 	s.Handle(wire.OpPing, func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, body
 	})
-	s.Handle(wire.OpGetMembership, func(body []byte) (wire.Status, []byte) {
-		ms := s.member.Load()
-		if ms == nil {
-			return wire.StatusNotFound, nil
-		}
-		return wire.StatusOK, wire.EncodeMembership(ms.m)
+	s.Handle(wire.OpGetMap, func([]byte) (wire.Status, []byte) {
+		m, _ := s.Map()
+		return wire.StatusOK, wire.EncodeClusterMap(m)
 	})
-	s.Handle(wire.OpSetMembership, func(body []byte) (wire.Status, []byte) {
-		m, self, err := wire.DecodeSetMembership(body)
+	s.Handle(wire.OpSetMap, func(body []byte) (wire.Status, []byte) {
+		m, at, err := wire.DecodeSetMap(body)
 		if err != nil {
 			return wire.StatusInval, []byte(err.Error())
 		}
-		if !s.SetMembership(m, self) {
+		if !s.InstallMap(m, at) {
 			return wire.StatusStale, nil
 		}
 		return wire.StatusOK, nil
@@ -174,51 +165,56 @@ func NewServerWithWorkers(workers int) *Server {
 	return s
 }
 
-// memberState couples an installed membership with this server's own ring
-// ID inside it (-1 for servers off the FMS ring) and the ring built from
-// the membership's current FMS set, cached for OwnsKey.
-type memberState struct {
-	m    *wire.Membership
-	self int
+// mapState couples an installed cluster map with this server's own
+// coordinates in it and, on an FMS, the ring built from the map's FMS set,
+// cached for OwnsKey.
+type mapState struct {
+	m    *wire.ClusterMap
+	at   wire.Coords
 	ring *chash.Ring
 }
 
-// SetMembership installs m if its epoch is not older than the currently
-// installed one, reporting whether it was accepted. self is this server's
-// ring ID within m (-1 when the server is not an FMS — it then tracks the
-// epoch but OwnsKey stays unknowable). Subsequent responses carry m.Epoch
-// in their headers, which is how clients discover a membership change.
-func (s *Server) SetMembership(m *wire.Membership, self int) bool {
-	s.memberMu.Lock()
-	defer s.memberMu.Unlock()
-	if cur := s.member.Load(); cur != nil && m.Epoch < cur.m.Epoch {
+// InstallMap installs m, with this server's coordinates at in it, if m is
+// strictly newer than the installed map or nothing is installed yet,
+// reporting whether it was accepted — the one install rule every holder of
+// the map follows. Subsequent responses carry m.Ver in their headers, which
+// is how clients discover the change. A DMS partition node installs under
+// its own lock through its OpSetMap handler (see partition.Node); every
+// other role takes the default handler above.
+func (s *Server) InstallMap(m *wire.ClusterMap, at wire.Coords) bool {
+	s.mapMu.Lock()
+	defer s.mapMu.Unlock()
+	if cur := s.cmap.Load(); cur != nil && m.Ver <= cur.m.Ver {
 		return false
 	}
-	ms := &memberState{m: m, self: self}
-	if self >= 0 && len(m.FMS) > 0 {
-		ms.ring = chash.NewRing(0, m.IDs()...)
-		ms.ring.SetEpoch(m.Epoch)
+	st := &mapState{m: m, at: at}
+	if at.Ring >= 0 && len(m.FMS) > 0 {
+		st.ring = chash.NewRing(0, wire.RingIDs(m.FMS)...)
 	}
-	s.member.Store(ms)
-	s.epoch.Store(m.Epoch)
+	s.cmap.Store(st)
 	if f := s.flightRef.Load(); f != nil {
-		f.j.Emit(flight.KindEpoch, f.source, "", 0, int64(m.Epoch), "membership installed")
+		f.j.Emit(flight.KindEpoch, f.source, "", 0, int64(m.Ver), "map installed")
 	}
 	return true
 }
 
-// Membership returns the installed membership and this server's ring ID in
-// it, or (nil, -1) on a static topology.
-func (s *Server) Membership() (*wire.Membership, int) {
-	ms := s.member.Load()
-	if ms == nil {
-		return nil, -1
+// Map returns the installed cluster map and this server's coordinates in
+// it; before any install, the empty version-0 map (which loses to every
+// other) and coordinates naming nothing.
+func (s *Server) Map() (*wire.ClusterMap, wire.Coords) {
+	if st := s.cmap.Load(); st != nil {
+		return st.m, st.at
 	}
-	return ms.m, ms.self
+	return &wire.ClusterMap{}, wire.FMSCoords(-1)
 }
 
-// Epoch returns the installed membership epoch (0 = static topology).
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
+// MapVer returns the installed map's version (0 = nothing installed).
+func (s *Server) MapVer() uint64 {
+	if st := s.cmap.Load(); st != nil {
+		return st.m.Ver
+	}
+	return 0
+}
 
 // SetLeaseFunc installs the source of the lease-recall sequence stamped on
 // every response (see wire.Msg.Lease). fn must be safe for concurrent use
@@ -235,31 +231,16 @@ func (s *Server) leaseSeq() uint64 {
 	return 0
 }
 
-// SetPMapFunc installs the source of the partition-map version stamped on
-// every response (see wire.Msg.PMap). fn must be safe for concurrent use
-// and cheap — it runs on every response send. DMS partition nodes install
-// their map version here.
-func (s *Server) SetPMapFunc(fn func() uint64) { s.pmapFn.Store(&fn) }
-
-// pmapVer returns the current partition-map version, 0 when no source is
-// installed (FMS/OSS servers, tests).
-func (s *Server) pmapVer() uint64 {
-	if fn := s.pmapFn.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0
-}
-
-// OwnsKey reports whether this server owns key under the installed
-// membership's current ring. known is false when no membership is
-// installed or the server is not an FMS — callers must then skip the
-// check (static topologies keep working unguarded).
+// OwnsKey reports whether this server owns key under the installed map's
+// FMS ring. known is false when no map is installed, the map names no FMS
+// set, or the server is not an FMS — callers must then skip the check
+// (static topologies keep working unguarded).
 func (s *Server) OwnsKey(key []byte) (owns, known bool) {
-	ms := s.member.Load()
-	if ms == nil || ms.ring == nil {
+	st := s.cmap.Load()
+	if st == nil || st.ring == nil {
 		return false, false
 	}
-	return ms.ring.Locate(key) == ms.self, true
+	return st.ring.Locate(key) == int(st.at.Ring), true
 }
 
 // DedupInflightSkips returns how many dedup-window evictions were skipped
@@ -337,7 +318,7 @@ type serverFlight struct {
 }
 
 // SetFlight installs the flight-recorder journal this server emits into:
-// dedup replays, slow requests, and membership epoch installs become typed
+// dedup replays, slow requests, and cluster-map installs become typed
 // events carrying the request's trace id. name labels the events (e.g.
 // "fms-1"). A nil journal disables emission. Safe to call while serving.
 func (s *Server) SetFlight(j *flight.Journal, name string) {
@@ -469,7 +450,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 					}
 					resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
 						Status: ent.status, ServiceNS: ent.service, Trace: req.Trace, Span: req.Span,
-						Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: ent.body}
+						Map: s.MapVer(), Lease: s.leaseSeq(), Body: ent.body}
 					_ = conn.Send(resp)
 					return
 				}
@@ -488,7 +469,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 			}
 			resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
 				Status: status, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-				Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: body}
+				Map: s.MapVer(), Lease: s.leaseSeq(), Body: body}
 			_ = conn.Send(resp)
 		}(req)
 	}
@@ -566,7 +547,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 	reply := func(st wire.Status, body []byte, service time.Duration) {
 		resp := &wire.Msg{ID: req.ID, IsResp: true, Op: wire.OpBatch,
 			Status: st, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-			Epoch: s.epoch.Load(), Lease: s.leaseSeq(), PMap: s.pmapVer(), Body: body}
+			Map: s.MapVer(), Lease: s.leaseSeq(), Body: body}
 		_ = conn.Send(resp)
 	}
 	// The envelope gets its own server-side span under the client's span;
@@ -755,20 +736,15 @@ type CallSpec struct {
 	// bounded sends (netsim.DeadlineSender, i.e. real TCP) the socket
 	// write is bounded by the same timeout. Zero means wait forever.
 	Timeout time.Duration
-	// OnEpoch, if set, is invoked with the response header's membership
-	// epoch when it is non-zero — the hook the client library uses to
-	// notice, on ordinary traffic, that the cluster installed a newer FMS
-	// membership than the one its ring was built from.
-	OnEpoch func(epoch uint64)
+	// OnMap, if set, is invoked with the response header's cluster-map
+	// version when it is non-zero — the hook by which a map holder notices,
+	// on ordinary traffic, that the responder holds a newer map than its own.
+	OnMap func(ver uint64)
 	// OnLease, if set, is invoked with the response header's lease-recall
 	// sequence when it is non-zero — the hook the client cache uses to
 	// notice, on ordinary traffic, that the DMS recalled directory leases
 	// it may still be caching (see internal/client lease coherence).
 	OnLease func(seq uint64)
-	// OnPMap, if set, is invoked with the response header's partition-map
-	// version when it is non-zero — the hook the client router uses to
-	// notice, on ordinary traffic, that the DMS partition map changed.
-	OnPMap func(ver uint64)
 }
 
 // Do issues the call described by spec and blocks for its response (or
@@ -850,14 +826,11 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 	}
 	virt += time.Duration(resp.ServiceNS)
 	c.virtNS.Add(uint64(virt))
-	if resp.Epoch != 0 && spec.OnEpoch != nil {
-		spec.OnEpoch(resp.Epoch)
+	if resp.Map != 0 && spec.OnMap != nil {
+		spec.OnMap(resp.Map)
 	}
 	if resp.Lease != 0 && spec.OnLease != nil {
 		spec.OnLease(resp.Lease)
-	}
-	if resp.PMap != 0 && spec.OnPMap != nil {
-		spec.OnPMap(resp.PMap)
 	}
 	return resp.Status, resp.Body, virt, nil
 }

@@ -115,12 +115,12 @@ func TestCollectAndServerStatusJSON(t *testing.T) {
 	record(reg, MetricQueue, "Mkdir", 100, 10*time.Microsecond)
 	reg.Counter("locofs_rpc_requests_total", telemetry.L("op", "Mkdir")).Add(100)
 
-	st := Collect(reg, CollectOptions{Epoch: 7, Hot: []HotEntry{{Source: "dms", Key: "/a", Count: 5}}})
+	st := Collect(reg, CollectOptions{MapVer: 7, Hot: []HotEntry{{Source: "dms", Key: "/a", Count: 5}}})
 	if st.Server != "dms" {
 		t.Errorf("server = %q, want dms (from base label)", st.Server)
 	}
-	if st.Epoch != 7 {
-		t.Errorf("epoch = %d, want 7", st.Epoch)
+	if st.MapVer != 7 {
+		t.Errorf("map version = %d, want 7", st.MapVer)
 	}
 	if st.GoVersion == "" || st.Version == "" || st.UptimeSec <= 0 {
 		t.Errorf("identity incomplete: %+v", st)
@@ -175,12 +175,12 @@ func TestMergeClusterQuantilesAndEpochs(t *testing.T) {
 	regB := telemetry.NewRegistry(telemetry.L("server", "fms-1"))
 	record(regB, MetricService, "StatFile", 60, 40*time.Millisecond)
 
-	a := Collect(regA, CollectOptions{Epoch: 3})
-	b := Collect(regB, CollectOptions{Epoch: 3})
+	a := Collect(regA, CollectOptions{MapVer: 3})
+	b := Collect(regB, CollectOptions{MapVer: 3})
 	cs := MergeCluster([]*ServerStatus{b, a}, []string{"fms-2"})
 
-	if cs.Epoch != 3 || !cs.EpochAgreement {
-		t.Errorf("epoch/agreement = %d/%v, want 3/true", cs.Epoch, cs.EpochAgreement)
+	if cs.MapVer != 3 || !cs.MapAgreement {
+		t.Errorf("map version/agreement = %d/%v, want 3/true", cs.MapVer, cs.MapAgreement)
 	}
 	if len(cs.Servers) != 2 || cs.Servers[0].Server != "fms-0" {
 		t.Fatalf("servers not sorted: %v, %v", cs.Servers[0].Server, cs.Servers[1].Server)
@@ -212,11 +212,11 @@ func TestMergeClusterQuantilesAndEpochs(t *testing.T) {
 		t.Errorf("merged burn = %.2f, want ~6", read.BurnRate)
 	}
 
-	// Epoch disagreement must be flagged.
-	b2 := Collect(regB, CollectOptions{Epoch: 4})
+	// Servers holding different map versions must be flagged.
+	b2 := Collect(regB, CollectOptions{MapVer: 4})
 	cs2 := MergeCluster([]*ServerStatus{a, b2}, nil)
-	if cs2.EpochAgreement || cs2.Epoch != 4 {
-		t.Errorf("disagreement: epoch=%d agreement=%v, want 4/false", cs2.Epoch, cs2.EpochAgreement)
+	if cs2.MapAgreement || cs2.MapVer != 4 {
+		t.Errorf("disagreement: map version=%d agreement=%v, want 4/false", cs2.MapVer, cs2.MapAgreement)
 	}
 }
 
@@ -224,7 +224,7 @@ func TestStatusHandlerAndFetch(t *testing.T) {
 	reg := telemetry.NewRegistry(telemetry.L("server", "oss-0"))
 	record(reg, MetricService, "PutBlock", 10, time.Millisecond)
 	srv := httptest.NewServer(StatusHandler(func() any {
-		return Collect(reg, CollectOptions{Epoch: 2})
+		return Collect(reg, CollectOptions{MapVer: 2})
 	}))
 	defer srv.Close()
 
@@ -232,7 +232,7 @@ func TestStatusHandlerAndFetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Server != "oss-0" || st.Epoch != 2 || len(st.Service) != 1 {
+	if st.Server != "oss-0" || st.MapVer != 2 || len(st.Service) != 1 {
 		t.Fatalf("fetched status = %+v", st)
 	}
 
@@ -244,11 +244,11 @@ func TestStatusHandlerAndFetch(t *testing.T) {
 func TestFormatTable(t *testing.T) {
 	reg := telemetry.NewRegistry(telemetry.L("server", "dms"))
 	record(reg, MetricService, "Mkdir", 100, time.Millisecond)
-	cs := MergeCluster([]*ServerStatus{Collect(reg, CollectOptions{Epoch: 1, Hot: []HotEntry{{Source: "dms", Key: "/hot", Count: 9}}})}, []string{"fms-9"})
+	cs := MergeCluster([]*ServerStatus{Collect(reg, CollectOptions{MapVer: 1, Hot: []HotEntry{{Source: "dms", Key: "/hot", Count: 9}}})}, []string{"fms-9"})
 	var sb strings.Builder
 	cs.Format(&sb)
 	out := sb.String()
-	for _, want := range []string{"epoch 1", "unreachable: fms-9", "dms", "md_mutate", "Mkdir", "/hot"} {
+	for _, want := range []string{"map version 1", "unreachable: fms-9", "dms", "md_mutate", "Mkdir", "/hot"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("status table missing %q:\n%s", want, out)
 		}

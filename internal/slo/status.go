@@ -103,7 +103,7 @@ type ServerStatus struct {
 	Version        string  `json:"version"`
 	GoVersion      string  `json:"go_version"`
 	UptimeSec      float64 `json:"uptime_s"`
-	Epoch          uint64  `json:"epoch,omitempty"`
+	MapVer         uint64  `json:"map_ver,omitempty"`
 	WindowWidthSec float64 `json:"window_width_s"`
 	WindowNum      int     `json:"window_num"`
 
@@ -126,9 +126,9 @@ type CollectOptions struct {
 	// Server names the process (e.g. "fms-2"); "" falls back to the
 	// registry's server base label if present.
 	Server string
-	// Epoch is the membership epoch the process currently holds (0 = not
-	// membership-aware).
-	Epoch uint64
+	// MapVer is the version of the cluster map the process currently holds
+	// (0 = none installed).
+	MapVer uint64
 	// Objectives evaluated against the registry (nil = ServerObjectives).
 	Objectives []Objective
 	// Hot carries the process's TopK entries, already flattened.
@@ -144,7 +144,7 @@ func Collect(reg *telemetry.Registry, opts CollectOptions) *ServerStatus {
 		Version:   telemetry.Version,
 		GoVersion: runtime.Version(),
 		UptimeSec: telemetry.Uptime().Seconds(),
-		Epoch:     opts.Epoch,
+		MapVer:    opts.MapVer,
 		Hot:       opts.Hot,
 		Anomalies: opts.Anomalies,
 	}
@@ -189,21 +189,21 @@ func Collect(reg *telemetry.Registry, opts CollectOptions) *ServerStatus {
 
 // ClusterStatus is the merged, cluster-wide health snapshot served by
 // /debug/cluster: every reachable server's status, cluster-level per-op
-// windows and SLO classes recomputed from summed buckets, epoch agreement
-// across the membership-aware processes, and the peers that failed to
-// scrape.
+// windows and SLO classes recomputed from summed buckets, the newest cluster
+// map version and whether every process holding a map agrees on it (DMS
+// replicas, FMS and OSS alike), and the peers that failed to scrape.
 type ClusterStatus struct {
-	AsOf           time.Time          `json:"as_of"`
-	Epoch          uint64             `json:"epoch"`
-	EpochAgreement bool               `json:"epoch_agreement"`
-	Servers        []*ServerStatus    `json:"servers"`
-	Unreachable    []string           `json:"unreachable,omitempty"`
-	Service        []OpWindow         `json:"service,omitempty"`
-	RTT            []OpWindow         `json:"rtt,omitempty"`
-	SLO            []ClassStatus      `json:"slo,omitempty"`
-	Counters       map[string]float64 `json:"counters,omitempty"`
-	Hot            []HotEntry         `json:"hot,omitempty"`
-	Anomalies      []AnomalyState     `json:"anomalies,omitempty"`
+	AsOf         time.Time          `json:"as_of"`
+	MapVer       uint64             `json:"map_ver"`
+	MapAgreement bool               `json:"map_agreement"`
+	Servers      []*ServerStatus    `json:"servers"`
+	Unreachable  []string           `json:"unreachable,omitempty"`
+	Service      []OpWindow         `json:"service,omitempty"`
+	RTT          []OpWindow         `json:"rtt,omitempty"`
+	SLO          []ClassStatus      `json:"slo,omitempty"`
+	Counters     map[string]float64 `json:"counters,omitempty"`
+	Hot          []HotEntry         `json:"hot,omitempty"`
+	Anomalies    []AnomalyState     `json:"anomalies,omitempty"`
 }
 
 // MergeCluster folds per-server statuses into one cluster view. Statuses
@@ -212,10 +212,10 @@ type ClusterStatus struct {
 // caller chose to include them).
 func MergeCluster(statuses []*ServerStatus, unreachable []string) *ClusterStatus {
 	cs := &ClusterStatus{
-		AsOf:           time.Now(),
-		EpochAgreement: true,
-		Unreachable:    unreachable,
-		Counters:       make(map[string]float64),
+		AsOf:         time.Now(),
+		MapAgreement: true,
+		Unreachable:  unreachable,
+		Counters:     make(map[string]float64),
 	}
 	sort.Slice(statuses, func(i, j int) bool { return statuses[i].Server < statuses[j].Server })
 	cs.Servers = statuses
@@ -224,19 +224,15 @@ func MergeCluster(statuses []*ServerStatus, unreachable []string) *ClusterStatus
 	rtt := make(map[string][]OpWindow)
 	slos := make(map[string][]ClassStatus)
 	var sloOrder []string
-	epochSeen := false
 	for _, st := range statuses {
 		if st == nil {
 			continue
 		}
-		if st.Epoch > 0 {
-			if epochSeen && st.Epoch != cs.Epoch {
-				cs.EpochAgreement = false
+		if st.MapVer > 0 {
+			if cs.MapVer > 0 && st.MapVer != cs.MapVer {
+				cs.MapAgreement = false
 			}
-			if st.Epoch > cs.Epoch {
-				cs.Epoch = st.Epoch
-			}
-			epochSeen = true
+			cs.MapVer = max(cs.MapVer, st.MapVer)
 		}
 		for _, ow := range st.Service {
 			svc[ow.Op] = append(svc[ow.Op], ow)
@@ -324,8 +320,8 @@ const (
 // Format writes the cluster status as the human-readable table behind
 // `locofsd status`.
 func (cs *ClusterStatus) Format(w io.Writer) {
-	fmt.Fprintf(w, "cluster: epoch %d (agreement: %s), %d server(s) up, %d unreachable\n",
-		cs.Epoch, yesNo(cs.EpochAgreement), len(cs.Servers), len(cs.Unreachable))
+	fmt.Fprintf(w, "cluster: map version %d (agreement: %s), %d server(s) up, %d unreachable\n",
+		cs.MapVer, yesNo(cs.MapAgreement), len(cs.Servers), len(cs.Unreachable))
 	if len(cs.Unreachable) > 0 {
 		fmt.Fprintf(w, "unreachable: %s\n", strings.Join(cs.Unreachable, ", "))
 	}
@@ -340,7 +336,7 @@ func (cs *ClusterStatus) Format(w io.Writer) {
 	fmt.Fprintln(w)
 
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "SERVER\tVERSION\tUPTIME\tEPOCH\tOPS(WIN)\tWORST BURN")
+	fmt.Fprintln(tw, "SERVER\tVERSION\tUPTIME\tMAP\tOPS(WIN)\tWORST BURN")
 	for _, st := range cs.Servers {
 		if st == nil {
 			continue
@@ -358,13 +354,13 @@ func (cs *ClusterStatus) Format(w io.Writer) {
 				worst = c.BurnRate
 			}
 		}
-		epoch := "-"
-		if st.Epoch > 0 {
-			epoch = fmt.Sprintf("%d", st.Epoch)
+		mapVer := "-"
+		if st.MapVer > 0 {
+			mapVer = fmt.Sprintf("%d", st.MapVer)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%.2f\n",
 			st.Server, st.Version, time.Duration(st.UptimeSec*float64(time.Second)).Round(time.Second),
-			epoch, ops, worst)
+			mapVer, ops, worst)
 	}
 	tw.Flush()
 	fmt.Fprintln(w)

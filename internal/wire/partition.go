@@ -1,175 +1,8 @@
 package wire
 
-import "strings"
-
-// DMS partition map and replication codecs (DESIGN.md §16).
-//
-// The sharded DMS splits the path-keyed directory namespace into subtree
-// range partitions. A partition is declared by a *cut* at a directory d: the
-// cut partition owns every proper descendant of d — the contiguous key range
-// [d+"/", d+"0") of the B+-tree, since '/' is the only byte in ['/','0') —
-// while d's own inode stays with its parent's partition. Partition 0 is the
-// residual: it owns everything no cut covers, including the root. The map is
-// versioned; the version rides in every response header (Msg.PMap) exactly
-// the way the FMS membership epoch does, and a newer version on the wire
-// tells the client to refetch the map via OpGetPartMap.
-
-// PartCut declares one subtree cut: every proper descendant of Dir belongs
-// to partition PID.
-type PartCut struct {
-	Dir string
-	PID uint32
-}
-
-// PartMap is the versioned range→replica-group map of a sharded DMS.
-// Groups[pid] lists the replica addresses of partition pid with the leader
-// first; len(Groups) is the partition count. Partition 0 owns the residual
-// namespace (everything under no cut), so every valid map has at least one
-// group and the root always resolves to partition 0.
-type PartMap struct {
-	Ver    uint64
-	Cuts   []PartCut
-	Groups [][]string
-}
-
-// SoloMap is the map of a lone DMS: version 0, one partition whose only
-// replica (and so leader) is addr, no cuts. Version 0 is never stamped on a
-// response and loses to every map a cluster serves, so it is only ever
-// routed by where it was built: the node itself, and a client that has
-// dialed addr and not yet been told otherwise.
-func SoloMap(addr string) *PartMap {
-	return &PartMap{Groups: [][]string{{addr}}}
-}
-
-// Locate returns the partition owning the metadata of cleaned path p: the
-// partition of the deepest cut whose directory is a proper ancestor of p,
-// or partition 0 when no cut covers p. Locating the owner of a directory's
-// *listing* (its S: dirent list, which moves with the cut) is done by
-// locating p+"/" instead — see LocateList.
-func (pm *PartMap) Locate(p string) uint32 {
-	best, bestLen := uint32(0), -1
-	for _, c := range pm.Cuts {
-		if isAncestorOrRoot(c.Dir, p) && len(c.Dir) > bestLen {
-			best, bestLen = c.PID, len(c.Dir)
-		}
-	}
-	return best
-}
-
-// LocateList returns the partition owning p's subdir listing and the
-// children operations under p. A cut directory's own inode lives with its
-// parent partition, but its listing moves with the subtree.
-func (pm *PartMap) LocateList(p string) uint32 {
-	if p == "/" {
-		return pm.Locate("/x")
-	}
-	return pm.Locate(p + "/x")
-}
-
-// CutWithin reports whether some cut lies at or below p — i.e. whether the
-// subtree rooted at p straddles a partition boundary. Directory renames
-// whose source or destination straddles a boundary are refused (the cut is
-// a mount-point-like fixture; re-cut the namespace first).
-func (pm *PartMap) CutWithin(p string) bool {
-	for _, c := range pm.Cuts {
-		if c.Dir == p || isAncestorOrRoot(p, c.Dir) {
-			return true
-		}
-	}
-	return false
-}
-
-// SeedTargets returns the partitions (other than from) that hold a seeded
-// ancestor copy of path p's inode: every cut partition whose cut directory
-// is p itself or a descendant of p. A mutation of p at its owning partition
-// must push the new inode state to each of them (OpSeedUpdate).
-func (pm *PartMap) SeedTargets(p string, from uint32) []uint32 {
-	var out []uint32
-	seen := make(map[uint32]bool)
-	for _, c := range pm.Cuts {
-		if c.PID != from && !seen[c.PID] && (c.Dir == p || isAncestorOrRoot(p, c.Dir)) {
-			seen[c.PID] = true
-			out = append(out, c.PID)
-		}
-	}
-	return out
-}
-
-// Leader returns the leader address of partition pid ("" if out of range or
-// the group is empty).
-func (pm *PartMap) Leader(pid uint32) string {
-	if int(pid) >= len(pm.Groups) || len(pm.Groups[pid]) == 0 {
-		return ""
-	}
-	return pm.Groups[pid][0]
-}
-
-// isAncestorOrRoot reports whether cleaned path a is a proper ancestor of
-// cleaned path b.
-func isAncestorOrRoot(a, b string) bool {
-	if a == "/" {
-		return len(b) > 1
-	}
-	return len(b) > len(a)+1 && b[len(a)] == '/' && strings.HasPrefix(b, a)
-}
-
-// EncodePartMap serializes a partition map.
-// Layout: ver u64, c u32, c×(dir str, pid u32), g u32, g×(r u32, r×addr str).
-func EncodePartMap(pm *PartMap) []byte {
-	e := NewEnc().U64(pm.Ver).U32(uint32(len(pm.Cuts)))
-	for _, c := range pm.Cuts {
-		e.Str(c.Dir).U32(c.PID)
-	}
-	e.U32(uint32(len(pm.Groups)))
-	for _, g := range pm.Groups {
-		e.U32(uint32(len(g)))
-		for _, a := range g {
-			e.Str(a)
-		}
-	}
-	return e.Bytes()
-}
-
-// DecodePartMap parses an EncodePartMap body.
-func DecodePartMap(body []byte) (*PartMap, error) {
-	d := NewDec(body)
-	pm := &PartMap{Ver: d.U64()}
-	n := d.U32()
-	for i := uint32(0); i < n && d.Err() == nil; i++ {
-		pm.Cuts = append(pm.Cuts, PartCut{Dir: d.Str(), PID: d.U32()})
-	}
-	g := d.U32()
-	for i := uint32(0); i < g && d.Err() == nil; i++ {
-		r := d.U32()
-		grp := make([]string, 0, r)
-		for j := uint32(0); j < r && d.Err() == nil; j++ {
-			grp = append(grp, d.Str())
-		}
-		pm.Groups = append(pm.Groups, grp)
-	}
-	return pm, d.Err()
-}
-
-// EncodeSetPartMap builds an OpSetPartMap request: the map plus the
-// receiver's own partition id and replica index within it (the coordinator
-// customizes both per destination; a failover changes a follower's index to
-// 0, which is how it learns it was promoted).
-func EncodeSetPartMap(pm *PartMap, pid uint32, idx int) []byte {
-	return NewEnc().U32(pid).I64(int64(idx)).Blob(EncodePartMap(pm)).Bytes()
-}
-
-// DecodeSetPartMap parses an OpSetPartMap request.
-func DecodeSetPartMap(body []byte) (pm *PartMap, pid uint32, idx int, err error) {
-	d := NewDec(body)
-	pid = d.U32()
-	idx = int(d.I64())
-	blob := d.Blob()
-	if err := d.Err(); err != nil {
-		return nil, 0, 0, err
-	}
-	pm, err = DecodePartMap(blob)
-	return pm, pid, idx, err
-}
+// Replication and two-partition-rename codecs of the DMS partition plane
+// (DESIGN.md §16). The map that says which partition owns what is the
+// ClusterMap (clustermap.go).
 
 // LogEntry is one entry of a partition's replicated op log: the mutation's
 // opcode and request body, the client dedup id it executed under, and the

@@ -67,18 +67,14 @@ const (
 // Generic/administrative operations.
 const (
 	OpPing Op = 0x0001
-	// OpGetMembership returns the server's current encoded Membership
-	// (StatusNotFound if none was ever installed — a static topology).
-	OpGetMembership Op = 0x0002
-	// OpSetMembership installs a Membership on the server if its epoch is
-	// not older than the installed one (StatusStale otherwise).
-	OpSetMembership Op = 0x0003
-	// OpGetPartMap returns the DMS node's current encoded PartMap (a lone
-	// DMS serves its version-0 solo map, which replaces nobody's).
-	OpGetPartMap Op = 0x0004
-	// OpSetPartMap installs a PartMap on a DMS node if its version is not
-	// older than the installed one (StatusStale otherwise).
-	OpSetPartMap Op = 0x0005
+	// OpGetMap returns the server's installed ClusterMap, on every role. A
+	// server nothing was installed on answers the empty version-0 map (a lone
+	// DMS its version-0 solo map), which replaces nobody's.
+	OpGetMap Op = 0x0002
+	// OpSetMap installs a ClusterMap, with the receiver's coordinates in it,
+	// if its version is strictly newer than the installed one (StatusStale
+	// otherwise).
+	OpSetMap Op = 0x0003
 )
 
 // Operations of the sharded DMS replication/partition plane (0x0400 range).
@@ -193,14 +189,10 @@ func (o Op) String() string {
 		return "DeleteBlocks"
 	case OpPing:
 		return "Ping"
-	case OpGetMembership:
-		return "GetMembership"
-	case OpSetMembership:
-		return "SetMembership"
-	case OpGetPartMap:
-		return "GetPartMap"
-	case OpSetPartMap:
-		return "SetPartMap"
+	case OpGetMap:
+		return "GetMap"
+	case OpSetMap:
+		return "SetMap"
 	case OpLogAppend:
 		return "LogAppend"
 	case OpSeedUpdate:
@@ -238,13 +230,12 @@ func (o Op) String() string {
 //     utimens (set exact times), size updates, block put (same bytes) and
 //     block delete (already-gone is fine).
 //
-// The migration/membership ops are all retry-safe too: scan and
-// get-membership are reads, install overwrites with absolute state,
-// delete is conditional on the stored bytes, and set-membership installs
-// an absolute epoch-guarded state.
+// The migration and cluster-map ops are all retry-safe too: scan and
+// get-map are reads, install overwrites with absolute state, delete is
+// conditional on the stored bytes, and set-map installs an absolute
+// version-guarded state.
 //
-// The partition-plane ops are designed idempotent: get/set-part-map follow
-// the membership pattern (read / version-guarded absolute state), a log
+// The partition-plane ops are designed idempotent: a log
 // append at an already-applied index replays its ack, a seed update
 // installs absolute bytes, and the two-partition rename messages are
 // deduplicated by transaction id at the destination (a re-prepare,
@@ -262,8 +253,7 @@ func (o Op) Idempotent() bool {
 		OpChmodFile, OpChownFile, OpChmodDir, OpChownDir, OpUtimensFile,
 		OpUpdateSize, OpPutBlock, OpDeleteBlocks,
 		OpMigrateScan, OpMigrateInstall, OpMigrateDelete,
-		OpGetMembership, OpSetMembership,
-		OpGetPartMap, OpSetPartMap, OpLogAppend, OpSeedUpdate, OpLogFetch,
+		OpGetMap, OpSetMap, OpLogAppend, OpSeedUpdate, OpLogFetch,
 		OpRenamePrepare, OpRenameCommit, OpRenameAbort:
 		return true
 	}
@@ -283,7 +273,7 @@ const (
 	StatusNotEmpty
 	StatusPerm
 	StatusInval
-	StatusStale // lease/cache epoch mismatch
+	StatusStale // the sender's cluster map (or the map it pushed) is out of date
 	StatusIO
 	// StatusUnavailable reports that the server (or the path to it) is
 	// known-bad right now: the client's circuit breaker is open, or the
@@ -295,9 +285,9 @@ const (
 	// mutations are protected by the request-id dedup window (see Msg.Req).
 	StatusDeadline
 	// StatusWrongPartition reports that the addressed DMS node does not own
-	// the request's path under its installed partition map — the client
+	// the request's path under its installed cluster map — the client
 	// routed with a stale map. Like StatusStale it signals routing
-	// staleness, not failure: the client refreshes its partition map and
+	// staleness, not failure: the client refreshes its map and
 	// retries against the correct owner. StatusError.Is treats it as
 	// matching StatusStale so callers can test both with one sentinel.
 	StatusWrongPartition
@@ -421,32 +411,27 @@ type Msg struct {
 	// its dedup window and replays the recorded response instead of
 	// executing twice (at-most-once semantics). Zero means no dedup.
 	Req uint64
-	// Epoch is the sender's FMS-membership epoch. Servers stamp their
-	// current epoch on every response so clients piggyback staleness
-	// detection on ordinary traffic: a response epoch newer than the
-	// client's ring triggers an asynchronous membership refresh. Zero
-	// means "no membership installed" (static topology) and is ignored.
-	Epoch uint64
+	// Map is the version of the ClusterMap the responding server holds.
+	// Servers stamp it on every response so clients piggyback staleness
+	// detection on ordinary traffic: a version newer than the client's own
+	// map means the FMS set changed or a DMS partition failed over, and
+	// triggers an asynchronous OpGetMap refresh. Zero means "nothing
+	// installed" (a static topology, a solo DMS) and is ignored.
+	Map uint64
 	// Lease is the DMS's lease-recall sequence number, stamped on every DMS
-	// response the same way Epoch piggybacks membership staleness: a value
+	// response the same way Map piggybacks routing staleness: a value
 	// newer than what the client has applied means some cached directory
 	// lease was recalled, and the client must treat unverified cache entries
 	// as stale until it catches up (see internal/dms lease table). Zero
-	// means "nothing ever recalled" and is ignored.
+	// means "nothing ever recalled" and is ignored. It is a per-partition
+	// sequence, not a property of the map, so it keeps its own field.
 	Lease uint64
-	// PMap is the DMS partition-map version, stamped on every DMS response
-	// exactly as Epoch piggybacks FMS membership: a value newer than the
-	// client's routing map means partitions split, merged, or failed over,
-	// and the client refreshes via OpGetPartMap before its routing goes
-	// stale enough to draw StatusWrongPartition. Zero is the version of the
-	// solo map a lone DMS runs (or a non-DMS server) and is ignored.
-	PMap uint64
-	Body []byte
+	Body  []byte
 }
 
 // header: id(8) flags(1) op(2) status(2) service(8) trace(8) span(8)
-// req(8) epoch(8) lease(8) pmap(8)
-const headerSize = 69
+// req(8) map(8) lease(8)
+const headerSize = 61
 
 // MaxBody bounds a single message body (64 MiB), protecting servers from
 // malformed frames.
@@ -472,9 +457,8 @@ func WriteMsg(w io.Writer, m *Msg) error {
 	binary.BigEndian.PutUint64(hdr[25:], m.Trace)
 	binary.BigEndian.PutUint64(hdr[33:], m.Span)
 	binary.BigEndian.PutUint64(hdr[41:], m.Req)
-	binary.BigEndian.PutUint64(hdr[49:], m.Epoch)
+	binary.BigEndian.PutUint64(hdr[49:], m.Map)
 	binary.BigEndian.PutUint64(hdr[57:], m.Lease)
-	binary.BigEndian.PutUint64(hdr[65:], m.PMap)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -505,9 +489,8 @@ func ReadMsg(r io.Reader) (*Msg, error) {
 		Trace:     binary.BigEndian.Uint64(payload[21:]),
 		Span:      binary.BigEndian.Uint64(payload[29:]),
 		Req:       binary.BigEndian.Uint64(payload[37:]),
-		Epoch:     binary.BigEndian.Uint64(payload[45:]),
+		Map:       binary.BigEndian.Uint64(payload[45:]),
 		Lease:     binary.BigEndian.Uint64(payload[53:]),
-		PMap:      binary.BigEndian.Uint64(payload[61:]),
 		Body:      payload[headerSize:],
 	}
 	return m, nil

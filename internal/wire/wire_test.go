@@ -9,7 +9,7 @@ import (
 
 func TestMsgRoundTrip(t *testing.T) {
 	m := &Msg{ID: 42, IsResp: true, Op: OpCreateFile, Status: StatusExist,
-		ServiceNS: 123456, Trace: 0xdeadbeef, Span: 0xfeedface, Epoch: 9,
+		ServiceNS: 123456, Trace: 0xdeadbeef, Span: 0xfeedface, Map: 9,
 		Lease: 17, Body: []byte("hello")}
 	var buf bytes.Buffer
 	if err := WriteMsg(&buf, m); err != nil {
@@ -21,7 +21,7 @@ func TestMsgRoundTrip(t *testing.T) {
 	}
 	if got.ID != 42 || !got.IsResp || got.Op != OpCreateFile || got.Status != StatusExist ||
 		got.ServiceNS != 123456 || got.Trace != 0xdeadbeef || got.Span != 0xfeedface ||
-		got.Epoch != 9 || got.Lease != 17 || string(got.Body) != "hello" {
+		got.Map != 9 || got.Lease != 17 || string(got.Body) != "hello" {
 		t.Errorf("round trip = %+v", got)
 	}
 }
@@ -41,9 +41,9 @@ func TestMsgEmptyBody(t *testing.T) {
 }
 
 func TestMsgQuickRoundTrip(t *testing.T) {
-	f := func(id uint64, isResp bool, op uint16, status uint16, service, trace, span, epoch, lease uint64, body []byte) bool {
+	f := func(id uint64, isResp bool, op uint16, status uint16, service, trace, span, ver, lease uint64, body []byte) bool {
 		m := &Msg{ID: id, IsResp: isResp, Op: Op(op), Status: Status(status),
-			ServiceNS: service, Trace: trace, Span: span, Epoch: epoch, Lease: lease, Body: body}
+			ServiceNS: service, Trace: trace, Span: span, Map: ver, Lease: lease, Body: body}
 		var buf bytes.Buffer
 		if err := WriteMsg(&buf, m); err != nil {
 			return false
@@ -54,7 +54,7 @@ func TestMsgQuickRoundTrip(t *testing.T) {
 		}
 		return got.ID == id && got.IsResp == isResp && got.Op == Op(op) &&
 			got.Status == Status(status) && got.ServiceNS == service &&
-			got.Trace == trace && got.Span == span && got.Epoch == epoch &&
+			got.Trace == trace && got.Span == span && got.Map == ver &&
 			got.Lease == lease && bytes.Equal(got.Body, body)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -143,57 +143,6 @@ func TestStatusStrings(t *testing.T) {
 	}
 	if Status(999).String() == "" {
 		t.Error("unknown status has empty String()")
-	}
-}
-
-func TestMembershipRoundTrip(t *testing.T) {
-	m := &Membership{
-		Epoch: 3,
-		FMS:   []Member{{0, "fms-0"}, {1, "fms-1"}, {4, "fms-4"}},
-		Prev:  []Member{{0, "fms-0"}, {1, "fms-1"}},
-	}
-	got, err := DecodeMembership(EncodeMembership(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 3 || len(got.FMS) != 3 || len(got.Prev) != 2 ||
-		got.FMS[2] != (Member{4, "fms-4"}) || got.Prev[1] != (Member{1, "fms-1"}) {
-		t.Errorf("round trip = %+v", got)
-	}
-	if ids := got.IDs(); len(ids) != 3 || ids[0] != 0 || ids[2] != 4 {
-		t.Errorf("IDs = %v", ids)
-	}
-	if ids := got.PrevIDs(); len(ids) != 2 || ids[1] != 1 {
-		t.Errorf("PrevIDs = %v", ids)
-	}
-
-	// Empty Prev (closed window) must survive the trip too.
-	m2 := &Membership{Epoch: 4, FMS: m.FMS}
-	got2, err := DecodeMembership(EncodeMembership(m2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Epoch != 4 || len(got2.Prev) != 0 || len(got2.FMS) != 3 {
-		t.Errorf("round trip = %+v", got2)
-	}
-
-	if _, err := DecodeMembership([]byte{1, 2, 3}); err == nil {
-		t.Error("truncated membership decoded without error")
-	}
-}
-
-func TestSetMembershipRoundTrip(t *testing.T) {
-	m := &Membership{Epoch: 2, FMS: []Member{{0, "fms-0"}, {1, "fms-1"}}}
-	got, self, err := DecodeSetMembership(EncodeSetMembership(m, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self != 1 || got.Epoch != 2 || len(got.FMS) != 2 {
-		t.Errorf("self=%d membership=%+v", self, got)
-	}
-	_, self, err = DecodeSetMembership(EncodeSetMembership(m, -1))
-	if err != nil || self != -1 {
-		t.Errorf("self=%d err=%v, want -1 nil", self, err)
 	}
 }
 

@@ -42,22 +42,36 @@
 //     mutation whose request was already sent may still execute on the
 //     server even though the call returns the context's error.
 //
-// # Sharded directory metadata
+// # The cluster map: sharded directory metadata, elasticity, failover
+//
+// Placement is one versioned value, the cluster map (wire.ClusterMap,
+// DESIGN.md §12): the DMS partitions' cut directories and replica groups,
+// and the FMS set. Every server and client holds a copy; every response
+// header carries the version of the responder's copy, and a client that
+// sees a newer version than its own — or is refused a misrouted request
+// (see ErrStale) — refetches the map from any server. A strictly newer
+// version replaces an older one wherever it arrives, and nothing else does.
+// Version 0 means "nothing installed": it is never stamped and loses to
+// everything.
 //
 // The DMS is always served by partition nodes (DESIGN.md §16). The paper's
-// single DMS is the solo map — one partition, one replica, version 0 — which
-// is what NewDMS and a plain `locofsd -role dms` run, and which a client
-// assumes of the address it dials until that address serves a real map.
-// Options.DMSPartitions/DMSCuts/DMSReplicas shard the directory namespace
-// into replicated subtree partitions. Clients route by path using the
-// versioned partition map, fetched with the membership in the one bootstrap
-// round trip of Dial and refreshed automatically when responses carry a
-// newer map version or a partition refuses a misrouted path (see ErrStale).
-// Version 0 is never stamped on a response and never installed over another
-// map, as epoch 0 is for the FMS membership. Note the wire-format
-// flag day: sharded-era servers and clients exchange a partition-map
-// version field in every message header, so both sides must be built from
-// the same release.
+// single DMS is the solo map — one partition, one replica, version 0 —
+// which is what NewDMS and a plain `locofsd -role dms` run, and which a
+// client assumes of the address it dials until that address serves a real
+// map. Options.DMSPartitions/DMSCuts/DMSReplicas shard the directory
+// namespace into replicated subtree partitions, and clients route by path.
+// DialConfig.DMSAddr may name any replica of any partition: Dial spends
+// exactly one round trip there, fetching the map. A map that names no FMS
+// set stands for DialConfig.FMSAddrs, ring IDs by position.
+//
+// The map changes only by read, edit, version+1, push, coordinated from a
+// client: Client.AddFMS and Client.RemoveFMS grow and shrink the FMS set
+// (migrating only the keys the consistent-hash ring moves, with the
+// namespace readable throughout), Client.DropDMSReplica fails a dead DMS
+// replica over to the next in its group; Cluster.AddFMS, RemoveFMS and
+// FailoverDMS drive them for an in-process cluster. Note the wire-format
+// flag day: every message header carries one cluster-map version field
+// (61 bytes), so servers and clients must be built from the same release.
 //
 // The packages under internal/ hold the implementation: metadata layouts,
 // KV engines, the RPC stack, the servers, the baseline systems the paper
