@@ -28,12 +28,11 @@
 // by DMS-granted leases — see DESIGN.md). The DMS side takes -lease-dur to
 // size the granted leases; the client side takes -no-coherent-cache to
 // fall back to plain TTL caching, -lease to set the TTL for that fallback,
-// -no-neg-cache to disable negative (ENOENT) entries, and
-// -hot-entries/-hot-factor/-hot-refresh to keep the N hottest directories
-// on stretched, background-refreshed leases:
+// and -hot-entries/-hot-refresh to keep the N hottest directories on
+// stretched, background-refreshed leases:
 //
 //	locofsd -role dms -listen :7000 -lease-dur 30s
-//	locofsd -role client ... -hot-entries 64 -hot-factor 4 -hot-refresh 5s
+//	locofsd -role client ... -hot-entries 64 -hot-refresh 5s
 //
 // Sharded DMS: the directory namespace can be split into replicated
 // subtree partitions (DESIGN.md §16). Every DMS process gets the same
@@ -102,7 +101,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -112,7 +110,6 @@ import (
 	"time"
 
 	"locofs/internal/client"
-	"locofs/internal/core"
 	"locofs/internal/dms"
 	"locofs/internal/dms/partition"
 	"locofs/internal/flight"
@@ -120,6 +117,7 @@ import (
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/slo"
 	"locofs/internal/telemetry"
@@ -151,9 +149,7 @@ func main() {
 	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with -dms-groups; 0 = on-demand only)")
 	lease := flag.Duration("lease", 0, "directory cache lease for the TTL-only fallback (client role; 0 = default 30s)")
 	noCoherent := flag.Bool("no-coherent-cache", false, "revert the directory cache to TTL-only semantics, no lease coherence (client role)")
-	noNegCache := flag.Bool("no-neg-cache", false, "disable negative-entry (ENOENT) caching (client role)")
 	hotEntriesN := flag.Int("hot-entries", 0, "hot-entry tier size: keep the top N resolved directories on stretched leases (client role; 0 = off)")
-	hotFactor := flag.Int("hot-factor", 0, "lease stretch for hot entries (client role; 0 = default)")
 	hotRefresh := flag.Duration("hot-refresh", 0, "hot-entry background refresh period (client role; 0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics, /debug/vars and /debug/pprof (empty = disabled)")
 	slow := flag.Duration("slow", 0, "log requests slower than this threshold with their trace id (0 = disabled)")
@@ -182,15 +178,17 @@ func main() {
 		return p
 	}
 
-	srv := serverFlags{
+	af := adminFlags{
 		metricsAddr: *metricsAddr,
 		slow:        *slow,
-		tracer:      trace.New(trace.Config{Sample: *traceSample, BufSpans: *traceBuf}),
 		window:      telemetry.WindowConfig{Width: *window, Num: *windowNum},
 		peers:       parsePeers(*peers),
-		flightJ:     flight.NewJournal(*flightBuf),
-		flightDir:   *flightDir,
-		anomalyPoll: *anomalyPoll,
+		rec: flight.Config{
+			BufEvents:    *flightBuf,
+			Tracer:       trace.New(trace.Config{Sample: *traceSample, BufSpans: *traceBuf}),
+			Dir:          *flightDir,
+			PollInterval: *anomalyPoll,
+		},
 	}
 	switch *role {
 	case "dms":
@@ -201,7 +199,6 @@ func main() {
 		opts := dms.Options{CheckPermissions: true, LeaseDur: *leaseDur}
 		cfg := partition.Config{
 			Dialer:       netsim.TCPDialer{},
-			Journal:      srv.flightJ,
 			LogCap:       *dmsLogCap,
 			CatchupEvery: *dmsCatchup,
 		}
@@ -219,41 +216,36 @@ func main() {
 			}
 		}
 		store := kv.Instrument(durable(name, kv.NewBTreeStore()), kv.RAM)
-		opts.Store = store
-		d := dms.New(opts)
-		d.SetFlight(srv.flightJ, name)
-		srv.hot = map[string]*trace.TopK{name: d.HotKeys()}
-		srv.extraReg = d.RegisterMetrics
-		cfg.DMS, cfg.Source = d, name
-		srv.serve(*listen, name, store, partition.New(cfg).Attach)
+		p, h := af.observe(name, obs.Export{Objectives: slo.ServerObjectives(), Store: store})
+		opts.Store, opts.Obs, cfg.Obs = store, h, h
+		cfg.DMS = dms.New(opts)
+		af.serve(p, h, *listen, cfg.DMS.HotKeys(), partition.New(cfg).Attach)
 	case "fms":
 		name := fmt.Sprintf("fms-%d", *id)
 		store := kv.Instrument(durable(name, kv.NewHashStore()), kv.RAM)
-		f := fms.New(fms.Options{Store: store, ServerID: uint32(*id), Coupled: *coupled, CheckPermissions: true})
-		f.SetFlight(srv.flightJ, name)
-		srv.hot = map[string]*trace.TopK{name: f.HotKeys()}
-		srv.serve(*listen, name, store, f.Attach)
+		p, h := af.observe(name, obs.Export{Objectives: slo.ServerObjectives(), Store: store})
+		f := fms.New(fms.Options{Store: store, ServerID: uint32(*id), Coupled: *coupled, CheckPermissions: true, Obs: h})
+		af.serve(p, h, *listen, f.HotKeys(), f.Attach)
 	case "oss":
 		store := kv.Instrument(durable("oss", kv.NewHashStore()), kv.RAM)
-		srv.serve(*listen, "oss", store, objstore.New(store).Attach)
+		p, h := af.observe("oss", obs.Export{Objectives: slo.ServerObjectives(), Store: store})
+		af.serve(p, h, *listen, nil, objstore.New(store).Attach)
 	case "client":
-		// Fault-tolerance policy, layered onto the dial as options.
-		opts := []client.DialOption{
-			client.WithOpTimeout(*opTimeout),
-			client.WithRetry(client.RetryPolicy{Max: *retries, Base: *retryBackoff}),
-			client.WithBreaker(client.BreakerConfig{Threshold: *breakerFailures, Cooldown: *breakerCooldown}),
+		if *dmsAddr == "" || *fmsAddrs == "" || *ossAddrs == "" {
+			fmt.Fprintln(os.Stderr, "locofsd client: -dms, -fms and -oss are required")
+			os.Exit(2)
 		}
-		cc := cacheFlags{
-			lease:      *lease,
-			noCoherent: *noCoherent,
-			noNeg:      *noNegCache,
-			hotEntries: *hotEntriesN,
-			hotFactor:  *hotFactor,
-			hotRefresh: *hotRefresh,
-		}
-		runClient(*dmsAddr, *fmsAddrs, *ossAddrs, *cmds, srv, cc, opts)
+		p, h := af.observe("client", obs.Export{Objectives: slo.ClientObjectives()})
+		cfg := clientConfig(*dmsAddr, *fmsAddrs, *ossAddrs, h)
+		cfg.Lease, cfg.DisableLeaseCoherence = *lease, *noCoherent
+		cfg.HotEntries, cfg.HotRefreshInterval = *hotEntriesN, *hotRefresh
+		// Fault-tolerance policy.
+		cfg.OpTimeout = *opTimeout
+		cfg.Retry = client.RetryPolicy{Max: *retries, Base: *retryBackoff}
+		cfg.Breaker = client.BreakerConfig{Threshold: *breakerFailures, Cooldown: *breakerCooldown}
+		af.runClient(p, h, cfg, *cmds)
 	case "status":
-		runStatus(srv.peers)
+		runStatus(af.peers)
 	default:
 		fmt.Fprintln(os.Stderr, "locofsd: -role must be dms, fms, oss, client or status")
 		flag.Usage()
@@ -261,20 +253,44 @@ func main() {
 	}
 }
 
-// serverFlags carries the observability options shared by every role.
-type serverFlags struct {
+// adminFlags carries the observability options shared by every role.
+type adminFlags struct {
 	metricsAddr string
 	slow        time.Duration
-	tracer      *trace.Tracer          // nil when -trace-sample is 0
-	hot         map[string]*trace.TopK // hot-key sketches for /debug/hot
 	window      telemetry.WindowConfig
 	peers       []peer
-	flightJ     *flight.Journal // this process's flight-recorder journal (always on)
-	flightDir   string          // where anomaly bundles are spooled ("" = memory only)
-	anomalyPoll time.Duration   // anomaly-engine poll interval (0 = default)
-	// extraReg, when set, registers role-specific gauges (e.g. DMS lease
-	// counters) on the serve registry once it exists.
-	extraReg func(*telemetry.Registry)
+	// rec configures the always-on flight recorder: the tracer (nil when
+	// -trace-sample is 0), the journal size, where anomaly bundles are
+	// spooled and how often the anomaly engine polls. observe names it.
+	rec flight.Config
+}
+
+// observe assembles this process's observability (DESIGN.md "Building a
+// server"): a locofsd is one obs.Process with one handle, both called name,
+// and that handle's registry is where the process-wide journal and recorder
+// counters go.
+func (af adminFlags) observe(name string, x obs.Export) (*obs.Process, *obs.Handle) {
+	af.rec.Server = name
+	p := obs.New(af.rec, af.slow, af.window)
+	x.Recorder = true
+	return p, p.For(name, x)
+}
+
+// admin names h's server as what this process reports about itself, judged
+// against objs (obs.Process.Admin), and with -metrics-addr serves /metrics
+// and the /debug endpoints; /debug/cluster merges in every -peers endpoint.
+// who prefixes what it prints.
+func (af adminFlags) admin(who string, p *obs.Process, h *obs.Handle, objs []slo.Objective, mapVer func() uint64, hot *trace.TopK) {
+	routes := p.Admin(h, objs, mapVer, hot, peerSources(af.peers))
+	if af.metricsAddr == "" {
+		return
+	}
+	_, bound, err := telemetry.ServeWith(af.metricsAddr, routes, h.Reg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", who, err)
+		os.Exit(1)
+	}
+	fmt.Printf("%s: metrics on http://%s/metrics\n", who, bound)
 }
 
 // parseClusterMap builds the version-1 cluster map every node of a sharded
@@ -335,7 +351,7 @@ func parsePeers(s string) []peer {
 		if !strings.Contains(p.url, "://") {
 			p.url = "http://" + p.url
 		}
-		if !strings.Contains(strings.TrimPrefix(p.url, "http://"), "/") {
+		if _, rest, _ := strings.Cut(p.url, "://"); !strings.Contains(rest, "/") {
 			p.url += "/debug/slo"
 		}
 		out = append(out, p)
@@ -344,144 +360,33 @@ func parsePeers(s string) []peer {
 }
 
 // peerSources converts the -peers list into HTTP status sources.
-func (sf serverFlags) peerSources() []core.StatusSource {
-	out := make([]core.StatusSource, 0, len(sf.peers))
-	for _, p := range sf.peers {
-		out = append(out, core.HTTPSource(p.name, p.url, 0))
+func peerSources(peers []peer) []obs.StatusSource {
+	out := make([]obs.StatusSource, 0, len(peers))
+	for _, p := range peers {
+		out = append(out, obs.HTTPSource(p.name, p.url, 0))
 	}
 	return out
 }
 
-// hotEntries flattens the role's TopK sketches into status entries.
-func hotEntries(hot map[string]*trace.TopK) []slo.HotEntry {
-	var out []slo.HotEntry
-	for src, tk := range hot {
-		if tk == nil {
-			continue
-		}
-		for _, hk := range tk.Top(5) {
-			out = append(out, slo.HotEntry{Source: src, Key: hk.Key, Count: hk.Count})
-		}
-	}
-	return out
-}
-
-// adminRoutes builds the extra admin endpoints mounted next to /metrics:
-// span trees under /debug/traces, heavy-hitter keys under /debug/hot, this
-// process's SLO evaluation under /debug/slo, the merged view of this
-// process plus every -peers endpoint under /debug/cluster, and the flight
-// recorder's /debug/events journal and /debug/bundle diagnostics. All
-// endpoints exist even when their feed is empty, so operators can probe
-// them to check whether a feature is enabled.
-func (sf serverFlags) adminRoutes(local func() *slo.ServerStatus, rec *flight.Recorder) map[string]http.Handler {
-	sources := func() []core.StatusSource {
-		self := core.StatusSource{
-			Name:  "self",
-			Fetch: func() (*slo.ServerStatus, error) { return local(), nil },
-		}
-		return append([]core.StatusSource{self}, sf.peerSources()...)
-	}
-	routes := map[string]http.Handler{
-		"/debug/traces/": trace.TracesHandler(sf.tracer),
-		"/debug/hot":     trace.HotHandler(sf.hot),
-		"/debug/slo":     slo.StatusHandler(func() any { return local() }),
-		"/debug/cluster": slo.StatusHandler(func() any {
-			a := &core.Aggregator{Sources: sources}
-			if rec != nil {
-				a.Anomalies = rec.AnomalyState
-			}
-			return a.Poll()
-		}),
-	}
-	if rec != nil {
-		for p, h := range rec.Routes() {
-			routes[p] = h
-		}
-	}
-	return routes
-}
-
-// registerKVGauges exports the store's live KV engine counters on reg as
-// gauges sampled at scrape time.
-func registerKVGauges(reg *telemetry.Registry, store *kv.Instrumented) {
-	c := store.Counters()
-	sample := func(get func(kv.CountersSnapshot) uint64) func() float64 {
-		return func() float64 { return float64(get(c.Snapshot())) }
-	}
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Gets }), telemetry.L("op", "get"))
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Puts }), telemetry.L("op", "put"))
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Deletes }), telemetry.L("op", "delete"))
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Patches }), telemetry.L("op", "patch"))
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Appends }), telemetry.L("op", "append"))
-	reg.GaugeFunc("locofs_kv_ops_total", sample(func(s kv.CountersSnapshot) uint64 { return s.Scans }), telemetry.L("op", "scan"))
-	reg.GaugeFunc("locofs_kv_bytes_total", sample(func(s kv.CountersSnapshot) uint64 { return s.BytesRead }), telemetry.L("dir", "read"))
-	reg.GaugeFunc("locofs_kv_bytes_total", sample(func(s kv.CountersSnapshot) uint64 { return s.BytesWritten }), telemetry.L("dir", "written"))
-}
-
-// serve runs one server role until interrupted.
-func (sf serverFlags) serve(addr, name string, store *kv.Instrumented, attach func(*rpc.Server)) {
+// serve runs one server role, observed through h and attached by attach,
+// until interrupted. hot (nil ok) is the role's hot-key sketch.
+func (af adminFlags) serve(p *obs.Process, h *obs.Handle, addr string, hot *trace.TopK, attach func(*rpc.Server)) {
 	l, err := netsim.ListenTCP(addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "locofsd:", err)
 		os.Exit(1)
 	}
-	rs := rpc.NewServer()
-	reg := telemetry.NewRegistry(telemetry.L("server", name))
-	reg.SetWindow(sf.window)
-	telemetry.RegisterBuildInfo(reg)
-	trace.RegisterMetrics(reg, sf.tracer)
-	rs.SetTelemetry(reg)
-	if sf.slow > 0 {
-		rs.SetSlowThreshold(sf.slow)
-	}
-	if sf.tracer != nil {
-		rs.SetTracer(sf.tracer, name)
-	}
-	registerKVGauges(reg, store)
-	if sf.extraReg != nil {
-		sf.extraReg(reg)
-	}
-	slo.NewTracker(reg, slo.ServerObjectives()).Export(reg)
-	var rec *flight.Recorder
-	local := func() *slo.ServerStatus {
-		opts := slo.CollectOptions{
-			Server: name,
-			MapVer: rs.MapVer(),
-			Hot:    hotEntries(sf.hot),
-		}
-		if rec != nil {
-			opts.Anomalies = rec.AnomalyState()
-		}
-		return slo.Collect(reg, opts)
-	}
-	rec = flight.New(flight.Config{
-		Server:       name,
-		Journal:      sf.flightJ,
-		Tracer:       sf.tracer,
-		Status:       local,
-		Dir:          sf.flightDir,
-		PollInterval: sf.anomalyPoll,
-	})
-	rec.RegisterMetrics(reg)
-	reg.SetRotateHook(flight.WindowRollEmitter(sf.flightJ, name, 0))
-	rs.SetFlight(sf.flightJ, name)
-	if sf.metricsAddr != "" {
-		_, bound, err := telemetry.ServeWith(sf.metricsAddr, sf.adminRoutes(local, rec), reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "locofsd: metrics:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("locofsd: metrics on http://%s/metrics\n", bound)
-	}
+	rs := rpc.New(rpc.Config{Obs: h})
+	af.admin("locofsd", p, h, slo.ServerObjectives(), rs.MapVer, hot)
 	attach(rs)
 	go rs.Serve(l)
-	rec.Start()
+	p.Recorder.Start()
 	fmt.Printf("locofsd: serving on %s\n", l.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("locofsd: shutting down")
-	rec.Close()
+	p.Recorder.Close()
 	rs.Shutdown()
 }
 
@@ -492,86 +397,32 @@ func runStatus(peers []peer) {
 		fmt.Fprintln(os.Stderr, "locofsd status: -peers is required (comma-separated name=http://host:port admin endpoints)")
 		os.Exit(2)
 	}
-	var sources []core.StatusSource
-	for _, p := range peers {
-		sources = append(sources, core.HTTPSource(p.name, p.url, 0))
-	}
-	cs := (&core.Aggregator{Sources: func() []core.StatusSource { return sources }}).Poll()
+	cs := (&obs.Aggregator{Sources: func() []obs.StatusSource { return peerSources(peers) }}).Poll()
 	cs.Format(os.Stdout)
 	if len(cs.Unreachable) == len(peers) {
 		os.Exit(1)
 	}
 }
 
-// cacheFlags carries the client-role directory-cache knobs (see the flag
-// block in main for their meaning).
-type cacheFlags struct {
-	lease      time.Duration
-	noCoherent bool
-	noNeg      bool
-	hotEntries int
-	hotFactor  int
-	hotRefresh time.Duration
+// clientConfig is the client role's dial configuration: the servers the
+// -dms, -fms and -oss flags name (comma-separated lists, blanks dropped),
+// over TCP, observed through h.
+func clientConfig(dmsAddr, fmsList, ossList string, h *obs.Handle) client.Config {
+	return client.Config{
+		Dialer:   netsim.TCPDialer{},
+		DMSAddr:  dmsAddr,
+		FMSAddrs: splitList(fmsList),
+		OSSAddrs: splitList(ossList),
+		Obs:      h,
+	}
 }
 
 // runClient connects to a TCP cluster and executes simple commands.
-func runClient(dmsAddr, fmsList, ossList, cmds string, sf serverFlags, cc cacheFlags, opts []client.DialOption) {
-	if dmsAddr == "" || fmsList == "" || ossList == "" {
-		fmt.Fprintln(os.Stderr, "locofsd client: -dms, -fms and -oss are required")
-		os.Exit(2)
-	}
-	reg := telemetry.NewRegistry(telemetry.L("server", "client"))
-	reg.SetWindow(sf.window)
-	telemetry.RegisterBuildInfo(reg)
-	trace.RegisterMetrics(reg, sf.tracer)
-	slo.NewTracker(reg, slo.ClientObjectives()).Export(reg)
-	var rec *flight.Recorder
-	local := func() *slo.ServerStatus {
-		opts := slo.CollectOptions{
-			Server:     "client",
-			Objectives: slo.ClientObjectives(),
-		}
-		if rec != nil {
-			opts.Anomalies = rec.AnomalyState()
-		}
-		return slo.Collect(reg, opts)
-	}
-	rec = flight.New(flight.Config{
-		Server:       "client",
-		Journal:      sf.flightJ,
-		Tracer:       sf.tracer,
-		Status:       local,
-		Dir:          sf.flightDir,
-		PollInterval: sf.anomalyPoll,
-	})
-	rec.RegisterMetrics(reg)
-	reg.SetRotateHook(flight.WindowRollEmitter(sf.flightJ, "client", 0))
-	rec.Start()
-	defer rec.Close()
-	if sf.metricsAddr != "" {
-		_, bound, err := telemetry.ServeWith(sf.metricsAddr, sf.adminRoutes(local, rec), reg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "locofsd client: metrics:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("locofsd client: metrics on http://%s/metrics\n", bound)
-	}
-	cl, err := client.Dial(client.Config{
-		Dialer:                netsim.TCPDialer{},
-		DMSAddr:               dmsAddr,
-		FMSAddrs:              strings.Split(fmsList, ","),
-		OSSAddrs:              strings.Split(ossList, ","),
-		Metrics:               reg,
-		SlowThreshold:         sf.slow,
-		Tracer:                sf.tracer,
-		Lease:                 cc.lease,
-		DisableLeaseCoherence: cc.noCoherent,
-		DisableNegativeCache:  cc.noNeg,
-		HotEntries:            cc.hotEntries,
-		HotLeaseFactor:        cc.hotFactor,
-		HotRefreshInterval:    cc.hotRefresh,
-		Flight:                sf.flightJ,
-	}, opts...)
+func (af adminFlags) runClient(p *obs.Process, h *obs.Handle, cfg client.Config, cmds string) {
+	af.admin("locofsd client", p, h, slo.ClientObjectives(), nil, nil)
+	p.Recorder.Start()
+	defer p.Recorder.Close()
+	cl, err := client.Dial(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "locofsd client:", err)
 		os.Exit(1)

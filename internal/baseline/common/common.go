@@ -34,8 +34,8 @@ const (
 )
 
 // Profile models the software path of one baseline's metadata server. The
-// service times are charged virtually per request (see rpc.Server's
-// SetVirtualCost): they flow into every response's ServiceNS and into the
+// service times are charged virtually per request (see rpc.Config.Service):
+// they flow into every response's ServiceNS and into the
 // server's cumulative Busy() time, from which experiments derive latency
 // and server-bound throughput without wall-clock sleeping.
 type Profile struct {
@@ -61,19 +61,19 @@ type Server struct {
 
 // NewServer builds a generic server over store.
 func NewServer(store kv.Store, profile Profile) *Server {
-	s := &Server{Store: store, profile: profile, RPC: rpc.NewServer()}
-	for _, op := range []wire.Op{OpPut, OpCreateX, OpDel, OpDelPrefix} {
-		s.RPC.SetVirtualCost(op, profile.WriteService)
-	}
-	for _, op := range []wire.Op{OpGet, OpExists, OpListPrefix, OpCountPrefix} {
-		s.RPC.SetVirtualCost(op, profile.ReadService)
-	}
-	// The calibrated profile is the whole service model; suppress wall-clock
-	// measurement (meaningless under CPU contention).
-	s.RPC.SetServiceFunc(func(op wire.Op, run func()) time.Duration {
+	s := &Server{Store: store, profile: profile}
+	// The calibrated profile is the whole service model, in place of
+	// wall-clock measurement (meaningless under CPU contention).
+	s.RPC = rpc.New(rpc.Config{Service: func(op wire.Op, run func()) time.Duration {
 		run()
+		switch op {
+		case OpPut, OpCreateX, OpDel, OpDelPrefix:
+			return profile.WriteService
+		case OpGet, OpExists, OpListPrefix, OpCountPrefix:
+			return profile.ReadService
+		}
 		return 0
-	})
+	}})
 	s.attach()
 	return s
 }

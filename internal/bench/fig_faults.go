@@ -8,6 +8,7 @@ import (
 	"locofs/internal/client"
 	"locofs/internal/core"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
@@ -79,7 +80,7 @@ func FigFaults(env Env) (*Table, error) {
 	for _, sc := range scenarios {
 		cluster.Network().SetFault("fms-1", sc.fault)
 		reg := telemetry.NewRegistry()
-		sc.cfg.Metrics = reg
+		sc.cfg.Obs = &obs.Handle{Reg: reg}
 		sc.cfg.DisableCache = false
 		c, err := cluster.NewClient(sc.cfg)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"locofs/internal/core"
+	"locofs/internal/obs"
 	"locofs/internal/trace"
 )
 
@@ -25,7 +26,7 @@ func Spans(env Env) (*Table, error) {
 	}
 	defer cluster.Close()
 	// Cache disabled so lookups reach the DMS and show up in the trees.
-	cl, err := cluster.NewClient(core.ClientConfig{DisableCache: true, Tracer: tracer})
+	cl, err := cluster.NewClient(core.ClientConfig{DisableCache: true, Obs: &obs.Handle{Tracer: tracer}})
 	if err != nil {
 		return nil, err
 	}

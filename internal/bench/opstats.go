@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"locofs/internal/core"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/telemetry"
 )
@@ -39,7 +40,7 @@ func OpStats(env Env) (*Table, error) {
 	// Cache disabled so directory lookups hit the DMS and LookupDir shows
 	// up in the breakdown alongside the FMS ops.
 	reg := telemetry.NewRegistry()
-	cl, err := cluster.NewClient(core.ClientConfig{Metrics: reg, DisableCache: true})
+	cl, err := cluster.NewClient(core.ClientConfig{Obs: &obs.Handle{Reg: reg}, DisableCache: true})
 	if err != nil {
 		return nil, err
 	}

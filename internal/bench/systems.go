@@ -12,6 +12,7 @@ import (
 	"locofs/internal/core"
 	"locofs/internal/fsapi"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 )
 
@@ -77,7 +78,7 @@ func StartSystem(name string, n int, link netsim.LinkConfig) (*SUT, error) {
 		return &SUT{
 			Name: name,
 			NewFS: func() (fsapi.FS, error) {
-				cl, err := cluster.NewClient(core.ClientConfig{Metrics: reg})
+				cl, err := cluster.NewClient(core.ClientConfig{Obs: &obs.Handle{Reg: reg}})
 				if err != nil {
 					return nil, err
 				}

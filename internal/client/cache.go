@@ -42,8 +42,10 @@ type dirCache struct {
 	lease time.Duration
 	now   func() time.Time
 
-	coherent  bool // lease-coherent mode (grants, recalls, watermarks)
-	negatives bool // cache ENOENT results (coherent mode only)
+	// coherent selects lease-coherent mode: grants, recalls, watermarks, and
+	// with them negative (ENOENT) and listing entries, which TTL mode cannot
+	// keep honest.
+	coherent bool
 
 	entries map[string]cacheEntry
 	negs    map[string]negEntry
@@ -148,9 +150,8 @@ const DefaultCacheEntries = 64 << 10
 // could hold an entry the server no longer publishes recalls for.
 const maxHotLeaseFactor = 8
 
-// DefaultHotLeaseFactor is the lease stretch applied to hot entries when
-// Config.HotLeaseFactor is zero.
-const DefaultHotLeaseFactor = 4
+// HotLeaseFactor is the lease stretch applied to hot entries.
+const HotLeaseFactor = 4
 
 // MetricDirCacheSize is the gauge reporting a client's live directory-cache
 // entry count (inodes + negative entries + listings).
@@ -202,7 +203,7 @@ func (m *cacheMetrics) unregister(reg *telemetry.Registry, label telemetry.Label
 	}
 }
 
-func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, coherent, negatives bool, met *cacheMetrics) *dirCache {
+func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, coherent bool, met *cacheMetrics) *dirCache {
 	if lease <= 0 {
 		lease = DefaultLease
 	}
@@ -213,16 +214,15 @@ func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, cohe
 		maxEntries = DefaultCacheEntries
 	}
 	return &dirCache{
-		lease:     lease,
-		now:       now,
-		coherent:  coherent,
-		negatives: coherent && negatives,
-		entries:   make(map[string]cacheEntry),
-		negs:      make(map[string]negEntry),
-		lists:     make(map[string]listEntry),
-		srcs:      make(map[uint32]*srcMarks),
-		max:       maxEntries,
-		met:       met,
+		lease:    lease,
+		now:      now,
+		coherent: coherent,
+		entries:  make(map[string]cacheEntry),
+		negs:     make(map[string]negEntry),
+		lists:    make(map[string]listEntry),
+		srcs:     make(map[uint32]*srcMarks),
+		max:      maxEntries,
+		met:      met,
 	}
 }
 
@@ -230,9 +230,6 @@ func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, cohe
 // directories and stretch their leases factor× (clamped to the server's
 // grant horizon).
 func (c *dirCache) enableHot(entries, factor int) {
-	if factor <= 0 {
-		factor = DefaultHotLeaseFactor
-	}
 	if factor > maxHotLeaseFactor {
 		factor = maxHotLeaseFactor
 	}
@@ -366,7 +363,7 @@ func (c *dirCache) get(path string) (layout.DirInode, bool) {
 // negHit reports whether path is cached as known-absent. Callers count the
 // preceding get() as the miss; negHit only ever adds a negative hit.
 func (c *dirCache) negHit(path string) bool {
-	if !c.negatives {
+	if !c.coherent {
 		return false
 	}
 	c.mu.RLock()
@@ -477,7 +474,7 @@ func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wir
 
 // putNegFrom caches an ENOENT result under source src's negative-entry grant.
 func (c *dirCache) putNegFrom(src uint32, path string, g wire.LeaseGrant) {
-	if !c.negatives || !g.Valid() {
+	if !c.coherent || !g.Valid() {
 		return
 	}
 	dur, gseq := c.leaseFor(path, g)

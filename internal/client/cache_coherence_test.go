@@ -16,7 +16,7 @@ func newCoherentCache(maxEntries int) (*dirCache, *atomic.Int64) {
 	var ns atomic.Int64
 	base := time.Unix(1000, 0)
 	clock := func() time.Time { return base.Add(time.Duration(ns.Load())) }
-	return newDirCache(0, clock, maxEntries, true, true, nil), &ns
+	return newDirCache(0, clock, maxEntries, true, nil), &ns
 }
 
 func grant(seq uint64) wire.LeaseGrant {
@@ -321,10 +321,7 @@ func TestSelfRenamed(t *testing.T) {
 // sequences — entries live for their TTL regardless of observed mutations,
 // and negative/listing caching is disabled.
 func TestTTLModeIgnoresCoherence(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 0, false, true, nil)
-	if c.negatives {
-		t.Fatal("negative caching enabled without coherence")
-	}
+	c := newDirCache(time.Hour, nil, 0, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	c.observe(100) // TTL mode: observe is never called by the client, but must be harmless
 	if _, ok := c.get("/a"); !ok {
@@ -388,7 +385,7 @@ func TestCoherentConcurrentPutRecallExpiry(t *testing.T) {
 	var ns atomic.Int64
 	base := time.Unix(1000, 0)
 	clock := func() time.Time { return base.Add(time.Duration(ns.Load())) }
-	c := newDirCache(0, clock, 128, true, true, nil)
+	c := newDirCache(0, clock, 128, true, nil)
 
 	var srvSeq atomic.Uint64
 	paths := []string{"/s/a", "/s/b", "/s/a/x", "/s/c"}
@@ -455,7 +452,7 @@ func TestCacheMetricsCounters(t *testing.T) {
 	met := newCacheMetrics(reg, label)
 	var ns atomic.Int64
 	clock := func() time.Time { return time.Unix(1000, 0).Add(time.Duration(ns.Load())) }
-	c := newDirCache(0, clock, 2, true, true, met)
+	c := newDirCache(0, clock, 2, true, met)
 
 	c.get("/miss") // miss
 	c.put("/a", freshInode(1), grant(1))

@@ -19,7 +19,7 @@ func freshInode(uidTag uint32) layout.DirInode {
 
 func TestCachePutGet(t *testing.T) {
 	now := time.Now()
-	c := newDirCache(30*time.Second, func() time.Time { return now }, 0, false, false, nil)
+	c := newDirCache(30*time.Second, func() time.Time { return now }, 0, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	got, ok := c.get("/a")
 	if !ok || got.UID() != 1 {
@@ -37,7 +37,7 @@ func TestCachePutGet(t *testing.T) {
 func TestCacheLeaseExpiry(t *testing.T) {
 	now := time.Now()
 	clock := func() time.Time { return now }
-	c := newDirCache(30*time.Second, clock, 0, false, false, nil)
+	c := newDirCache(30*time.Second, clock, 0, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	now = now.Add(29 * time.Second)
 	if _, ok := c.get("/a"); !ok {
@@ -54,7 +54,7 @@ func TestCacheLeaseExpiry(t *testing.T) {
 
 func TestCachePutRefreshesLease(t *testing.T) {
 	now := time.Now()
-	c := newDirCache(30*time.Second, func() time.Time { return now }, 0, false, false, nil)
+	c := newDirCache(30*time.Second, func() time.Time { return now }, 0, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	now = now.Add(20 * time.Second)
 	c.put("/a", freshInode(2), wire.LeaseGrant{})
@@ -66,7 +66,7 @@ func TestCachePutRefreshesLease(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 0, false, false, nil)
+	c := newDirCache(time.Hour, nil, 0, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	c.invalidate("/a")
 	if _, ok := c.get("/a"); ok {
@@ -75,7 +75,7 @@ func TestCacheInvalidate(t *testing.T) {
 }
 
 func TestCacheInvalidateSubtree(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 0, false, false, nil)
+	c := newDirCache(time.Hour, nil, 0, false, nil)
 	for _, p := range []string{"/a", "/a/b", "/a/b/c", "/ab", "/z"} {
 		c.put(p, freshInode(1), wire.LeaseGrant{})
 	}
@@ -93,7 +93,7 @@ func TestCacheInvalidateSubtree(t *testing.T) {
 }
 
 func TestCacheInvalidateSubtreeRoot(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 0, false, false, nil)
+	c := newDirCache(time.Hour, nil, 0, false, nil)
 	c.put("/", freshInode(1), wire.LeaseGrant{})
 	c.put("/x", freshInode(1), wire.LeaseGrant{})
 	c.invalidateSubtree("/")
@@ -103,7 +103,7 @@ func TestCacheInvalidateSubtreeRoot(t *testing.T) {
 }
 
 func TestCacheStoresCopy(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 0, false, false, nil)
+	c := newDirCache(time.Hour, nil, 0, false, nil)
 	ino := freshInode(1)
 	c.put("/a", ino, wire.LeaseGrant{})
 	ino.SetUID(99) // mutate caller's copy
@@ -114,14 +114,14 @@ func TestCacheStoresCopy(t *testing.T) {
 }
 
 func TestCacheDefaultLease(t *testing.T) {
-	c := newDirCache(0, nil, 0, false, false, nil)
+	c := newDirCache(0, nil, 0, false, nil)
 	if c.lease != DefaultLease {
 		t.Errorf("lease = %v, want %v", c.lease, DefaultLease)
 	}
 }
 
 func TestCacheCapEvictsOldest(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 4, false, false, nil)
+	c := newDirCache(time.Hour, nil, 4, false, nil)
 	for i := 0; i < 10; i++ {
 		c.put(fmt.Sprintf("/d%d", i), freshInode(uint32(i)), wire.LeaseGrant{})
 	}
@@ -144,7 +144,7 @@ func TestCacheCapEvictsOldest(t *testing.T) {
 }
 
 func TestCacheRePutKeepsSiblings(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 3, false, false, nil)
+	c := newDirCache(time.Hour, nil, 3, false, nil)
 	c.put("/a", freshInode(1), wire.LeaseGrant{})
 	c.put("/b", freshInode(2), wire.LeaseGrant{})
 	// Refreshing one path many times must not push siblings out.
@@ -163,7 +163,7 @@ func TestCacheRePutKeepsSiblings(t *testing.T) {
 }
 
 func TestCacheUnboundedWhenNegative(t *testing.T) {
-	c := newDirCache(time.Hour, nil, -1, false, false, nil)
+	c := newDirCache(time.Hour, nil, -1, false, nil)
 	for i := 0; i < DefaultCacheEntries/8; i++ {
 		c.put(fmt.Sprintf("/u%d", i), freshInode(1), wire.LeaseGrant{})
 	}
@@ -173,7 +173,7 @@ func TestCacheUnboundedWhenNegative(t *testing.T) {
 }
 
 func TestCacheFifoCompaction(t *testing.T) {
-	c := newDirCache(time.Hour, nil, 1000, false, false, nil)
+	c := newDirCache(time.Hour, nil, 1000, false, nil)
 	// Many invalidated puts must not grow the fifo without bound.
 	for i := 0; i < 10000; i++ {
 		p := fmt.Sprintf("/t%d", i%7)
@@ -199,7 +199,7 @@ func TestCacheExpiryRePutRace(t *testing.T) {
 	base := time.Unix(1000, 0)
 	nowNS.Store(0)
 	clock := func() time.Time { return base.Add(time.Duration(nowNS.Load())) }
-	c := newDirCache(time.Millisecond, clock, 0, false, false, nil)
+	c := newDirCache(time.Millisecond, clock, 0, false, nil)
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -242,7 +242,7 @@ func TestCacheExpiryRePutRace(t *testing.T) {
 // overlapping paths; run with -race this is the regression net for the
 // cache's lock discipline.
 func TestCacheStressOverlappingSubtrees(t *testing.T) {
-	c := newDirCache(5*time.Millisecond, nil, 64, false, false, nil)
+	c := newDirCache(5*time.Millisecond, nil, 64, false, nil)
 	paths := []string{"/a", "/a/b", "/a/b/c", "/a/b/c/d", "/a/x", "/z"}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

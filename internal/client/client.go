@@ -19,12 +19,12 @@ import (
 	"time"
 
 	"locofs/internal/chash"
-	"locofs/internal/flight"
 	"locofs/internal/fms"
 	"locofs/internal/fspath"
 	"locofs/internal/layout"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/trace"
 	"locofs/internal/uuid"
@@ -67,17 +67,12 @@ type Config struct {
 	// on lookups, stamps its recall sequence on every response, and the
 	// client drops exactly the directories that changed (DESIGN.md §14).
 	DisableLeaseCoherence bool
-	// DisableNegativeCache turns off negative-entry caching (ENOENT
-	// results) while keeping lease coherence for positive entries.
-	DisableNegativeCache bool
 	// HotEntries enables the hot-entry tier: the client ranks its most
 	// frequently resolved directories with a space-saving sketch, keeps the
-	// top HotEntries of them on stretched leases, and refreshes them in the
-	// background. Zero disables the tier. Requires lease coherence.
+	// top HotEntries of them on leases stretched HotLeaseFactor×, and
+	// refreshes them in the background. Zero disables the tier. Requires
+	// lease coherence.
 	HotEntries int
-	// HotLeaseFactor is the lease stretch for hot entries (default
-	// DefaultHotLeaseFactor, clamped to the server's grant horizon).
-	HotLeaseFactor int
 	// HotRefreshInterval is the hot-tier background refresh period
 	// (default DefaultHotRefreshInterval).
 	HotRefreshInterval time.Duration
@@ -85,15 +80,18 @@ type Config struct {
 	UID, GID uint32
 	// Now overrides the clock (tests).
 	Now func() time.Time
-	// Metrics receives the client's per-op telemetry (round-trip
-	// histograms and call counters). Nil means a private registry,
-	// reachable via Client.Metrics; passing a shared registry aggregates
-	// several clients into one view (e.g. a benchmark fleet).
-	Metrics *telemetry.Registry
-	// SlowThreshold enables slow-call logging: any RPC whose wall-clock
-	// round trip meets or exceeds it is logged with its trace ID and
-	// server address. Zero disables logging.
-	SlowThreshold time.Duration
+	// Obs is the client's observability; each part may be zero. Reg
+	// receives per-op round-trip histograms and call counters: nil (or a
+	// nil handle) means a private registry, reachable via Client.Metrics,
+	// and a shared one aggregates several clients into one view (e.g. a
+	// benchmark fleet). Tracer receives a root span per logical operation,
+	// a child span per RPC (annotated with the server address and retries)
+	// and one per fan-out branch; a tracer shared with in-process servers
+	// yields complete trees. Journal receives breaker transitions, retries
+	// and coordinator migration batches. Any RPC whose wall-clock round
+	// trip reaches Slow is logged with its trace ID and server address.
+	// Name defaults to "client".
+	Obs *obs.Handle
 	// SerialFanOut disables parallel multi-server fan-out: rmdir probes,
 	// readdir listings, block deletes and Close visit one server at a
 	// time, as the pre-parallel client did. Kept as the benchmark
@@ -109,16 +107,6 @@ type Config struct {
 	// entries are evicted. Zero means DefaultCacheEntries, negative means
 	// unbounded.
 	CacheEntries int
-	// Tracer receives client-side spans: a root span per logical operation,
-	// a child span per RPC (annotated with the server address and retries),
-	// and a child span per fan-out branch. Nil disables client tracing; a
-	// tracer shared with in-process servers yields complete trees.
-	Tracer *trace.Tracer
-	// Flight receives client-side flight-recorder events: breaker
-	// transitions, retries and coordinator migration batches. Nil disables
-	// emission; a journal shared with in-process servers yields one
-	// cluster-wide timeline.
-	Flight *flight.Journal
 	// OpTimeout bounds each RPC attempt; an attempt exceeding it fails with
 	// wire.StatusDeadline and the connection is replaced. Zero disables
 	// per-attempt deadlines (the historical behavior).
@@ -192,7 +180,6 @@ type Client struct {
 	hotDone chan struct{}
 
 	telem     *clientTelem
-	tracer    *trace.Tracer   // nil when tracing is disabled
 	label     telemetry.Label // gauge identity, unregistered by Close
 	traceBase uint64          // client id in the top 16 bits of every trace
 	traceCtr  atomic.Uint64   // per-operation sequence in the low 48 bits
@@ -214,7 +201,7 @@ type opCtx struct {
 // root span when tracing is enabled.
 func (c *Client) startOp(name string) opCtx {
 	oc := opCtx{tid: c.newTrace()}
-	oc.sp = c.tracer.StartSpan(oc.tid, 0, name, "client")
+	oc.sp = c.telem.StartSpan(oc.tid, 0, name)
 	return oc
 }
 
@@ -265,7 +252,7 @@ func (c *Client) newTrace() uint64 {
 
 // Metrics returns the registry holding this client's per-op round-trip
 // histograms and call counters (see rpc.MetricRTT, rpc.MetricCalls).
-func (c *Client) Metrics() *telemetry.Registry { return c.telem.reg }
+func (c *Client) Metrics() *telemetry.Registry { return c.telem.Reg }
 
 // Dial connects to every server in cfg — with any opts applied on top —
 // and returns a ready client.
@@ -279,17 +266,23 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 	if len(cfg.FMSAddrs) == 0 || len(cfg.OSSAddrs) == 0 {
 		return nil, fmt.Errorf("client: need at least one FMS and one OSS")
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = telemetry.NewRegistry()
+	var h obs.Handle
+	if cfg.Obs != nil {
+		h = *cfg.Obs
 	}
+	if h.Name == "" {
+		h.Name = "client"
+	}
+	if h.Reg == nil {
+		h.Reg = telemetry.NewRegistry()
+	}
+	reg := h.Reg
 	c := &Client{
 		uid:          cfg.UID,
 		gid:          cfg.GID,
 		serialFanOut: cfg.SerialFanOut,
 		disableBatch: cfg.DisableBatchRPC,
-		telem:        &clientTelem{reg: reg, slow: cfg.SlowThreshold, fl: cfg.Flight},
-		tracer:       cfg.Tracer,
+		telem:        &clientTelem{Handle: &h},
 		traceBase:    (nextClientID.Add(1) & 0xffff) << 48,
 	}
 	c.res = newResilience(cfg.OpTimeout, cfg.Retry, cfg.Breaker, cfg.Now)
@@ -331,10 +324,9 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 	c.label = telemetry.L("client", fmt.Sprintf("%d", c.traceBase>>48))
 	if !cfg.DisableCache {
 		coherent := !cfg.DisableLeaseCoherence
-		c.cache = newDirCache(cfg.Lease, cfg.Now, cfg.CacheEntries,
-			coherent, !cfg.DisableNegativeCache, newCacheMetrics(reg, c.label))
+		c.cache = newDirCache(cfg.Lease, cfg.Now, cfg.CacheEntries, coherent, newCacheMetrics(reg, c.label))
 		if coherent && cfg.HotEntries > 0 {
-			c.cache.enableHot(cfg.HotEntries, cfg.HotLeaseFactor)
+			c.cache.enableHot(cfg.HotEntries, HotLeaseFactor)
 			interval := cfg.HotRefreshInterval
 			if interval <= 0 {
 				interval = DefaultHotRefreshInterval
@@ -368,10 +360,10 @@ func (c *Client) Close() error {
 		<-c.hotDone
 		c.hotStop = nil
 	}
-	c.telem.reg.Unregister(MetricInflight, c.label)
-	c.telem.reg.Unregister(MetricDirCacheSize, c.label)
+	c.telem.Reg.Unregister(MetricInflight, c.label)
+	c.telem.Reg.Unregister(MetricDirCacheSize, c.label)
 	if c.cache != nil {
-		c.cache.met.unregister(c.telem.reg, c.label)
+		c.cache.met.unregister(c.telem.Reg, c.label)
 	}
 	eps := c.endpoints()
 	c.fanOut(opCtx{}, "close", len(eps), func(_ opCtx, i int) (time.Duration, error) {
@@ -675,7 +667,7 @@ func (c *Client) RmdirContext(ctx context.Context, path string) (err error) {
 	fmsEps := c.view.Load().fms
 	probe := wire.NewEnc().UUID(ino.UUID()).Bytes()
 	err = c.fanOut(oc, "probe", len(fmsEps), func(boc opCtx, i int) (time.Duration, error) {
-		st, resp, virt, err := fmsEps[i].CallV(boc, wire.OpDirHasFiles, probe)
+		st, resp, virt, err := fmsEps[i].Call(boc, wire.OpDirHasFiles, probe, 0)
 		if err != nil {
 			return virt, err
 		}
@@ -957,7 +949,7 @@ func (c *Client) CreateContext(ctx context.Context, path string, mode uint32) (e
 		key := fms.FileKey(parent.UUID(), name)
 		if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
 			probe := wire.NewEnc().UUID(parent.UUID()).Str(name).Bytes()
-			pst, _, perr := pe.CallT(oc, wire.OpStatFile, probe)
+			pst, _, _, perr := pe.Call(oc, wire.OpStatFile, probe, 0)
 			if perr != nil {
 				return perr
 			}
@@ -1088,7 +1080,7 @@ func (c *Client) RemoveContext(ctx context.Context, path string) (err error) {
 	if v := c.view.Load(); v.window() {
 		key := fms.FileKey(parent.UUID(), name)
 		if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
-			pe.CallT(oc, wire.OpRemoveFile, body)
+			pe.Call(oc, wire.OpRemoveFile, body, 0)
 		}
 	}
 	u := wire.NewDec(resp).UUID()
@@ -1121,7 +1113,7 @@ func (c *Client) deleteBlocks(oc opCtx, dels ...blockDel) {
 		if len(bodies) == 1 || c.disableBatch {
 			var vtotal time.Duration
 			for _, b := range bodies {
-				_, _, virt, _ := o.CallV(boc, wire.OpDeleteBlocks, b)
+				_, _, virt, _ := o.Call(boc, wire.OpDeleteBlocks, b, 0)
 				vtotal += virt
 			}
 			return vtotal, nil

@@ -10,21 +10,20 @@ import (
 
 	"locofs/internal/flight"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/telemetry"
 	"locofs/internal/trace"
 	"locofs/internal/wire"
 )
 
-// clientTelem is the telemetry sink shared by every endpoint of one client:
-// per-op round-trip histograms and call counters, plus the slow-call log
-// threshold. The per-op handle cache keeps the hot path off the registry
-// lock.
+// clientTelem is the observability shared by every endpoint of one client:
+// its handle (Reg is never nil: per-op round-trip histograms and call
+// counters land there) and the per-op instrument cache that keeps the hot
+// path off the registry lock.
 type clientTelem struct {
-	reg  *telemetry.Registry
-	slow time.Duration   // 0 = slow-call logging disabled
-	fl   *flight.Journal // nil = flight-recorder emission disabled
-	byOp sync.Map        // wire.Op -> *clientOpMetrics
+	*obs.Handle
+	byOp sync.Map // wire.Op -> *clientOpMetrics
 
 	// inflight counts RPCs currently on the wire across every endpoint of
 	// the client, exported as the locofs_client_inflight_rpcs gauge. Fan-out
@@ -37,7 +36,7 @@ type clientTelem struct {
 
 // fastFails returns the breaker fast-fail counter, created on first use.
 func (t *clientTelem) fastFails() *telemetry.Counter {
-	t.ffOnce.Do(func() { t.ff = t.reg.Counter(MetricFastFails) })
+	t.ffOnce.Do(func() { t.ff = t.Reg.Counter(MetricFastFails) })
 	return t.ff
 }
 
@@ -61,10 +60,10 @@ func (t *clientTelem) forOp(op wire.Op) *clientOpMetrics {
 	}
 	label := telemetry.L("op", op.String())
 	m := &clientOpMetrics{
-		rtt:       t.reg.Windowed(rpc.MetricRTT, label),
-		calls:     t.reg.Counter(rpc.MetricCalls, label),
-		retries:   t.reg.Counter(MetricRetries, label),
-		deadlines: t.reg.Counter(MetricDeadlines, label),
+		rtt:       t.Reg.Windowed(rpc.MetricRTT, label),
+		calls:     t.Reg.Counter(rpc.MetricCalls, label),
+		retries:   t.Reg.Counter(MetricRetries, label),
+		deadlines: t.Reg.Counter(MetricDeadlines, label),
 	}
 	actual, _ := t.byOp.LoadOrStore(op, m)
 	return actual.(*clientOpMetrics)
@@ -112,9 +111,9 @@ type endpoint struct {
 func dialEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *clientTelem, res *resilience, onMap, onLease func(uint64)) (*endpoint, error) {
 	e := &endpoint{dialer: d, addr: addr, link: link, telem: telem, res: res, onMap: onMap, onLease: onLease}
 	e.brk = newBreaker(res.breaker, res.now, func(state string) {
-		telem.reg.Counter(MetricBreaker,
+		telem.Reg.Counter(MetricBreaker,
 			telemetry.L("addr", addr), telemetry.L("state", state)).Inc()
-		telem.fl.Emit(flight.KindBreaker, "client", "", 0, 0, addr+" "+state)
+		telem.Emit(flight.KindBreaker, "", 0, 0, addr+" "+state)
 	})
 	cl, err := rpc.Dial(d, addr)
 	if err != nil {
@@ -157,13 +156,7 @@ func (e *endpoint) retire(cl *rpc.Client) {
 	e.mu.Unlock()
 }
 
-// CallT issues one request in the context of operation oc; see CallV.
-func (e *endpoint) CallT(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte, error) {
-	st, resp, _, err := e.CallV(oc, op, body)
-	return st, resp, err
-}
-
-// CallV issues one request stamped with oc's trace ID under the client's
+// Call issues one request stamped with oc's trace ID under the client's
 // fault-tolerance policy (per-attempt deadline, bounded retries through
 // fresh connections, circuit breaker — see callAttempts), and returns the
 // call's modeled (virtual) time alongside the response. The wall-clock
@@ -174,16 +167,13 @@ func (e *endpoint) CallT(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte
 // operation carries a span, the RPC gets its own child span (annotated with
 // the server address, each retry and any breaker fast-fail) whose ID rides
 // the wire header as the parent of the server-side span.
-func (e *endpoint) CallV(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte, time.Duration, error) {
-	return e.callV(oc, op, body, 0)
-}
-
-// callV is CallV with an explicit dedup request id. A non-zero req pins the
-// id across the caller's own higher-level retries — the partition router
-// uses it so a mutation re-sent to a promoted leader after a failover
-// replays from the replicated applied table instead of executing twice.
-// req == 0 has the endpoint mint one per call for non-idempotent ops.
-func (e *endpoint) callV(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
+//
+// A non-zero req pins the dedup request id across the caller's own
+// higher-level retries — the partition router uses it so a mutation re-sent
+// to a promoted leader after a failover replays from the replicated applied
+// table instead of executing twice. req == 0 has the endpoint mint one per
+// call for non-idempotent ops.
+func (e *endpoint) Call(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
 	sp := oc.sp.StartChild("rpc:" + op.String())
 	if sp != nil {
 		sp.Annotate("addr=" + e.addr)
@@ -196,7 +186,7 @@ func (e *endpoint) callV(oc opCtx, op wire.Op, body []byte, req uint64) (wire.St
 	m := e.telem.forOp(op)
 	m.calls.Inc()
 	m.rtt.Record(rtt)
-	if e.telem.slow > 0 && rtt >= e.telem.slow {
+	if e.telem.IsSlow(rtt) {
 		log.Printf("client: slow call trace=%#x op=%s addr=%s rtt=%v status=%s err=%v",
 			oc.tid, op, e.addr, rtt, st, err)
 	}
@@ -222,7 +212,7 @@ func (e *endpoint) CallBatch(oc opCtx, subs []wire.SubReq) ([]wire.SubResp, time
 	if err != nil {
 		return nil, 0, err
 	}
-	st, resp, virt, err := e.CallV(oc, wire.OpBatch, body)
+	st, resp, virt, err := e.Call(oc, wire.OpBatch, body, 0)
 	if err != nil {
 		return nil, virt, err
 	}
@@ -266,7 +256,7 @@ func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byt
 		if attempt > 0 {
 			d := e.res.retry.backoff(attempt)
 			m.retries.Inc()
-			e.telem.fl.Emit(flight.KindRetry, "client", op.String(), oc.tid, int64(attempt), e.addr)
+			e.telem.Emit(flight.KindRetry, op.String(), oc.tid, int64(attempt), e.addr)
 			if sp != nil {
 				sp.Annotate(fmt.Sprintf("retry=%d backoff=%v", attempt, d))
 			}

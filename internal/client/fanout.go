@@ -114,7 +114,7 @@ func (c *Client) fanOut(oc opCtx, label string, n int, fn func(boc opCtx, i int)
 // body for a (cursor, skip) page. Returns the entries and the branch's
 // summed virtual time.
 func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor string, skip uint32) []byte, isDir bool) ([]DirEntry, time.Duration, error) {
-	st, resp, virt, err := e.CallV(oc, op, mkBody("", 0))
+	st, resp, virt, err := e.Call(oc, op, mkBody("", 0), 0)
 	if err != nil {
 		return nil, virt, err
 	}
@@ -137,7 +137,7 @@ func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor
 // readdir's DMS branch costs zero trips (the cold-miss path does the same
 // inside resolveForReaddir).
 func (c *Client) readSubdirPages(e *endpoint, src uint32, cleaned string, oc opCtx, mkBody func(cursor string, skip uint32) []byte) ([]DirEntry, time.Duration, error) {
-	st, resp, virt, err := e.CallV(oc, wire.OpReaddirSubdirs, mkBody("", 0))
+	st, resp, virt, err := e.Call(oc, wire.OpReaddirSubdirs, mkBody("", 0), 0)
 	if err != nil {
 		return nil, virt, err
 	}
@@ -175,7 +175,7 @@ func (c *Client) readMorePages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cu
 			}
 		}
 		if pages == 1 {
-			st, resp, virt, err := e.CallV(oc, op, mkBody(cursor, 0))
+			st, resp, virt, err := e.Call(oc, op, mkBody(cursor, 0), 0)
 			vtotal += virt
 			if err != nil {
 				return nil, vtotal, err

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
@@ -71,7 +72,7 @@ func TestIdempotentRetrySurvivesDrop(t *testing.T) {
 	}
 
 	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
+	cfg.Obs = &obs.Handle{Reg: reg}
 	c := dialTest(t, cfg,
 		WithOpTimeout(40*time.Millisecond),
 		WithRetry(RetryPolicy{Max: 2, Base: time.Millisecond}))
@@ -135,7 +136,7 @@ func TestBreakerFastFailAndHalfOpenRecovery(t *testing.T) {
 
 	const deadline = 25 * time.Millisecond
 	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
+	cfg.Obs = &obs.Handle{Reg: reg}
 	c := dialTest(t, cfg,
 		WithOpTimeout(deadline),
 		WithRetry(RetryPolicy{Max: -1}),

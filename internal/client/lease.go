@@ -172,7 +172,7 @@ func (c *Client) refreshHotGroup(oc opCtx, e *endpoint, src uint32, paths []stri
 	if c.disableBatch {
 		for _, p := range paths {
 			body := wire.NewEnc().Str(p).U32(c.uid).U32(c.gid).Bytes()
-			st, resp, cerr := e.CallT(oc, wire.OpLookupDir, body)
+			st, resp, _, cerr := e.Call(oc, wire.OpLookupDir, body, 0)
 			if cerr != nil {
 				return cerr
 			}
@@ -183,7 +183,7 @@ func (c *Client) refreshHotGroup(oc opCtx, e *endpoint, src uint32, paths []stri
 		if since, behind := c.cacheBehind(src); behind {
 			// No batch to piggyback on: fetch missed recalls standalone so
 			// the refreshed entries become servable (see resolveDir).
-			st, resp, cerr := e.CallT(oc, wire.OpLeaseRecall, wire.EncodeRecallReq(since))
+			st, resp, _, cerr := e.Call(oc, wire.OpLeaseRecall, wire.EncodeRecallReq(since), 0)
 			if cerr == nil && st == wire.StatusOK {
 				c.applyRecallResp(src, resp)
 			}

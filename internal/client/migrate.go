@@ -115,7 +115,7 @@ func (c *Client) pushMap(oc opCtx, addr string, m *wire.ClusterMap, at wire.Coor
 	if err != nil {
 		return err
 	}
-	st, _, err := e.CallT(oc, wire.OpSetMap, wire.EncodeSetMap(m, at))
+	st, _, _, err := e.Call(oc, wire.OpSetMap, wire.EncodeSetMap(m, at), 0)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func (c *Client) changeFMS(change func(cur []wire.Member) ([]wire.Member, error)
 	}
 
 	// Step 2: drain every source until a scan comes back clean.
-	migrated := c.telem.reg.Counter(MetricMigratedKeys)
+	migrated := c.telem.Reg.Counter(MetricMigratedKeys)
 	for _, src := range cur {
 		for {
 			rep.Passes++
@@ -341,7 +341,7 @@ func (c *Client) changeFMS(change func(cur []wire.Member) ([]wire.Member, error)
 			}
 			rep.Moved += len(moved)
 			migrated.Add(uint64(len(moved)))
-			c.telem.fl.Emit(flight.KindMigration, "client", "drain", oc.tid, int64(len(moved)), src.Addr)
+			c.telem.Emit(flight.KindMigration, "drain", oc.tid, int64(len(moved)), src.Addr)
 		}
 	}
 
@@ -379,7 +379,7 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 		enc.I64(int64(id))
 	}
 	body := enc.U32(uint32(limit)).Bytes()
-	st, resp, err := e.CallT(oc, wire.OpMigrateScan, body)
+	st, resp, _, err := e.Call(oc, wire.OpMigrateScan, body, 0)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -412,7 +412,7 @@ func (c *Client) migrateApply(oc opCtx, addr string, op wire.Op, files []movedFi
 	}
 	if c.disableBatch || len(files) == 1 {
 		for _, f := range files {
-			st, _, err := e.CallT(oc, op, mkBody(f))
+			st, _, _, err := e.Call(oc, op, mkBody(f), 0)
 			if err != nil {
 				return err
 			}

@@ -9,6 +9,7 @@ import (
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/telemetry"
 )
@@ -92,14 +93,14 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	go rs1.Serve(l)
 
 	e, err := dialEndpoint(n, "srv", netsim.LinkConfig{RTT: time.Millisecond},
-		&clientTelem{reg: telemetry.NewRegistry()},
+		&clientTelem{Handle: &obs.Handle{Reg: telemetry.NewRegistry()}},
 		newResilience(0, RetryPolicy{}, BreakerConfig{}, nil), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		if _, _, err := e.CallT(opCtx{}, 1, nil); err != nil { // OpPing
+		if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err != nil { // OpPing
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +120,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := e.CallT(opCtx{}, 1, nil); err == nil {
+		if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -135,7 +136,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	}
 	// A closed endpoint refuses calls.
 	e.Close()
-	if _, _, err := e.CallT(opCtx{}, 1, nil); err == nil {
+	if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err == nil {
 		t.Error("call on closed endpoint succeeded")
 	}
 }

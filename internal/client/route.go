@@ -16,11 +16,7 @@ package client
 // recorded response from the new leader's replicated applied table instead
 // of executing twice.
 
-import (
-	"time"
-
-	"locofs/internal/wire"
-)
+import "locofs/internal/wire"
 
 // dmsRouteAttempts bounds the route-refresh-retry loop: first try, plus
 // retries after map refreshes triggered by EWRONGPART or a dead leader.
@@ -61,14 +57,6 @@ func (c *Client) routeDMS(path string, list bool) (*endpoint, uint32, error) {
 // returned source is the partition that served the final attempt — the key
 // for the caller's cache accounting.
 func (c *Client) dmsCall(oc opCtx, path string, list bool, op wire.Op, body []byte) (wire.Status, []byte, uint32, error) {
-	st, resp, _, _, src, err := c.dmsCallV(oc, path, list, op, body)
-	return st, resp, src, err
-}
-
-// dmsCallV is dmsCall returning the call's modeled time and the endpoint
-// that served it (for follow-up calls that must stick to one server, e.g.
-// listing pagination).
-func (c *Client) dmsCallV(oc opCtx, path string, list bool, op wire.Op, body []byte) (wire.Status, []byte, time.Duration, *endpoint, uint32, error) {
 	var req uint64
 	if !op.Idempotent() {
 		req = c.res.nextReq()
@@ -76,12 +64,11 @@ func (c *Client) dmsCallV(oc opCtx, path string, list bool, op wire.Op, body []b
 	var (
 		st   wire.Status
 		resp []byte
-		virt time.Duration
-		e    *endpoint
 		src  uint32
 		err  error
 	)
 	for attempt := 0; attempt < dmsRouteAttempts; attempt++ {
+		var e *endpoint
 		var rerr error
 		e, src, rerr = c.routeDMS(path, list)
 		if rerr != nil {
@@ -89,10 +76,10 @@ func (c *Client) dmsCallV(oc opCtx, path string, list bool, op wire.Op, body []b
 			err = rerr
 			continue
 		}
-		st, resp, virt, err = e.callV(oc, op, body, req)
+		st, resp, _, err = e.Call(oc, op, body, req)
 		if err != nil {
 			if onlyRoute(c.Map()) {
-				return st, resp, virt, e, src, err
+				return st, resp, src, err
 			}
 			c.refreshMap(oc, e.addr)
 			continue
@@ -101,9 +88,9 @@ func (c *Client) dmsCallV(oc opCtx, path string, list bool, op wire.Op, body []b
 			c.refreshMap(oc, "")
 			continue
 		}
-		return st, resp, virt, e, src, nil
+		return st, resp, src, nil
 	}
-	return st, resp, virt, e, src, err
+	return st, resp, src, err
 }
 
 // dmsBatch issues one batched DMS request routed by path, with the same

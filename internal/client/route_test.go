@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
@@ -22,7 +23,7 @@ func TestRefreshMapSingleFlight(t *testing.T) {
 	)
 	gate := make(chan struct{})
 	c := &Client{
-		telem: &clientTelem{reg: telemetry.NewRegistry()},
+		telem: &clientTelem{Handle: &obs.Handle{Reg: telemetry.NewRegistry()}},
 		eps:   map[string]*endpoint{},
 		dial: func(addr string) (*endpoint, error) {
 			dialMu.Lock()
@@ -66,7 +67,7 @@ func TestRefreshMapSingleFlight(t *testing.T) {
 	if dials != 1 {
 		t.Errorf("dial attempts = %d, want 1 (followers must not fetch again)", dials)
 	}
-	if got := c.telem.reg.Counter(MetricMapSuppressed).Load(); got != 2 {
+	if got := c.telem.Reg.Counter(MetricMapSuppressed).Load(); got != 2 {
 		t.Errorf("suppressed counter = %d, want 2", got)
 	}
 }

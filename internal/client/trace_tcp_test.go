@@ -12,6 +12,7 @@ import (
 	"locofs/internal/fms"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/trace"
 )
@@ -32,8 +33,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs := rpc.NewServer()
-		rs.SetTracer(srvTracer, name)
+		rs := rpc.New(rpc.Config{Obs: &obs.Handle{Name: name, Tracer: srvTracer}})
 		attach(rs)
 		go rs.Serve(l)
 		t.Cleanup(rs.Shutdown)
@@ -49,7 +49,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		DMSAddr:  dmsAddr,
 		FMSAddrs: []string{fms1, fms2},
 		OSSAddrs: []string{ossAddr},
-		Tracer:   cliTracer,
+		Obs:      &obs.Handle{Tracer: cliTracer},
 		// No cache: the Readdir resolve must go to the DMS, as a batched
 		// LookupDir + ReaddirSubdirs — the OpBatch linkage under test.
 		DisableCache: true,

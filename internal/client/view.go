@@ -235,7 +235,7 @@ func (c *Client) getMap(oc opCtx, addr string) (*wire.ClusterMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, resp, err := e.CallT(oc, wire.OpGetMap, nil)
+	st, resp, _, err := e.Call(oc, wire.OpGetMap, nil, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +280,7 @@ func (c *Client) refreshMap(oc opCtx, avoid string) error {
 	done, running := c.beginFetch()
 	if done == nil {
 		<-running
-		c.telem.reg.Counter(MetricMapSuppressed).Inc()
+		c.telem.Reg.Counter(MetricMapSuppressed).Inc()
 		return nil
 	}
 	defer c.endFetch(done)
@@ -361,14 +361,14 @@ func (c *Client) fmsCall(oc opCtx, dir uuid.UUID, name string, op wire.Op, body 
 	var err error
 	for attempt := 0; attempt < fmsCallAttempts; attempt++ {
 		v := c.view.Load()
-		st, resp, err = v.owner(key).CallT(oc, op, body)
+		st, resp, _, err = v.owner(key).Call(oc, op, body, 0)
 		if err != nil {
 			return st, resp, err
 		}
 		switch st {
 		case wire.StatusNotFound:
 			if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
-				pst, presp, perr := pe.CallT(oc, op, body)
+				pst, presp, _, perr := pe.Call(oc, op, body, 0)
 				if perr != nil {
 					return pst, presp, perr
 				}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"locofs/internal/obs"
 	"locofs/internal/slo"
 )
 
@@ -85,14 +86,14 @@ func TestAggregatorToleratesDeadSource(t *testing.T) {
 	c := startCluster(t, Options{FMSCount: 2})
 	driveOps(t, c)
 
-	dead := StatusSource{
+	dead := obs.StatusSource{
 		Name:  "fms-9",
 		Fetch: func() (*slo.ServerStatus, error) { return nil, errors.New("connection refused") },
 	}
 	// An unreachable HTTP peer behaves the same way as a failing fetch.
-	deadHTTP := HTTPSource("oss-9", "http://127.0.0.1:1/debug/slo", 0)
+	deadHTTP := obs.HTTPSource("oss-9", "http://127.0.0.1:1/debug/slo", 0)
 
-	agg := &Aggregator{Sources: func() []StatusSource {
+	agg := &obs.Aggregator{Sources: func() []obs.StatusSource {
 		return append(c.StatusSources(), dead, deadHTTP)
 	}}
 	cs := agg.Poll()

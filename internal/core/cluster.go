@@ -21,6 +21,7 @@ import (
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/objstore"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/slo"
 	"locofs/internal/telemetry"
@@ -97,7 +98,7 @@ type Options struct {
 	// measured and unused.
 	CostModel *KVCost
 	// Tracer receives every server's request spans. Because the cluster is
-	// in-process, sharing the same tracer with clients (ClientConfig.Tracer)
+	// in-process, sharing the same tracer with clients (ClientConfig.Obs)
 	// yields complete client+server span trees in one ring. Nil disables
 	// server-side tracing.
 	Tracer *trace.Tracer
@@ -215,11 +216,13 @@ type Cluster struct {
 	// service/queue latency histograms.
 	Metrics map[string]*telemetry.Registry
 
-	// Flight is the cluster's black-box recorder: one shared event journal
-	// every server and cluster-dialed client emits into, plus the anomaly
-	// engine and bundle capture over it. Always present; Start does not
-	// launch background polling (call Flight.Start, or Flight.Poll from a
-	// deterministic test loop).
+	// obs is the process-level observability every server's handle derives
+	// from (obs.Process.For) and every cluster-dialed client's journal comes
+	// from; Flight is its recorder: one shared event journal plus the
+	// anomaly engine and bundle capture over it. Always present; Start does
+	// not launch background polling (call Flight.Start, or Flight.Poll from
+	// a deterministic test loop).
+	obs    *obs.Process
 	Flight *flight.Recorder
 
 	rpcServers []*rpc.Server
@@ -258,23 +261,23 @@ func Start(opts Options) (*Cluster, error) {
 		killed:   make(map[string]bool),
 	}
 
-	// Black-box flight recorder: one journal shared by every server (and
+	// One process, one recorder: a journal shared by every server (and
 	// every client this cluster dials), an anomaly engine fed from the
 	// cluster-wide SLO merge, and bundle capture. Safe to build before the
 	// servers — the SLO feed only runs when Poll/Start is invoked, and by
 	// then the status sources exist.
-	c.Flight = flight.New(flight.Config{
-		Server:  "cluster",
-		Journal: flight.NewJournal(0),
-		Tracer:  opts.Tracer,
-		SLO:     func() []slo.ClassStatus { return c.ClusterStatus().SLO },
+	c.obs = obs.New(flight.Config{
+		Server: "cluster",
+		Tracer: opts.Tracer,
+		SLO:    func() []slo.ClassStatus { return c.ClusterStatus().SLO },
 		Extra: func() map[string]any {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return map[string]any{"map": c.cmap}
 		},
 		Dir: opts.FlightDir,
-	})
+	}, 0, opts.Window)
+	c.Flight = c.obs.Recorder
 
 	// The version-1 cluster map every server starts from, which makes the
 	// cluster elasticity- and failover-ready: servers stamp the version on
@@ -310,6 +313,10 @@ func Start(opts Options) (*Cluster, error) {
 				base = kv.NewBTreeStore()
 			}
 			store := kv.Instrument(base, kv.RAM)
+			// The journal is cluster-wide, so its counters are exported
+			// exactly once (through the bootstrap DMS registry) to keep
+			// SumCounter from double-counting.
+			h := c.obs.For(addr, obs.Export{Recorder: addr == "dms"})
 			// Replicas of one partition share a ServerID: UUIDs are
 			// drawn deterministically from it, so applying the same op
 			// log yields byte-identical inodes on every replica. The
@@ -319,23 +326,21 @@ func Start(opts Options) (*Cluster, error) {
 				CheckPermissions: opts.CheckPermissions,
 				LeaseDur:         opts.Lease,
 				ServerID:         0x80000000 | uint32(pid),
+				Obs:              h,
 			})
-			ds.SetFlight(c.Flight.Journal(), addr)
 			node := partition.New(partition.Config{
 				PID:        uint32(pid),
 				Index:      rep,
 				Map:        pm,
 				DMS:        ds,
 				Dialer:     c.net,
-				Journal:    c.Flight.Journal(),
-				Source:     addr,
+				Obs:        h,
 				LogCap:     opts.DMSLogCap,
 				RepTimeout: opts.DMSRepTimeout,
 			})
-			if err := c.serve(addr, store, node.Attach); err != nil {
+			if err := c.serve(h, store, node.Attach); err != nil {
 				return nil, err
 			}
-			ds.RegisterMetrics(c.Metrics[addr])
 			c.DMSNodes[pid] = append(c.DMSNodes[pid], node)
 			c.dmsStores[pid] = append(c.dmsStores[pid], store)
 			c.dmsAllNodes = append(c.dmsAllNodes, node)
@@ -343,10 +348,6 @@ func Start(opts Options) (*Cluster, error) {
 	}
 	c.DMS = c.DMSNodes[0][0].DMS()
 	c.DMSStore = c.dmsStores[0][0]
-	// The journal is cluster-wide, so its counters are exported exactly once
-	// (through the bootstrap DMS registry) to keep SumCounter from
-	// double-counting.
-	c.Flight.RegisterMetrics(c.Metrics["dms"])
 
 	// File metadata servers.
 	for _, m := range pm.FMS {
@@ -365,7 +366,7 @@ func Start(opts Options) (*Cluster, error) {
 		c.OSS = append(c.OSS, o)
 		addr := fmt.Sprintf("oss-%d", i)
 		c.ossAddrs = append(c.ossAddrs, addr)
-		if err := c.serve(addr, ostore, o.Attach); err != nil {
+		if err := c.serve(c.obs.For(addr, obs.Export{}), ostore, o.Attach); err != nil {
 			return nil, err
 		}
 		c.rsByAddr[addr].InstallMap(pm, wire.FMSCoords(-1))
@@ -376,15 +377,16 @@ func Start(opts Options) (*Cluster, error) {
 // startFMS builds and serves the file metadata server m names.
 func (c *Cluster) startFMS(m wire.Member) (*fms.Server, error) {
 	fstore := kv.Instrument(kv.NewHashStore(), kv.RAM)
+	h := c.obs.For(m.Addr, obs.Export{})
 	f := fms.New(fms.Options{
 		Store:            fstore,
 		ServerID:         uint32(m.ID + 1),
 		Coupled:          c.opts.CoupledFileMetadata,
 		CheckPermissions: c.opts.CheckPermissions,
 		BlockSize:        c.opts.BlockSize,
+		Obs:              h,
 	})
-	f.SetFlight(c.Flight.Journal(), m.Addr)
-	return f, c.serve(m.Addr, fstore, f.Attach)
+	return f, c.serve(h, fstore, f.Attach)
 }
 
 // dmsAddr names DMS partition pid's replica rep on the fabric. Partition
@@ -397,122 +399,60 @@ func dmsAddr(pid, rep int) string {
 	return fmt.Sprintf("dms-p%d-r%d", pid, rep)
 }
 
-// serve starts one rpc.Server for a component on the fabric.
-func (c *Cluster) serve(addr string, store *kv.Instrumented, attach func(*rpc.Server)) error {
-	rs := rpc.NewServer()
+// serve starts one rpc.Server for a component on the fabric, observed
+// through h and listening at h.Name.
+func (c *Cluster) serve(h *obs.Handle, store *kv.Instrumented, attach func(*rpc.Server)) error {
+	cfg := rpc.Config{Obs: h}
 	if c.opts.CostModel != nil {
-		rs.SetServiceFunc(c.opts.CostModel.serviceFunc(store.Counters()))
+		cfg.Service = c.opts.CostModel.serviceFunc(store.Counters())
 	}
-	if c.opts.Tracer != nil {
-		rs.SetTracer(c.opts.Tracer, addr)
-	}
-	reg := telemetry.NewRegistry(telemetry.L("server", addr))
-	reg.SetWindow(c.opts.Window)
-	telemetry.RegisterBuildInfo(reg)
-	trace.RegisterMetrics(reg, c.opts.Tracer)
-	rs.SetTelemetry(reg)
-	rs.SetFlight(c.Flight.Journal(), addr)
-	reg.SetRotateHook(flight.WindowRollEmitter(c.Flight.Journal(), addr, 0))
+	rs := rpc.New(cfg)
 	attach(rs)
-	l, err := c.net.Listen(addr)
+	l, err := c.net.Listen(h.Name)
 	if err != nil {
-		return fmt.Errorf("core: listen %s: %w", addr, err)
+		return fmt.Errorf("core: listen %s: %w", h.Name, err)
 	}
 	go rs.Serve(l)
 	// AddFMS calls serve while status pollers may be reading these maps.
 	c.mu.Lock()
-	c.Metrics[addr] = reg
+	c.Metrics[h.Name] = h.Reg
 	c.rpcServers = append(c.rpcServers, rs)
-	c.rsByAddr[addr] = rs
+	c.rsByAddr[h.Name] = rs
 	c.mu.Unlock()
 	return nil
 }
 
-// ClientConfig tweaks one client.
-type ClientConfig struct {
-	UID, GID     uint32
-	DisableCache bool
-	Lease        time.Duration
-	// DisableLeaseCoherence reverts this client's directory cache to
-	// TTL-only semantics (see client.Config.DisableLeaseCoherence).
-	DisableLeaseCoherence bool
-	// DisableNegativeCache turns off negative-entry (ENOENT) caching.
-	DisableNegativeCache bool
-	// HotEntries / HotLeaseFactor / HotRefreshInterval configure the
-	// hot-entry tier (see client.Config); HotEntries 0 disables it.
-	HotEntries         int
-	HotLeaseFactor     int
-	HotRefreshInterval time.Duration
-	Now                func() time.Time
-	// Metrics receives the client's per-op round-trip telemetry; nil means
-	// a private registry (see client.Config.Metrics). A shared registry
-	// aggregates a whole client fleet into one snapshot.
-	Metrics *telemetry.Registry
-	// SlowThreshold enables client-side slow-call logging.
-	SlowThreshold time.Duration
-	// SerialFanOut disables parallel multi-server fan-out (the benchmark
-	// baseline; see client.Config.SerialFanOut).
-	SerialFanOut bool
-	// DisableBatchRPC disables wire-level request batching (wire.OpBatch).
-	DisableBatchRPC bool
-	// CacheEntries bounds the client directory cache (0 = default cap,
-	// negative = unbounded; see client.Config.CacheEntries).
-	CacheEntries int
-	// Tracer receives the client's spans (see client.Config.Tracer). Pass
-	// the cluster's tracer to get joined client+server trees.
-	Tracer *trace.Tracer
-	// OpTimeout bounds each RPC attempt (see client.Config.OpTimeout).
-	OpTimeout time.Duration
-	// Retry governs automatic retries (see client.RetryPolicy; the zero
-	// value keeps the legacy one-immediate-retry behavior).
-	Retry client.RetryPolicy
-	// Breaker configures the per-endpoint circuit breaker (zero = disabled).
-	Breaker client.BreakerConfig
-}
+// ClientConfig tweaks one client: a client.Config whose Dialer, Link,
+// addresses and journal NewClient fills in, and whose DisableCache, Lease and
+// DisableLeaseCoherence combine with the cluster's defaults.
+type ClientConfig = client.Config
 
 // NewClient connects a LocoLib client to the cluster.
 func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
-	lease := cfg.Lease
-	if lease == 0 {
-		lease = c.opts.Lease
-	}
 	// Bootstrap from the first live replica of partition 0: "dms" is gone
 	// once a failover has replaced it. The FMS addresses are only dialed;
 	// their ring IDs come with the bootstrap map.
 	c.mu.Lock()
-	bootstrap := c.liveLocked(0)
-	fmsAddrs := make([]string, len(c.cmap.FMS))
+	cfg.DMSAddr = c.liveLocked(0)
+	cfg.FMSAddrs = make([]string, len(c.cmap.FMS))
 	for i, m := range c.cmap.FMS {
-		fmsAddrs[i] = m.Addr
+		cfg.FMSAddrs[i] = m.Addr
 	}
 	c.mu.Unlock()
-	cl, err := client.Dial(client.Config{
-		Dialer:                c.net,
-		Link:                  c.opts.Link,
-		DMSAddr:               bootstrap,
-		FMSAddrs:              fmsAddrs,
-		OSSAddrs:              c.ossAddrs,
-		DisableCache:          cfg.DisableCache || c.opts.DisableClientCache,
-		Lease:                 lease,
-		DisableLeaseCoherence: cfg.DisableLeaseCoherence || c.opts.DisableLeaseCoherence,
-		DisableNegativeCache:  cfg.DisableNegativeCache,
-		HotEntries:            cfg.HotEntries,
-		HotLeaseFactor:        cfg.HotLeaseFactor,
-		HotRefreshInterval:    cfg.HotRefreshInterval,
-		UID:                   cfg.UID,
-		GID:                   cfg.GID,
-		Now:                   cfg.Now,
-		Metrics:               cfg.Metrics,
-		SlowThreshold:         cfg.SlowThreshold,
-		SerialFanOut:          cfg.SerialFanOut,
-		DisableBatchRPC:       cfg.DisableBatchRPC,
-		CacheEntries:          cfg.CacheEntries,
-		Tracer:                cfg.Tracer,
-		OpTimeout:             cfg.OpTimeout,
-		Retry:                 cfg.Retry,
-		Breaker:               cfg.Breaker,
-		Flight:                c.Flight.Journal(),
-	})
+	cfg.Dialer, cfg.Link, cfg.OSSAddrs = c.net, c.opts.Link, c.ossAddrs
+	cfg.DisableCache = cfg.DisableCache || c.opts.DisableClientCache
+	cfg.DisableLeaseCoherence = cfg.DisableLeaseCoherence || c.opts.DisableLeaseCoherence
+	if cfg.Lease == 0 {
+		cfg.Lease = c.opts.Lease
+	}
+	// The caller's registry, tracer and slow threshold, the cluster's journal.
+	var h obs.Handle
+	if cfg.Obs != nil {
+		h = *cfg.Obs
+	}
+	h.Journal = c.obs.Journal
+	cfg.Obs = &h
+	cl, err := client.Dial(cfg)
 	if err != nil {
 		return nil, err
 	}

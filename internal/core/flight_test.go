@@ -10,6 +10,7 @@ import (
 	"locofs/internal/client"
 	"locofs/internal/flight"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/trace"
 )
 
@@ -30,7 +31,7 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 		FlightDir: dir,
 	})
 	cl := newClient(t, c, ClientConfig{
-		Tracer:    tr,
+		Obs:       &obs.Handle{Tracer: tr},
 		OpTimeout: 25 * time.Millisecond,
 		Retry:     client.RetryPolicy{Max: -1},
 		Breaker:   client.BreakerConfig{Threshold: 1, Cooldown: 30 * time.Millisecond},
@@ -175,7 +176,7 @@ func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 func TestSpanRingEvictionCounterSurfacesClusterWide(t *testing.T) {
 	tr := trace.New(trace.Config{Sample: 1, BufSpans: 4})
 	c := startCluster(t, Options{FMSCount: 1, Tracer: tr})
-	cl := newClient(t, c, ClientConfig{Tracer: tr})
+	cl := newClient(t, c, ClientConfig{Obs: &obs.Handle{Tracer: tr}})
 	if err := cl.Mkdir("/ev", 0o755); err != nil {
 		t.Fatal(err)
 	}

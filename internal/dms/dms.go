@@ -19,10 +19,10 @@ import (
 	"time"
 
 	"locofs/internal/acl"
-	"locofs/internal/flight"
 	"locofs/internal/fspath"
 	"locofs/internal/kv"
 	"locofs/internal/layout"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/trace"
 	"locofs/internal/uuid"
@@ -52,6 +52,9 @@ type Options struct {
 	// LeaseDur is the read-lease duration granted to clients on lookup and
 	// readdir responses (see lease.go). Default DefaultLeaseDur (30 s).
 	LeaseDur time.Duration
+	// Obs (nil = off) receives the lease table's recall and overflow events
+	// and exports its coherence counters (see the MetricLease* names).
+	Obs *obs.Handle
 }
 
 // PathInode pairs a directory path with its inode, for lookup responses that
@@ -116,6 +119,10 @@ func New(opts Options) *Server {
 		return userNow()
 	}
 	s.leases = newLeaseTable(opts.LeaseDur, s.now)
+	s.leases.obs = opts.Obs
+	if reg := opts.Obs.Registry(); reg != nil {
+		s.registerMetrics(reg)
+	}
 	if _, ok := st.Get(pathKey("/")); !ok {
 		root := layout.NewDirInode()
 		root.SetUUID(uuid.Root)
@@ -601,12 +608,7 @@ func (s *Server) RecallsSuppressed() uint64 { return s.leases.Suppressed() }
 // LeaseGrants returns how many lease grants have been recorded on responses.
 func (s *Server) LeaseGrants() uint64 { return s.leases.Granted() }
 
-// SetFlight installs the flight journal the lease table emits recall and
-// overflow events to (nil disables emission); source names this server in
-// the events.
-func (s *Server) SetFlight(j *flight.Journal, source string) { s.leases.setFlight(j, source) }
-
-// Lease-coherence gauge names exported by RegisterMetrics. The cluster
+// Lease-coherence gauge names exported on Options.Obs's registry. The cluster
 // status merge (slo.MergeCluster + Format) sums these by name, so they must
 // stay stable.
 const (
@@ -616,11 +618,11 @@ const (
 	MetricLeaseSuppressed = "locofs_dms_lease_recalls_suppressed_total"
 )
 
-// RegisterMetrics exports the lease table's coherence counters as gauges:
+// registerMetrics exports the lease table's coherence counters as gauges:
 // the published recall sequence, grants recorded, recalls published (the
 // sequence is bumped exactly once per published entry) and mutations whose
 // recall was suppressed.
-func (s *Server) RegisterMetrics(reg *telemetry.Registry) {
+func (s *Server) registerMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc(MetricLeaseSeq, func() float64 { return float64(s.leases.Seq()) })
 	reg.GaugeFunc(MetricLeaseGrants, func() float64 { return float64(s.leases.Granted()) })
 	reg.GaugeFunc(MetricLeaseRecalls, func() float64 { return float64(s.leases.Seq()) })

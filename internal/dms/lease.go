@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"locofs/internal/flight"
+	"locofs/internal/obs"
 	"locofs/internal/wire"
 )
 
@@ -79,12 +80,11 @@ type leaseTable struct {
 	suppressed    uint64 // mutations that published nothing (introspection)
 	granted       uint64 // lease grants recorded (inode + neg + list)
 
-	// fl, when set, receives flight-recorder events: one KindLeaseRecall
+	// obs (nil ok) receives flight-recorder events: one KindLeaseRecall
 	// per published recall and one KindLeaseOverflow per overflow-mode
 	// entry. The journal's append lock is a leaf, so emitting under lt.mu
 	// (itself under the server's write lock) cannot deadlock.
-	fl       *flight.Journal
-	flSource string
+	obs *obs.Handle
 
 	pub atomic.Uint64 // mirror of seq for lock-free response stamping
 }
@@ -138,7 +138,7 @@ func (lt *leaseTable) rec(path string, t int64) *grantRec {
 			// per-path tracking for one horizon and publish everything.
 			lt.grants = make(map[string]*grantRec)
 			lt.overflowUntil = t + int64(lt.horizon)
-			lt.fl.Emit(flight.KindLeaseOverflow, lt.flSource, "", 0, int64(lt.maxGrants), "grants map over bound; suppression off for one horizon")
+			lt.obs.Emit(flight.KindLeaseOverflow, "", 0, int64(lt.maxGrants), "grants map over bound; suppression off for one horizon")
 			return nil
 		}
 		g = &grantRec{}
@@ -223,7 +223,7 @@ func (lt *leaseTable) publish(kind wire.RecallKind, path string) {
 		lt.log = append(lt.log[:0], lt.log[len(lt.log)-lt.logCap:]...)
 	}
 	lt.pub.Store(lt.seq)
-	lt.fl.Emit(flight.KindLeaseRecall, lt.flSource, "", 0, int64(lt.seq), path)
+	lt.obs.Emit(flight.KindLeaseRecall, "", 0, int64(lt.seq), path)
 }
 
 // bumpCreated handles a directory creation: clients may hold a negative
@@ -314,13 +314,4 @@ func (lt *leaseTable) Granted() uint64 {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
 	return lt.granted
-}
-
-// setFlight installs the flight journal recall/overflow events are emitted
-// to (nil disables emission).
-func (lt *leaseTable) setFlight(j *flight.Journal, source string) {
-	lt.mu.Lock()
-	lt.fl = j
-	lt.flSource = source
-	lt.mu.Unlock()
 }

@@ -46,6 +46,7 @@ import (
 	"locofs/internal/flight"
 	"locofs/internal/fspath"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/wire"
 )
@@ -84,11 +85,9 @@ type Config struct {
 	DMS *dms.Server
 	// Dialer reaches peer nodes (followers, other partition leaders).
 	Dialer netsim.Dialer
-	// Journal, when non-nil, receives partition events (failovers,
-	// follower exclusions, catch-up progress, 2PC recovery actions)
-	// stamped Source.
-	Journal *flight.Journal
-	Source  string
+	// Obs (nil = off) receives partition events: failovers, follower
+	// exclusions, catch-up progress, 2PC recovery actions.
+	Obs *obs.Handle
 	// Now supplies the leader-pinned log-entry timestamps. Default:
 	// time.Now().UnixNano via the wire clock of the DMS is NOT used —
 	// the node needs its own reading before dispatch.
@@ -159,8 +158,7 @@ type Node struct {
 	dms    *dms.Server
 	pid    uint32
 	dialer netsim.Dialer
-	j      *flight.Journal
-	source string
+	obs    *obs.Handle
 	now    func() int64
 
 	logCap       int
@@ -271,8 +269,7 @@ func New(cfg Config) *Node {
 		dms:          cfg.DMS,
 		pid:          cfg.PID,
 		dialer:       cfg.Dialer,
-		j:            cfg.Journal,
-		source:       cfg.Source,
+		obs:          cfg.Obs,
 		now:          cfg.Now,
 		logCap:       cfg.LogCap,
 		repTimeout:   cfg.RepTimeout,
@@ -371,9 +368,7 @@ func (n *Node) Excluded() []string {
 }
 
 func (n *Node) emit(op string, value int64, detail string) {
-	if n.j != nil {
-		n.j.Emit(flight.KindPartition, n.source, op, 0, value, detail)
-	}
+	n.obs.Emit(flight.KindPartition, op, 0, value, detail)
 }
 
 // Attach hands the initial map to rs, which owns it from here on, and

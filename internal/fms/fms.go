@@ -20,9 +20,9 @@ import (
 	"time"
 
 	"locofs/internal/acl"
-	"locofs/internal/flight"
 	"locofs/internal/kv"
 	"locofs/internal/layout"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/trace"
 	"locofs/internal/uuid"
@@ -54,6 +54,9 @@ type Options struct {
 	BlockSize uint32
 	// Now supplies timestamps; defaults to time.Now().UnixNano.
 	Now func() int64
+	// Obs (nil = off) receives flight-recorder events: one KindMigration per
+	// non-empty ExportMoved batch (the source side of a drain).
+	Obs *obs.Handle
 }
 
 // FileMeta is the decoded metadata of one file, returned by Getattr.
@@ -81,21 +84,7 @@ type Server struct {
 	// served by the admin plane's /debug/hot.
 	hot *trace.TopK
 
-	// fl, when set, receives flight-recorder events: one KindMigration per
-	// non-empty ExportMoved batch (the source side of a drain).
-	fl       atomic.Pointer[flight.Journal]
-	flSource atomic.Pointer[string]
-}
-
-// SetFlight installs the flight journal migration events are emitted to
-// (nil disables emission); source names this server in the events.
-func (s *Server) SetFlight(j *flight.Journal, source string) {
-	if j == nil {
-		s.fl.Store(nil)
-		return
-	}
-	s.flSource.Store(&source)
-	s.fl.Store(j)
+	obs *obs.Handle // see Options.Obs
 }
 
 // New returns an FMS.
@@ -112,6 +101,7 @@ func New(opts Options) *Server {
 		blockSize: opts.BlockSize,
 		now:       opts.Now,
 		hot:       trace.NewTopK(trace.DefaultTopKCapacity),
+		obs:       opts.Obs,
 	}
 	if s.blockSize == 0 {
 		s.blockSize = DefaultBlockSize

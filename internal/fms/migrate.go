@@ -89,13 +89,7 @@ func (s *Server) ExportMoved(next *chash.Ring, self, limit int) (moved []MovedFi
 		moved = append(moved, MovedFile{Dir: k.dir, Name: k.name, Meta: m})
 	}
 	if len(moved) > 0 {
-		if j := s.fl.Load(); j != nil {
-			src := ""
-			if p := s.flSource.Load(); p != nil {
-				src = *p
-			}
-			j.Emit(flight.KindMigration, src, "export", 0, int64(len(moved)), "")
-		}
+		s.obs.Emit(flight.KindMigration, "export", 0, int64(len(moved)), "")
 	}
 	return moved, total, more
 }

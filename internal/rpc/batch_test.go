@@ -9,16 +9,17 @@ import (
 	"time"
 
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/wire"
 )
 
-// startBatchServer builds a server (workers = concurrency cap, 0 unlimited)
-// with an echo op and an op that fails with ENOENT.
-func startBatchServer(t *testing.T, workers int) (*netsim.Network, *Server) {
+// startBatchServer builds a server from cfg with an echo op and an op that
+// fails with ENOENT.
+func startBatchServer(t *testing.T, cfg Config) (*netsim.Network, *Server) {
 	t.Helper()
 	n := netsim.NewNetwork(netsim.Loopback)
 	t.Cleanup(func() { n.Close() })
-	s := NewServerWithWorkers(workers)
+	s := New(cfg)
 	s.Handle(wire.Op(0x0F00), func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, append([]byte("echo:"), body...)
 	})
@@ -32,6 +33,14 @@ func startBatchServer(t *testing.T, workers int) (*netsim.Network, *Server) {
 	go s.Serve(l)
 	t.Cleanup(s.Shutdown)
 	return n, s
+}
+
+// fixedService models every request as costing d.
+func fixedService(d time.Duration) ServiceFunc {
+	return func(_ wire.Op, run func()) time.Duration {
+		run()
+		return d
+	}
 }
 
 func callBatch(t *testing.T, c *Client, subs []wire.SubReq) []wire.SubResp {
@@ -57,7 +66,7 @@ func callBatch(t *testing.T, c *Client, subs []wire.SubReq) []wire.SubResp {
 // TestBatchPreservesOrder: sub-responses must line up with sub-requests even
 // though the server dispatches them concurrently.
 func TestBatchPreservesOrder(t *testing.T) {
-	n, _ := startBatchServer(t, 0)
+	n, _ := startBatchServer(t, Config{})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 	const k = 64
@@ -84,7 +93,7 @@ func TestBatchPreservesOrder(t *testing.T) {
 // siblings, and unknown ops (including a nested OpBatch) fail only their own
 // slot.
 func TestBatchIsolatesErrors(t *testing.T) {
-	n, _ := startBatchServer(t, 0)
+	n, _ := startBatchServer(t, Config{})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 	nested, _ := wire.EncodeBatch([]wire.SubReq{{Op: wire.Op(0x0F00), Body: []byte("x")}})
@@ -110,32 +119,10 @@ func TestBatchIsolatesErrors(t *testing.T) {
 	}
 }
 
-// TestBatchSingleWorkerNoDeadlock: the envelope must not hold a worker slot
-// while its sub-requests wait for one.
-func TestBatchSingleWorkerNoDeadlock(t *testing.T) {
-	n, _ := startBatchServer(t, 1)
-	c, _ := Dial(n, "srv")
-	defer c.Close()
-	subs := make([]wire.SubReq, 16)
-	for i := range subs {
-		subs[i] = wire.SubReq{Op: wire.Op(0x0F00), Body: []byte{byte(i)}}
-	}
-	done := make(chan []wire.SubResp, 1)
-	go func() { done <- callBatch(t, c, subs) }()
-	select {
-	case resps := <-done:
-		if len(resps) != len(subs) {
-			t.Fatalf("got %d sub-responses, want %d", len(resps), len(subs))
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("batch on a 1-worker server deadlocked")
-	}
-}
-
 // TestBatchMalformedEnvelope: an undecodable batch body fails the envelope
 // itself with EINVAL.
 func TestBatchMalformedEnvelope(t *testing.T) {
-	n, _ := startBatchServer(t, 0)
+	n, _ := startBatchServer(t, Config{})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 	st, _, err := c.Call(wire.OpBatch, []byte{0xde, 0xad})
@@ -151,8 +138,7 @@ func TestBatchMalformedEnvelope(t *testing.T) {
 // sub-requests' modeled service times (the server CPU serializes the work
 // even though one message carried it).
 func TestBatchServiceSummed(t *testing.T) {
-	n, s := startBatchServer(t, 0)
-	s.SetVirtualCost(wire.Op(0x0F00), 3*time.Millisecond)
+	n, _ := startBatchServer(t, Config{Service: fixedService(3 * time.Millisecond)})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 	c.SetLink(netsim.LinkConfig{}) // zero link: virt = ServiceNS only
@@ -173,9 +159,10 @@ func TestBatchServiceSummed(t *testing.T) {
 // TestBatchTracePropagates: batched sub-ops must appear in server slow logs
 // under the parent request's trace id.
 func TestBatchTracePropagates(t *testing.T) {
-	n, s := startBatchServer(t, 0)
-	s.SetVirtualCost(wire.Op(0x0F00), time.Second)
-	s.SetSlowThreshold(time.Millisecond)
+	n, _ := startBatchServer(t, Config{
+		Service: fixedService(time.Second),
+		Obs:     &obs.Handle{Slow: time.Millisecond},
+	})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
 
 // startInstrumented runs a server with a telemetry registry on an
 // in-process network and returns a connected client.
-func startInstrumented(t *testing.T, reg *telemetry.Registry, configure func(*Server)) *Client {
+func startInstrumented(t *testing.T, reg *telemetry.Registry, service ServiceFunc, configure func(*Server)) *Client {
 	t.Helper()
 	net := netsim.NewNetwork(netsim.Loopback)
 	t.Cleanup(func() { net.Close() })
@@ -20,8 +21,7 @@ func startInstrumented(t *testing.T, reg *telemetry.Registry, configure func(*Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer()
-	s.SetTelemetry(reg)
+	s := New(Config{Obs: &obs.Handle{Reg: reg}, Service: service})
 	if configure != nil {
 		configure(s)
 	}
@@ -37,21 +37,21 @@ func startInstrumented(t *testing.T, reg *telemetry.Registry, configure func(*Se
 
 func TestServerPerOpMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry(telemetry.L("server", "test"))
-	c := startInstrumented(t, reg, func(s *Server) {
+	// A deterministic modeled service time so histogram contents are
+	// predictable: 1 ms per Mkdir, 2 ms per anything else.
+	service := func(op wire.Op, run func()) time.Duration {
+		run()
+		if op == wire.OpMkdir {
+			return time.Millisecond
+		}
+		return 2 * time.Millisecond
+	}
+	c := startInstrumented(t, reg, service, func(s *Server) {
 		s.Handle(wire.OpMkdir, func(body []byte) (wire.Status, []byte) {
 			return wire.StatusOK, nil
 		})
 		s.Handle(wire.OpStatFile, func(body []byte) (wire.Status, []byte) {
 			return wire.StatusNotFound, nil
-		})
-		// A deterministic modeled service time so histogram contents are
-		// predictable: 1 ms per Mkdir, 2 ms per anything else.
-		s.SetServiceFunc(func(op wire.Op, run func()) time.Duration {
-			run()
-			if op == wire.OpMkdir {
-				return time.Millisecond
-			}
-			return 2 * time.Millisecond
 		})
 	})
 
@@ -114,7 +114,7 @@ func TestServerPerOpMetrics(t *testing.T) {
 
 func TestServerMetricsConcurrent(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := startInstrumented(t, reg, func(s *Server) {
+	c := startInstrumented(t, reg, nil, func(s *Server) {
 		s.Handle(wire.OpMkdir, func(body []byte) (wire.Status, []byte) {
 			return wire.StatusOK, body
 		})
@@ -179,7 +179,7 @@ func TestServerEchoesTrace(t *testing.T) {
 
 func TestUninstrumentedServerUnaffected(t *testing.T) {
 	// No registry installed: requests must flow exactly as before.
-	c := startInstrumented(t, nil, nil)
+	c := startInstrumented(t, nil, nil, nil)
 	if st, body, err := c.Call(wire.OpPing, []byte("hi")); err != nil || st != wire.StatusOK || string(body) != "hi" {
 		t.Fatalf("ping = %v %q %v", st, body, err)
 	}

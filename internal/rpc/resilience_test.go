@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
@@ -84,9 +85,8 @@ func TestDoDeadlineMissesDoNotPoisonLaterCalls(t *testing.T) {
 func TestDedupReplaysFirstExecution(t *testing.T) {
 	n := netsim.NewNetwork(netsim.Loopback)
 	t.Cleanup(func() { n.Close() })
-	s := NewServer()
 	reg := telemetry.NewRegistry()
-	s.SetTelemetry(reg)
+	s := New(Config{Obs: &obs.Handle{Reg: reg}})
 	var execs atomic.Int64
 	s.Handle(wire.Op(0x0F00), func(body []byte) (wire.Status, []byte) {
 		execs.Add(1)

@@ -15,6 +15,7 @@ import (
 	"locofs/internal/chash"
 	"locofs/internal/flight"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/telemetry"
 	"locofs/internal/trace"
 	"locofs/internal/wire"
@@ -37,11 +38,10 @@ const (
 	MetricDedupInflightSkips = "locofs_rpc_dedup_inflight_skips_total"
 )
 
-// opMetrics caches one op's instrument handles so the hot path does not
-// take the registry lock per request. Service and queue time record through
-// rotating-window histograms, so the same observation stream yields both
-// lifetime aggregates (/metrics histogram families, unchanged) and
-// time-local quantiles/rates (the _window gauge families and the SLO layer).
+// opMetrics is one op's instrument handles. Service and queue time record
+// through rotating-window histograms, so the same observation stream yields
+// both lifetime aggregates (/metrics histogram families) and time-local
+// quantiles/rates (the _window gauge families and the SLO layer).
 type opMetrics struct {
 	reqs    *telemetry.Counter
 	errs    *telemetry.Counter
@@ -50,26 +50,37 @@ type opMetrics struct {
 	queue   *telemetry.Windowed
 }
 
-// serverTelem is a server's telemetry sink plus its per-op handle cache.
-type serverTelem struct {
-	reg  *telemetry.Registry
-	byOp sync.Map // wire.Op -> *opMetrics
+// opEntry is everything the request path needs to know about one op, found
+// with one table lookup: its handler and its instrument handles. The
+// handles are created on the op's first request, so an op nobody calls puts
+// no zero-count series into /metrics.
+type opEntry struct {
+	name string         // the op label; "unknown" for every unregistered op
+	fn   MsgHandlerFunc // nil on the unknown entry
+	once sync.Once
+	m    opMetrics
 }
 
-func (t *serverTelem) forOp(op wire.Op) *opMetrics {
-	if m, ok := t.byOp.Load(op); ok {
-		return m.(*opMetrics)
+// run invokes the op's handler; the unknown entry has none.
+func (e *opEntry) run(op wire.Op, req uint64, body []byte) (wire.Status, []byte) {
+	if e.fn == nil {
+		return wire.StatusInval, []byte(fmt.Sprintf("unknown op %#x", uint16(op)))
 	}
-	label := telemetry.L("op", op.String())
-	m := &opMetrics{
-		reqs:    t.reg.Counter(MetricRequests, label),
-		errs:    t.reg.Counter(MetricErrors, label),
-		dedup:   t.reg.Counter(MetricDedup, label),
-		service: t.reg.Windowed(MetricService, label),
-		queue:   t.reg.Windowed(MetricQueue, label),
-	}
-	actual, _ := t.byOp.LoadOrStore(op, m)
-	return actual.(*opMetrics)
+	return e.fn(req, body)
+}
+
+func (e *opEntry) metrics(reg *telemetry.Registry) *opMetrics {
+	e.once.Do(func() {
+		label := telemetry.L("op", e.name)
+		e.m = opMetrics{
+			reqs:    reg.Counter(MetricRequests, label),
+			errs:    reg.Counter(MetricErrors, label),
+			dedup:   reg.Counter(MetricDedup, label),
+			service: reg.Windowed(MetricService, label),
+			queue:   reg.Windowed(MetricQueue, label),
+		}
+	})
+	return &e.m
 }
 
 // HandlerFunc serves one request body and returns a status and response
@@ -83,39 +94,58 @@ type HandlerFunc func(body []byte) (wire.Status, []byte)
 // dedup window (which a leader failover discards).
 type MsgHandlerFunc func(req uint64, body []byte) (wire.Status, []byte)
 
+// ServiceFunc executes run (which invokes the handler) and returns the
+// request's modeled service time. Implementations may serialize requests to
+// read per-request deltas from shared counters.
+type ServiceFunc func(op wire.Op, run func()) time.Duration
+
+// Config is everything a Server is built from. A server is configured
+// exactly once, here; what remains after New is registration (Handle,
+// HandleMsg, SetLeaseFunc), which ends when Serve starts.
+type Config struct {
+	// Obs is the server's observability (nil = off): per-op request/error
+	// counts and service/queue histograms into its registry (see the
+	// Metric* names), a server-side span per request and per batched
+	// sub-request under the wire header's parent span, dedup replays, slow
+	// requests and map installs into its journal, and a log line carrying
+	// the trace id for every request at least Obs.Slow slow.
+	Obs *obs.Handle
+	// Service, when set, replaces wall-clock measurement of handler time
+	// (meaningless under CPU contention on small machines) with a modeled
+	// service time: experiments price the exact KV work of each request,
+	// baselines charge a calibrated per-op cost.
+	Service ServiceFunc
+}
+
 // Server dispatches requests to registered handlers.
 type Server struct {
-	mu          sync.RWMutex
-	handlers    map[wire.Op]HandlerFunc
-	msgHandlers map[wire.Op]MsgHandlerFunc
-	virtual     map[wire.Op]time.Duration
+	// Fixed by New and by registration, which Serve ends: the request path
+	// reads all of these as plain fields, without a lock.
+	obs     *obs.Handle
+	service ServiceFunc
+	ops     map[wire.Op]*opEntry
+	unknown opEntry
+	// lease, when set (DMS only), supplies the current lease-recall sequence
+	// stamped on every response header's Lease field, the same piggyback
+	// channel the map version uses for routing staleness.
+	lease   func() uint64
+	serving atomic.Bool // set by Serve: registration is over
 
-	wg        sync.WaitGroup
-	closed    atomic.Bool
-	listener  netsim.Listener
-	workers   chan struct{} // nil = unlimited concurrency
-	workerCap int
-	serviceFn ServiceFunc
+	wg       sync.WaitGroup
+	closed   atomic.Bool
+	listener netsim.Listener
 
 	connMu sync.Mutex
 	conns  map[netsim.Conn]struct{}
 
-	telem     atomic.Pointer[serverTelem]
-	tracer    atomic.Pointer[serverTracer]
-	flightRef atomic.Pointer[serverFlight]
-	slowNS    atomic.Int64 // slow-request log threshold (0 = disabled)
-	dedup     dedupWindow  // at-most-once replay cache for retried mutations
+	dedup dedupWindow // at-most-once replay cache for retried mutations
 
 	// cmap holds the installed cluster map with this server's coordinates in
 	// it (nil until one is installed); its version is stamped on every
-	// response header. mapMu serializes installs (a cold path).
+	// response header. It is the one thing that does change while serving.
+	// mapMu serializes installs (a cold path).
 	mapMu sync.Mutex
 	cmap  atomic.Pointer[mapState]
-
-	// leaseFn, when set (DMS only), supplies the current lease-recall
-	// sequence stamped on every response header's Lease field, the same
-	// piggyback channel the map version uses for routing staleness.
-	leaseFn atomic.Pointer[func() uint64]
 
 	// Served counts completed requests, for load accounting in experiments.
 	Served atomic.Uint64
@@ -124,26 +154,24 @@ type Server struct {
 	busyNS atomic.Uint64
 }
 
-// NewServer returns a Server with a default Ping handler registered and no
-// concurrency limit.
-func NewServer() *Server {
-	return NewServerWithWorkers(0)
-}
+// NewServer returns an unobserved Server measuring wall-clock service time:
+// New with the zero Config.
+func NewServer() *Server { return New(Config{}) }
 
-// NewServerWithWorkers returns a Server that executes at most workers
-// handlers concurrently (0 = unlimited). The limit models the CPU capacity
-// of a metadata server: with per-request service times, throughput caps at
-// workers/serviceTime, which is how the experiments saturate servers.
-func NewServerWithWorkers(workers int) *Server {
+// New returns a Server with default Ping, OpGetMap and OpSetMap handlers
+// registered. Requests run with unlimited concurrency.
+func New(cfg Config) *Server {
 	s := &Server{
-		handlers:    make(map[wire.Op]HandlerFunc),
-		msgHandlers: make(map[wire.Op]MsgHandlerFunc),
-		virtual:     make(map[wire.Op]time.Duration),
-		workerCap:   workers,
-		conns:       make(map[netsim.Conn]struct{}),
+		obs:     cfg.Obs,
+		service: cfg.Service,
+		ops:     make(map[wire.Op]*opEntry),
+		unknown: opEntry{name: "unknown"},
+		conns:   make(map[netsim.Conn]struct{}),
 	}
-	if workers > 0 {
-		s.workers = make(chan struct{}, workers)
+	if reg := s.obs.Registry(); reg != nil {
+		reg.GaugeFunc(MetricDedupInflightSkips, func() float64 {
+			return float64(s.dedup.InflightSkips())
+		})
 	}
 	s.Handle(wire.OpPing, func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, body
@@ -192,9 +220,7 @@ func (s *Server) InstallMap(m *wire.ClusterMap, at wire.Coords) bool {
 		st.ring = chash.NewRing(0, wire.RingIDs(m.FMS)...)
 	}
 	s.cmap.Store(st)
-	if f := s.flightRef.Load(); f != nil {
-		f.j.Emit(flight.KindEpoch, f.source, "", 0, int64(m.Ver), "map installed")
-	}
+	s.obs.Emit(flight.KindEpoch, "", 0, int64(m.Ver), "map installed")
 	return true
 }
 
@@ -216,21 +242,6 @@ func (s *Server) MapVer() uint64 {
 	return 0
 }
 
-// SetLeaseFunc installs the source of the lease-recall sequence stamped on
-// every response (see wire.Msg.Lease). fn must be safe for concurrent use
-// and cheap — it runs on every response send. The DMS installs its lease
-// table's published sequence here during Attach.
-func (s *Server) SetLeaseFunc(fn func() uint64) { s.leaseFn.Store(&fn) }
-
-// leaseSeq returns the current lease-recall sequence, 0 when no source is
-// installed (FMS/OSS servers, tests).
-func (s *Server) leaseSeq() uint64 {
-	if fn := s.leaseFn.Load(); fn != nil {
-		return (*fn)()
-	}
-	return 0
-}
-
 // OwnsKey reports whether this server owns key under the installed map's
 // FMS ring. known is false when no map is installed, the map names no FMS
 // set, or the server is not an FMS — callers must then skip the check
@@ -247,133 +258,45 @@ func (s *Server) OwnsKey(key []byte) (owns, known bool) {
 // because the entry's request was still executing.
 func (s *Server) DedupInflightSkips() uint64 { return s.dedup.InflightSkips() }
 
-// Handle registers fn for op, replacing any previous handler.
+// registering panics once Serve has started: the request path reads the
+// handler table and the lease source without a lock, so a late registration
+// would be a data race. Failing loudly beats racing quietly.
+func (s *Server) registering(what string) {
+	if s.serving.Load() {
+		panic("rpc: " + what + " after Serve")
+	}
+}
+
+// Handle registers fn for op, replacing any previous handler. Registration
+// ends when Serve starts; Handle panics after that.
 func (s *Server) Handle(op wire.Op, fn HandlerFunc) {
-	s.mu.Lock()
-	s.handlers[op] = fn
-	delete(s.msgHandlers, op)
-	s.mu.Unlock()
+	s.HandleMsg(op, func(_ uint64, body []byte) (wire.Status, []byte) { return fn(body) })
 }
 
-// HandleMsg registers a dedup-id-aware handler for op, replacing any
-// previous handler (of either kind).
+// HandleMsg is Handle for a handler that wants the request's dedup id.
 func (s *Server) HandleMsg(op wire.Op, fn MsgHandlerFunc) {
-	s.mu.Lock()
-	s.msgHandlers[op] = fn
-	delete(s.handlers, op)
-	s.mu.Unlock()
+	s.registering("Handle")
+	s.ops[op] = &opEntry{name: op.String(), fn: fn}
 }
 
-// SetVirtualCost declares a modeled software cost for op, added to the
-// measured handler time in every response's ServiceNS. Baseline systems use
-// this to model their (calibrated) metadata-path service times without
-// wall-clock sleeping.
-func (s *Server) SetVirtualCost(op wire.Op, d time.Duration) {
-	s.mu.Lock()
-	s.virtual[op] = d
-	s.mu.Unlock()
-}
-
-// ServiceFunc executes run (which invokes the handler) and returns the
-// request's modeled service time. Implementations may serialize requests to
-// read per-request deltas from shared counters; the per-op virtual cost, if
-// any, is added on top of the returned duration.
-type ServiceFunc func(op wire.Op, run func()) time.Duration
-
-// SetServiceFunc installs a modeled service-time calculator, replacing the
-// default wall-clock measurement (which is meaningless under CPU contention
-// on small machines). Experiments use cost models derived from the exact KV
-// work each request performs.
-func (s *Server) SetServiceFunc(fn ServiceFunc) {
-	s.mu.Lock()
-	s.serviceFn = fn
-	s.mu.Unlock()
-}
-
-// SetTelemetry installs a metrics registry: every subsequent request
-// records per-op request/error counts, service-time and queue-wait
-// histograms into it (see the Metric* names). Safe to call while serving.
-func (s *Server) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		s.telem.Store(nil)
-		return
-	}
-	reg.GaugeFunc(MetricDedupInflightSkips, func() float64 {
-		return float64(s.dedup.InflightSkips())
-	})
-	s.telem.Store(&serverTelem{reg: reg})
-}
-
-// SetSlowThreshold enables slow-request logging: any request whose service
-// time meets or exceeds d is logged with its trace ID, op, status, service
-// and queue time, so one logical operation can be followed across servers.
-// Zero disables logging.
-func (s *Server) SetSlowThreshold(d time.Duration) { s.slowNS.Store(int64(d)) }
-
-// serverFlight couples a flight journal with the source name stamped on
-// every event this server emits.
-type serverFlight struct {
-	j      *flight.Journal
-	source string
-}
-
-// SetFlight installs the flight-recorder journal this server emits into:
-// dedup replays, slow requests, and cluster-map installs become typed
-// events carrying the request's trace id. name labels the events (e.g.
-// "fms-1"). A nil journal disables emission. Safe to call while serving.
-func (s *Server) SetFlight(j *flight.Journal, name string) {
-	if j == nil {
-		s.flightRef.Store(nil)
-		return
-	}
-	s.flightRef.Store(&serverFlight{j: j, source: name})
-}
-
-// serverTracer couples a span tracer with the server name stamped on every
-// span it opens.
-type serverTracer struct {
-	t    *trace.Tracer
-	name string
-}
-
-// SetTracer installs span-level tracing: every subsequent request opens a
-// server-side child span under the wire header's parent-span ID — and every
-// sub-request of a wire.OpBatch envelope opens its own child span under the
-// envelope's span, stamped with its sub-request index — completing into the
-// tracer's ring per its sampling policy. name labels the spans (e.g.
-// "fms-1"). A nil tracer disables tracing. Safe to call while serving.
-func (s *Server) SetTracer(t *trace.Tracer, name string) {
-	if t == nil {
-		s.tracer.Store(nil)
-		return
-	}
-	s.tracer.Store(&serverTracer{t: t, name: name})
-}
-
-// startSpan opens the server-side span for one request (nil when tracing is
-// off; all span methods are nil-safe). sub is the batch sub-request index,
-// -1 outside a batch.
-func (s *Server) startSpan(traceID, parent uint64, op wire.Op, sub int) *trace.Span {
-	st := s.tracer.Load()
-	if st == nil {
-		return nil
-	}
-	sp := st.t.StartSpan(traceID, parent, op.String(), st.name)
-	if sub >= 0 {
-		sp.SetSub(sub)
-	}
-	return sp
+// SetLeaseFunc registers the source of the lease-recall sequence stamped on
+// every response (see wire.Msg.Lease). fn must be safe for concurrent use
+// and cheap — it runs on every response send. The DMS partition node
+// registers its lease table's published sequence here during Attach. Like
+// Handle, it panics once Serve has started.
+func (s *Server) SetLeaseFunc(fn func() uint64) {
+	s.registering("SetLeaseFunc")
+	s.lease = fn
 }
 
 // Busy returns the cumulative service time across all requests served.
 func (s *Server) Busy() time.Duration { return time.Duration(s.busyNS.Load()) }
 
-// Workers returns the configured concurrency cap (0 = unlimited).
-func (s *Server) Workers() int { return s.workerCap }
-
-// Serve accepts connections from l until l is closed. It blocks; run it in
-// a goroutine. Each connection's requests are served concurrently.
+// Serve ends registration, then accepts connections from l until l is
+// closed. It blocks; run it in a goroutine. Each connection's requests are
+// served concurrently.
 func (s *Server) Serve(l netsim.Listener) {
+	s.serving.Store(true)
 	s.connMu.Lock()
 	s.listener = l
 	closed := s.closed.Load()
@@ -425,54 +348,68 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		go func(req *wire.Msg) {
 			defer s.wg.Done()
 			if req.Op == wire.OpBatch {
-				// The batch envelope is pure framing: it takes no worker
-				// slot itself — each sub-request competes for one — so a
-				// batch can never deadlock a 1-worker server.
 				s.serveBatch(conn, req, recvT)
 				return
 			}
 			// At-most-once: a request carrying a dedup id either registers
 			// as the first delivery (and records its outcome below) or is a
 			// retried duplicate, answered by replaying the first execution's
-			// response — after waiting for it if it is still running. The
-			// duplicate path takes no worker slot: it performs no service
-			// work.
+			// response — after waiting for it if it is still running.
 			var ent *dedupEntry
 			if req.Req != 0 {
 				var dup bool
 				if ent, dup = s.dedup.begin(req.Req); dup {
 					<-ent.done
-					if t := s.telem.Load(); t != nil {
-						t.forOp(req.Op).dedup.Inc()
+					if reg := s.obs.Registry(); reg != nil {
+						s.entry(req.Op).metrics(reg).dedup.Inc()
 					}
-					if f := s.flightRef.Load(); f != nil {
-						f.j.Emit(flight.KindDedupReplay, f.source, req.Op.String(), req.Trace, 0, "")
-					}
-					resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
-						Status: ent.status, ServiceNS: ent.service, Trace: req.Trace, Span: req.Span,
-						Map: s.MapVer(), Lease: s.leaseSeq(), Body: ent.body}
-					_ = conn.Send(resp)
+					s.obs.Emit(flight.KindDedupReplay, req.Op.String(), req.Trace, 0, "")
+					s.reply(conn, req, ent.status, ent.body, ent.service)
 					return
 				}
 			}
-			if s.workers != nil {
-				s.workers <- struct{}{}
-				defer func() { <-s.workers }()
-			}
-			// Queue wait: receipt to handler start. With unlimited workers
-			// this is just goroutine scheduling; with a worker cap it is the
-			// time spent waiting for a CPU slot — the server-side queueing
-			// the paper's saturation experiments exercise.
+			// Queue wait: receipt to handler start, i.e. goroutine scheduling.
 			status, body, service := s.execute(req.Op, req.Body, req.Req, req.Trace, req.Span, -1, time.Since(recvT))
 			if ent != nil {
 				ent.complete(status, body, uint64(service))
 			}
-			resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
-				Status: status, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-				Map: s.MapVer(), Lease: s.leaseSeq(), Body: body}
-			_ = conn.Send(resp)
+			s.reply(conn, req, status, body, uint64(service))
 		}(req)
 	}
+}
+
+// reply sends req's response: the one place a response header is built, for
+// the plain, replayed-duplicate and batch paths alike. Every response echoes
+// the request's correlation ids and carries the installed map's version and
+// the lease-recall sequence.
+func (s *Server) reply(conn netsim.Conn, req *wire.Msg, st wire.Status, body []byte, serviceNS uint64) {
+	resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
+		Status: st, ServiceNS: serviceNS, Trace: req.Trace, Span: req.Span,
+		Map: s.MapVer(), Body: body}
+	if s.lease != nil {
+		resp.Lease = s.lease()
+	}
+	_ = conn.Send(resp)
+}
+
+// entry is the request path's one lookup. Unregistered ops share one entry,
+// so what a peer sends cannot grow the table or the registry.
+func (s *Server) entry(op wire.Op) *opEntry {
+	if e := s.ops[op]; e != nil {
+		return e
+	}
+	return &s.unknown
+}
+
+// startSpan opens the server-side span for one request (nil when tracing is
+// off; all span methods are nil-safe). sub is the batch sub-request index,
+// -1 outside a batch.
+func (s *Server) startSpan(traceID, parent uint64, op wire.Op, sub int) *trace.Span {
+	sp := s.obs.StartSpan(traceID, parent, op.String())
+	if sp != nil && sub >= 0 {
+		sp.SetSub(sub)
+	}
+	return sp
 }
 
 // execute runs one request (or one batched sub-request) through the full
@@ -484,32 +421,26 @@ func (s *Server) serveConn(conn netsim.Conn) {
 // sub-op is attributable to its position and opcode, not just the parent
 // trace.
 func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint64, sub int, queueWait time.Duration) (wire.Status, []byte, time.Duration) {
+	e := s.entry(op)
 	var status wire.Status
 	var body []byte
-	sp := s.startSpan(trace, parentSpan, op, sub)
-	s.mu.RLock()
-	fn := s.serviceFn
-	virtual := s.virtual[op]
-	s.mu.RUnlock()
 	var service time.Duration
-	if fn != nil {
-		service = fn(op, func() {
-			status, body = s.dispatch(op, reqBody, req)
-		})
+	sp := s.startSpan(trace, parentSpan, op, sub)
+	if s.service != nil {
+		service = s.service(op, func() { status, body = e.run(op, req, reqBody) })
 	} else {
 		t0 := time.Now()
-		status, body = s.dispatch(op, reqBody, req)
+		status, body = e.run(op, req, reqBody)
 		service = time.Since(t0)
 	}
-	service += virtual
 	s.busyNS.Add(uint64(service))
 	s.Served.Add(1)
 	if status != wire.StatusOK {
 		sp.SetStatus(status.String())
 	}
 	sp.Finish()
-	if t := s.telem.Load(); t != nil {
-		m := t.forOp(op)
+	if reg := s.obs.Registry(); reg != nil {
+		m := e.metrics(reg)
 		m.reqs.Inc()
 		if status != wire.StatusOK {
 			m.errs.Inc()
@@ -517,10 +448,8 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 		m.service.Record(service)
 		m.queue.Record(queueWait)
 	}
-	if slow := time.Duration(s.slowNS.Load()); slow > 0 && service >= slow {
-		if f := s.flightRef.Load(); f != nil {
-			f.j.Emit(flight.KindSlowRequest, f.source, op.String(), trace, int64(service), status.String())
-		}
+	if s.obs.IsSlow(service) {
+		s.obs.Emit(flight.KindSlowRequest, op.String(), trace, int64(service), status.String())
 		if sub >= 0 {
 			log.Printf("rpc: slow request trace=%#x op=Batch[%d]=%s status=%s service=%v queue=%v",
 				trace, sub, op, status, service, queueWait)
@@ -533,8 +462,7 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 }
 
 // serveBatch answers one wire.OpBatch request: every sub-request is
-// dispatched to its registered handler across the server's worker pool
-// (concurrently, each acquiring its own worker slot), and the one response
+// dispatched to its registered handler concurrently, and the one response
 // carries a (status, body) pair per sub-request in sub-request order — a
 // failing sub-request never disturbs its siblings. Each sub-request runs
 // the full service pipeline under the envelope's trace id, so batched
@@ -544,12 +472,6 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 // Nested batches are rejected per-sub-request via the normal unknown-op
 // path, since OpBatch never reaches the handler table.
 func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
-	reply := func(st wire.Status, body []byte, service time.Duration) {
-		resp := &wire.Msg{ID: req.ID, IsResp: true, Op: wire.OpBatch,
-			Status: st, ServiceNS: uint64(service), Trace: req.Trace, Span: req.Span,
-			Map: s.MapVer(), Lease: s.leaseSeq(), Body: body}
-		_ = conn.Send(resp)
-	}
 	// The envelope gets its own server-side span under the client's span;
 	// each sub-request's span hangs off the envelope span with its index.
 	esp := s.startSpan(req.Trace, req.Span, wire.OpBatch, -1)
@@ -557,7 +479,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 	if err != nil {
 		esp.SetStatus(wire.StatusInval.String())
 		esp.Finish()
-		reply(wire.StatusInval, []byte(err.Error()), 0)
+		s.reply(conn, req, wire.StatusInval, []byte(err.Error()), 0)
 		return
 	}
 	resps := make([]wire.SubResp, len(subs))
@@ -567,10 +489,6 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if s.workers != nil {
-				s.workers <- struct{}{}
-				defer func() { <-s.workers }()
-			}
 			st, body, service := s.execute(subs[i].Op, subs[i].Body, 0, req.Trace, esp.ID(), i, time.Since(recvT))
 			resps[i] = wire.SubResp{Status: st, Body: body}
 			services[i] = service
@@ -582,21 +500,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 		total += d
 	}
 	esp.Finish()
-	reply(wire.StatusOK, wire.EncodeBatchResp(resps), total)
-}
-
-func (s *Server) dispatch(op wire.Op, body []byte, req uint64) (wire.Status, []byte) {
-	s.mu.RLock()
-	mfn, mok := s.msgHandlers[op]
-	fn, ok := s.handlers[op]
-	s.mu.RUnlock()
-	if mok {
-		return mfn(req, body)
-	}
-	if !ok {
-		return wire.StatusInval, []byte(fmt.Sprintf("unknown op %#x", uint16(op)))
-	}
-	return fn(body)
+	s.reply(conn, req, wire.StatusOK, wire.EncodeBatchResp(resps), uint64(total))
 }
 
 // Shutdown closes the listener and every established connection, then waits

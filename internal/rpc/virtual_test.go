@@ -13,16 +13,12 @@ import (
 func TestVirtualTimeAccumulation(t *testing.T) {
 	n := netsim.NewNetwork(netsim.Loopback)
 	defer n.Close()
-	s := NewServer()
 	const svc = 50 * time.Microsecond
+	// A modeled service time instead of wall-clock measurement, so the
+	// expectation is exact.
+	s := New(Config{Service: fixedService(svc)})
 	s.Handle(wire.Op(1), func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, nil
-	})
-	s.SetVirtualCost(wire.Op(1), svc)
-	// Suppress wall-clock measurement so the expectation is exact.
-	s.SetServiceFunc(func(op wire.Op, run func()) time.Duration {
-		run()
-		return 0
 	})
 	l, _ := n.Listen("srv")
 	go s.Serve(l)
@@ -79,15 +75,11 @@ func TestVirtualTimeIncludesMeasuredService(t *testing.T) {
 func TestServiceFuncRuns(t *testing.T) {
 	n := netsim.NewNetwork(netsim.Loopback)
 	defer n.Close()
-	s := NewServer()
+	s := New(Config{Service: fixedService(7 * time.Microsecond)})
 	ran := false
 	s.Handle(wire.Op(1), func(body []byte) (wire.Status, []byte) {
 		ran = true
 		return wire.StatusOK, []byte("out")
-	})
-	s.SetServiceFunc(func(op wire.Op, run func()) time.Duration {
-		run()
-		return 7 * time.Microsecond
 	})
 	l, _ := n.Listen("srv")
 	go s.Serve(l)
@@ -110,8 +102,7 @@ func TestServiceFuncRuns(t *testing.T) {
 func TestBandwidthTermInVirtualTime(t *testing.T) {
 	n := netsim.NewNetwork(netsim.Loopback)
 	defer n.Close()
-	s := NewServer()
-	s.SetServiceFunc(func(op wire.Op, run func()) time.Duration { run(); return 0 })
+	s := New(Config{Service: fixedService(0)})
 	l, _ := n.Listen("srv")
 	go s.Serve(l)
 	c, _ := Dial(n, "srv")
@@ -121,45 +112,5 @@ func TestBandwidthTermInVirtualTime(t *testing.T) {
 	c.Call(wire.OpPing, body) // ping echoes the body: ~100KB each way
 	if got := c.VirtualTime(); got < 150*time.Millisecond {
 		t.Errorf("VirtualTime = %v, want >= ~200ms for 200KB at 1MB/s", got)
-	}
-}
-
-// TestWorkersLimitConcurrency verifies the worker cap truly bounds
-// concurrent handler execution.
-func TestWorkersLimitConcurrency(t *testing.T) {
-	n := netsim.NewNetwork(netsim.Loopback)
-	defer n.Close()
-	s := NewServerWithWorkers(2)
-	if s.Workers() != 2 {
-		t.Fatalf("Workers = %d", s.Workers())
-	}
-	inFlight := make(chan int, 64)
-	cur := make(chan struct{}, 64)
-	s.Handle(wire.Op(1), func(body []byte) (wire.Status, []byte) {
-		cur <- struct{}{}
-		inFlight <- len(cur)
-		time.Sleep(5 * time.Millisecond)
-		<-cur
-		return wire.StatusOK, nil
-	})
-	l, _ := n.Listen("srv")
-	go s.Serve(l)
-	c, _ := Dial(n, "srv")
-	defer c.Close()
-	done := make(chan struct{})
-	for i := 0; i < 8; i++ {
-		go func() {
-			c.Call(wire.Op(1), nil)
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < 8; i++ {
-		<-done
-	}
-	close(inFlight)
-	for v := range inFlight {
-		if v > 2 {
-			t.Fatalf("observed %d concurrent handlers; cap is 2", v)
-		}
 	}
 }

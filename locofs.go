@@ -73,6 +73,17 @@
 // flag day: every message header carries one cluster-map version field
 // (61 bytes), so servers and clients must be built from the same release.
 //
+// # Observability
+//
+// Components are observed through one handle given at construction, never
+// through setters: DialConfig.Obs, DMSOptions.Obs and FMSOptions.Obs take an
+// *obs.Handle (internal/obs: a name, a metrics registry, a span tracer, a
+// flight journal, a slow threshold; any part may be zero, nil means off),
+// and an in-process cluster builds them itself. NewRPCServer returns an
+// unobserved dispatcher; cmd/locofsd shows an observed one (rpc.New) and the
+// admin endpoints (DESIGN.md §9 "Building a server"). Handlers are attached
+// before Serve starts; attaching later panics.
+//
 // The packages under internal/ hold the implementation: metadata layouts,
 // KV engines, the RPC stack, the servers, the baseline systems the paper
 // compares against, and the experiment harness (see DESIGN.md).
@@ -206,7 +217,7 @@ type (
 // NewDMS builds a standalone directory metadata server: one partition, one
 // replica (the solo map), ready to Attach to an RPCServer.
 func NewDMS(opts DMSOptions) *DMS {
-	return partition.New(partition.Config{DMS: dms.New(opts), Dialer: netsim.TCPDialer{}})
+	return partition.New(partition.Config{DMS: dms.New(opts), Dialer: netsim.TCPDialer{}, Obs: opts.Obs})
 }
 
 // NewFMS builds a file metadata server. Each FMS needs a unique ServerID.
