@@ -31,6 +31,10 @@ import (
 // that changed. TTL-only mode (DisableLeaseCoherence) skips all of it and
 // trusts entries for the configured lease, the paper's original semantics.
 //
+// The three kinds share one entry type, one table each (tabs, indexed by
+// kind) and one lookup and one store; a kind differs only in which payload
+// field it fills and which counter a hit bumps.
+//
 // The cache is bounded: at most max entries (of all three kinds) live at
 // once, and on overflow the oldest are evicted first. Because entries of
 // one kind get the same lease, insertion order approximates expiry order,
@@ -47,9 +51,7 @@ type dirCache struct {
 	// keep honest.
 	coherent bool
 
-	entries map[string]cacheEntry
-	negs    map[string]negEntry
-	lists   map[string]listEntry
+	tabs [numKinds]map[string]cacheEntry // by kind: recInode, recNeg, recList
 
 	max  int       // total entry cap; <= 0 means unbounded
 	fifo []fifoRec // insertion order; stale records skipped lazily
@@ -72,9 +74,7 @@ type dirCache struct {
 	srcMu sync.RWMutex
 	srcs  map[uint32]*srcMarks
 
-	hits        atomic.Uint64
-	negHits     atomic.Uint64
-	listHits    atomic.Uint64
+	hits        [numKinds]atomic.Uint64 // by kind
 	misses      atomic.Uint64
 	staleMisses atomic.Uint64
 	evictions   atomic.Uint64
@@ -100,22 +100,10 @@ type srcMarks struct {
 // must hit entries regardless of which partition granted them.
 const srcAny = ^uint32(0)
 
+// cacheEntry is one cached fact of any kind: an inode (recInode), a known
+// absence (recNeg, no payload) or a complete subdirectory listing (recList).
 type cacheEntry struct {
 	inode    layout.DirInode
-	expires  time.Time
-	seq      uint64
-	grantSeq uint64
-	src      uint32
-}
-
-type negEntry struct {
-	expires  time.Time
-	seq      uint64
-	grantSeq uint64
-	src      uint32
-}
-
-type listEntry struct {
 	ents     []DirEntry
 	expires  time.Time
 	seq      uint64
@@ -123,11 +111,18 @@ type listEntry struct {
 	src      uint32
 }
 
-// fifoRec kinds: which map the record's entry lives in.
+// hitBy reports whether a recall published by src at seq invalidates e:
+// granted before it, by that source (srcAny matches every source).
+func (e cacheEntry) hitBy(src uint32, seq uint64) bool {
+	return e.grantSeq < seq && (src == srcAny || e.src == src)
+}
+
+// Entry kinds: which table an entry, or a fifo record's entry, lives in.
 const (
 	recInode = iota
 	recNeg
 	recList
+	numKinds
 )
 
 type fifoRec struct {
@@ -171,18 +166,19 @@ const (
 // cacheMetrics holds the cache's counter handles; nil-receiver-safe so the
 // cache can run without a registry in unit tests.
 type cacheMetrics struct {
-	hits, misses, evictions *telemetry.Counter
-	negHits, listHits       *telemetry.Counter
-	stale, recalls          *telemetry.Counter
+	hits                              [numKinds]*telemetry.Counter // by kind
+	misses, evictions, stale, recalls *telemetry.Counter
 }
 
 func newCacheMetrics(reg *telemetry.Registry, label telemetry.Label) *cacheMetrics {
 	return &cacheMetrics{
-		hits:      reg.Counter(MetricDirCacheHits, label),
+		hits: [numKinds]*telemetry.Counter{
+			recInode: reg.Counter(MetricDirCacheHits, label),
+			recNeg:   reg.Counter(MetricDirCacheNegHits, label),
+			recList:  reg.Counter(MetricDirCacheListHits, label),
+		},
 		misses:    reg.Counter(MetricDirCacheMisses, label),
 		evictions: reg.Counter(MetricDirCacheEvictions, label),
-		negHits:   reg.Counter(MetricDirCacheNegHits, label),
-		listHits:  reg.Counter(MetricDirCacheListHits, label),
 		stale:     reg.Counter(MetricDirCacheStale, label),
 		recalls:   reg.Counter(MetricDirCacheRecalls, label),
 	}
@@ -213,17 +209,18 @@ func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, cohe
 	if maxEntries == 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	return &dirCache{
+	c := &dirCache{
 		lease:    lease,
 		now:      now,
 		coherent: coherent,
-		entries:  make(map[string]cacheEntry),
-		negs:     make(map[string]negEntry),
-		lists:    make(map[string]listEntry),
 		srcs:     make(map[uint32]*srcMarks),
 		max:      maxEntries,
 		met:      met,
 	}
+	for k := range c.tabs {
+		c.tabs[k] = make(map[string]cacheEntry)
+	}
+	return c
 }
 
 // enableHot turns the hot-entry tier on: track the top `entries` resolved
@@ -316,35 +313,31 @@ func (c *dirCache) fresh(src uint32, gseq uint64) bool {
 	return gseq >= max || m.appliedSeq.Load() >= max
 }
 
-// get returns the cached inode for path if its lease is valid and it is
-// coherent with every observed recall.
-func (c *dirCache) get(path string) (layout.DirInode, bool) {
-	if c.hot != nil {
-		c.hot.Touch(path)
-	}
+// lookup returns path's entry of the given kind if its lease is valid and it
+// is coherent with every recall observed from its source, counting the hit.
+// A miss returns the zero entry: an expired or stale payload never leaves.
+func (c *dirCache) lookup(kind int, path string) (cacheEntry, bool) {
 	c.mu.RLock()
-	e, ok := c.entries[path]
+	e, ok := c.tabs[kind][path]
 	c.mu.RUnlock()
-	if ok && !c.now().After(e.expires) && c.fresh(e.src, e.grantSeq) {
-		c.hits.Add(1)
-		if c.met != nil {
-			c.met.hits.Inc()
-		}
-		return e.inode, true
+	if !ok {
+		return cacheEntry{}, false
 	}
-	if ok && c.now().After(e.expires) {
+	if c.now().After(e.expires) {
 		// Expired: evict — but only the entry we actually saw. Between
 		// dropping the read lock and taking the write lock a concurrent put
 		// may have installed a fresh entry under the same path; deleting
 		// blindly would evict it and turn a valid lease into a spurious
-		// miss for every subsequent get. The seq check deletes only the
+		// miss for every subsequent lookup. The seq check deletes only the
 		// exact expired entry.
 		c.mu.Lock()
-		if cur, still := c.entries[path]; still && cur.seq == e.seq {
-			delete(c.entries, path)
+		if cur, still := c.tabs[kind][path]; still && cur.seq == e.seq {
+			delete(c.tabs[kind], path)
 		}
 		c.mu.Unlock()
-	} else if ok {
+		return cacheEntry{}, false
+	}
+	if !c.fresh(e.src, e.grantSeq) {
 		// Unexpired but possibly invalidated by a recall not yet applied:
 		// degrade to a miss, keep the entry — it may prove untouched once
 		// the recalls are fetched and applied.
@@ -352,80 +345,44 @@ func (c *dirCache) get(path string) (layout.DirInode, bool) {
 		if c.met != nil {
 			c.met.stale.Inc()
 		}
+		return cacheEntry{}, false
 	}
-	c.misses.Add(1)
+	c.hits[kind].Add(1)
 	if c.met != nil {
-		c.met.misses.Inc()
+		c.met.hits[kind].Inc()
 	}
-	return nil, false
+	return e, true
 }
 
-// negHit reports whether path is cached as known-absent. Callers count the
-// preceding get() as the miss; negHit only ever adds a negative hit.
-func (c *dirCache) negHit(path string) bool {
-	if !c.coherent {
-		return false
+// get returns the cached inode for path. It alone feeds the hot-tier ranking
+// and counts misses: every resolve starts here, and negHit and getList only
+// ever add their own kind of hit on top.
+func (c *dirCache) get(path string) (layout.DirInode, bool) {
+	if c.hot != nil {
+		c.hot.Touch(path)
 	}
-	c.mu.RLock()
-	e, ok := c.negs[path]
-	c.mu.RUnlock()
+	e, ok := c.lookup(recInode, path)
 	if !ok {
-		return false
-	}
-	if c.now().After(e.expires) {
-		c.mu.Lock()
-		if cur, still := c.negs[path]; still && cur.seq == e.seq {
-			delete(c.negs, path)
-		}
-		c.mu.Unlock()
-		return false
-	}
-	if !c.fresh(e.src, e.grantSeq) {
-		c.staleMisses.Add(1)
+		c.misses.Add(1)
 		if c.met != nil {
-			c.met.stale.Inc()
+			c.met.misses.Inc()
 		}
-		return false
+		return nil, false
 	}
-	c.negHits.Add(1)
-	if c.met != nil {
-		c.met.negHits.Inc()
-	}
-	return true
+	return e.inode, true
+}
+
+// negHit reports whether path is cached as known-absent.
+func (c *dirCache) negHit(path string) bool {
+	_, ok := c.lookup(recNeg, path)
+	return ok
 }
 
 // getList returns the cached complete subdirectory listing for path. The
 // returned slice is shared; callers must not mutate it.
 func (c *dirCache) getList(path string) ([]DirEntry, bool) {
-	if !c.coherent {
-		return nil, false
-	}
-	c.mu.RLock()
-	e, ok := c.lists[path]
-	c.mu.RUnlock()
-	if !ok {
-		return nil, false
-	}
-	if c.now().After(e.expires) {
-		c.mu.Lock()
-		if cur, still := c.lists[path]; still && cur.seq == e.seq {
-			delete(c.lists, path)
-		}
-		c.mu.Unlock()
-		return nil, false
-	}
-	if !c.fresh(e.src, e.grantSeq) {
-		c.staleMisses.Add(1)
-		if c.met != nil {
-			c.met.stale.Inc()
-		}
-		return nil, false
-	}
-	c.listHits.Add(1)
-	if c.met != nil {
-		c.met.listHits.Inc()
-	}
-	return e.ents, true
+	e, ok := c.lookup(recList, path)
+	return e.ents, ok
 }
 
 // leaseFor returns the entry lifetime and grant sequence for a server grant
@@ -441,19 +398,21 @@ func (c *dirCache) leaseFor(path string, g wire.LeaseGrant) (time.Duration, uint
 	return dur, g.Seq
 }
 
-// putFrom caches an inode granted by recall source src under path, evicting
-// the oldest entries if the cap is exceeded. In coherent mode an invalid
-// grant is not cached at all: a sequence-less entry cannot be matched
-// against recalls, and stamping it grantSeq 0 would get it silently rejected
-// below as soon as any recall had been applied — a coherent client requires
-// a lease-granting server on every OK lookup (TTL-only mode caches under the
-// configured lease as before).
-func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wire.LeaseGrant) {
-	if c.coherent && !g.Valid() {
+// store caches e — its payload set by the caller — as path's entry of the given
+// kind under source src's grant g, evicting the oldest entries if the cap is
+// exceeded. Negative and listing entries exist only in coherent mode, which
+// alone can keep them honest. In coherent mode an invalid grant is not cached
+// at all: a sequence-less entry cannot be matched against recalls, and
+// stamping it grantSeq 0 would get it silently rejected below as soon as any
+// recall had been applied — a coherent client requires a lease-granting
+// server on every OK lookup (TTL-only mode caches inodes under the configured
+// lease as before).
+func (c *dirCache) store(kind int, src uint32, path string, g wire.LeaseGrant, e cacheEntry) {
+	if (kind != recInode && !c.coherent) || (c.coherent && !g.Valid()) {
 		return
 	}
 	dur, gseq := c.leaseFor(path, g)
-	expires := c.now().Add(dur)
+	e.expires, e.grantSeq, e.src = c.now().Add(dur), gseq, src
 	var m *srcMarks
 	if c.coherent {
 		m = c.marks(src)
@@ -466,54 +425,32 @@ func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wir
 		return
 	}
 	c.seq++
-	c.entries[path] = cacheEntry{inode: inode.Clone(), expires: expires, seq: c.seq, grantSeq: gseq, src: src}
-	c.fifo = append(c.fifo, fifoRec{path: path, seq: c.seq, kind: recInode})
+	e.seq = c.seq
+	c.tabs[kind][path] = e
+	c.fifo = append(c.fifo, fifoRec{path: path, seq: c.seq, kind: uint8(kind)})
 	c.evictLocked()
 	c.compactLocked()
 }
 
+// putFrom caches an inode granted by recall source src under path.
+func (c *dirCache) putFrom(src uint32, path string, inode layout.DirInode, g wire.LeaseGrant) {
+	c.store(recInode, src, path, g, cacheEntry{inode: inode.Clone()})
+}
+
 // putNegFrom caches an ENOENT result under source src's negative-entry grant.
 func (c *dirCache) putNegFrom(src uint32, path string, g wire.LeaseGrant) {
-	if !c.coherent || !g.Valid() {
-		return
-	}
-	dur, gseq := c.leaseFor(path, g)
-	expires := c.now().Add(dur)
-	m := c.marks(src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gseq < m.appliedSeq.Load() {
-		return
-	}
-	c.seq++
-	c.negs[path] = negEntry{expires: expires, seq: c.seq, grantSeq: gseq, src: src}
-	c.fifo = append(c.fifo, fifoRec{path: path, seq: c.seq, kind: recNeg})
-	c.evictLocked()
-	c.compactLocked()
+	c.store(recNeg, src, path, g, cacheEntry{})
 }
 
 // putListFrom caches a complete subdirectory listing under source src's
 // listing grant.
 func (c *dirCache) putListFrom(src uint32, path string, ents []DirEntry, g wire.LeaseGrant) {
-	if !c.coherent || !g.Valid() {
-		return
-	}
-	dur, gseq := c.leaseFor(path, g)
-	expires := c.now().Add(dur)
-	m := c.marks(src)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gseq < m.appliedSeq.Load() {
-		return
-	}
-	c.seq++
-	c.lists[path] = listEntry{ents: ents, expires: expires, seq: c.seq, grantSeq: gseq, src: src}
-	c.fifo = append(c.fifo, fifoRec{path: path, seq: c.seq, kind: recList})
-	c.evictLocked()
-	c.compactLocked()
+	c.store(recList, src, path, g, cacheEntry{ents: ents})
 }
 
-func (c *dirCache) liveLocked() int { return len(c.entries) + len(c.negs) + len(c.lists) }
+func (c *dirCache) liveLocked() int {
+	return len(c.tabs[recInode]) + len(c.tabs[recNeg]) + len(c.tabs[recList])
+}
 
 // evictLocked enforces the entry cap, oldest-first. Caller holds c.mu.
 func (c *dirCache) evictLocked() {
@@ -535,39 +472,16 @@ func (c *dirCache) evictLocked() {
 // dropRecLocked deletes the entry a fifo record points at, if the record is
 // still live (the entry was not re-put or invalidated since).
 func (c *dirCache) dropRecLocked(rec fifoRec) bool {
-	switch rec.kind {
-	case recInode:
-		if e, ok := c.entries[rec.path]; ok && e.seq == rec.seq {
-			delete(c.entries, rec.path)
-			return true
-		}
-	case recNeg:
-		if e, ok := c.negs[rec.path]; ok && e.seq == rec.seq {
-			delete(c.negs, rec.path)
-			return true
-		}
-	case recList:
-		if e, ok := c.lists[rec.path]; ok && e.seq == rec.seq {
-			delete(c.lists, rec.path)
-			return true
-		}
+	if !c.recLiveLocked(rec) {
+		return false
 	}
-	return false
+	delete(c.tabs[rec.kind], rec.path)
+	return true
 }
 
 func (c *dirCache) recLiveLocked(rec fifoRec) bool {
-	switch rec.kind {
-	case recInode:
-		e, ok := c.entries[rec.path]
-		return ok && e.seq == rec.seq
-	case recNeg:
-		e, ok := c.negs[rec.path]
-		return ok && e.seq == rec.seq
-	case recList:
-		e, ok := c.lists[rec.path]
-		return ok && e.seq == rec.seq
-	}
-	return false
+	e, ok := c.tabs[rec.kind][rec.path]
+	return ok && e.seq == rec.seq
 }
 
 // compactLocked trims the fifo: re-puts and invalidations strand stale
@@ -602,9 +516,9 @@ func (c *dirCache) applyRecallsFrom(src uint32, cur uint64, reset bool, entries 
 	m := c.marks(src)
 	c.mu.Lock()
 	if reset {
-		clear(c.entries)
-		clear(c.negs)
-		clear(c.lists)
+		for k := range c.tabs {
+			clear(c.tabs[k])
+		}
 		c.fifo = c.fifo[:0]
 		c.recalls.Add(1)
 		if c.met != nil {
@@ -619,8 +533,8 @@ func (c *dirCache) applyRecallsFrom(src uint32, cur uint64, reset bool, entries 
 			c.met.recalls.Add(uint64(len(entries)))
 		}
 	}
-	// Advance the applied watermark while still holding c.mu: put/putNeg/
-	// putList validate gseq < appliedSeq under the same lock, so a delayed
+	// Advance the applied watermark while still holding c.mu: store validates
+	// gseq < appliedSeq under the same lock, so a delayed
 	// lookup response granted before these recalls cannot slip in between
 	// the drops above and the watermark advance and then be served as fresh.
 	for {
@@ -639,65 +553,45 @@ func (c *dirCache) applyOneLocked(src uint32, seq uint64, kind wire.RecallKind, 
 	switch kind {
 	case wire.RecallPatched:
 		// In-place attribute change: only the exact inode entry is stale.
-		if e, ok := c.entries[path]; ok && e.grantSeq < seq && (src == srcAny || e.src == src) {
-			delete(c.entries, path)
-		}
+		c.dropOneLocked(recInode, src, path, seq)
 	case wire.RecallCreated:
 		// The path now exists: negative entries at/under it are wrong (a
 		// rename can materialize a whole subtree), and listings of it and
 		// of its parent gained an entry.
-		c.dropTreeLocked(src, path, seq, false, true, true)
-		c.dropParentListLocked(src, path, seq)
+		c.dropTreeLocked(src, path, seq, recNeg, recList)
 	case wire.RecallRemoved:
 		// The subtree is gone: inodes and listings at/under it are stale,
 		// and the parent's listing lost an entry. Negative entries are
 		// dropped too (over-broad but cheap and safe).
-		c.dropTreeLocked(src, path, seq, true, true, true)
-		c.dropParentListLocked(src, path, seq)
+		c.dropTreeLocked(src, path, seq, recInode, recNeg, recList)
+	}
+	if kind != wire.RecallPatched && path != "/" {
+		parent, _ := fspath.Split(path)
+		c.dropOneLocked(recList, src, parent, seq)
 	}
 }
 
-// dropTreeLocked drops cached state at and under path from the selected
-// maps, honoring the grant-sequence guard and the source scope. Caller
-// holds c.mu.
-func (c *dirCache) dropTreeLocked(src uint32, path string, seq uint64, inodes, negs, lists bool) {
+// dropOneLocked drops path's entry of one kind if a recall by src at seq
+// invalidates it. Caller holds c.mu.
+func (c *dirCache) dropOneLocked(kind int, src uint32, path string, seq uint64) {
+	if e, ok := c.tabs[kind][path]; ok && e.hitBy(src, seq) {
+		delete(c.tabs[kind], path)
+	}
+}
+
+// dropTreeLocked drops cached state of the given kinds at and under path,
+// honoring the grant-sequence guard and the source scope. Caller holds c.mu.
+func (c *dirCache) dropTreeLocked(src uint32, path string, seq uint64, kinds ...int) {
 	prefix := path
 	if prefix != "/" {
 		prefix += "/"
 	}
-	at := func(p string) bool {
-		return p == path || strings.HasPrefix(p, prefix)
-	}
-	if inodes {
-		for p, e := range c.entries {
-			if e.grantSeq < seq && (src == srcAny || e.src == src) && at(p) {
-				delete(c.entries, p)
+	for _, k := range kinds {
+		for p, e := range c.tabs[k] {
+			if e.hitBy(src, seq) && (p == path || strings.HasPrefix(p, prefix)) {
+				delete(c.tabs[k], p)
 			}
 		}
-	}
-	if negs {
-		for p, e := range c.negs {
-			if e.grantSeq < seq && (src == srcAny || e.src == src) && at(p) {
-				delete(c.negs, p)
-			}
-		}
-	}
-	if lists {
-		for p, e := range c.lists {
-			if e.grantSeq < seq && (src == srcAny || e.src == src) && at(p) {
-				delete(c.lists, p)
-			}
-		}
-	}
-}
-
-func (c *dirCache) dropParentListLocked(src uint32, path string, seq uint64) {
-	if path == "/" {
-		return
-	}
-	parent, _ := fspath.Split(path)
-	if e, ok := c.lists[parent]; ok && e.grantSeq < seq && (src == srcAny || e.src == src) {
-		delete(c.lists, parent)
 	}
 }
 
@@ -778,22 +672,22 @@ func (c *dirCache) accountPub(src uint32, last uint64, n uint32) {
 // invalidate drops path from the cache (every kind, unconditionally).
 func (c *dirCache) invalidate(path string) {
 	c.mu.Lock()
-	delete(c.entries, path)
-	delete(c.negs, path)
-	delete(c.lists, path)
+	for k := range c.tabs {
+		delete(c.tabs[k], path)
+	}
 	c.mu.Unlock()
 }
 
 // invalidateSubtree drops path and everything beneath it, unconditionally.
 func (c *dirCache) invalidateSubtree(path string) {
 	c.mu.Lock()
-	c.dropTreeLocked(srcAny, path, ^uint64(0), true, true, true)
+	c.dropTreeLocked(srcAny, path, ^uint64(0), recInode, recNeg, recList)
 	c.mu.Unlock()
 }
 
 // stats returns inode hit/miss counts.
 func (c *dirCache) stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	return c.hits[recInode].Load(), c.misses.Load()
 }
 
 // evicted returns the number of entries dropped by the size cap.
@@ -818,16 +712,16 @@ type CacheDetail struct {
 
 func (c *dirCache) detail() CacheDetail {
 	c.mu.RLock()
-	entries, negs, lists := len(c.entries), len(c.negs), len(c.lists)
+	entries, negs, lists := len(c.tabs[recInode]), len(c.tabs[recNeg]), len(c.tabs[recList])
 	c.mu.RUnlock()
 	var maxSeq, appliedSeq uint64
 	if m := c.marksIfAny(0); m != nil {
 		maxSeq, appliedSeq = m.maxSeq.Load(), m.appliedSeq.Load()
 	}
 	return CacheDetail{
-		Hits:           c.hits.Load(),
-		NegHits:        c.negHits.Load(),
-		ListHits:       c.listHits.Load(),
+		Hits:           c.hits[recInode].Load(),
+		NegHits:        c.hits[recNeg].Load(),
+		ListHits:       c.hits[recList].Load(),
 		Misses:         c.misses.Load(),
 		StaleMisses:    c.staleMisses.Load(),
 		Evictions:      c.evictions.Load(),

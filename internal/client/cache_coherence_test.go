@@ -55,6 +55,27 @@ func TestCoherentFreshnessGate(t *testing.T) {
 	}
 }
 
+// TestMissCarriesNoPayload: a listing that may not be served — its source is
+// behind, or its lease is over — is a miss with no entries. A caller handed
+// the old entries beside ok=false would page on from them (see
+// TestReaddirStaleListingNotServed).
+func TestMissCarriesNoPayload(t *testing.T) {
+	c, ns := newCoherentCache(0)
+	c.putList("/l", []DirEntry{{Name: "x", IsDir: true}}, grant(5))
+	c.observe(7) // recalls observed, not applied: kept, not served
+	if ents, ok := c.getList("/l"); ok || ents != nil {
+		t.Errorf("listing behind its source: getList = %v, %v", ents, ok)
+	}
+	c.applyRecalls(7, false, nil)
+	if ents, ok := c.getList("/l"); !ok || len(ents) != 1 {
+		t.Fatalf("listing proved untouched: getList = %v, %v", ents, ok)
+	}
+	ns.Store(int64(31 * time.Second))
+	if ents, ok := c.getList("/l"); ok || ents != nil {
+		t.Errorf("expired listing: getList = %v, %v", ents, ok)
+	}
+}
+
 // TestRecallSeqGuard: a recall drops only entries granted before it;
 // entries granted at or after the recall's sequence postdate the mutation
 // and survive.

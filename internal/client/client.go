@@ -427,18 +427,39 @@ func (c *Client) ossFor(u uuid.UUID, blk uint64) *endpoint {
 // resolveDir returns the d-inode of a cleaned directory path, from cache if
 // possible — including a cached negative entry, which answers ENOENT with
 // zero trips — otherwise via one DMS lookup (which returns the whole
-// ancestor chain; every link is cached under its granted lease). When the
-// cache has observed recalls it has not applied, the missed entries are
-// fetched in the same round trip as the lookup, so a coherence catch-up
-// costs exactly one DMS trip — the same as the plain miss (with batching
-// disabled the recall fetch is a standalone second trip). oc is the
-// logical operation's context; its span is annotated with the cache
-// outcome.
-func (c *Client) resolveDir(cleaned string, oc opCtx) (layout.DirInode, error) {
+// ancestor chain; every link is cached under its granted lease). It is the
+// one resolve, and what else rides the lookup's trip is decided here:
+//
+//   - When the cache has observed recalls from the lookup's partition that it
+//     has not applied, the missed entries are fetched alongside, so a
+//     coherence catch-up costs exactly one DMS trip — the same as the plain
+//     miss (with batching disabled send issues the fetch as a second trip;
+//     without it appliedSeq would never advance and every previously cached
+//     entry would stay degraded to a miss until individually re-fetched).
+//   - first, when non-nil, is a listing's wish for the directory's first
+//     subdirectory page: filled from the listing cache on an inode hit, and
+//     on a miss fetched with the lookup — the two DMS round trips a cold
+//     readdir would open with collapse into one. The page is speculative, so
+//     it is asked for only where it costs no trip: not with batching
+//     disabled, and not for a partition cut, whose inode lives with its
+//     parent's partition while its listing lives on the partition it roots
+//     (the pages then go to their own leader unseeded).
+//
+// oc is the logical operation's context; its span is annotated with the
+// cache outcome.
+func (c *Client) resolveDir(cleaned string, oc opCtx, first *listPage) (layout.DirInode, error) {
 	if c.cache != nil {
 		if ino, ok := c.cache.get(cleaned); ok {
+			note := "cache=hit "
+			if first != nil {
+				// With the complete listing cached too, the DMS branch of
+				// this readdir costs zero trips.
+				if first.ents, first.ok = c.cache.getList(cleaned); first.ok {
+					note = "cache=hit+list "
+				}
+			}
 			if oc.sp != nil {
-				oc.sp.Annotate("cache=hit " + cleaned)
+				oc.sp.Annotate(note + cleaned)
 			}
 			return ino, nil
 		}
@@ -452,66 +473,43 @@ func (c *Client) resolveDir(cleaned string, oc opCtx) (layout.DirInode, error) {
 			oc.sp.Annotate("cache=miss " + cleaned)
 		}
 	}
+	pm := c.Map()
+	at := pm.Locate(cleaned)
 	enc := wire.GetEnc()
-	body := enc.Str(cleaned).U32(c.uid).U32(c.gid).Bytes()
-	var (
-		st         wire.Status
-		resp       []byte
-		src        uint32
-		err        error
-		recallResp []byte
-	)
-	// The recall catch-up is per-source: probe the route first so `since`
-	// is the watermark of the partition this lookup will land on. If a
-	// retry inside dmsCall reroutes to a different partition, the recall
-	// response is still applied under the source that actually served it —
-	// recall entries are genuine for their server regardless of the
-	// watermark they were requested from (a stale `since` at worst costs a
-	// reset).
-	var since uint64
-	var behind bool
-	if _, psrc, rerr := c.routeDMS(cleaned, false); rerr == nil {
-		since, behind = c.cacheBehind(psrc)
+	defer enc.Free()
+	var buf [3]wire.SubReq
+	subs := append(buf[:0], wire.SubReq{Op: wire.OpLookupDir, Body: enc.Str(cleaned).U32(c.uid).U32(c.gid).Bytes()})
+	paged := first != nil && !c.disableBatch && at == pm.LocateList(cleaned)
+	if paged {
+		subs = append(subs, wire.SubReq{Op: wire.OpReaddirSubdirs, Body: c.subdirPageBody(cleaned, "", 0)})
 	}
-	if behind && !c.disableBatch {
-		var resps []wire.SubResp
-		resps, src, err = c.dmsBatch(oc, cleaned, false, []wire.SubReq{
-			{Op: wire.OpLookupDir, Body: body},
-			{Op: wire.OpLeaseRecall, Body: wire.EncodeRecallReq(since)},
-		})
-		if err == nil {
-			st, resp = resps[0].Status, resps[0].Body
-			if resps[1].Status == wire.StatusOK {
-				recallResp = resps[1].Body
-			}
-		}
-	} else {
-		st, resp, src, err = c.dmsCall(oc, cleaned, false, wire.OpLookupDir, body)
-		if err == nil && behind {
-			// Batching is off, so the recall fetch cannot ride along with
-			// the lookup; issue it standalone. One extra trip, but without
-			// it appliedSeq would never advance and every previously cached
-			// entry would stay degraded to a miss until individually
-			// re-fetched.
-			rst, rbody, rsrc, rerr := c.dmsCall(oc, cleaned, false, wire.OpLeaseRecall, wire.EncodeRecallReq(since))
-			if rerr == nil && rst == wire.StatusOK {
-				recallResp = rbody
-				src = rsrc
-			}
-		}
-	}
-	enc.Free()
+	// The recall catch-up is per-source: `since` is the watermark of the
+	// partition this lookup routes to. If a retry inside dms reroutes to a
+	// different partition, the recall response is still applied under the
+	// source that actually served it — recall entries are genuine for their
+	// server regardless of the watermark they were requested from (a stale
+	// `since` at worst costs a reset).
+	subs, recallAt := c.withRecall(subs, at)
+	resps, src, err := c.dms(oc, cleaned, false, subs...)
 	if err != nil {
 		return nil, err
 	}
-	// Cache the lookup result first, then apply the recalls: the fresh
-	// entries carry their grant sequence, so any newer recall in the batch
-	// still drops them, while older ones leave them alone.
-	ino, rerr := c.finishLookup(src, cleaned, st, resp)
-	if recallResp != nil {
-		c.applyRecallResp(src, recallResp)
+	// Cache what came back first, then apply the recalls: the fresh entries
+	// carry their grant sequence, so any newer recall in the batch still
+	// drops them, while older ones leave them alone.
+	defer c.applyRecall(src, resps, recallAt)
+	ino, err := c.finishLookup(src, cleaned, resps[0].Status, resps[0].Body)
+	if err != nil || !paged {
+		return ino, err
 	}
-	return ino, rerr
+	if st := resps[1].Status; st != wire.StatusOK {
+		return nil, st.Err()
+	}
+	if *first, err = decodeEntryPage(resps[1].Body, true); err != nil {
+		return nil, err
+	}
+	c.cacheListing(src, cleaned, *first)
+	return ino, nil
 }
 
 // finishLookup turns an OpLookupDir outcome served by partition src into
@@ -538,13 +536,13 @@ func (c *Client) finishLookup(src uint32, cleaned string, st wire.Status, resp [
 // returning the target's inode.
 func (c *Client) cacheLookupChainFrom(src uint32, cleaned string, resp []byte) (layout.DirInode, error) {
 	d := wire.NewDec(resp)
-	n := d.U32()
+	n := d.Count(4 + 4) // an empty path and an empty inode
 	type link struct {
 		path string
 		ino  layout.DirInode
 	}
 	links := make([]link, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		p := d.Str()
 		ino := layout.DirInode(d.Blob())
 		if d.Err() != nil {
@@ -578,7 +576,7 @@ func (c *Client) splitPath(path string, oc opCtx) (parent layout.DirInode, clean
 	if name == "" {
 		return nil, "", "", wire.StatusInval.Err()
 	}
-	parent, err = c.resolveDir(dir, oc)
+	parent, err = c.resolveDir(dir, oc, nil)
 	return parent, cleaned, name, err
 }
 
@@ -654,7 +652,7 @@ func (c *Client) RmdirContext(ctx context.Context, path string) (err error) {
 	if err != nil {
 		return wire.StatusInval.Err()
 	}
-	ino, err := c.resolveDir(cleaned, oc)
+	ino, err := c.resolveDir(cleaned, oc, nil)
 	if err != nil {
 		return err
 	}
@@ -705,113 +703,52 @@ type DirEntry struct {
 // when listing a directory; it bounds response sizes for huge directories.
 const ReaddirPageSize = 1024
 
-// decodeEntryPage parses a paged readdir response. remaining is the
-// server's exact count of entries beyond this page, or -1 when the server
-// did not report one (more then only says whether any remain). g is the
-// trailing listing lease grant, present (Valid) only on a complete DMS
-// subdirectory listing.
-func decodeEntryPage(resp []byte, isDir bool) (ents []DirEntry, more bool, remaining int, g wire.LeaseGrant, err error) {
-	d := wire.NewDec(resp)
-	n := d.U32()
-	more = d.Bool()
-	ents = make([]DirEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		name := d.Str()
-		u := d.UUID()
-		if d.Err() != nil {
-			return nil, false, 0, g, d.Err()
-		}
-		ents = append(ents, DirEntry{Name: name, IsDir: isDir, UUID: u})
-	}
-	remaining = -1
-	if d.Remaining() > 0 { // optional trailing exact remaining count
-		remaining = int(d.U32())
-		if d.Err() != nil {
-			return nil, false, 0, g, d.Err()
-		}
-	}
-	g = wire.DecodeLeaseGrant(d)
-	return ents, more, remaining, g, nil
+// listPage is one page of a server's directory listing; the zero value is
+// "nothing fetched yet".
+type listPage struct {
+	ok   bool // a page (or the cached complete listing) is held
+	ents []DirEntry
+	more bool
+	// remaining is the server's exact count of entries beyond this page, or
+	// -1 when it did not report one (more then only says whether any remain).
+	remaining int
+	// grant is the listing lease, present (Valid) only on a complete DMS
+	// subdirectory listing.
+	grant wire.LeaseGrant
 }
 
-// resolveForReaddir resolves the directory for a listing. On a cache miss
-// with batching enabled, the first subdirectory page rides along with the
-// lookup in one wire.OpBatch message — the two DMS round trips a cold
-// readdir used to open with collapse into one. seeded reports whether
-// first/more/remaining carry a prefetched page.
-func (c *Client) resolveForReaddir(cleaned string, oc opCtx) (ino layout.DirInode, first []DirEntry, more bool, remaining int, seeded bool, err error) {
-	if c.cache != nil {
-		if cached, ok := c.cache.get(cleaned); ok {
-			if ents, lok := c.cache.getList(cleaned); lok {
-				// Both the inode and the complete subdirectory listing are
-				// cached: the DMS branch of this readdir costs zero trips.
-				if oc.sp != nil {
-					oc.sp.Annotate("cache=hit+list " + cleaned)
-				}
-				return cached, ents, false, 0, true, nil
-			}
-			if oc.sp != nil {
-				oc.sp.Annotate("cache=hit " + cleaned)
-			}
-			return cached, nil, false, 0, false, nil
-		}
-		if c.cache.negHit(cleaned) {
-			if oc.sp != nil {
-				oc.sp.Annotate("cache=neg " + cleaned)
-			}
-			return nil, nil, false, 0, false, wire.StatusNotFound.Err()
-		}
-		if oc.sp != nil {
-			oc.sp.Annotate("cache=miss " + cleaned)
-		}
+// decodeEntryPage parses a paged readdir response.
+func decodeEntryPage(resp []byte, isDir bool) (listPage, error) {
+	d := wire.NewDec(resp)
+	n := d.Count(4 + uuid.Size) // an empty name and a UUID
+	p := listPage{ok: true, more: d.Bool(), remaining: -1, ents: make([]DirEntry, 0, n)}
+	for i := 0; i < n; i++ {
+		p.ents = append(p.ents, DirEntry{Name: d.Str(), IsDir: isDir, UUID: d.UUID()})
 	}
-	if c.disableBatch {
-		ino, err = c.resolveDir(cleaned, oc)
-		return ino, nil, false, 0, false, err
+	if d.Remaining() > 0 { // optional trailing exact remaining count
+		p.remaining = int(d.U32())
 	}
-	if pm := c.Map(); pm.Locate(cleaned) != pm.LocateList(cleaned) {
-		// cleaned is a partition cut: its inode lives with its parent's
-		// partition while its listing lives on the partition it roots, so
-		// the lookup and the first page cannot share one batch. Resolve
-		// plainly; the listing pages go to their own leader unseeded.
-		ino, err = c.resolveDir(cleaned, oc)
-		return ino, nil, false, 0, false, err
+	if d.Err() != nil {
+		return listPage{}, d.Err()
 	}
-	lookup := wire.NewEnc().Str(cleaned).U32(c.uid).U32(c.gid).Bytes()
-	page := wire.NewEnc().Str(cleaned).U32(c.uid).U32(c.gid).
-		Str("").U32(ReaddirPageSize).U32(0).Bytes()
-	subs := []wire.SubReq{
-		{Op: wire.OpLookupDir, Body: lookup},
-		{Op: wire.OpReaddirSubdirs, Body: page},
+	p.grant = wire.DecodeLeaseGrant(d)
+	return p, nil
+}
+
+// subdirPageBody is the OpReaddirSubdirs request for the page of cleaned's
+// subdirectories skip pages after cursor.
+func (c *Client) subdirPageBody(cleaned, cursor string, skip uint32) []byte {
+	return wire.NewEnc().Str(cleaned).U32(c.uid).U32(c.gid).
+		Str(cursor).U32(ReaddirPageSize).U32(skip).Bytes()
+}
+
+// cacheListing installs a first subdirectory page served by partition src in
+// the directory cache when it is the complete listing and carries a listing
+// lease, so the next readdir's DMS branch costs zero trips.
+func (c *Client) cacheListing(src uint32, cleaned string, p listPage) {
+	if c.cache != nil && p.grant.Valid() && !p.more {
+		c.cache.putListFrom(src, cleaned, p.ents, p.grant)
 	}
-	recallAt := -1
-	if _, psrc, rerr := c.routeDMS(cleaned, false); rerr == nil {
-		if since, behind := c.cacheBehind(psrc); behind {
-			recallAt = len(subs)
-			subs = append(subs, wire.SubReq{Op: wire.OpLeaseRecall, Body: wire.EncodeRecallReq(since)})
-		}
-	}
-	resps, src, err := c.dmsBatch(oc, cleaned, false, subs)
-	if err != nil {
-		return nil, nil, false, 0, false, err
-	}
-	if recallAt >= 0 && resps[recallAt].Status == wire.StatusOK {
-		defer c.applyRecallResp(src, resps[recallAt].Body)
-	}
-	if ino, err = c.finishLookup(src, cleaned, resps[0].Status, resps[0].Body); err != nil {
-		return nil, nil, false, 0, false, err
-	}
-	if st := resps[1].Status; st != wire.StatusOK {
-		return nil, nil, false, 0, false, st.Err()
-	}
-	var g wire.LeaseGrant
-	if first, more, remaining, g, err = decodeEntryPage(resps[1].Body, true); err != nil {
-		return nil, nil, false, 0, false, err
-	}
-	if c.cache != nil && g.Valid() && !more {
-		c.cache.putListFrom(src, cleaned, first, g)
-	}
-	return ino, first, more, remaining, true, nil
 }
 
 // Readdir lists a directory: subdirectory entries from the DMS plus file
@@ -831,7 +768,8 @@ func (c *Client) ReaddirContext(ctx context.Context, path string) (out []DirEntr
 	if err != nil {
 		return nil, wire.StatusInval.Err()
 	}
-	ino, firstSubs, firstMore, firstRemaining, seeded, err := c.resolveForReaddir(cleaned, oc)
+	var first listPage
+	ino, err := c.resolveDir(cleaned, oc, &first)
 	if err != nil {
 		return nil, err
 	}
@@ -841,34 +779,27 @@ func (c *Client) ReaddirContext(ctx context.Context, path string) (out []DirEntr
 	if err != nil {
 		return nil, err
 	}
-	subBody := func(cursor string, skip uint32) []byte {
-		return wire.NewEnc().Str(cleaned).U32(c.uid).U32(c.gid).
-			Str(cursor).U32(ReaddirPageSize).U32(skip).Bytes()
-	}
+	subBody := func(cursor string, skip uint32) []byte { return c.subdirPageBody(cleaned, cursor, skip) }
 	fileBody := func(cursor string, skip uint32) []byte {
 		return wire.NewEnc().UUID(ino.UUID()).Str(cursor).
 			U32(ReaddirPageSize).U32(skip).Bytes()
 	}
 	// Branch 0 pages the DMS subdirectory listing (continuing from the
-	// seeded first page, if any); branches 1..n page one FMS each. During
+	// seeded first page, if any, else caching a complete first page as the
+	// seeded path does); branches 1..n page one FMS each. During
 	// a migration window the FMS set is the union of the current and
 	// previous members, so files not yet migrated still list.
 	fmsEps := c.view.Load().fms
 	parts := make([][]DirEntry, 1+len(fmsEps))
 	err = c.fanOut(oc, "page", len(parts), func(boc opCtx, i int) (time.Duration, error) {
-		var ents []DirEntry
 		var virt time.Duration
 		var err error
 		if i == 0 {
-			if seeded {
-				ents, virt, err = c.readMorePages(listEp, boc, wire.OpReaddirSubdirs, subBody, true, firstSubs, firstMore, firstRemaining)
-			} else {
-				ents, virt, err = c.readSubdirPages(listEp, listSrc, cleaned, boc, subBody)
-			}
+			parts[0], virt, err = c.readPages(listEp, boc, wire.OpReaddirSubdirs, subBody, true, first,
+				func(p listPage) { c.cacheListing(listSrc, cleaned, p) })
 		} else {
-			ents, virt, err = c.readPages(fmsEps[i-1], boc, wire.OpReaddirFiles, fileBody, false)
+			parts[i], virt, err = c.readPages(fmsEps[i-1], boc, wire.OpReaddirFiles, fileBody, false, listPage{}, nil)
 		}
-		parts[i] = ents
 		return virt, err
 	})
 	if err != nil {
@@ -913,7 +844,7 @@ func (c *Client) StatDirContext(ctx context.Context, path string) (a *Attr, err 
 	if err != nil {
 		return nil, wire.StatusInval.Err()
 	}
-	ino, err := c.resolveDir(cleaned, oc)
+	ino, err := c.resolveDir(cleaned, oc, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -1095,34 +1026,17 @@ type blockDel struct {
 	from uint64
 }
 
-// deleteBlocks reclaims blocks on every object store server in parallel.
-// Multiple files' deletions travel to each server packed into a single
-// wire.OpBatch message. Reclaim is best-effort: per-call failures are
-// ignored (the blocks leak until the UUID is reused — never, so this
-// matches the previous fire-and-forget behavior).
+// deleteBlocks reclaims blocks on every object store server in parallel;
+// several files' deletions travel to each server in one send. Reclaim is
+// best-effort: failures are ignored (the blocks leak until the UUID is
+// reused — never, so this matches the previous fire-and-forget behavior).
 func (c *Client) deleteBlocks(oc opCtx, dels ...blockDel) {
-	if len(dels) == 0 {
-		return
-	}
-	bodies := make([][]byte, len(dels))
+	subs := make([]wire.SubReq, len(dels))
 	for i, del := range dels {
-		bodies[i] = wire.NewEnc().UUID(del.u).U64(del.from).Bytes()
+		subs[i] = wire.SubReq{Op: wire.OpDeleteBlocks, Body: wire.NewEnc().UUID(del.u).U64(del.from).Bytes()}
 	}
 	c.fanOut(oc, "reclaim", len(c.oss), func(boc opCtx, i int) (time.Duration, error) {
-		o := c.oss[i]
-		if len(bodies) == 1 || c.disableBatch {
-			var vtotal time.Duration
-			for _, b := range bodies {
-				_, _, virt, _ := o.Call(boc, wire.OpDeleteBlocks, b, 0)
-				vtotal += virt
-			}
-			return vtotal, nil
-		}
-		subs := make([]wire.SubReq, len(bodies))
-		for j, b := range bodies {
-			subs[j] = wire.SubReq{Op: wire.OpDeleteBlocks, Body: b}
-		}
-		_, virt, _ := o.CallBatch(boc, subs)
+		_, virt, _ := c.send(boc, c.oss[i], subs, 0)
 		return virt, nil
 	})
 }

@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -251,5 +252,108 @@ func TestReaddirEmptyAndRoot(t *testing.T) {
 	ents, err = c.Readdir("/z")
 	if err != nil || len(ents) != 0 {
 		t.Errorf("Readdir(empty dir) = %v, %v", ents, err)
+	}
+}
+
+// TestReaddirStaleListingNotServed: a directory's inode can outlive its
+// listing in the cache — any cold lookup of a descendant re-puts every
+// ancestor's inode under a new lease. A readdir that then hits the inode and
+// finds the listing expired must read the server's listing from the start,
+// not continue from the expired one, and must cache what it read.
+func TestReaddirStaleListingNotServed(t *testing.T) {
+	_, cfg := testCluster(t, 1)
+	now := time.Now()
+	cfg.Now = func() time.Time { return now }
+	c, other := dialTest(t, cfg), dialTest(t, cfg)
+	for _, d := range []string{"/d", "/d/a", "/d/c", "/d/sub", "/d/sub/deep"} {
+		if err := c.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names := func(ents []DirEntry) (s string) {
+		for _, e := range ents {
+			s += e.Name + " "
+		}
+		return s
+	}
+	ents, err := c.Readdir("/d") // caches /d's listing
+	if err != nil || names(ents) != "a c sub " {
+		t.Fatalf("Readdir(/d) = %q, %v", names(ents), err)
+	}
+	now = now.Add(dms.DefaultLeaseDur * 2 / 3)
+	c.cache.invalidate("/d/sub/deep")
+	if _, err := c.StatDir("/d/sub/deep"); err != nil { // cold: re-puts /d's inode
+		t.Fatal(err)
+	}
+	if err := other.Rmdir("/d/c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Mkdir("/d/b", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	now = now.Add(dms.DefaultLeaseDur * 2 / 3) // the listing's lease is over, the inode's is not
+	if _, ok := c.cache.get("/d"); !ok {
+		t.Fatal("setup: /d's inode should still be cached")
+	}
+	ents, err = c.Readdir("/d")
+	if err != nil || names(ents) != "a b sub " {
+		t.Errorf("Readdir(/d) over an expired listing = %q, %v; want the server's \"a b sub \"", names(ents), err)
+	}
+	if ents, ok := c.cache.getList("/d"); !ok || names(ents) != "a b sub " {
+		t.Errorf("re-read listing not cached: %q, %v", names(ents), ok)
+	}
+}
+
+// TestResponseCountsBoundedByInput: an element count in a response body
+// sizes no allocation the rest of the body cannot back. Each response below
+// declares 2^22 elements and holds none; sized by the count alone, one short
+// response from a confused server cost the client hundreds of megabytes —
+// and at 2^32-1, its process.
+func TestResponseCountsBoundedByInput(t *testing.T) {
+	const huge = 1 << 22
+	n, cfg := testCluster(t, 1)
+	c := dialTest(t, cfg)
+	rs := rpc.NewServer()
+	rs.Handle(wire.OpMigrateScan, func([]byte) (wire.Status, []byte) {
+		return wire.StatusOK, wire.NewEnc().U32(0).U32(huge).Bytes()
+	})
+	l, err := n.Listen("confused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(l)
+	t.Cleanup(rs.Shutdown)
+	if _, err := c.endpointAt("confused"); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string]func() error{
+		"lookup chain": func() error {
+			_, err := c.cacheLookupChainFrom(0, "/a", wire.NewEnc().U32(huge).Bytes())
+			return err
+		},
+		"entry page": func() error {
+			_, err := decodeEntryPage(wire.NewEnc().U32(huge).Bool(true).Bytes(), true)
+			return err
+		},
+		"migrate scan": func() error {
+			_, _, _, err := c.migrateScan(opCtx{}, wire.Member{ID: 7, Addr: "confused"}, []int{0}, 1)
+			return err
+		},
+	}
+	for name, decode := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count backed by nothing decoded without error", name)
+		}
+		// TotalAlloc is process-wide and the cluster's servers are running:
+		// the bound is loose enough for their noise, and far below what a
+		// count-sized allocation costs (tens of megabytes).
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: %d bytes allocated on a response of a few bytes", name, got)
+		}
 	}
 }

@@ -201,13 +201,37 @@ func (e *endpoint) Call(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Sta
 	return st, resp, virt, err
 }
 
-// CallBatch packs subs into one wire.OpBatch message, sends it as a single
-// framed request, and unpacks the per-sub-request outcomes (in sub-request
-// order). The returned virtual time is the whole batch's: one round of link
-// delays plus the server's summed sub-request service time. The batch RPC's
-// client span becomes the parent of the server-side envelope span, under
-// which the server opens one child span per sub-request.
-func (e *endpoint) CallBatch(oc opCtx, subs []wire.SubReq) ([]wire.SubResp, time.Duration, error) {
+// send puts subs on the wire to e and returns one outcome per sub-request,
+// in order. It is the client's only multi-request path, and the only code
+// that decides what travels: one sub-request goes as a plain Call (req, when
+// non-zero, pins its dedup id as Call describes); several go packed into one
+// wire.OpBatch message — a single framed request, one round of link delays
+// plus the server's summed sub-request service time, the batch RPC's client
+// span parenting the server-side envelope span and its per-sub-request
+// children. With Config.DisableBatchRPC the several go as plain calls
+// instead, one after another on the same endpoint with their virtual times
+// summed: the batched form minus the envelope. Like the envelope, the
+// sequence runs past a non-OK status (statuses are per sub-request) and
+// stops at the first transport error.
+func (c *Client) send(oc opCtx, e *endpoint, subs []wire.SubReq, req uint64) ([]wire.SubResp, time.Duration, error) {
+	if len(subs) == 1 || c.disableBatch {
+		if len(subs) > 1 {
+			// One id names one request: shared, the server would answer the
+			// later sub-requests from the first one's dedup record.
+			req = 0
+		}
+		resps := make([]wire.SubResp, len(subs))
+		var vtotal time.Duration
+		for i, s := range subs {
+			st, body, virt, err := e.Call(oc, s.Op, s.Body, req)
+			vtotal += virt
+			if err != nil {
+				return nil, vtotal, err
+			}
+			resps[i] = wire.SubResp{Status: st, Body: body}
+		}
+		return resps, vtotal, nil
+	}
 	body, err := wire.EncodeBatch(subs)
 	if err != nil {
 		return nil, 0, err
@@ -242,7 +266,8 @@ func (e *endpoint) CallBatch(oc opCtx, subs []wire.SubReq) ([]wire.SubResp, time
 // request id across every attempt, so the server executes them at most
 // once no matter how deliveries are duplicated (wire.Op.Idempotent is the
 // retry matrix; OpBatch envelopes are retried freely because the client
-// only batches idempotent sub-ops: readdir pages and block deletes).
+// only batches idempotent sub-ops: lookups, recall fetches, readdir pages,
+// block deletes, and migration's absolute-state installs and deletes).
 func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
 	if req == 0 && !op.Idempotent() && op != wire.OpBatch {
 		req = e.res.nextReq()

@@ -104,119 +104,61 @@ func (c *Client) fanOut(oc opCtx, label string, n int, fn func(boc opCtx, i int)
 	return firstErr
 }
 
-// readPages drains one server's paged directory listing. The first page is
-// a single request; when the server reports remaining entries, the
-// follow-up pages are fetched as one wire.OpBatch message per
-// batchPageDepth pages (sub-request i carries the same cursor and skip=i,
+// readPages drains one server's paged directory listing, continuing from
+// page when its first page is already held (prefetched with the DMS lookup,
+// see resolveDir). Each round trip is one send: the first page alone, then —
+// when the server reports remaining entries — up to batchPageDepth follow-up
+// pages at once (sub-request i carries the same cursor and skip=i,
 // addressing page i after the cursor), sized from the server's exact
 // remaining-entry count, so a large listing costs one round trip per
 // batchPageDepth pages instead of one per page. mkBody builds the request
-// body for a (cursor, skip) page. Returns the entries and the branch's
-// summed virtual time.
-func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor string, skip uint32) []byte, isDir bool) ([]DirEntry, time.Duration, error) {
-	st, resp, virt, err := e.Call(oc, op, mkBody("", 0), 0)
-	if err != nil {
-		return nil, virt, err
-	}
-	if st != wire.StatusOK {
-		return nil, virt, st.Err()
-	}
-	ents, more, remaining, _, err := decodeEntryPage(resp, isDir)
-	if err != nil {
-		return nil, virt, err
-	}
-	out, vrest, err := c.readMorePages(e, oc, op, mkBody, isDir, ents, more, remaining)
-	return out, virt + vrest, err
-}
-
-// readSubdirPages drains the DMS subdirectory listing for a directory
-// whose inode was cached but whose listing was not. e is the endpoint
-// owning the listing (the routed partition leader) and src its partition. It is readPages with one
-// addition: when the first page is the complete listing and carries a
-// listing lease, it is installed in the directory cache, so the next
-// readdir's DMS branch costs zero trips (the cold-miss path does the same
-// inside resolveForReaddir).
-func (c *Client) readSubdirPages(e *endpoint, src uint32, cleaned string, oc opCtx, mkBody func(cursor string, skip uint32) []byte) ([]DirEntry, time.Duration, error) {
-	st, resp, virt, err := e.Call(oc, wire.OpReaddirSubdirs, mkBody("", 0), 0)
-	if err != nil {
-		return nil, virt, err
-	}
-	if st != wire.StatusOK {
-		return nil, virt, st.Err()
-	}
-	ents, more, remaining, g, err := decodeEntryPage(resp, true)
-	if err != nil {
-		return nil, virt, err
-	}
-	if c.cache != nil && g.Valid() && !more {
-		c.cache.putListFrom(src, cleaned, ents, g)
-	}
-	out, vrest, err := c.readMorePages(e, oc, wire.OpReaddirSubdirs, mkBody, true, ents, more, remaining)
-	return out, virt + vrest, err
-}
-
-// readMorePages continues a paged listing whose first page (first, more,
-// remaining) was already fetched — by readPages, or prefetched inside a
-// batched DMS lookup (see resolveForReaddir).
-func (c *Client) readMorePages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor string, skip uint32) []byte, isDir bool, first []DirEntry, more bool, remaining int) ([]DirEntry, time.Duration, error) {
-	out := first
+// body for a (cursor, skip) page; onFirst, when set, sees the first page if
+// it was fetched here. Returns the entries and the branch's summed virtual
+// time.
+func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor string, skip uint32) []byte, isDir bool, page listPage, onFirst func(listPage)) ([]DirEntry, time.Duration, error) {
+	out := page.ents
 	var vtotal time.Duration
-	for more && len(out) > 0 {
-		cursor := out[len(out)-1].Name
-		// Size the batch from the server's exact remaining count; with
-		// none reported, fall back to one page per round trip (an empty
-		// speculative page would still cost a full dirent-log scan
-		// server-side).
-		pages := 1
-		if !c.disableBatch && remaining > 0 {
-			pages = (remaining + ReaddirPageSize - 1) / ReaddirPageSize
-			if pages > batchPageDepth {
-				pages = batchPageDepth
-			}
+	for first := !page.ok; first || (page.more && len(out) > 0); first = false {
+		cursor := ""
+		if len(out) > 0 {
+			cursor = out[len(out)-1].Name
 		}
-		if pages == 1 {
-			st, resp, virt, err := e.Call(oc, op, mkBody(cursor, 0), 0)
-			vtotal += virt
-			if err != nil {
-				return nil, vtotal, err
-			}
-			if st != wire.StatusOK {
-				return nil, vtotal, st.Err()
-			}
-			ents, m, rem, _, err := decodeEntryPage(resp, isDir)
-			if err != nil {
-				return nil, vtotal, err
-			}
-			out = append(out, ents...)
-			more = m && len(ents) > 0
-			remaining = rem
-			continue
+		// Size the send from the server's exact remaining count; with none
+		// reported — or with batching disabled, when the pages would not
+		// share a trip — ask for one page: skip=i re-reads the server's
+		// dirent log, so a speculative empty page costs a full list scan.
+		pages := 1
+		if !c.disableBatch && page.remaining > 0 {
+			pages = min((page.remaining+ReaddirPageSize-1)/ReaddirPageSize, batchPageDepth)
 		}
 		subs := make([]wire.SubReq, pages)
 		for i := range subs {
 			subs[i] = wire.SubReq{Op: op, Body: mkBody(cursor, uint32(i))}
 		}
-		resps, virt, err := e.CallBatch(oc, subs)
+		resps, virt, err := c.send(oc, e, subs, 0)
 		vtotal += virt
 		if err != nil {
 			return nil, vtotal, err
 		}
-		more = false
 		for _, r := range resps {
 			if r.Status != wire.StatusOK {
 				return nil, vtotal, r.Status.Err()
 			}
-			ents, m, rem, _, err := decodeEntryPage(r.Body, isDir)
-			if err != nil {
+			if page, err = decodeEntryPage(r.Body, isDir); err != nil {
 				return nil, vtotal, err
 			}
-			out = append(out, ents...)
-			if len(ents) == 0 {
-				more = false
+			if len(page.ents) == 0 {
+				page.more = false
 				break
 			}
-			more = m
-			remaining = rem
+			if out == nil {
+				out = page.ents
+			} else {
+				out = append(out, page.ents...)
+			}
+		}
+		if first && onFirst != nil {
+			onFirst(page)
 		}
 	}
 	return out, vtotal, nil

@@ -3,12 +3,14 @@ package client
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
-
-	"locofs/internal/netsim"
 	"testing"
 	"time"
 
+	"locofs/internal/fms"
+	"locofs/internal/netsim"
+	"locofs/internal/uuid"
 	"locofs/internal/wire"
 )
 
@@ -116,44 +118,156 @@ func fillDir(t *testing.T, c *Client, dir string, files, subdirs int) {
 }
 
 // TestReaddirParityAcrossModes: parallel+batched, parallel-only, and serial
-// clients must all return the identical sorted listing, including one wider
-// than several pages.
+// clients run one script over the client's multi-request steps — a listing
+// wider than several pages, a cold resolve with a recall catch-up owed, a
+// two-file block reclaim, a truncate, a hot-tier refresh — and must return
+// identical results, each at its own fixed round-trip cost. The constants
+// were recorded at the commit before the send path became one (ISSUE 24);
+// they are what "batching is the unbatched form plus an envelope" means.
 func TestReaddirParityAcrossModes(t *testing.T) {
-	_, cfg := testCluster(t, 4)
-	seed := dialTest(t, cfg)
-	width := 3*ReaddirPageSize + 57
-	fillDir(t, seed, "/wide", width, 5)
+	_, cfg := testCluster(t, 2)
+	cfg.HotEntries = 4
+	cfg.HotRefreshInterval = time.Hour // refreshHot is called by hand below
+	other := dialTest(t, cfg)
+	width := 5*ReaddirPageSize + 57 // per FMS: a first page, then two more in one batch
+	fillDir(t, other, "/wide", width, 5)
 
-	modes := map[string]Config{
-		"parallel+batch": cfg,
-		"parallel-only":  func() Config { c := cfg; c.DisableBatchRPC = true; return c }(),
-		"serial":         func() Config { c := cfg; c.SerialFanOut = true; c.DisableBatchRPC = true; return c }(),
+	noBatch, serial := cfg, cfg
+	noBatch.DisableBatchRPC = true
+	serial.DisableBatchRPC, serial.SerialFanOut = true, true
+	modes := []struct {
+		name  string
+		cfg   Config
+		trips []uint64 // per step, in script order
+	}{
+		{"parallel+batch", cfg, []uint64{5, 2, 4, 1, 2, 1}},
+		{"parallel-only", noBatch, []uint64{8, 3, 4, 2, 2, 5}},
+		{"serial", serial, []uint64{8, 3, 4, 2, 2, 5}},
 	}
-	var reference []DirEntry
-	for name, mcfg := range modes {
-		c := dialTest(t, mcfg)
-		ents, err := c.Readdir("/wide")
+	// churn is another client's directory mutation: it bumps the DMS recall
+	// sequence, so the next DMS response c sees leaves its cache behind.
+	churn := func() {
+		t.Helper()
+		if err := other.Mkdir("/wide/churn", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := other.Rmdir("/wide/churn"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	block := make([]byte, 3*fms.DefaultBlockSize)
+	for i := range block {
+		block[i] = byte(i)
+	}
+	// write makes path a three-block file and returns its UUID.
+	write := func(c *Client, path string) uuid.UUID {
+		t.Helper()
+		if err := c.Create(path, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := c.Open(path, true)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		if len(ents) != width+5 {
-			t.Fatalf("%s: %d entries, want %d", name, len(ents), width+5)
+		if _, err := f.WriteAt(block, 0); err != nil {
+			t.Fatal(err)
 		}
-		for i := 1; i < len(ents); i++ {
-			if ents[i-1].Name >= ents[i].Name {
-				t.Fatalf("%s: entries not sorted at %d: %q >= %q",
-					name, i, ents[i-1].Name, ents[i].Name)
+		return f.UUID()
+	}
+	// blocksLeft counts u's blocks still held by the object store.
+	blocksLeft := func(c *Client, u uuid.UUID) (n int) {
+		t.Helper()
+		for blk := uint64(0); blk < 3; blk++ {
+			body := wire.NewEnc().UUID(u).U64(blk).U32(0).U32(1).Bytes()
+			st, resp, _, err := c.ossFor(u, blk).Call(opCtx{}, wire.OpGetBlock, body, 0)
+			if err != nil || st != wire.StatusOK {
+				t.Fatalf("get block: %v %v", st, err)
 			}
+			if len(wire.NewDec(resp).Blob()) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+
+	var reference []any
+	for _, m := range modes {
+		c := dialTest(t, m.cfg)
+		var got []any
+		var trips []uint64
+		step := func(fn func()) {
+			t.Helper()
+			t0 := c.Trips()
+			fn()
+			trips = append(trips, c.Trips()-t0)
+		}
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+		}
+
+		step(func() { // a listing of three pages from each FMS
+			ents, err := c.Readdir("/wide")
+			must(err)
+			if len(ents) != width+5 {
+				t.Fatalf("%s: %d entries, want %d", m.name, len(ents), width+5)
+			}
+			for i := 1; i < len(ents); i++ {
+				if ents[i-1].Name >= ents[i].Name {
+					t.Fatalf("%s: entries not sorted at %d: %q >= %q",
+						m.name, i, ents[i-1].Name, ents[i].Name)
+				}
+			}
+			got = append(got, ents)
+		})
+		churn()
+		step(func() { // cold resolves: the second one owes a recall catch-up
+			for _, p := range []string{"/wide/sub-000", "/wide/sub-001"} {
+				a, err := c.StatDir(p)
+				must(err)
+				got = append(got, *a)
+			}
+			d := c.CacheDetail()
+			got = append(got, d.AppliedSeq == d.MaxSeq)
+		})
+		u1, u2 := write(c, "/wide/sub-000/a"), write(c, "/wide/sub-000/b")
+		step(func() { // two removes, each reclaiming one file's blocks
+			must(c.Remove("/wide/sub-000/a"))
+			must(c.Remove("/wide/sub-000/b"))
+		})
+		got = append(got, blocksLeft(c, u1), blocksLeft(c, u2))
+		u1, u2 = write(c, "/wide/sub-000/a"), write(c, "/wide/sub-000/b")
+		step(func() { // one reclaim of two files: one envelope per object store
+			c.deleteBlocks(opCtx{}, blockDel{u: u1}, blockDel{u: u2, from: 1})
+		})
+		got = append(got, blocksLeft(c, u1), blocksLeft(c, u2))
+		step(func() { // truncate: the size patch, then the trimmed blocks
+			must(c.Truncate("/wide/sub-000/a", fms.DefaultBlockSize))
+		})
+		a, err := c.StatFile("/wide/sub-000/a")
+		must(err)
+		got = append(got, a.Size, blocksLeft(c, u1))
+		must(c.Remove("/wide/sub-000/a"))
+		must(c.Remove("/wide/sub-000/b"))
+		churn()
+		_, err = c.StatDir("/wide/sub-002") // observes the churn: c is behind
+		must(err)
+		step(func() { // hot-tier refresh: the top paths plus the catch-up
+			c.refreshHot(4)
+			d := c.CacheDetail()
+			got = append(got, d.AppliedSeq == d.MaxSeq)
+		})
+
+		if !reflect.DeepEqual(trips, m.trips) {
+			t.Errorf("%s: trips per step = %v, want %v", m.name, trips, m.trips)
 		}
 		if reference == nil {
-			reference = ents
-			continue
-		}
-		for i := range ents {
-			if ents[i] != reference[i] {
-				t.Fatalf("%s: entry %d = %+v, differs from reference %+v",
-					name, i, ents[i], reference[i])
-			}
+			reference = got
+		} else if !reflect.DeepEqual(got, reference) {
+			t.Errorf("%s: results differ from %s's:\n got %v\nwant %v",
+				m.name, modes[0].name, got[1:], reference[1:])
 		}
 	}
 }

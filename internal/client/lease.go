@@ -10,10 +10,10 @@ import (
 // carries the server's recall sequence (wire.Msg.Lease); observeLease feeds
 // it into the cache's maxSeq watermark. When the watermark runs ahead of
 // what the cache has applied, cached entries stop being served (they might
-// be stale) and the next DMS round trip piggybacks an OpLeaseRecall fetch —
-// so catching up costs zero extra trips. Mutation responses additionally
-// carry a publication trailer (decodePub) letting the mutating client
-// account for its own recalls without any fetch.
+// be stale) and the next DMS round trip piggybacks an OpLeaseRecall fetch
+// (withRecall) — so catching up costs zero extra trips. Mutation responses
+// additionally carry a publication trailer (decodePub) letting the mutating
+// client account for its own recalls without any fetch.
 
 // DefaultHotRefreshInterval is the hot-tier refresher period when
 // Config.HotRefreshInterval is zero.
@@ -36,26 +36,28 @@ func (c *Client) observeLease(addr string, seq uint64) {
 	}
 }
 
-// cacheBehind reports whether the cache must fetch missed recalls from
-// source src, and that source's applied watermark to fetch from.
-func (c *Client) cacheBehind(src uint32) (since uint64, ok bool) {
-	if c.cache == nil {
-		return 0, false
+// withRecall appends source src's recall catch-up — the OpLeaseRecall fetch
+// from its applied watermark — to a send bound for that source when the cache
+// has observed recalls from it that it has not applied, and returns the
+// sub-request's index for applyRecall (-1 when the cache is level).
+func (c *Client) withRecall(subs []wire.SubReq, src uint32) ([]wire.SubReq, int) {
+	if c.cache != nil {
+		if since, behind := c.cache.behindFrom(src); behind {
+			return append(subs, wire.SubReq{Op: wire.OpLeaseRecall, Body: wire.EncodeRecallReq(since)}), len(subs)
+		}
 	}
-	return c.cache.behindFrom(src)
+	return subs, -1
 }
 
-// applyRecallResp decodes an OpLeaseRecall response body fetched from
-// source src and applies it.
-func (c *Client) applyRecallResp(src uint32, body []byte) {
-	if c.cache == nil {
+// applyRecall applies the recall fetch withRecall placed at index at, as
+// answered by source src.
+func (c *Client) applyRecall(src uint32, resps []wire.SubResp, at int) {
+	if at < 0 || resps[at].Status != wire.StatusOK {
 		return
 	}
-	cur, reset, entries, err := wire.DecodeRecallResp(body)
-	if err != nil {
-		return
+	if cur, reset, entries, err := wire.DecodeRecallResp(resps[at].Body); err == nil {
+		c.cache.applyRecallsFrom(src, cur, reset, entries)
 	}
-	c.cache.applyRecallsFrom(src, cur, reset, entries)
 }
 
 // decodePub reads the publication trailer (last recall sequence, entry
@@ -115,11 +117,10 @@ func (c *Client) hotRefreshLoop(n int, interval time.Duration, clk func() time.T
 }
 
 // refreshHot ranks the top n resolved directories, installs them as the hot
-// set (so subsequent puts stretch their leases), and re-resolves them — in
-// one batched DMS round trip per partition when batching is enabled — so
+// set (so subsequent puts stretch their leases), and re-resolves them — one
+// send per partition leader, that source's recall catch-up riding along — so
 // hot entries are renewed in the background instead of expiring under
-// foreground traffic. The hot paths are grouped by their owning partition
-// leader first.
+// foreground traffic.
 func (c *Client) refreshHot(n int) {
 	ca := c.cache
 	if ca == nil || ca.hot == nil {
@@ -158,61 +159,20 @@ func (c *Client) refreshHot(n int) {
 		g.paths = append(g.paths, h.Key)
 	}
 	for _, g := range order {
-		if gerr := c.refreshHotGroup(oc, g.e, g.src, g.paths); gerr != nil {
-			err = gerr
+		subs := make([]wire.SubReq, len(g.paths), len(g.paths)+1)
+		for i, p := range g.paths {
+			subs[i] = wire.SubReq{Op: wire.OpLookupDir, Body: wire.NewEnc().Str(p).U32(c.uid).U32(c.gid).Bytes()}
+		}
+		subs, recallAt := c.withRecall(subs, g.src)
+		var resps []wire.SubResp
+		if resps, _, err = c.send(oc, g.e, subs, 0); err != nil {
 			return
 		}
-	}
-}
-
-// refreshHotGroup re-resolves one endpoint's hot paths, piggybacking that
-// source's recall catch-up on the batch (or issuing it standalone with
-// batching disabled).
-func (c *Client) refreshHotGroup(oc opCtx, e *endpoint, src uint32, paths []string) error {
-	if c.disableBatch {
-		for _, p := range paths {
-			body := wire.NewEnc().Str(p).U32(c.uid).U32(c.gid).Bytes()
-			st, resp, _, cerr := e.Call(oc, wire.OpLookupDir, body, 0)
-			if cerr != nil {
-				return cerr
-			}
-			if st == wire.StatusOK {
-				c.cacheLookupChainFrom(src, p, resp)
+		for i, p := range g.paths {
+			if resps[i].Status == wire.StatusOK {
+				c.cacheLookupChainFrom(g.src, p, resps[i].Body)
 			}
 		}
-		if since, behind := c.cacheBehind(src); behind {
-			// No batch to piggyback on: fetch missed recalls standalone so
-			// the refreshed entries become servable (see resolveDir).
-			st, resp, _, cerr := e.Call(oc, wire.OpLeaseRecall, wire.EncodeRecallReq(since), 0)
-			if cerr == nil && st == wire.StatusOK {
-				c.applyRecallResp(src, resp)
-			}
-		}
-		return nil
+		c.applyRecall(g.src, resps, recallAt)
 	}
-	subs := make([]wire.SubReq, 0, len(paths)+1)
-	for _, p := range paths {
-		subs = append(subs, wire.SubReq{
-			Op:   wire.OpLookupDir,
-			Body: wire.NewEnc().Str(p).U32(c.uid).U32(c.gid).Bytes(),
-		})
-	}
-	recallAt := -1
-	if since, behind := c.cacheBehind(src); behind {
-		recallAt = len(subs)
-		subs = append(subs, wire.SubReq{Op: wire.OpLeaseRecall, Body: wire.EncodeRecallReq(since)})
-	}
-	resps, _, err := e.CallBatch(oc, subs)
-	if err != nil {
-		return err
-	}
-	for i, p := range paths {
-		if resps[i].Status == wire.StatusOK {
-			c.cacheLookupChainFrom(src, p, resps[i].Body)
-		}
-	}
-	if recallAt >= 0 && resps[recallAt].Status == wire.StatusOK {
-		c.applyRecallResp(src, resps[recallAt].Body)
-	}
-	return nil
 }

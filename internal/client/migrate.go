@@ -14,8 +14,8 @@ package client
 //     create-guard refuses creates for keys it no longer owns.
 //  2. Drain each outgoing-set server: scan for files the new ring places
 //     elsewhere (OpMigrateScan), install them at their new owners
-//     (OpMigrateInstall, batched per destination over wire.OpBatch), then
-//     conditionally delete the source copies (OpMigrateDelete, batched).
+//     (OpMigrateInstall, one send per destination), then conditionally
+//     delete the source copies (OpMigrateDelete, one send).
 //     A source copy mutated after its export is left in place and picked
 //     up by the next scan pass; the loop runs until a scan comes back
 //     clean, so no concurrent update is ever lost.
@@ -388,9 +388,9 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 	}
 	d := wire.NewDec(resp)
 	total = int(d.U32())
-	n := int(d.U32())
+	n := d.Count(uuid.Size + 4 + 4 + 4) // a UUID, an empty name and two empty blobs
 	moved = make([]movedFile, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
+	for i := 0; i < n; i++ {
 		moved = append(moved, movedFile{dir: d.UUID(), name: d.Str(), access: d.Blob(), content: d.Blob()})
 	}
 	more = d.Bool()
@@ -400,33 +400,18 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 	return moved, total, more, nil
 }
 
-// migrateApply sends one install or delete per file to addr, packed into a
-// single wire.OpBatch message (or serially with batching disabled).
+// migrateApply sends one install or delete per file to addr in one send,
+// and reports the first file the server refused.
 func (c *Client) migrateApply(oc opCtx, addr string, op wire.Op, files []movedFile) error {
 	e, err := c.endpointAt(addr)
 	if err != nil {
 		return err
 	}
-	mkBody := func(f movedFile) []byte {
-		return wire.NewEnc().UUID(f.dir).Str(f.name).Blob(f.access).Blob(f.content).Bytes()
-	}
-	if c.disableBatch || len(files) == 1 {
-		for _, f := range files {
-			st, _, _, err := e.Call(oc, op, mkBody(f), 0)
-			if err != nil {
-				return err
-			}
-			if st != wire.StatusOK {
-				return st.Err()
-			}
-		}
-		return nil
-	}
 	subs := make([]wire.SubReq, len(files))
 	for i, f := range files {
-		subs[i] = wire.SubReq{Op: op, Body: mkBody(f)}
+		subs[i] = wire.SubReq{Op: op, Body: wire.NewEnc().UUID(f.dir).Str(f.name).Blob(f.access).Blob(f.content).Bytes()}
 	}
-	resps, _, err := e.CallBatch(oc, subs)
+	resps, _, err := c.send(oc, e, subs, 0)
 	if err != nil {
 		return err
 	}

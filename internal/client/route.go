@@ -49,91 +49,52 @@ func (c *Client) routeDMS(path string, list bool) (*endpoint, uint32, error) {
 	return e, pid, err
 }
 
-// dmsCall issues one DMS request routed by path, retrying through map
-// refreshes on EWRONGPART (stale routing) and on transport errors (dead
-// leader) up to dmsRouteAttempts times. Non-idempotent requests carry one
-// dedup id across every attempt and every endpoint, so a mutation is
-// executed at most once cluster-wide no matter where the retries land. The
-// returned source is the partition that served the final attempt — the key
-// for the caller's cache accounting.
-func (c *Client) dmsCall(oc opCtx, path string, list bool, op wire.Op, body []byte) (wire.Status, []byte, uint32, error) {
+// dms sends subs to the DMS leader that path routes to (see routeDMS for
+// list) and returns one outcome per sub-request. It is the one routed DMS
+// call: a transport error (dead leader) or an EWRONGPART on any sub-request
+// (stale routing) triggers a map refresh and a whole-send retry, up to
+// dmsRouteAttempts times — safe because a multi-request send carries only
+// idempotent sub-requests, and a lone non-idempotent one carries one dedup
+// id across every attempt and every endpoint, so a mutation is executed at
+// most once cluster-wide no matter where the retries land. The returned
+// source is the partition that served the final attempt — the key for the
+// caller's cache accounting. When the attempts run out the last outcome
+// stands: the transport error, or the sub-statuses still saying EWRONGPART.
+func (c *Client) dms(oc opCtx, path string, list bool, subs ...wire.SubReq) (resps []wire.SubResp, src uint32, err error) {
 	var req uint64
-	if !op.Idempotent() {
+	if len(subs) == 1 && !subs[0].Op.Idempotent() {
 		req = c.res.nextReq()
 	}
-	var (
-		st   wire.Status
-		resp []byte
-		src  uint32
-		err  error
-	)
 	for attempt := 0; attempt < dmsRouteAttempts; attempt++ {
 		var e *endpoint
-		var rerr error
-		e, src, rerr = c.routeDMS(path, list)
-		if rerr != nil {
+		if e, src, err = c.routeDMS(path, list); err != nil {
 			c.refreshMap(oc, "")
-			err = rerr
 			continue
 		}
-		st, resp, _, err = e.Call(oc, op, body, req)
-		if err != nil {
+		if resps, _, err = c.send(oc, e, subs, req); err != nil {
 			if onlyRoute(c.Map()) {
-				return st, resp, src, err
-			}
-			c.refreshMap(oc, e.addr)
-			continue
-		}
-		if st == wire.StatusWrongPartition {
-			c.refreshMap(oc, "")
-			continue
-		}
-		return st, resp, src, nil
-	}
-	return st, resp, src, err
-}
-
-// dmsBatch issues one batched DMS request routed by path, with the same
-// refresh-and-retry loop as dmsCall (batches carry only idempotent
-// sub-requests, so whole-batch retries are safe). A batch any of whose
-// sub-responses reports EWRONGPART is retried wholesale after a refresh.
-func (c *Client) dmsBatch(oc opCtx, path string, list bool, subs []wire.SubReq) ([]wire.SubResp, uint32, error) {
-	var (
-		resps []wire.SubResp
-		src   uint32
-		err   error
-	)
-	for attempt := 0; attempt < dmsRouteAttempts; attempt++ {
-		var e *endpoint
-		var rerr error
-		e, src, rerr = c.routeDMS(path, list)
-		if rerr != nil {
-			c.refreshMap(oc, "")
-			err = rerr
-			continue
-		}
-		resps, _, err = e.CallBatch(oc, subs)
-		if err != nil {
-			if onlyRoute(c.Map()) {
-				return resps, src, err
+				return nil, src, err
 			}
 			c.refreshMap(oc, e.addr)
 			continue
 		}
 		wrong := false
 		for _, r := range resps {
-			if r.Status == wire.StatusWrongPartition {
-				wrong = true
-				break
-			}
+			wrong = wrong || r.Status == wire.StatusWrongPartition
 		}
 		if !wrong {
 			return resps, src, nil
 		}
 		c.refreshMap(oc, "")
 	}
-	if err == nil {
-		err = wire.StatusWrongPartition.Err()
-	}
 	return resps, src, err
+}
+
+// dmsCall is dms for the single-request operations, unwrapped.
+func (c *Client) dmsCall(oc opCtx, path string, list bool, op wire.Op, body []byte) (wire.Status, []byte, uint32, error) {
+	resps, src, err := c.dms(oc, path, list, wire.SubReq{Op: op, Body: body})
+	if err != nil {
+		return wire.StatusIO, nil, src, err
+	}
+	return resps[0].Status, resps[0].Body, src, nil
 }

@@ -117,7 +117,7 @@ func TestFMSCrashSurfacesErrors(t *testing.T) {
 	c.Mkdir("/d", 0o755)
 
 	// Find names landing on each FMS.
-	parent, err := c.resolveDir("/d", opCtx{})
+	parent, err := c.resolveDir("/d", opCtx{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -217,3 +217,51 @@ func TestElasticMutationsDuringWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestElasticDrainWithoutBatching: a coordinator with DisableBatchRPC sends
+// the drain's installs and deletes one plain call each — the batched form
+// minus the envelope — and must move the same keys: every file readable
+// afterwards, each held by exactly one server, the moved ones by the new one.
+func TestElasticDrainWithoutBatching(t *testing.T) {
+	c := startCluster(t, Options{FMSCount: 2})
+	cl := newClient(t, c, ClientConfig{})
+	if err := cl.Mkdir("/d", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 0; i < n; i++ {
+		if err := cl.Create(fmt.Sprintf("/d/f%03d", i), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Cluster.AddFMS by hand, so the coordinator can be this test's client.
+	m := wire.Member{ID: 2, Addr: "fms-2"}
+	grown, err := c.startFMS(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := newClient(t, c, ClientConfig{DisableBatchRPC: true})
+	before := admin.Trips()
+	rep, err := admin.AddFMS(m.ID, m.Addr)
+	if err != nil {
+		t.Fatalf("AddFMS: %v", err)
+	}
+	if rep.Total != n || rep.Moved == 0 || rep.Moved > n/2 {
+		t.Fatalf("drain moved %d of %d files", rep.Moved, rep.Total)
+	}
+	if trips := int(admin.Trips() - before); trips < 2*rep.Moved {
+		t.Errorf("drain took %d round trips, want an install and a delete for each of %d files", trips, rep.Moved)
+	}
+	if got := grown.FileCount(); got != rep.Moved {
+		t.Errorf("new server holds %d files, want the %d moved", got, rep.Moved)
+	}
+	if got := c.FMS[0].FileCount() + c.FMS[1].FileCount() + grown.FileCount(); got != n {
+		t.Errorf("servers hold %d files between them, want %d (a source copy not retired?)", got, n)
+	}
+	fresh := newClient(t, c, ClientConfig{})
+	for i := 0; i < n; i++ {
+		if _, err := fresh.StatFile(fmt.Sprintf("/d/f%03d", i)); err != nil {
+			t.Fatalf("after drain, lost /d/f%03d: %v", i, err)
+		}
+	}
+}

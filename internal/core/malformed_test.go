@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"locofs/internal/rpc"
@@ -60,6 +61,32 @@ func TestServersSurviveMalformedBodies(t *testing.T) {
 	attack("dms", dmsOps)
 	attack("fms-0", fmsOps)
 	attack("oss-0", ossOps)
+
+	// An element count with nothing behind it: the two server-side decoders
+	// that size a slice by a count off the wire must size it by what the
+	// body can hold. Sized by the count alone, these 2^22 cost the server
+	// tens of megabytes per request — and 2^32-1 is a fatal out-of-memory,
+	// which no recover catches.
+	const huge = 1 << 22
+	counted := func(addr string, op wire.Op, body []byte) {
+		conn, err := netClient(cluster, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, _, err := conn.Call(op, body)
+		runtime.ReadMemStats(&after)
+		if err != nil || st == wire.StatusOK {
+			t.Errorf("%s %v with a count backed by nothing: status %v, err %v", addr, op, st, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s %v: %d bytes allocated serving a %d-byte request", addr, op, got, len(body))
+		}
+	}
+	counted("fms-0", wire.OpMigrateScan, wire.NewEnc().I64(0).U32(0).U32(huge).Bytes())
+	counted("dms", wire.OpRenamePrepare, wire.NewEnc().U64(1).Str("/a").Str("/b").U32(0).U32(0).U32(huge).Bytes())
 
 	// The cluster still works end to end.
 	cl, err := cluster.NewClient(ClientConfig{})

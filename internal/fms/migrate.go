@@ -158,7 +158,7 @@ func (s *Server) attachMigration(rs *rpc.Server) {
 		d := wire.NewDec(body)
 		self := int(d.I64())
 		vnodes := int(d.U32())
-		n := int(d.U32())
+		n := d.Count(8) // one i64 per ring ID
 		ids := make([]int, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
 			ids = append(ids, int(d.I64()))

@@ -28,7 +28,7 @@ const (
 	MetricRequests = "locofs_rpc_requests_total"   // server: completed requests
 	MetricErrors   = "locofs_rpc_errors_total"     // server: non-OK responses
 	MetricService  = "locofs_rpc_service_seconds"  // server: handler service time (measured + modeled)
-	MetricQueue    = "locofs_rpc_queue_seconds"    // server: receipt -> handler start (worker queue wait)
+	MetricQueue    = "locofs_rpc_queue_seconds"    // server: receipt -> handler start
 	MetricRTT      = "locofs_client_rtt_seconds"   // client: wall-clock round trip
 	MetricCalls    = "locofs_client_calls_total"   // client: calls issued
 	MetricDedup    = "locofs_rpc_dedup_hits_total" // server: duplicate requests answered from the dedup window

@@ -3,18 +3,22 @@ package wire
 import "errors"
 
 // OpBatch is a container request: its body is a packed sequence of (op,
-// body) sub-requests that the server decodes, dispatches to its regular
-// handlers across the worker pool, and answers with one response holding a
-// (status, body) pair per sub-request, in sub-request order. Batching lets
-// many small sub-requests of one logical operation (paged readdir
-// prefetches, block deletes) share one framed message and one network round
-// trip. Batches must not nest. The opcode sits in a reserved transport
-// range (0xFFxx) well clear of every component's op space.
+// body) sub-requests that the server decodes, runs through its regular
+// handlers on one goroutine per sub-request, and answers with one response
+// holding a (status, body) pair per sub-request, in sub-request order.
+// Batching lets many small sub-requests of one logical operation (paged
+// readdir prefetches, block deletes) share one framed message and one
+// network round trip. Batches must not nest. The opcode sits in a reserved
+// transport range (0xFFxx) well clear of every component's op space.
 const OpBatch Op = 0xFF00
 
 // MaxBatchSubs bounds the sub-requests of one batch, protecting servers
 // from a tiny frame expanding into unbounded work.
 const MaxBatchSubs = 4096
+
+// batchSubMin is the least one packed sub-request or sub-response takes: a
+// U16 op or status and an empty blob's U32 length.
+const batchSubMin = 2 + 4
 
 // ErrBatchTooLarge reports a batch exceeding MaxBatchSubs.
 var ErrBatchTooLarge = errors.New("wire: batch exceeds maximum sub-requests")
@@ -58,12 +62,12 @@ func EncodeBatch(subs []SubReq) ([]byte, error) {
 // DecodeBatch unpacks an OpBatch request body.
 func DecodeBatch(body []byte) ([]SubReq, error) {
 	d := NewDec(body)
-	n := d.U32()
+	n := d.Count(batchSubMin)
 	if d.Err() != nil || n > MaxBatchSubs {
 		return nil, ErrBatchMalformed
 	}
 	subs := make([]SubReq, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		op := Op(d.U8())<<8 | Op(d.U8())
 		b := d.Blob()
 		if d.Err() != nil {
@@ -97,12 +101,12 @@ func EncodeBatchResp(resps []SubResp) []byte {
 // DecodeBatchResp unpacks an OpBatch response body.
 func DecodeBatchResp(body []byte) ([]SubResp, error) {
 	d := NewDec(body)
-	n := d.U32()
+	n := d.Count(batchSubMin)
 	if d.Err() != nil || n > MaxBatchSubs {
 		return nil, ErrBatchMalformed
 	}
 	resps := make([]SubResp, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		st := Status(d.U8())<<8 | Status(d.U8())
 		b := d.Blob()
 		if d.Err() != nil {

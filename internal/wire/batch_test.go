@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -88,4 +90,90 @@ func TestDecodeBatchMalformed(t *testing.T) {
 	if _, err := DecodeBatchResp(good[:len(good)-1]); err == nil {
 		t.Error("truncated resp body decoded without error")
 	}
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersBoundCountsByInput: an element count read off the wire sizes
+// no allocation the rest of the body cannot back. Each body below declares
+// 2^22 elements (4096 for a batch, whose count MaxBatchSubs caps) and holds
+// none; sized by the count alone, one small frame cost megabytes — and at
+// 2^32-1, the process.
+func TestDecodersBoundCountsByInput(t *testing.T) {
+	const huge = 1 << 22
+	cases := map[string]struct {
+		body   []byte
+		decode func([]byte) error
+	}{
+		"DecodeBatch": {NewEnc().U32(MaxBatchSubs).Bytes(),
+			func(b []byte) error { _, err := DecodeBatch(b); return err }},
+		"DecodeBatchResp": {NewEnc().U32(MaxBatchSubs).Bytes(),
+			func(b []byte) error { _, err := DecodeBatchResp(b); return err }},
+		"DecodeRecallResp": {NewEnc().U64(9).Bool(false).U32(huge).Bytes(),
+			func(b []byte) error { _, _, _, err := DecodeRecallResp(b); return err }},
+		"DecodeRenamePrepare": {NewEnc().U64(1).Str("/a").Str("/b").U32(0).U32(0).U32(huge).Bytes(),
+			func(b []byte) error { _, err := DecodeRenamePrepare(b); return err }},
+	}
+	for name, c := range cases {
+		var err error
+		got := allocated(func() { err = c.decode(c.body) })
+		if err == nil {
+			t.Errorf("%s: a count backed by nothing decoded without error", name)
+		}
+		if limit := uint64(16*len(c.body) + 1024); got > limit {
+			t.Errorf("%s: %d bytes allocated decoding a %d-byte body, want <= %d", name, got, len(c.body), limit)
+		}
+	}
+}
+
+// FuzzBatch: the OpBatch envelope carries every multi-request the client
+// sends, and request and response bodies share one layout, so each input
+// meets both decoders. Neither may panic; neither may size its result past
+// what the input can back; and the layout has no slack, so whatever decodes
+// re-encodes to the same bytes and decodes again to the same value.
+func FuzzBatch(f *testing.F) {
+	req, _ := EncodeBatch([]SubReq{
+		{Op: OpLookupDir, Body: NewEnc().Str("/a/b").U32(1).U32(2).Bytes()},
+		{Op: OpReaddirSubdirs, Body: NewEnc().Str("/a/b").U32(1).U32(2).Str("").U32(1024).U32(0).Bytes()},
+		{Op: OpLeaseRecall, Body: EncodeRecallReq(7)},
+	})
+	f.Add(req)
+	f.Add(EncodeBatchResp([]SubResp{{Status: StatusOK, Body: []byte("inode")}, {Status: StatusNotFound}, {Status: StatusWrongPartition}}))
+	f.Add(EncodeBatchResp(nil))
+	f.Add(NewEnc().U32(MaxBatchSubs).Bytes())                    // the largest count, backed by nothing
+	f.Add(NewEnc().U32(1<<32 - 1).U8(0).U8(1).U32(0).Bytes())    // 2^32-1 sub-requests, one present
+	f.Add(NewEnc().U32(1).U8(0xff).U8(0).U32(1<<32 - 1).Bytes()) // a blob longer than the body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if subs, err := DecodeBatch(data); err == nil {
+			if cap(subs) > len(data)/batchSubMin {
+				t.Fatalf("room for %d sub-requests decoded from %d bytes", cap(subs), len(data))
+			}
+			body, err := EncodeBatch(subs)
+			if err != nil || !bytes.Equal(body, data) {
+				t.Fatalf("encode(decode(data)) = %x, %v; want %x", body, err, data)
+			}
+			if again, err := DecodeBatch(body); err != nil || !reflect.DeepEqual(again, subs) {
+				t.Fatalf("decode(encode(subs)) = %+v, %v; want %+v", again, err, subs)
+			}
+		}
+		if resps, err := DecodeBatchResp(data); err == nil {
+			if cap(resps) > len(data)/batchSubMin {
+				t.Fatalf("room for %d sub-responses decoded from %d bytes", cap(resps), len(data))
+			}
+			body := EncodeBatchResp(resps)
+			if !bytes.Equal(body, data) {
+				t.Fatalf("encode(decode(data)) = %x; want %x", body, data)
+			}
+			if again, err := DecodeBatchResp(body); err != nil || !reflect.DeepEqual(again, resps) {
+				t.Fatalf("decode(encode(resps)) = %+v, %v; want %+v", again, err, resps)
+			}
+		}
+	})
 }

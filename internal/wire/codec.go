@@ -148,6 +148,19 @@ func (d *Dec) U32() uint32 {
 	return binary.BigEndian.Uint32(b)
 }
 
+// Count reads a U32 element count that the rest of the body must be able to
+// back: every element takes at least min bytes, so a count the remaining
+// bytes cannot hold fails as truncated here, before any caller sizes an
+// allocation by it. A body is at most MaxBody long; a count is up to 2^32-1.
+func (d *Dec) Count(min int) int {
+	n := d.U32()
+	if d.err == nil && uint64(n) > uint64(len(d.b)/min) {
+		d.err = ErrTruncatedBody
+		return 0
+	}
+	return int(n)
+}
+
 // U64 reads a fixed 64-bit value.
 func (d *Dec) U64() uint64 {
 	b := d.take(8)

@@ -113,12 +113,12 @@ func DecodeRecallResp(body []byte) (cur uint64, reset bool, entries []Recall, er
 	d := NewDec(body)
 	cur = d.U64()
 	reset = d.Bool()
-	n := d.U32()
+	n := d.Count(8 + 1 + 4) // seq, kind, an empty path
 	if err := d.Err(); err != nil {
 		return 0, false, nil, err
 	}
 	entries = make([]Recall, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r := Recall{Seq: d.U64(), Kind: RecallKind(d.U8()), Path: d.Str()}
 		if err := d.Err(); err != nil {
 			return 0, false, nil, err

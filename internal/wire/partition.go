@@ -161,12 +161,12 @@ func EncodeRenamePrepare(rp *RenamePrepare) []byte {
 func DecodeRenamePrepare(body []byte) (*RenamePrepare, error) {
 	d := NewDec(body)
 	rp := &RenamePrepare{TxID: d.U64(), OldPath: d.Str(), NewPath: d.Str(), UID: d.U32(), GID: d.U32()}
-	n := d.U32()
+	n := d.Count(4 + 4) // an empty key and an empty value
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	rp.Recs = make([]KVRec, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		r := KVRec{Key: d.Blob(), Val: d.Blob()}
 		if err := d.Err(); err != nil {
 			return nil, err

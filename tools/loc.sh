@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Net code size, the metric ROADMAP aim 2 reports: non-test Go lines that are
 # neither blank nor a // comment, per package directory, outside benchmark/.
-# Run from anywhere inside the repository.
+# Pass a checkout root to count another tree (the parent commit, for a
+# before/after table); default: this repository.
 set -euo pipefail
-cd "$(dirname "$0")/.."
+cd "${1:-$(dirname "$0")/..}"
 
 find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 |
 	xargs -0 awk '
