@@ -331,9 +331,9 @@ func (c *Conn) ListPrefix(i int, prefix []byte) ([]string, error) {
 		return nil, st.Err()
 	}
 	d := wire.NewDec(resp)
-	n := d.U32()
+	n := d.Count(4) // an empty suffix
 	out := make([]string, 0, n)
-	for j := uint32(0); j < n; j++ {
+	for j := 0; j < n; j++ {
 		out = append(out, d.Str())
 	}
 	return out, d.Err()

@@ -2,6 +2,7 @@ package common_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"locofs/internal/fsapi"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
+	"locofs/internal/rpc"
 	"locofs/internal/wire"
 )
 
@@ -303,6 +305,40 @@ func TestGenericServerOps(t *testing.T) {
 	}
 	if conn.Trips() == 0 {
 		t.Error("Trips not counted")
+	}
+}
+
+// TestListPrefixCountBoundedByInput: a response count sizes no allocation
+// the rest of the response cannot back. The response below declares 2^22
+// suffixes and holds none; sized by the count alone, it cost the client
+// tens of megabytes — and at 2^32-1, its process.
+func TestListPrefixCountBoundedByInput(t *testing.T) {
+	n := fastNet()
+	defer n.Close()
+	rs := rpc.NewServer()
+	rs.Handle(common.OpListPrefix, func([]byte) (wire.Status, []byte) {
+		return wire.StatusOK, wire.NewEnc().U32(1 << 22).Bytes()
+	})
+	l, err := n.Listen("confused")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go rs.Serve(l)
+	defer rs.Shutdown()
+	conn, err := common.DialCluster(n, []string{"confused"}, netsim.Loopback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = conn.ListPrefix(0, []byte("p/"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("a count backed by nothing decoded without error")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("%d bytes allocated on a response of a few bytes", got)
 	}
 }
 

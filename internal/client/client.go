@@ -1015,28 +1015,18 @@ func (c *Client) RemoveContext(ctx context.Context, path string) (err error) {
 		}
 	}
 	u := wire.NewDec(resp).UUID()
-	c.deleteBlocks(oc, blockDel{u: u})
+	c.deleteBlocks(oc, u, 0)
 	return nil
 }
 
-// blockDel identifies one reclaim: every block of file u from block from
-// onward.
-type blockDel struct {
-	u    uuid.UUID
-	from uint64
-}
-
-// deleteBlocks reclaims blocks on every object store server in parallel;
-// several files' deletions travel to each server in one send. Reclaim is
-// best-effort: failures are ignored (the blocks leak until the UUID is
-// reused — never, so this matches the previous fire-and-forget behavior).
-func (c *Client) deleteBlocks(oc opCtx, dels ...blockDel) {
-	subs := make([]wire.SubReq, len(dels))
-	for i, del := range dels {
-		subs[i] = wire.SubReq{Op: wire.OpDeleteBlocks, Body: wire.NewEnc().UUID(del.u).U64(del.from).Bytes()}
-	}
+// deleteBlocks reclaims every block of file u from block from onward, on
+// every object store server in parallel. Reclaim is best-effort: failures
+// are ignored (the blocks leak until the UUID is reused — never, so this
+// matches the previous fire-and-forget behavior).
+func (c *Client) deleteBlocks(oc opCtx, u uuid.UUID, from uint64) {
+	body := wire.NewEnc().UUID(u).U64(from).Bytes()
 	c.fanOut(oc, "reclaim", len(c.oss), func(boc opCtx, i int) (time.Duration, error) {
-		_, virt, _ := c.send(boc, c.oss[i], subs, 0)
+		_, _, virt, _ := c.oss[i].Call(boc, wire.OpDeleteBlocks, body, 0)
 		return virt, nil
 	})
 }
@@ -1150,7 +1140,7 @@ func (c *Client) TruncateContext(ctx context.Context, path string, size uint64) 
 	u, oldSize, bs := d.UUID(), d.U64(), d.U32()
 	if d.Err() == nil && size < oldSize && bs > 0 {
 		from := (size + uint64(bs) - 1) / uint64(bs)
-		c.deleteBlocks(oc, blockDel{u: u, from: from})
+		c.deleteBlocks(oc, u, from)
 	}
 	return nil
 }

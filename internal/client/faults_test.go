@@ -93,7 +93,7 @@ func TestIdempotentRetrySurvivesDrop(t *testing.T) {
 
 // TestCreateRetryIsAtMostOnce is the dedup acceptance check: the response
 // to a Create is dropped, the client retries under the same request id, the
-// server's dedup window replays the first execution — the retried call
+// FMS's dedup window replays the first execution — the retried call
 // succeeds and exactly one file exists.
 func TestCreateRetryIsAtMostOnce(t *testing.T) {
 	n, cfg := testCluster(t, 1)

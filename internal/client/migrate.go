@@ -374,7 +374,7 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 	if err != nil {
 		return nil, 0, false, err
 	}
-	enc := wire.NewEnc().I64(int64(src.ID)).U32(0).U32(uint32(len(ids)))
+	enc := wire.NewEnc().I64(int64(src.ID)).U32(uint32(len(ids)))
 	for _, id := range ids {
 		enc.I64(int64(id))
 	}

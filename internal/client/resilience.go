@@ -31,9 +31,9 @@ const (
 // deadline expiry, or an explicit wire.StatusUnavailable — never for
 // application-level statuses like ENOENT. Idempotent operations (see
 // wire.Op.Idempotent) are re-executed freely; non-idempotent mutations are
-// retried under a per-call request id that the server's dedup window uses
-// to suppress double execution, so retries are safe across the whole op
-// matrix.
+// retried under a per-call request id that the server owning the state (the
+// FMS's window, a DMS partition's op log) uses to suppress double execution,
+// so retries are safe across the whole op matrix.
 //
 // The zero value means DefaultRetry (one immediate retry — the legacy
 // transparent-reconnect behavior). Max < 0 disables retries entirely.
@@ -209,7 +209,7 @@ func newResilience(timeout time.Duration, retry RetryPolicy, brk BreakerConfig, 
 
 // nextReq mints a request id for one logical call: 40 random bits
 // identifying this client (colliding clients would need matching ids inside
-// one server's small dedup window) plus a 24-bit sequence. Never zero.
+// one server's dedup record) plus a 24-bit sequence. Never zero.
 func (r *resilience) nextReq() uint64 {
 	return r.reqBase | (r.reqCtr.Add(1) & (1<<24 - 1))
 }

@@ -85,7 +85,7 @@ func TestServersSurviveMalformedBodies(t *testing.T) {
 			t.Errorf("%s %v: %d bytes allocated serving a %d-byte request", addr, op, got, len(body))
 		}
 	}
-	counted("fms-0", wire.OpMigrateScan, wire.NewEnc().I64(0).U32(0).U32(huge).Bytes())
+	counted("fms-0", wire.OpMigrateScan, wire.NewEnc().I64(0).U32(huge).Bytes())
 	counted("dms", wire.OpRenamePrepare, wire.NewEnc().U64(1).Str("/a").Str("/b").U32(0).U32(0).U32(huge).Bytes())
 
 	// The cluster still works end to end.

@@ -117,19 +117,18 @@ func TestTruncationBoundsLogAndLateRetry(t *testing.T) {
 	// A retry from below the pruned watermark: its applied record is gone,
 	// so the node can no longer tell it from a fresh request — it must be
 	// refused, not re-executed (re-executing would return EEXIST here and,
-	// for a non-idempotent op, double-apply). The retries go straight to
-	// the node handler: the rpc server's own dedup window still remembers
-	// these ids, but that window dies with its process — the node-level
-	// guard is what a retry hitting a promoted leader meets.
-	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, base|1, mkdirBody("/d01")); st != wire.StatusExpired {
+	// for a non-idempotent op, double-apply). The node's log is the DMS's
+	// only dedup record, so this guard is what every retry meets, on this
+	// leader or a promoted one.
+	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, base|1, 0, mkdirBody("/d01")); st != wire.StatusExpired {
 		t.Fatalf("late retry below watermark = %v, want EEXPIRED", st)
 	}
 	// A retry still above the watermark replays its recorded response.
-	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, base|total, mkdirBody("/d40")); st != wire.StatusOK {
+	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, base|total, 0, mkdirBody("/d40")); st != wire.StatusOK {
 		t.Fatalf("retry above watermark = %v, want OK replay", st)
 	}
 	// The floor is per client: another client's sequence 1 is fresh.
-	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, uint64(6)<<24|1, mkdirBody("/other")); st != wire.StatusOK {
+	if st, _ := ts.nodes["l"].serveMutation(wire.OpMkdir, uint64(6)<<24|1, 0, mkdirBody("/other")); st != wire.StatusOK {
 		t.Fatalf("other client's first request = %v, want OK", st)
 	}
 }
@@ -214,11 +213,9 @@ func TestNoStallUnderBlackholedFollower(t *testing.T) {
 
 // TestMintTxIDAcrossPromotion: regression for the coordinator txid scheme.
 // The old `txSeq | 1<<63` restarted at zero on a promoted leader, so its
-// first minted id collided with the failed leader's first transaction —
-// whose response is still in the replicated applied table — and a fresh
-// no-dedup-id rename would replay that stale response instead of running.
-// Folding the map version into minted ids makes successive leaders' ids
-// disjoint.
+// first minted id collided with the failed leader's first transaction, and
+// a fresh rename would be taken for that old one. Folding the map version
+// into minted ids makes successive leaders' ids disjoint.
 func TestMintTxIDAcrossPromotion(t *testing.T) {
 	ts := startShard(t, twoPartitionMap())
 	for i, p := range []string{"/b", "/a", "/a/src", "/a/src2"} {
@@ -226,10 +223,9 @@ func TestMintTxIDAcrossPromotion(t *testing.T) {
 			t.Fatalf("mkdir %s: %v", p, st)
 		}
 	}
-	// First rename: no client dedup id, so the coordinator mints txid #1.
-	// The coordinator "crashes" after logging the commit decision; the
-	// decision (and its applied-table record under the minted txid) is
-	// replicated on both source replicas.
+	// First rename: the coordinator mints txid #1. It "crashes" after
+	// logging the commit decision, which is replicated on both source
+	// replicas.
 	ts.nodes["p0-l"].CrashAfterCommit.Store(true)
 	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 0); st != wire.StatusIO {
 		t.Fatalf("crash-injected rename = %v, want EIO", st)
@@ -253,9 +249,8 @@ func TestMintTxIDAcrossPromotion(t *testing.T) {
 	if st, _ := ts.call(t, "p1-l", wire.OpStatDir, statBody("/b/dst"), 0); st != wire.StatusOK {
 		t.Fatalf("recovered rename destination = %v, want OK", st)
 	}
-	// Fresh no-dedup-id rename from the promoted leader: its minted txid
-	// must not collide with the old leader's, or the dedup check replays
-	// the old transaction's response and the rename silently never runs.
+	// Fresh rename from the promoted leader: its minted txid must not
+	// collide with the old leader's, and the rename must run.
 	if st, _ := ts.call(t, "p0-f", wire.OpRenameDir, renameBody("/a/src2", "/b/dst2"), 0); st != wire.StatusOK {
 		t.Fatalf("fresh rename on promoted leader = %v, want OK", st)
 	}

@@ -20,6 +20,11 @@
 // truncated together with their dedup-replay records (see
 // maybePruneLocked).
 //
+// The log is also the DMS's only at-most-once mechanism: a retried mutation
+// is answered from the record its first execution left in the log (applied,
+// pendingReq), and a refusal that executed nothing — EWRONGPART, EUNAVAIL,
+// EEXPIRED, an undecodable body — leaves no record, so its retry executes.
+//
 // Followers apply entries in log order through the same dms.Dispatch,
 // producing byte-identical state, and serve leased reads locally.
 //
@@ -133,16 +138,14 @@ type appliedRes struct {
 	body   []byte
 }
 
+// srcTx is one coordinator-side transaction. It stays in stx after its
+// decision until the destination acknowledged that decision (the
+// OpRenameSrcComplete marker retires it), so Recover can re-push a commit or
+// an abort the destination never received.
 type srcTx struct {
 	sp        *wire.SrcPrepare
 	committed bool
-}
-
-// reqIndex remembers which log index recorded which dedup id, so pruning
-// the log prefix prunes exactly the matching applied-table entries.
-type reqIndex struct {
-	idx uint64
-	req uint64
+	aborted   bool
 }
 
 // catchSession tracks one follower's active catch-up on the leader: the
@@ -172,10 +175,10 @@ type Node struct {
 	bootMap *wire.ClusterMap
 	bootIdx int
 
-	// txSeq generates fallback transaction ids for cross-partition renames
-	// issued without a client dedup id (see mintTxID). It restarts at zero
-	// on every process, so minted ids are disambiguated by the map version
-	// folded in — not by the sequence alone.
+	// txSeq generates the transaction id of every cross-partition rename
+	// attempt (see mintTxID). It restarts at zero on every process, so
+	// minted ids are disambiguated by the map version folded in — not by the
+	// sequence alone.
 	txSeq atomic.Uint64
 
 	// catching collapses concurrent catch-up passes into one.
@@ -217,18 +220,18 @@ type Node struct {
 	// applied maps a client dedup id to its mutation's outcome. It is
 	// rebuilt identically on every replica from the log, so a retry that
 	// lands on a freshly promoted leader replays the original response
-	// instead of re-executing (the rpc-layer dedup window died with the
-	// old leader). It is pruned in lockstep with the log: dropping entry i
-	// drops the record it created (reqAt), and reqFloor remembers the
-	// highest pruned per-client sequence so an ancient retry is refused
-	// (EEXPIRED) instead of silently re-executed.
+	// instead of re-executing. It is pruned in lockstep with the log:
+	// dropping an entry drops the record its Req keys, and reqFloor
+	// remembers the highest pruned per-client sequence so an ancient retry
+	// is refused (EEXPIRED) instead of silently re-executed.
 	applied  map[uint64]appliedRes
-	reqAt    []reqIndex
 	reqFloor map[uint64]uint64
-	// pendingReq maps a dedup id to its log index between append and
-	// apply: a duplicate arriving in that window waits for the apply and
-	// replays the recorded outcome instead of appending twice.
-	pendingReq map[uint64]uint64
+	// pendingReq holds the dedup ids whose first delivery is still running:
+	// a mutation between append and apply, or a cross-partition rename from
+	// its intent until coordRename returns. A duplicate arriving meanwhile
+	// waits on applyC (see replayLocked) instead of appending twice or
+	// meeting the rename's own freeze.
+	pendingReq map[uint64]bool
 	// excluded holds follower addresses dropped from the live fan-out set
 	// after a failed or timed-out append. Exclusion is no longer permanent:
 	// the follower replays the missed range via OpLogFetch (catchup.go) and
@@ -280,7 +283,7 @@ func New(cfg Config) *Node {
 		preApplied:   make(map[uint64]appliedRes),
 		applied:      make(map[uint64]appliedRes),
 		reqFloor:     make(map[uint64]uint64),
-		pendingReq:   make(map[uint64]uint64),
+		pendingReq:   make(map[uint64]bool),
 		excluded:     make(map[string]bool),
 		ackMark:      make(map[string]uint64),
 		catch:        make(map[string]catchSession),
@@ -385,8 +388,8 @@ func (n *Node) Attach(rs *rpc.Server) {
 	for _, op := range dms.Ops {
 		op := op
 		if dms.MutationOp(op) {
-			rs.HandleMsg(op, func(req uint64, body []byte) (wire.Status, []byte) {
-				return n.serveMutation(op, req, body)
+			rs.HandleMsg(op, func(req, trace uint64, body []byte) (wire.Status, []byte) {
+				return n.serveMutation(op, req, trace, body)
 			})
 		} else {
 			rs.Handle(op, func(body []byte) (wire.Status, []byte) {
@@ -428,7 +431,7 @@ func (n *Node) serveRead(op wire.Op, body []byte) (wire.Status, []byte) {
 
 // ---- mutations ----
 
-func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, []byte) {
+func (n *Node) serveMutation(op wire.Op, req, trace uint64, body []byte) (wire.Status, []byte) {
 	p1, p2, _, err := dms.RequestPaths(op, body)
 	if err != nil {
 		return wire.StatusInval, nil
@@ -442,9 +445,9 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 			return wire.StatusWrongPartition, nil
 		}
 		if dst := pm.Locate(p2); dst != n.pid {
-			return n.coordRename(req, p1, p2, body, dst, pm)
+			return n.coordRename(req, trace, p1, p2, body, dst, pm)
 		}
-		return n.replicate(op, req, body, p1, p2)
+		return n.replicate(op, req, trace, body, p1, p2)
 	}
 	if op == wire.OpRmdir && isCutDir(pm, p1) {
 		// A cut directory is a mount-point-like fixture: its (empty or not)
@@ -455,7 +458,7 @@ func (n *Node) serveMutation(op wire.Op, req uint64, body []byte) (wire.Status, 
 	if pm.Locate(p1) != n.pid || idx != 0 {
 		return wire.StatusWrongPartition, nil
 	}
-	st, respBody := n.replicate(op, req, body, p1, "")
+	st, respBody := n.replicate(op, req, trace, body, p1, "")
 	if st == wire.StatusOK {
 		n.pushSeeds(p1, pm)
 	}
@@ -472,31 +475,19 @@ func isCutDir(pm *wire.ClusterMap, p string) bool {
 }
 
 // replicate runs one mutation through the replicated op log: dedup check
-// (including the in-flight window and the pruned-watermark guard), freeze
-// check, append under the lock, follower fan-out outside it, in-order local
-// apply.
-func (n *Node) replicate(op wire.Op, req uint64, body []byte, p1, p2 string) (wire.Status, []byte) {
+// (replay, including a wait for an in-flight first delivery, and the
+// pruned-watermark guard), freeze check, append under the lock, follower
+// fan-out outside it, in-order local apply.
+func (n *Node) replicate(op wire.Op, req, trace uint64, body []byte, p1, p2 string) (wire.Status, []byte) {
 	n.mu.Lock()
-	if req != 0 {
-		if r, ok := n.applied[req]; ok {
-			n.mu.Unlock()
-			return r.status, r.body
-		}
-		if idx, ok := n.pendingReq[req]; ok {
-			// The same request is mid-replication (it slipped past the
-			// rpc-layer dedup window): wait for its apply and replay the
-			// recorded outcome rather than appending it twice.
-			for n.appliedIdx <= idx {
-				n.applyC.Wait()
-			}
-			r := n.applied[req]
-			n.mu.Unlock()
-			return r.status, r.body
-		}
-		if n.reqExpiredLocked(req) {
-			n.mu.Unlock()
-			return wire.StatusExpired, []byte("request predates the pruned dedup watermark")
-		}
+	if r, ok := n.replayLocked(req); ok {
+		n.mu.Unlock()
+		n.obs.Replayed(op.String(), trace)
+		return r.status, r.body
+	}
+	if n.reqExpiredLocked(req) {
+		n.mu.Unlock()
+		return wire.StatusExpired, []byte("request predates the pruned dedup watermark")
 	}
 	for _, p := range [2]string{p1, p2} {
 		if p != "" && n.frozenConflictLocked(p) {
@@ -549,7 +540,7 @@ func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
 	n.log = append(n.log, le)
 	n.nextIndex++
 	if le.Req != 0 {
-		n.pendingReq[le.Req] = le.Index
+		n.pendingReq[le.Req] = true
 	}
 	f := &fanout{le: le}
 	if flw := n.followersLocked(); len(flw) > 0 {
@@ -621,9 +612,6 @@ func (n *Node) applyInOrderLocked(le *wire.LogEntry) (wire.Status, []byte) {
 	n.appliedIdx++
 	if le.Req != 0 {
 		delete(n.pendingReq, le.Req)
-		if _, ok := n.applied[le.Req]; ok {
-			n.reqAt = append(n.reqAt, reqIndex{idx: le.Index, req: le.Req})
-		}
 	}
 	n.applyC.Broadcast()
 	return st, body
@@ -731,14 +719,16 @@ func (n *Node) applyLocked(le *wire.LogEntry) (wire.Status, []byte) {
 			return wire.StatusInval, nil
 		}
 		tx, ok := n.stx[txid]
-		if !ok || tx.committed {
+		if !ok || tx.committed || tx.aborted {
 			return wire.StatusOK, nil
 		}
 		body, st := n.dms.ApplyRenameSrcCommit(tx.sp.OldPath)
 		tx.committed = true
 		n.unfreezeLocked(tx.sp.OldPath)
-		if st == wire.StatusOK && txid != 0 {
-			n.applied[txid] = appliedRes{status: st, body: body}
+		// The commit entry carries the client's request id (the txid names
+		// only this attempt's 2PC round), so a retry replays this outcome.
+		if le.Req != 0 {
+			n.applied[le.Req] = appliedRes{status: st, body: body}
 		}
 		return st, body
 
@@ -755,9 +745,9 @@ func (n *Node) applyLocked(le *wire.LogEntry) (wire.Status, []byte) {
 		if err != nil {
 			return wire.StatusInval, nil
 		}
-		if tx, ok := n.stx[txid]; ok {
+		if tx, ok := n.stx[txid]; ok && !tx.committed && !tx.aborted {
 			n.unfreezeLocked(tx.sp.OldPath)
-			delete(n.stx, txid)
+			tx.aborted = true
 		}
 		return wire.StatusOK, nil
 
@@ -775,13 +765,27 @@ func (n *Node) applyLocked(le *wire.LogEntry) (wire.Status, []byte) {
 	}
 }
 
-// ---- dedup-horizon bookkeeping ----
+// ---- at-most-once ----
+
+// replayLocked looks req up in the log's record of executions, first waiting
+// out a first delivery still in flight (pendingReq). ok reports a record to
+// replay; without one — a fresh request, or one whose earlier deliveries
+// were all refused before reaching the log — the caller executes it. req ==
+// 0 (no dedup id) never matches. Caller holds n.mu.
+func (n *Node) replayLocked(req uint64) (r appliedRes, ok bool) {
+	if req == 0 {
+		return r, false
+	}
+	for n.pendingReq[req] {
+		n.applyC.Wait()
+	}
+	r, ok = n.applied[req]
+	return r, ok
+}
 
 // splitReq splits a dedup id into its per-client base and 24-bit sequence
 // (the client layout: identity bits above a 24-bit per-client counter —
-// see the client resilience layer's request ids). Coordinator-minted txids
-// (mintTxID) split mechanically the same way; their base carries the top
-// bit and the map version, so they never share a floor with a real client.
+// see the client resilience layer's request ids).
 func splitReq(req uint64) (base, seq uint64) {
 	return req &^ (1<<24 - 1), req & (1<<24 - 1)
 }
@@ -793,8 +797,11 @@ func splitReq(req uint64) (base, seq uint64) {
 // (EEXPIRED) is the safe side of at-most-once. The 24-bit client sequence
 // wraps at 16M mutations per client; retrying across a full wrap is out of
 // scope at this scale. reqFloor grows one entry per client base ever pruned
-// — O(clients), not O(mutations).
+// — O(clients), not O(mutations). A request without an id never expires.
 func (n *Node) reqExpiredLocked(req uint64) bool {
+	if req == 0 {
+		return false
+	}
 	base, seq := splitReq(req)
 	f, ok := n.reqFloor[base]
 	return ok && seq <= f
@@ -852,22 +859,20 @@ func (n *Node) pruneToLocked(target uint64) {
 	if drop > len(n.log) {
 		drop = len(n.log)
 	}
+	for _, le := range n.log[:drop] {
+		if le.Req == 0 {
+			continue
+		}
+		delete(n.applied, le.Req)
+		base, seq := splitReq(le.Req)
+		if f, ok := n.reqFloor[base]; !ok || f < seq {
+			n.reqFloor[base] = seq
+		}
+	}
 	rest := n.log[drop:]
 	// Copy so the dropped prefix's backing array is actually released.
 	n.log = append(make([]*wire.LogEntry, 0, len(rest)), rest...)
 	n.firstIndex = target
-	for len(n.reqAt) > 0 && n.reqAt[0].idx < target {
-		ra := n.reqAt[0]
-		n.reqAt = n.reqAt[1:]
-		delete(n.applied, ra.req)
-		base, seq := splitReq(ra.req)
-		if f, ok := n.reqFloor[base]; !ok || seq > f {
-			n.reqFloor[base] = seq
-		}
-	}
-	if len(n.reqAt) == 0 {
-		n.reqAt = nil // release the sliced-away backing array
-	}
 }
 
 // ---- freeze bookkeeping ----
@@ -977,21 +982,22 @@ func (n *Node) serveLogAppend(body []byte) (wire.Status, []byte) {
 
 // ---- two-partition rename (coordinator = source leader) ----
 
-// mintTxID builds a coordinator-generated transaction id for a cross-
-// partition rename issued without a client dedup id. The top bit marks it
-// coordinator-minted; the installed map's version is folded in so ids
-// minted by successive leaders — each restarting txSeq at zero after a
-// promotion — cannot collide with a failed leader's transactions still
-// live in dtx/applied: every failover bumps the map version, and a given
-// version's ids are minted by exactly one leader. 22 version bits wrap
-// after 4M map pushes; 41 sequence bits never wrap in practice. (Collision
-// with a client-supplied id is probabilistic either way: client bases are
-// random and may carry the top bit too.)
+// mintTxID builds the transaction id of one cross-partition rename attempt.
+// It is never the client's request id: a refused attempt can leave its
+// prepare behind at the destination (its abort lost), and a retry reusing
+// that id would find the prepare, be answered as its duplicate, and commit
+// the first attempt's stale export. The top bit marks the id coordinator-
+// minted; the installed map's version is folded in so ids minted by
+// successive leaders — each restarting txSeq at zero after a promotion —
+// cannot collide with a failed leader's transactions still live in
+// stx/dtx: every failover bumps the map version, and a given version's ids
+// are minted by exactly one leader. 22 version bits wrap after 4M map
+// pushes; 41 sequence bits never wrap in practice.
 func (n *Node) mintTxID(ver uint64) uint64 {
 	return 1<<63 | (ver&(1<<22-1))<<41 | (n.txSeq.Add(1) & (1<<41 - 1))
 }
 
-func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.ClusterMap) (wire.Status, []byte) {
+func (n *Node) coordRename(req, trace uint64, oldC, newC string, body []byte, dstPID uint32, pm *wire.ClusterMap) (wire.Status, []byte) {
 	dest := pm.Leader(dstPID)
 	if dest == "" {
 		return wire.StatusUnavailable, nil
@@ -1002,10 +1008,7 @@ func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID ui
 	if d.Err() != nil {
 		return wire.StatusInval, nil
 	}
-	txid := req
-	if txid == 0 {
-		txid = n.mintTxID(pm.Ver)
-	}
+	txid := n.mintTxID(pm.Ver)
 
 	// Intent: validate the source half, export the subtree, log the
 	// prepare marker (replicated — any promoted source replica knows the
@@ -1013,13 +1016,26 @@ func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID ui
 	// eagerly under the same lock hold: the freeze must guard the subtree
 	// from the instant the export is taken, not an in-order apply later.
 	n.mu.Lock()
-	if r, ok := n.applied[txid]; ok {
+	if r, ok := n.replayLocked(req); ok {
 		n.mu.Unlock()
+		n.obs.Replayed(wire.OpRenameDir.String(), trace)
 		return r.status, r.body
 	}
-	if n.reqExpiredLocked(txid) {
+	if n.reqExpiredLocked(req) {
 		n.mu.Unlock()
 		return wire.StatusExpired, []byte("request predates the pruned dedup watermark")
+	}
+	// From here until this call returns, on every path, the request is
+	// pending: a duplicate waits for this delivery's outcome rather than
+	// meeting the freeze below and answering EUNAVAIL.
+	if req != 0 {
+		n.pendingReq[req] = true
+		defer func() {
+			n.mu.Lock()
+			delete(n.pendingReq, req)
+			n.applyC.Broadcast()
+			n.mu.Unlock()
+		}()
 	}
 	if n.frozenConflictLocked(oldC) || n.frozenConflictLocked(newC) {
 		n.mu.Unlock()
@@ -1063,9 +1079,10 @@ func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID ui
 
 	// Decision: the commit marker in the source log is the point of no
 	// return. Applying it deletes the source subtree and records the
-	// client response on every source replica.
+	// client response, under the client's request id, on every source
+	// replica.
 	n.mu.Lock()
-	fCommit := n.appendLocked(&wire.LogEntry{Req: txid, TS: n.now(), Op: wire.OpRenameSrcCommit, Body: wire.EncodeRenameDecision(txid)}, false)
+	fCommit := n.appendLocked(&wire.LogEntry{Req: req, TS: n.now(), Op: wire.OpRenameSrcCommit, Body: wire.EncodeRenameDecision(txid)}, false)
 	n.mu.Unlock()
 	if fCommit == nil {
 		// Deposed between intent and decision: no commit was logged, so the
@@ -1082,24 +1099,16 @@ func (n *Node) coordRename(req uint64, oldC, newC string, body []byte, dstPID ui
 	}
 
 	// Phase 2: drive the destination commit, then retire the transaction.
-	dst2, _, derr := n.callPeer(dest, wire.OpRenameCommit, wire.EncodeRenameDecision(txid))
-	if derr != nil || dst2 != wire.StatusOK {
-		// The rename is committed; the destination will converge when a
-		// promoted source leader re-drives it (the tx stays in stx).
+	if !n.pushDecision(wire.OpRenameCommit, txid, dest) {
+		// The rename is committed; the destination will converge when
+		// Recover re-drives it (the tx stays in stx).
 		n.emit("2pc_commit_push_failed", int64(dstPID), newC)
-		return cst, respBody
-	}
-	n.mu.Lock()
-	fDone := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcComplete, Body: wire.EncodeRenameDecision(txid)}, false)
-	n.mu.Unlock()
-	if fDone != nil {
-		n.finishAppend(fDone)
 	}
 	return cst, respBody
 }
 
 // abortTx logs the abort decision locally (unfreezing the subtree on every
-// source replica) and best-effort tells the destination.
+// source replica) and tells the destination.
 func (n *Node) abortTx(txid uint64, dest string) {
 	n.mu.Lock()
 	f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcAbort, Body: wire.EncodeRenameDecision(txid)}, false)
@@ -1107,7 +1116,28 @@ func (n *Node) abortTx(txid uint64, dest string) {
 	if f != nil {
 		n.finishAppend(f)
 	}
-	n.callPeer(dest, wire.OpRenameAbort, wire.EncodeRenameDecision(txid))
+	if !n.pushDecision(wire.OpRenameAbort, txid, dest) {
+		// The destination may still hold the prepare, freezing its target;
+		// the tx stays in stx, and Recover re-pushes the abort.
+		n.emit("2pc_abort_push_failed", 0, dest)
+	}
+}
+
+// pushDecision tells the destination a logged decision (op is
+// OpRenameCommit or OpRenameAbort) and, once it acknowledged, retires the
+// transaction with the completion marker. It reports the acknowledgment.
+func (n *Node) pushDecision(op wire.Op, txid uint64, dest string) bool {
+	st, _, err := n.callPeer(dest, op, wire.EncodeRenameDecision(txid))
+	if err != nil || st != wire.StatusOK {
+		return false
+	}
+	n.mu.Lock()
+	f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcComplete, Body: wire.EncodeRenameDecision(txid)}, false)
+	n.mu.Unlock()
+	if f != nil {
+		n.finishAppend(f)
+	}
+	return true
 }
 
 // ---- two-partition rename (destination side) ----
@@ -1246,9 +1276,9 @@ func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
 // failed leader, using only replicated state. An intent without a logged
 // decision is presumed aborted (the destination may hold a prepare — the
 // abort is pushed there, where an unknown transaction id is a no-op). A
-// logged commit without a completion marker is re-driven: the destination
-// commit is idempotent by transaction id. Called on promotion; exported
-// for tests.
+// logged decision without a completion marker — the destination never
+// acknowledged it — is re-pushed: the destination's commit and abort are
+// idempotent by transaction id. Called on promotion; exported for tests.
 func (n *Node) Recover() {
 	type action struct {
 		txid    uint64
@@ -1267,15 +1297,7 @@ func (n *Node) Recover() {
 		dest := pm.Leader(a.destPID)
 		if a.commit {
 			n.emit("2pc_recover_commit", int64(a.destPID), "")
-			st, _, err := n.callPeer(dest, wire.OpRenameCommit, wire.EncodeRenameDecision(a.txid))
-			if err == nil && st == wire.StatusOK {
-				n.mu.Lock()
-				f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcComplete, Body: wire.EncodeRenameDecision(a.txid)}, false)
-				n.mu.Unlock()
-				if f != nil {
-					n.finishAppend(f)
-				}
-			}
+			n.pushDecision(wire.OpRenameCommit, a.txid, dest)
 		} else {
 			n.emit("2pc_recover_abort", int64(a.destPID), "")
 			n.abortTx(a.txid, dest)

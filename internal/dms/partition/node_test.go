@@ -3,11 +3,15 @@ package partition
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"locofs/internal/dms"
+	"locofs/internal/flight"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
+	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
 
@@ -217,6 +221,185 @@ func TestPromotionReplaysDedup(t *testing.T) {
 	// A genuinely new attempt at the same path is a duplicate.
 	if st, _ := ts.call(t, "f", wire.OpMkdir, mkdirBody("/d"), 43); st != wire.StatusExist {
 		t.Fatalf("fresh duplicate mkdir = %v, want EEXIST", st)
+	}
+}
+
+// TestWrongPartitionNotReplayedAfterPromotion: a follower's EWRONGPART
+// refused the mutation without executing it, so nothing records it — once
+// the follower is promoted, the same request id executes. (When the rpc
+// server kept its own dedup window, it replayed the refusal.)
+func TestWrongPartitionNotReplayedAfterPromotion(t *testing.T) {
+	ts := startShard(t, onePartitionMap("l", "f"))
+	if st, _ := ts.call(t, "f", wire.OpMkdir, mkdirBody("/d"), 7); st != wire.StatusWrongPartition {
+		t.Fatalf("mkdir at the follower = %v, want EWRONGPART", st)
+	}
+	pm2 := &wire.ClusterMap{Ver: 2, Groups: [][]string{{"f"}}}
+	if st, _ := ts.call(t, "f", wire.OpSetMap, wire.EncodeSetMap(pm2, wire.DMSCoords(0, 0)), 0); st != wire.StatusOK {
+		t.Fatalf("promote follower: %v", st)
+	}
+	if st, _ := ts.call(t, "f", wire.OpMkdir, mkdirBody("/d"), 7); st != wire.StatusOK {
+		t.Fatalf("same id at the promoted follower = %v, want OK", st)
+	}
+	if st, _ := ts.call(t, "f", wire.OpStatDir, statBody("/d"), 0); st != wire.StatusOK {
+		t.Fatalf("stat /d after the retry = %v, want OK", st)
+	}
+}
+
+// TestFreezeRefusalNotReplayedAfterRecover: a mutation refused with
+// EUNAVAIL by a cross-partition rename's freeze executed nothing, so once
+// Recover aborts the rename and unfreezes the subtree, the same request id
+// executes.
+func TestFreezeRefusalNotReplayedAfterRecover(t *testing.T) {
+	ts := startShard(t, twoPartitionMap())
+	for i, p := range []string{"/b", "/a", "/a/src"} {
+		if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody(p), uint64(i+1)); st != wire.StatusOK {
+			t.Fatalf("mkdir %s: %v", p, st)
+		}
+	}
+	src := ts.nodes["p0-l"]
+	src.CrashAfterPrepare.Store(true)
+	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 10); st != wire.StatusIO {
+		t.Fatalf("crash-injected rename = %v, want EIO", st)
+	}
+	src.CrashAfterPrepare.Store(false)
+	if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody("/a/src/x"), 20); st != wire.StatusUnavailable {
+		t.Fatalf("mkdir inside the frozen subtree = %v, want EUNAVAIL", st)
+	}
+	src.Recover()
+	if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody("/a/src/x"), 20); st != wire.StatusOK {
+		t.Fatalf("same id after Recover = %v, want OK", st)
+	}
+}
+
+// TestRenameRetryAfterLostAbort: each attempt of a cross-partition rename
+// runs its own transaction. The first attempt's prepare reached the
+// destination, but its abort was lost, so the destination still holds the
+// first attempt's export. A retry under the same request id must not commit
+// that stale export over the current subtree: an entry created in the source
+// after the first attempt reaches the destination.
+func TestRenameRetryAfterLostAbort(t *testing.T) {
+	ts := startShard(t, twoPartitionMap())
+	for i, p := range []string{"/b", "/a", "/a/src"} {
+		if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody(p), uint64(i+1)); st != wire.StatusOK {
+			t.Fatalf("mkdir %s: %v", p, st)
+		}
+	}
+	src := ts.nodes["p0-l"]
+	src.CrashAfterPrepare.Store(true)
+	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 30); st != wire.StatusIO {
+		t.Fatalf("crash-injected rename = %v, want EIO", st)
+	}
+	src.CrashAfterPrepare.Store(false)
+	// Recovery aborts the first attempt at the source, but the abort push to
+	// the destination is lost: its prepare stays behind.
+	ts.net.SetFault("p1-l", netsim.FaultConfig{DisconnectAfter: 1})
+	src.Recover()
+	if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody("/a/src/new"), 31); st != wire.StatusOK {
+		t.Fatalf("mkdir in the unfrozen source = %v, want OK", st)
+	}
+	// The stale prepare still freezes the target: the retry is refused, not
+	// answered with the first attempt's export.
+	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 30); st != wire.StatusUnavailable {
+		t.Fatalf("retry against the stale prepare = %v, want EUNAVAIL", st)
+	}
+	// The next recovery pass re-pushes the undelivered abort; the retry then
+	// moves the current subtree.
+	src.Recover()
+	if st, _ := ts.call(t, "p0-l", wire.OpRenameDir, renameBody("/a/src", "/b/dst"), 30); st != wire.StatusOK {
+		t.Fatalf("retry after the abort reached the destination = %v, want OK", st)
+	}
+	for _, addr := range []string{"p1-l", "p1-f"} {
+		if st, _ := ts.call(t, addr, wire.OpStatDir, statBody("/b/dst/new"), 0); st != wire.StatusOK {
+			t.Errorf("entry created after the first attempt, at %s = %v, want OK (lost by the rename)", addr, st)
+		}
+	}
+	if st, _ := ts.call(t, "p0-l", wire.OpStatDir, statBody("/a/src"), 0); st != wire.StatusNotFound {
+		t.Errorf("source after rename = %v, want ENOENT", st)
+	}
+}
+
+// TestInFlightRenameDuplicateWaits: a duplicate of a cross-partition rename
+// that arrives while the first delivery is between its intent and its
+// decision waits for that delivery and replays its outcome; it does not
+// meet the rename's own freeze and answer EUNAVAIL. The rename executes
+// once, and the node counts the replay and journals it under its trace.
+func TestInFlightRenameDuplicateWaits(t *testing.T) {
+	reg, journal := telemetry.NewRegistry(), flight.NewJournal(0)
+	ts := startShard(t, twoPartitionMap(), func(cfg *Config) { cfg.Obs = &obs.Handle{Reg: reg, Journal: journal} })
+	for i, p := range []string{"/b", "/a", "/a/src"} {
+		if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody(p), uint64(i+1)); st != wire.StatusOK {
+			t.Fatalf("mkdir %s: %v", p, st)
+		}
+	}
+	src, dst := ts.nodes["p0-l"], ts.nodes["p1-l"]
+	dst.mu.Lock() // holds the destination's prepare
+	held := true
+	defer func() {
+		if held {
+			dst.mu.Unlock()
+		}
+	}()
+	type outcome struct {
+		st   wire.Status
+		body []byte
+	}
+	out := make(chan outcome, 2)
+	deliver := func() {
+		st, body := src.serveMutation(wire.OpRenameDir, 9, 0x7ACE, renameBody("/a/src", "/b/dst"))
+		out <- outcome{st, body}
+	}
+	before := src.LogLen()
+	go deliver()
+	for src.LogLen() == before { // the intent is logged: the first delivery is in flight
+		time.Sleep(time.Millisecond)
+	}
+	go deliver()
+	select {
+	case o := <-out:
+		t.Fatalf("a delivery returned %v while the destination prepare was held", o.st)
+	case <-time.After(50 * time.Millisecond):
+	}
+	dst.mu.Unlock()
+	held = false
+	a, b := <-out, <-out
+	if a.st != wire.StatusOK || b.st != wire.StatusOK || !bytes.Equal(a.body, b.body) {
+		t.Fatalf("deliveries = %v %x / %v %x, want one OK outcome", a.st, a.body, b.st, b.body)
+	}
+	src.mu.Lock()
+	intents := 0
+	for _, le := range src.log {
+		if le.Op == wire.OpRenameSrcPrepare {
+			intents++
+		}
+	}
+	src.mu.Unlock()
+	if intents != 1 {
+		t.Errorf("rename executed %d times, want 1", intents)
+	}
+	if st, _ := ts.call(t, "p1-l", wire.OpStatDir, statBody("/b/dst"), 0); st != wire.StatusOK {
+		t.Errorf("destination after rename = %v, want OK", st)
+	}
+	var hits float64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == obs.MetricDedupHits && telemetry.LabelValue(m.Labels, "op") == "RenameDir" {
+			hits += m.Value
+		}
+	}
+	if hits != 1 {
+		t.Errorf("RenameDir dedup hits = %v, want 1", hits)
+	}
+	evs, _, _ := journal.Since(0, 0)
+	replays := 0
+	for _, ev := range evs {
+		if ev.Kind == flight.KindDedupReplay {
+			replays++
+			if ev.Trace != 0x7ACE {
+				t.Errorf("dedup_replay trace = %#x, want 0x7ace", ev.Trace)
+			}
+		}
+	}
+	if replays != 1 {
+		t.Errorf("dedup_replay events = %d, want 1", replays)
 	}
 }
 

@@ -43,7 +43,7 @@ type Kind uint8
 const (
 	KindBreaker       Kind = iota + 1 // client circuit-breaker state transition
 	KindRetry                         // client retry of an idempotent/deduped call
-	KindDedupReplay                   // server at-most-once window replayed a completed execution
+	KindDedupReplay                   // a service (FMS window, DMS op log) answered a duplicate from its first execution's record
 	KindLeaseRecall                   // dms published a lease recall
 	KindLeaseOverflow                 // dms lease table entered publish-everything overflow
 	KindEpoch                         // cluster-map version installed

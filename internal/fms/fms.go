@@ -54,8 +54,10 @@ type Options struct {
 	BlockSize uint32
 	// Now supplies timestamps; defaults to time.Now().UnixNano.
 	Now func() int64
-	// Obs (nil = off) receives flight-recorder events: one KindMigration per
-	// non-empty ExportMoved batch (the source side of a drain).
+	// Obs (nil = off) receives flight-recorder events — one KindMigration
+	// per non-empty ExportMoved batch (the source side of a drain), one
+	// dedup_replay per retried mutation answered from the window — and
+	// exports the window's hit and in-flight-skip counts.
 	Obs *obs.Handle
 }
 
@@ -84,6 +86,9 @@ type Server struct {
 	// served by the admin plane's /debug/hot.
 	hot *trace.TopK
 
+	// window answers retried non-idempotent requests (see atMostOnce).
+	window dedupWindow
+
 	obs *obs.Handle // see Options.Obs
 }
 
@@ -108,6 +113,11 @@ func New(opts Options) *Server {
 	}
 	if s.now == nil {
 		s.now = func() int64 { return time.Now().UnixNano() }
+	}
+	if reg := s.obs.Registry(); reg != nil {
+		reg.GaugeFunc(MetricDedupInflightSkips, func() float64 {
+			return float64(s.window.inflightSkips.Load())
+		})
 	}
 	s.restoreGenerator()
 	return s
@@ -657,39 +667,36 @@ func (s *Server) touchFile(dir uuid.UUID, name string) {
 // handlers feed the file's placement key (dir-uuid/name) into the hot-key
 // sketch; directory-wide handlers feed the bare dir-uuid.
 func (s *Server) Attach(rs *rpc.Server) {
-	rs.Handle(wire.OpCreateFile, func(body []byte) (wire.Status, []byte) {
+	rs.HandleMsg(wire.OpCreateFile, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		dir, name := d.UUID(), d.Str()
 		mode, uid, gid := d.U32(), d.U32(), d.U32()
-		withMeta := d.Bool()
-		if d.Err() == nil {
-			s.touchFile(dir, name)
-			// Ownership guard: when the installed cluster map names an FMS
-			// set and its ring places this key elsewhere, refuse the
-			// create with ESTALE so a client on an old map refreshes and
-			// retries at the right owner instead of stranding the file
-			// here. Static topologies (no map, or one naming no FMS set)
-			// skip the check.
-			if owns, known := rs.OwnsKey(FileKey(dir, name)); known && !owns {
-				return wire.StatusStale, nil
-			}
-		}
-		if withMeta {
-			access, content := d.Blob(), d.Blob()
-			if d.Err() != nil {
-				return wire.StatusInval, nil
-			}
-			meta := &FileMeta{Access: layout.FileAccess(access), Content: layout.FileContent(content)}
-			return s.CreateWithMeta(dir, name, meta), nil
+		var meta *FileMeta
+		if d.Bool() {
+			meta = &FileMeta{Access: layout.FileAccess(d.Blob()), Content: layout.FileContent(d.Blob())}
 		}
 		if d.Err() != nil {
 			return wire.StatusInval, nil
 		}
-		u, st := s.Create(dir, name, mode, uid, gid)
-		if st != wire.StatusOK {
-			return st, nil
+		s.touchFile(dir, name)
+		// Ownership guard: when the installed cluster map names an FMS set
+		// and its ring places this key elsewhere, refuse the create with
+		// ESTALE so a client on an old map refreshes and retries at the
+		// right owner instead of stranding the file here. Static topologies
+		// (no map, or one naming no FMS set) skip the check.
+		if owns, known := rs.OwnsKey(FileKey(dir, name)); known && !owns {
+			return wire.StatusStale, nil
 		}
-		return wire.StatusOK, wire.NewEnc().UUID(u).Bytes()
+		return s.atMostOnce(wire.OpCreateFile, req, trace, func() (wire.Status, []byte) {
+			if meta != nil {
+				return s.CreateWithMeta(dir, name, meta), nil
+			}
+			u, st := s.Create(dir, name, mode, uid, gid)
+			if st != wire.StatusOK {
+				return st, nil
+			}
+			return wire.StatusOK, wire.NewEnc().UUID(u).Bytes()
+		})
 	})
 	rs.Handle(wire.OpStatFile, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
@@ -728,7 +735,7 @@ func (s *Server) Attach(rs *rpc.Server) {
 		s.touchFile(dir, name)
 		return s.Access(dir, name, uid, gid, write), nil
 	})
-	rs.Handle(wire.OpRemoveFile, func(body []byte) (wire.Status, []byte) {
+	rs.HandleMsg(wire.OpRemoveFile, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		dir, name := d.UUID(), d.Str()
 		uid, gid := d.U32(), d.U32()
@@ -736,11 +743,13 @@ func (s *Server) Attach(rs *rpc.Server) {
 			return wire.StatusInval, nil
 		}
 		s.touchFile(dir, name)
-		u, st := s.Remove(dir, name, uid, gid)
-		if st != wire.StatusOK {
-			return st, nil
-		}
-		return wire.StatusOK, wire.NewEnc().UUID(u).Bytes()
+		return s.atMostOnce(wire.OpRemoveFile, req, trace, func() (wire.Status, []byte) {
+			u, st := s.Remove(dir, name, uid, gid)
+			if st != wire.StatusOK {
+				return st, nil
+			}
+			return wire.StatusOK, wire.NewEnc().UUID(u).Bytes()
+		})
 	})
 	rs.Handle(wire.OpChmodFile, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
@@ -772,7 +781,7 @@ func (s *Server) Attach(rs *rpc.Server) {
 		s.touchFile(dir, name)
 		return s.Utimens(dir, name, atime, mtime), nil
 	})
-	rs.Handle(wire.OpTruncateFile, func(body []byte) (wire.Status, []byte) {
+	rs.HandleMsg(wire.OpTruncateFile, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		dir, name := d.UUID(), d.Str()
 		size := d.U64()
@@ -780,11 +789,13 @@ func (s *Server) Attach(rs *rpc.Server) {
 			return wire.StatusInval, nil
 		}
 		s.touchFile(dir, name)
-		u, old, bs, st := s.Truncate(dir, name, size)
-		if st != wire.StatusOK {
-			return st, nil
-		}
-		return wire.StatusOK, wire.NewEnc().UUID(u).U64(old).U32(bs).Bytes()
+		return s.atMostOnce(wire.OpTruncateFile, req, trace, func() (wire.Status, []byte) {
+			u, old, bs, st := s.Truncate(dir, name, size)
+			if st != wire.StatusOK {
+				return st, nil
+			}
+			return wire.StatusOK, wire.NewEnc().UUID(u).U64(old).U32(bs).Bytes()
+		})
 	})
 	rs.Handle(wire.OpUpdateSize, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
@@ -831,19 +842,21 @@ func (s *Server) Attach(rs *rpc.Server) {
 		s.hot.Touch(dir.String())
 		return wire.StatusOK, wire.NewEnc().Bool(s.DirHasFiles(dir)).Bytes()
 	})
-	rs.Handle(wire.OpRemoveDirFiles, func(body []byte) (wire.Status, []byte) {
+	rs.HandleMsg(wire.OpRemoveDirFiles, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		dir := d.UUID()
 		if d.Err() != nil {
 			return wire.StatusInval, nil
 		}
 		s.hot.Touch(dir.String())
-		removed := s.RemoveDirFiles(dir)
-		e := wire.NewEnc().U32(uint32(len(removed)))
-		for _, u := range removed {
-			e.UUID(u)
-		}
-		return wire.StatusOK, e.Bytes()
+		return s.atMostOnce(wire.OpRemoveDirFiles, req, trace, func() (wire.Status, []byte) {
+			removed := s.RemoveDirFiles(dir)
+			e := wire.NewEnc().U32(uint32(len(removed)))
+			for _, u := range removed {
+				e.UUID(u)
+			}
+			return wire.StatusOK, e.Bytes()
+		})
 	})
 	s.attachMigration(rs)
 }

@@ -147,7 +147,7 @@ func (s *Server) MigrateDelete(dir uuid.UUID, name string, access layout.FileAcc
 
 // attachMigration registers the migration handlers. Request layouts:
 //
-//	MigrateScan:    self i64, vnodes u32, n u32, n×(id i64), limit u32
+//	MigrateScan:    self i64, n u32, n×(id i64), limit u32
 //	MigrateInstall: dir uuid, name str, access blob, content blob
 //	MigrateDelete:  dir uuid, name str, access blob, content blob
 //
@@ -157,7 +157,6 @@ func (s *Server) attachMigration(rs *rpc.Server) {
 	rs.Handle(wire.OpMigrateScan, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		self := int(d.I64())
-		vnodes := int(d.U32())
 		n := d.Count(8) // one i64 per ring ID
 		ids := make([]int, 0, n)
 		for i := 0; i < n && d.Err() == nil; i++ {
@@ -167,7 +166,7 @@ func (s *Server) attachMigration(rs *rpc.Server) {
 		if d.Err() != nil || len(ids) == 0 {
 			return wire.StatusInval, nil
 		}
-		next := chash.NewRing(vnodes, ids...)
+		next := chash.NewRing(0, ids...)
 		moved, total, more := s.ExportMoved(next, self, limit)
 		e := wire.NewEnc().U32(uint32(total)).U32(uint32(len(moved)))
 		for _, f := range moved {

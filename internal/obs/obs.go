@@ -56,6 +56,24 @@ func (h *Handle) Emit(kind flight.Kind, op string, traceID uint64, value int64, 
 	}
 }
 
+// MetricDedupHits counts, per op, the duplicate requests a service answered
+// from the record of their first execution: the FMS's window, a DMS node's
+// replicated log (DESIGN.md §11).
+const MetricDedupHits = "locofs_rpc_dedup_hits_total"
+
+// Replayed accounts one duplicate of op answered from the record of its
+// first execution: one MetricDedupHits count, created on first use, and one
+// dedup_replay journal event under the duplicate's trace id.
+func (h *Handle) Replayed(op string, traceID uint64) {
+	if h == nil {
+		return
+	}
+	if h.Reg != nil {
+		h.Reg.Counter(MetricDedupHits, telemetry.L("op", op)).Inc()
+	}
+	h.Emit(flight.KindDedupReplay, op, traceID, 0, "")
+}
+
 // IsSlow reports whether a request that took d belongs in the slow log.
 func (h *Handle) IsSlow(d time.Duration) bool {
 	return h != nil && h.Slow > 0 && d >= h.Slow

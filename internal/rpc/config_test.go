@@ -98,7 +98,7 @@ func TestRegistrationEndsAtServe(t *testing.T) {
 	for name, register := range map[string]func(){
 		"Handle": func() { s.Handle(wire.OpMkdir, func([]byte) (wire.Status, []byte) { return wire.StatusOK, nil }) },
 		"HandleMsg": func() {
-			s.HandleMsg(wire.OpMkdir, func(uint64, []byte) (wire.Status, []byte) { return wire.StatusOK, nil })
+			s.HandleMsg(wire.OpMkdir, func(uint64, uint64, []byte) (wire.Status, []byte) { return wire.StatusOK, nil })
 		},
 		"SetLeaseFunc": func() { s.SetLeaseFunc(func() uint64 { return 1 }) },
 	} {

@@ -25,17 +25,12 @@ import (
 // observe seconds (Prometheus convention) bucketed logarithmically; every
 // series carries an op label with the wire.Op name.
 const (
-	MetricRequests = "locofs_rpc_requests_total"   // server: completed requests
-	MetricErrors   = "locofs_rpc_errors_total"     // server: non-OK responses
-	MetricService  = "locofs_rpc_service_seconds"  // server: handler service time (measured + modeled)
-	MetricQueue    = "locofs_rpc_queue_seconds"    // server: receipt -> handler start
-	MetricRTT      = "locofs_client_rtt_seconds"   // client: wall-clock round trip
-	MetricCalls    = "locofs_client_calls_total"   // client: calls issued
-	MetricDedup    = "locofs_rpc_dedup_hits_total" // server: duplicate requests answered from the dedup window
-	// MetricDedupInflightSkips counts dedup-window evictions skipped because
-	// the entry's first delivery was still executing — evicting it would
-	// have let a retry re-execute the mutation.
-	MetricDedupInflightSkips = "locofs_rpc_dedup_inflight_skips_total"
+	MetricRequests = "locofs_rpc_requests_total"  // server: completed requests
+	MetricErrors   = "locofs_rpc_errors_total"    // server: non-OK responses
+	MetricService  = "locofs_rpc_service_seconds" // server: handler service time (measured + modeled)
+	MetricQueue    = "locofs_rpc_queue_seconds"   // server: receipt -> handler start
+	MetricRTT      = "locofs_client_rtt_seconds"  // client: wall-clock round trip
+	MetricCalls    = "locofs_client_calls_total"  // client: calls issued
 )
 
 // opMetrics is one op's instrument handles. Service and queue time record
@@ -45,7 +40,6 @@ const (
 type opMetrics struct {
 	reqs    *telemetry.Counter
 	errs    *telemetry.Counter
-	dedup   *telemetry.Counter
 	service *telemetry.Windowed
 	queue   *telemetry.Windowed
 }
@@ -62,11 +56,11 @@ type opEntry struct {
 }
 
 // run invokes the op's handler; the unknown entry has none.
-func (e *opEntry) run(op wire.Op, req uint64, body []byte) (wire.Status, []byte) {
+func (e *opEntry) run(op wire.Op, req, trace uint64, body []byte) (wire.Status, []byte) {
 	if e.fn == nil {
 		return wire.StatusInval, []byte(fmt.Sprintf("unknown op %#x", uint16(op)))
 	}
-	return e.fn(req, body)
+	return e.fn(req, trace, body)
 }
 
 func (e *opEntry) metrics(reg *telemetry.Registry) *opMetrics {
@@ -75,7 +69,6 @@ func (e *opEntry) metrics(reg *telemetry.Registry) *opMetrics {
 		e.m = opMetrics{
 			reqs:    reg.Counter(MetricRequests, label),
 			errs:    reg.Counter(MetricErrors, label),
-			dedup:   reg.Counter(MetricDedup, label),
 			service: reg.Windowed(MetricService, label),
 			queue:   reg.Windowed(MetricQueue, label),
 		}
@@ -88,11 +81,9 @@ func (e *opEntry) metrics(reg *telemetry.Registry) *opMetrics {
 type HandlerFunc func(body []byte) (wire.Status, []byte)
 
 // MsgHandlerFunc is a HandlerFunc that also receives the request's dedup id
-// (wire.Msg.Req; 0 when the client sent none). The sharded DMS registers
-// these for mutations: the id keys the replicated op log and doubles as the
-// cross-partition transaction id, so it must survive past this server's own
-// dedup window (which a leader failover discards).
-type MsgHandlerFunc func(req uint64, body []byte) (wire.Status, []byte)
+// (wire.Msg.Req; 0 when the client sent none) and trace id (wire.Msg.Trace),
+// so a replayed duplicate is journaled under the request's trace.
+type MsgHandlerFunc func(req, trace uint64, body []byte) (wire.Status, []byte)
 
 // ServiceFunc executes run (which invokes the handler) and returns the
 // request's modeled service time. Implementations may serialize requests to
@@ -106,8 +97,8 @@ type Config struct {
 	// Obs is the server's observability (nil = off): per-op request/error
 	// counts and service/queue histograms into its registry (see the
 	// Metric* names), a server-side span per request and per batched
-	// sub-request under the wire header's parent span, dedup replays, slow
-	// requests and map installs into its journal, and a log line carrying
+	// sub-request under the wire header's parent span, slow requests and
+	// map installs into its journal, and a log line carrying
 	// the trace id for every request at least Obs.Slow slow.
 	Obs *obs.Handle
 	// Service, when set, replaces wall-clock measurement of handler time
@@ -138,8 +129,6 @@ type Server struct {
 	connMu sync.Mutex
 	conns  map[netsim.Conn]struct{}
 
-	dedup dedupWindow // at-most-once replay cache for retried mutations
-
 	// cmap holds the installed cluster map with this server's coordinates in
 	// it (nil until one is installed); its version is stamped on every
 	// response header. It is the one thing that does change while serving.
@@ -167,11 +156,6 @@ func New(cfg Config) *Server {
 		ops:     make(map[wire.Op]*opEntry),
 		unknown: opEntry{name: "unknown"},
 		conns:   make(map[netsim.Conn]struct{}),
-	}
-	if reg := s.obs.Registry(); reg != nil {
-		reg.GaugeFunc(MetricDedupInflightSkips, func() float64 {
-			return float64(s.dedup.InflightSkips())
-		})
 	}
 	s.Handle(wire.OpPing, func(body []byte) (wire.Status, []byte) {
 		return wire.StatusOK, body
@@ -254,10 +238,6 @@ func (s *Server) OwnsKey(key []byte) (owns, known bool) {
 	return st.ring.Locate(key) == int(st.at.Ring), true
 }
 
-// DedupInflightSkips returns how many dedup-window evictions were skipped
-// because the entry's request was still executing.
-func (s *Server) DedupInflightSkips() uint64 { return s.dedup.InflightSkips() }
-
 // registering panics once Serve has started: the request path reads the
 // handler table and the lease source without a lock, so a late registration
 // would be a data race. Failing loudly beats racing quietly.
@@ -270,10 +250,13 @@ func (s *Server) registering(what string) {
 // Handle registers fn for op, replacing any previous handler. Registration
 // ends when Serve starts; Handle panics after that.
 func (s *Server) Handle(op wire.Op, fn HandlerFunc) {
-	s.HandleMsg(op, func(_ uint64, body []byte) (wire.Status, []byte) { return fn(body) })
+	s.HandleMsg(op, func(_, _ uint64, body []byte) (wire.Status, []byte) { return fn(body) })
 }
 
-// HandleMsg is Handle for a handler that wants the request's dedup id.
+// HandleMsg is Handle for a handler that wants the request's dedup and trace
+// ids. The server only hands them over: a handler registered this way owns
+// at-most-once for its op, because only the service that holds the state
+// can tell whether a retried mutation already executed (DESIGN.md §11).
 func (s *Server) HandleMsg(op wire.Op, fn MsgHandlerFunc) {
 	s.registering("Handle")
 	s.ops[op] = &opEntry{name: op.String(), fn: fn}
@@ -351,35 +334,15 @@ func (s *Server) serveConn(conn netsim.Conn) {
 				s.serveBatch(conn, req, recvT)
 				return
 			}
-			// At-most-once: a request carrying a dedup id either registers
-			// as the first delivery (and records its outcome below) or is a
-			// retried duplicate, answered by replaying the first execution's
-			// response — after waiting for it if it is still running.
-			var ent *dedupEntry
-			if req.Req != 0 {
-				var dup bool
-				if ent, dup = s.dedup.begin(req.Req); dup {
-					<-ent.done
-					if reg := s.obs.Registry(); reg != nil {
-						s.entry(req.Op).metrics(reg).dedup.Inc()
-					}
-					s.obs.Emit(flight.KindDedupReplay, req.Op.String(), req.Trace, 0, "")
-					s.reply(conn, req, ent.status, ent.body, ent.service)
-					return
-				}
-			}
 			// Queue wait: receipt to handler start, i.e. goroutine scheduling.
 			status, body, service := s.execute(req.Op, req.Body, req.Req, req.Trace, req.Span, -1, time.Since(recvT))
-			if ent != nil {
-				ent.complete(status, body, uint64(service))
-			}
 			s.reply(conn, req, status, body, uint64(service))
 		}(req)
 	}
 }
 
 // reply sends req's response: the one place a response header is built, for
-// the plain, replayed-duplicate and batch paths alike. Every response echoes
+// the plain and batch paths alike. Every response echoes
 // the request's correlation ids and carries the installed map's version and
 // the lease-recall sequence.
 func (s *Server) reply(conn netsim.Conn, req *wire.Msg, st wire.Status, body []byte, serviceNS uint64) {
@@ -427,10 +390,10 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 	var service time.Duration
 	sp := s.startSpan(trace, parentSpan, op, sub)
 	if s.service != nil {
-		service = s.service(op, func() { status, body = e.run(op, req, reqBody) })
+		service = s.service(op, func() { status, body = e.run(op, req, trace, reqBody) })
 	} else {
 		t0 := time.Now()
-		status, body = e.run(op, req, reqBody)
+		status, body = e.run(op, req, trace, reqBody)
 		service = time.Since(t0)
 	}
 	s.busyNS.Add(uint64(service))

@@ -136,8 +136,9 @@ type KVRec struct {
 }
 
 // RenamePrepare is the payload of the cross-partition rename's first phase:
-// the transaction id (the client's dedup id — unique and stable across
-// coordinator retries), both cleaned paths, the caller's credentials for
+// the transaction id (minted by the coordinator per attempt, never the
+// client's dedup id: a retry must not match an earlier attempt's leftover
+// prepare), both cleaned paths, the caller's credentials for
 // destination-side validation, and the exported subtree records.
 type RenamePrepare struct {
 	TxID     uint64

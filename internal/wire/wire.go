@@ -244,7 +244,8 @@ func (o Op) String() string {
 // Everything else — create, remove, mkdir, rmdir, renames, truncate,
 // subtree file removal, and the OpBatch envelope — reports false: a replay
 // observes the first execution's effects (EEXIST, ENOENT, an empty removal
-// list), so retries must instead be deduplicated server-side via Msg.Req.
+// list), so retries must instead be deduplicated server-side via Msg.Req,
+// by the service that owns the state.
 func (o Op) Idempotent() bool {
 	switch o {
 	case OpPing, OpStatDir, OpStatFile, OpLookupDir, OpReaddirSubdirs,
@@ -282,7 +283,8 @@ const (
 	StatusUnavailable
 	// StatusDeadline reports that a call's per-operation deadline expired
 	// before a response arrived. The request may or may not have executed;
-	// mutations are protected by the request-id dedup window (see Msg.Req).
+	// a retry of a mutation under the same Msg.Req is answered from the
+	// first execution's record, if there was one.
 	StatusDeadline
 	// StatusWrongPartition reports that the addressed DMS node does not own
 	// the request's path under its installed cluster map — the client
@@ -404,12 +406,15 @@ type Msg struct {
 	// of one trace into a single tree (see internal/trace). Servers echo
 	// it on responses. Zero means no parent span.
 	Span uint64
-	// Req is a client-unique request identifier stamped on non-idempotent
-	// requests (see Op.Idempotent). It is stable across retry attempts of
-	// one logical call — unlike ID, which is per-connection — so a server
-	// that already executed the request recognizes a retried duplicate in
-	// its dedup window and replays the recorded response instead of
-	// executing twice (at-most-once semantics). Zero means no dedup.
+	// Req is a client-unique request identifier, stamped only by the client
+	// and only on non-idempotent requests (see Op.Idempotent). It is stable
+	// across retry attempts of one logical call — unlike ID, which is
+	// per-connection — so the service that owns the state recognizes a
+	// retried duplicate and answers it from the record of its first
+	// execution instead of executing twice (at-most-once): the FMS from its
+	// request window, a DMS partition from its replicated op log. The rpc
+	// layer only carries it. A refusal that executed nothing leaves no
+	// record, so its retry executes. Zero means no dedup.
 	Req uint64
 	// Map is the version of the ClusterMap the responding server holds.
 	// Servers stamp it on every response so clients piggyback staleness
