@@ -108,8 +108,7 @@ func (n *Node) catchUp(why string) error {
 				// a stale batch — either way, skip.
 				continue
 			}
-			n.log = append(n.log, le)
-			n.nextIndex++
+			n.logAppendLocked(le)
 			n.applyInOrderLocked(le)
 		}
 		n.pruneToLocked(fr.Floor)

@@ -53,6 +53,7 @@ import (
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/rpc"
+	"locofs/internal/telemetry"
 	"locofs/internal/wire"
 )
 
@@ -205,7 +206,8 @@ type Node struct {
 	// index order even though fan-outs complete out of order.
 	applyC *sync.Cond
 	// log holds the retained entries [firstIndex, nextIndex); the prefix
-	// below firstIndex has been truncated (see maybePruneLocked).
+	// below firstIndex has been truncated (see maybePruneLocked). Pruning
+	// re-slices it in place, so no sub-slice of it may outlive a hold of mu.
 	log        []*wire.LogEntry
 	firstIndex uint64
 	nextIndex  uint64
@@ -246,6 +248,9 @@ type Node struct {
 	// catch tracks active catch-up sessions by follower address (leader
 	// side); an active session holds truncation at its oldest needed index.
 	catch map[string]catchSession
+	// gauged records that the log gauges are registered (see
+	// logAppendLocked).
+	gauged bool
 	// reps holds the live per-follower replicators (leader side).
 	reps map[string]*replicator
 
@@ -537,8 +542,7 @@ func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
 		return nil
 	}
 	le.Index = n.nextIndex
-	n.log = append(n.log, le)
-	n.nextIndex++
+	n.logAppendLocked(le)
 	if le.Req != 0 {
 		n.pendingReq[le.Req] = true
 	}
@@ -550,6 +554,7 @@ func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
 			if r == nil {
 				r = newReplicator(n, addr)
 				n.reps[addr] = r
+				n.registerLagGauge(addr)
 			}
 			f.wg.Add(1)
 			r.enqueue(enc, le.Index, &f.wg)
@@ -869,10 +874,78 @@ func (n *Node) pruneToLocked(target uint64) {
 			n.reqFloor[base] = seq
 		}
 	}
-	rest := n.log[drop:]
-	// Copy so the dropped prefix's backing array is actually released.
-	n.log = append(make([]*wire.LogEntry, 0, len(rest)), rest...)
+	// Re-slice instead of copying the retained suffix: the dropped slots are
+	// cleared so their entries are collectable, and the next append that
+	// outgrows the array copies only the suffix, releasing the prefix — an
+	// amortised O(1) prune. This is safe only because nothing holds a
+	// sub-slice of n.log outside n.mu (serveLogFetch copies its range out
+	// under the lock).
+	clear(n.log[:drop])
+	n.log = n.log[drop:]
 	n.firstIndex = target
+}
+
+// ---- log gauges ----
+
+// Log gauges exported on Config.Obs's registry, sampled under the partition
+// lock at scrape time.
+const (
+	MetricLogRetained       = "locofs_dms_partition_log_retained"
+	MetricLogFirstIndex     = "locofs_dms_partition_log_first_index"
+	MetricLogAppliedIndex   = "locofs_dms_partition_log_applied_index"
+	MetricLogNextIndex      = "locofs_dms_partition_log_next_index"
+	MetricExcludedFollowers = "locofs_dms_partition_excluded_followers"
+	MetricFollowerAckLag    = "locofs_dms_partition_follower_ack_lag"
+)
+
+// logAppendLocked appends le at the log tip. The node's first append
+// registers its log gauges, so a node that never logs — and start-up —
+// does no metrics work. Caller holds n.mu.
+func (n *Node) logAppendLocked(le *wire.LogEntry) {
+	if !n.gauged {
+		n.gauged = true
+		n.registerLogGauges()
+	}
+	n.log = append(n.log, le)
+	n.nextIndex++
+}
+
+// sampled returns a gauge reading f under n.mu.
+func (n *Node) sampled(f func() uint64) func() float64 {
+	return func() float64 {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		return float64(f())
+	}
+}
+
+func (n *Node) registerLogGauges() {
+	reg := n.obs.Registry()
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc(MetricLogRetained, n.sampled(func() uint64 { return uint64(len(n.log)) }))
+	reg.GaugeFunc(MetricLogFirstIndex, n.sampled(func() uint64 { return n.firstIndex }))
+	reg.GaugeFunc(MetricLogAppliedIndex, n.sampled(func() uint64 { return n.appliedIdx }))
+	reg.GaugeFunc(MetricLogNextIndex, n.sampled(func() uint64 { return n.nextIndex }))
+	reg.GaugeFunc(MetricExcludedFollowers, n.sampled(func() uint64 { return uint64(len(n.excluded)) }))
+}
+
+// registerLagGauge exports how many applied entries follower addr has not
+// acked. An excluded follower has no watermark, so it reads as lagging the
+// whole applied log until catch-up readmits it. The gauge lives as long as
+// the follower is in the group and this node leads it (installMap drops it).
+func (n *Node) registerLagGauge(addr string) {
+	reg := n.obs.Registry()
+	if reg == nil {
+		return
+	}
+	reg.GaugeFunc(MetricFollowerAckLag, n.sampled(func() uint64 {
+		if m := n.ackMark[addr]; m < n.appliedIdx {
+			return n.appliedIdx - m
+		}
+		return 0
+	}), telemetry.L("follower", addr))
 }
 
 // ---- freeze bookkeeping ----
@@ -966,8 +1039,7 @@ func (n *Node) serveLogAppend(body []byte) (wire.Status, []byte) {
 		n.startCatchUp("append-gap")
 		return wire.StatusInval, []byte("op-log gap")
 	}
-	n.log = append(n.log, le)
-	n.nextIndex++
+	n.logAppendLocked(le)
 	// The apply outcome is recorded in n.applied for client-retry replay;
 	// the append itself succeeded regardless of the mutation's own status
 	// (the leader returns that status to the client). The ack carries this
@@ -1218,7 +1290,8 @@ func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
 		return wire.StatusInval // the coordinates name no replica of this partition
 	}
 	n.mu.Lock()
-	wasLeader := n.IsLeader()
+	old, wasIdx := n.cur()
+	wasLeader := wasIdx == 0
 	if !n.rs.InstallMap(m, at) {
 		n.mu.Unlock()
 		return wire.StatusStale
@@ -1252,6 +1325,15 @@ func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
 		if at.Idx != 0 || !group[a] {
 			delete(n.reps, a)
 			stopped = append(stopped, r)
+		}
+	}
+	// Ack-lag gauges follow the same rule, excluded followers included: a
+	// demoted node exports none, a leader none for a replica it lost.
+	if reg := n.obs.Registry(); reg != nil {
+		for _, a := range old.Groups[n.pid] {
+			if at.Idx != 0 || !group[a] {
+				reg.Unregister(MetricFollowerAckLag, telemetry.L("follower", a))
+			}
 		}
 	}
 	n.mu.Unlock()

@@ -27,7 +27,7 @@ type testShard struct {
 
 // startShard builds the shard; mods tweak each replica's Config before New
 // (replication timeout, log cap, ...).
-func startShard(t *testing.T, pm *wire.ClusterMap, mods ...func(*Config)) *testShard {
+func startShard(t testing.TB, pm *wire.ClusterMap, mods ...func(*Config)) *testShard {
 	t.Helper()
 	ts := &testShard{
 		net:    netsim.NewNetwork(netsim.Loopback),
@@ -72,7 +72,7 @@ func startShard(t *testing.T, pm *wire.ClusterMap, mods ...func(*Config)) *testS
 }
 
 // call issues one op to addr with an explicit dedup id (0 = none).
-func (ts *testShard) call(t *testing.T, addr string, op wire.Op, body []byte, req uint64) (wire.Status, []byte) {
+func (ts *testShard) call(t testing.TB, addr string, op wire.Op, body []byte, req uint64) (wire.Status, []byte) {
 	t.Helper()
 	cl, err := rpc.Dial(ts.net, addr)
 	if err != nil {

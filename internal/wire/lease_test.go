@@ -1,6 +1,10 @@
 package wire
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
 func TestLeaseGrantTrailerRoundTrip(t *testing.T) {
 	// A grant appended after arbitrary payload decodes once the payload is
@@ -100,4 +104,63 @@ func TestLeaseRecallOpProperties(t *testing.T) {
 			t.Errorf("kind %d String() = %q, want %q", k, k.String(), want)
 		}
 	}
+}
+
+// FuzzLeaseGrant: the grant trailer is read off every DMS lookup and readdir
+// response. Any input must decode without panicking: a body too short for
+// the trailer yields the zero grant, anything longer yields the grant its
+// first twelve bytes encode, and re-encoding that grant gives those bytes
+// back.
+func FuzzLeaseGrant(f *testing.F) {
+	e := NewEnc()
+	AppendLeaseGrant(e, LeaseGrant{Seq: 7, DurMS: 30_000})
+	f.Add(e.Bytes())
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0})      // one byte short
+	f.Add(append(make([]byte, 12), "trailing junk"...)) // zero grant, then more
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d := NewDec(data)
+		g := DecodeLeaseGrant(d)
+		if len(data) < 12 {
+			if g != (LeaseGrant{}) || d.Remaining() != len(data) {
+				t.Fatalf("grant %+v from %d bytes, %d left; want the zero grant, none consumed", g, len(data), d.Remaining())
+			}
+			return
+		}
+		again := NewEnc()
+		AppendLeaseGrant(again, g)
+		if !bytes.Equal(again.Bytes(), data[:12]) || d.Remaining() != len(data)-12 {
+			t.Fatalf("encode(decode(%x)) = %x, %d left", data, again.Bytes(), d.Remaining())
+		}
+		if g2 := DecodeLeaseGrant(NewDec(again.Bytes())); g2 != g {
+			t.Fatalf("decode(encode(%+v)) = %+v", g, g2)
+		}
+	})
+}
+
+// FuzzRecallResp: a client decodes OpLeaseRecall responses straight off the
+// network. None may panic or size its entries past what the input can back,
+// and whatever decodes re-encodes to bytes that decode to the same value.
+func FuzzRecallResp(f *testing.F) {
+	f.Add(EncodeRecallResp(7, false, []Recall{
+		{Seq: 5, Kind: RecallCreated, Path: "/a/b"},
+		{Seq: 6, Kind: RecallRemoved, Path: "/a"},
+		{Seq: 7, Kind: RecallPatched, Path: "/c"},
+	}))
+	f.Add(EncodeRecallResp(99, true, nil))
+	f.Add(NewEnc().U64(1).Bool(false).U32(1<<32 - 1).Bytes())                     // 2^32-1 entries, none present
+	f.Add(NewEnc().U64(1).Bool(false).U32(1).U64(1).U8(9).U32(1<<32 - 1).Bytes()) // a path longer than the body
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cur, reset, entries, err := DecodeRecallResp(data)
+		if err != nil {
+			return
+		}
+		// Every entry consumes at least thirteen bytes of input.
+		if cap(entries) > len(data)/13 {
+			t.Fatalf("room for %d entries decoded from %d bytes", cap(entries), len(data))
+		}
+		cur2, reset2, entries2, err := DecodeRecallResp(EncodeRecallResp(cur, reset, entries))
+		if err != nil || cur2 != cur || reset2 != reset || !reflect.DeepEqual(entries2, entries) {
+			t.Fatalf("decode(encode(%d, %v, %+v)) = %d, %v, %+v, %v", cur, reset, entries, cur2, reset2, entries2, err)
+		}
+	})
 }
