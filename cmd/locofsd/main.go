@@ -96,11 +96,21 @@
 // check renders the merged table:
 //
 //	locofsd -role status -peers dms=host:9100,fms0=host:9101,fms1=host:9102
+//
+// Flight recorder: every role journals typed cluster events (breaker
+// flaps, retries, lease recalls, map installs, slow requests; paged at
+// /debug/events) and checks the anomaly rules every two seconds. A firing
+// captures a diagnostic bundle (the latest at /debug/bundle?last=1; a plain
+// GET captures one on demand), spooled as JSON under -flight-dir when set.
+// One obs.Process is the whole of it, and obs.Process.Admin builds the
+// admin surface (internal/obs).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -112,7 +122,6 @@ import (
 	"locofs/internal/client"
 	"locofs/internal/dms"
 	"locofs/internal/dms/partition"
-	"locofs/internal/flight"
 	"locofs/internal/fms"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
@@ -158,9 +167,7 @@ func main() {
 	window := flag.Duration("window", 0, "telemetry sub-window width for time-local quantiles and SLO burn (0 = default 10s)")
 	windowNum := flag.Int("window-num", 0, "number of telemetry sub-windows merged per snapshot (0 = default 6)")
 	peers := flag.String("peers", "", "comma-separated peer admin endpoints (name=http://host:port or bare URL) merged into /debug/cluster and the status role")
-	flightBuf := flag.Int("flight-buf", flight.DefaultBufEvents, "flight-recorder event journal capacity (events; served at /debug/events)")
 	flightDir := flag.String("flight-dir", "", "directory where anomaly-triggered diagnostic bundles are written (empty = memory only, latest at /debug/bundle)")
-	anomalyPoll := flag.Duration("anomaly-poll", 0, "anomaly-engine poll interval (0 = default 2s)")
 	flag.Parse()
 
 	// With -data, metadata survives restarts: mutations are WAL-logged and
@@ -180,14 +187,12 @@ func main() {
 
 	af := adminFlags{
 		metricsAddr: *metricsAddr,
-		slow:        *slow,
-		window:      telemetry.WindowConfig{Width: *window, Num: *windowNum},
 		peers:       parsePeers(*peers),
-		rec: flight.Config{
-			BufEvents:    *flightBuf,
-			Tracer:       trace.New(trace.Config{Sample: *traceSample, BufSpans: *traceBuf}),
-			Dir:          *flightDir,
-			PollInterval: *anomalyPoll,
+		obs: obs.Config{
+			Tracer: trace.New(trace.Config{Sample: *traceSample, BufSpans: *traceBuf}),
+			Dir:    *flightDir,
+			Slow:   *slow,
+			Window: telemetry.WindowConfig{Width: *window, Num: *windowNum},
 		},
 	}
 	switch *role {
@@ -256,41 +261,40 @@ func main() {
 // adminFlags carries the observability options shared by every role.
 type adminFlags struct {
 	metricsAddr string
-	slow        time.Duration
-	window      telemetry.WindowConfig
 	peers       []peer
-	// rec configures the always-on flight recorder: the tracer (nil when
-	// -trace-sample is 0), the journal size, where anomaly bundles are
-	// spooled and how often the anomaly engine polls. observe names it.
-	rec flight.Config
+	// obs configures the process's observability and flight recorder: the
+	// tracer (nil when -trace-sample is 0), where anomaly bundles are
+	// spooled, the slow threshold and the telemetry window. observe names
+	// it.
+	obs obs.Config
 }
 
 // observe assembles this process's observability (DESIGN.md "Building a
 // server"): a locofsd is one obs.Process with one handle, both called name,
-// and that handle's registry is where the process-wide journal and recorder
+// so that handle's registry is where the process-wide journal and recorder
 // counters go.
 func (af adminFlags) observe(name string, x obs.Export) (*obs.Process, *obs.Handle) {
-	af.rec.Server = name
-	p := obs.New(af.rec, af.slow, af.window)
-	x.Recorder = true
+	af.obs.Name = name
+	p := obs.New(af.obs)
 	return p, p.For(name, x)
 }
 
 // admin names h's server as what this process reports about itself, judged
-// against objs (obs.Process.Admin), and with -metrics-addr serves /metrics
-// and the /debug endpoints; /debug/cluster merges in every -peers endpoint.
-// who prefixes what it prints.
+// against objs (obs.Process.Admin), and with -metrics-addr serves the admin
+// surface; /debug/cluster merges in every -peers endpoint. who prefixes what
+// it prints.
 func (af adminFlags) admin(who string, p *obs.Process, h *obs.Handle, objs []slo.Objective, mapVer func() uint64, hot *trace.TopK) {
-	routes := p.Admin(h, objs, mapVer, hot, peerSources(af.peers))
+	mux := p.Admin(h, objs, mapVer, hot, peerSources(af.peers))
 	if af.metricsAddr == "" {
 		return
 	}
-	_, bound, err := telemetry.ServeWith(af.metricsAddr, routes, h.Reg)
+	l, err := net.Listen("tcp", af.metricsAddr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: metrics: %v\n", who, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%s: metrics on http://%s/metrics\n", who, bound)
+	go func() { _ = http.Serve(l, mux) }()
+	fmt.Printf("%s: metrics on http://%s/metrics\n", who, l.Addr())
 }
 
 // parseClusterMap builds the version-1 cluster map every node of a sharded
@@ -380,13 +384,13 @@ func (af adminFlags) serve(p *obs.Process, h *obs.Handle, addr string, hot *trac
 	af.admin("locofsd", p, h, slo.ServerObjectives(), rs.MapVer, hot)
 	attach(rs)
 	go rs.Serve(l)
-	p.Recorder.Start()
+	p.Start()
 	fmt.Printf("locofsd: serving on %s\n", l.Addr())
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	fmt.Println("locofsd: shutting down")
-	p.Recorder.Close()
+	p.Close()
 	rs.Shutdown()
 }
 
@@ -397,7 +401,7 @@ func runStatus(peers []peer) {
 		fmt.Fprintln(os.Stderr, "locofsd status: -peers is required (comma-separated name=http://host:port admin endpoints)")
 		os.Exit(2)
 	}
-	cs := (&obs.Aggregator{Sources: func() []obs.StatusSource { return peerSources(peers) }}).Poll()
+	cs := obs.Poll(peerSources(peers), nil)
 	cs.Format(os.Stdout)
 	if len(cs.Unreachable) == len(peers) {
 		os.Exit(1)
@@ -420,8 +424,8 @@ func clientConfig(dmsAddr, fmsList, ossList string, h *obs.Handle) client.Config
 // runClient connects to a TCP cluster and executes simple commands.
 func (af adminFlags) runClient(p *obs.Process, h *obs.Handle, cfg client.Config, cmds string) {
 	af.admin("locofsd client", p, h, slo.ClientObjectives(), nil, nil)
-	p.Recorder.Start()
-	defer p.Recorder.Close()
+	p.Start()
+	defer p.Close()
 	cl, err := client.Dial(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "locofsd client:", err)

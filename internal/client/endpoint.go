@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locofs/internal/flight"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/rpc"
@@ -113,7 +112,7 @@ func dialEndpoint(d netsim.Dialer, addr string, link netsim.LinkConfig, telem *c
 	e.brk = newBreaker(res.breaker, res.now, func(state string) {
 		telem.Reg.Counter(MetricBreaker,
 			telemetry.L("addr", addr), telemetry.L("state", state)).Inc()
-		telem.Emit(flight.KindBreaker, "", 0, 0, addr+" "+state)
+		telem.Emit(obs.KindBreaker, "", 0, 0, addr+" "+state)
 	})
 	cl, err := rpc.Dial(d, addr)
 	if err != nil {
@@ -281,7 +280,7 @@ func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byt
 		if attempt > 0 {
 			d := e.res.retry.backoff(attempt)
 			m.retries.Inc()
-			e.telem.Emit(flight.KindRetry, op.String(), oc.tid, int64(attempt), e.addr)
+			e.telem.Emit(obs.KindRetry, op.String(), oc.tid, int64(attempt), e.addr)
 			if sp != nil {
 				sp.Annotate(fmt.Sprintf("retry=%d backoff=%v", attempt, d))
 			}

@@ -36,8 +36,8 @@ import (
 
 	"locofs/internal/chash"
 	"locofs/internal/dms/partition"
-	"locofs/internal/flight"
 	"locofs/internal/fms"
+	"locofs/internal/obs"
 	"locofs/internal/uuid"
 	"locofs/internal/wire"
 )
@@ -341,7 +341,7 @@ func (c *Client) changeFMS(change func(cur []wire.Member) ([]wire.Member, error)
 			}
 			rep.Moved += len(moved)
 			migrated.Add(uint64(len(moved)))
-			c.telem.Emit(flight.KindMigration, "drain", oc.tid, int64(len(moved)), src.Addr)
+			c.telem.Emit(obs.KindMigration, "drain", oc.tid, int64(len(moved)), src.Addr)
 		}
 	}
 

@@ -143,10 +143,18 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Errorf("Batch envelope has %d sub-op spans, want >= 2 (LookupDir + ReaddirSubdirs)", subOps)
 	}
 
-	// The merged admin endpoint returns the joined tree as JSON.
-	h := trace.TracesHandler(cliTracer, srvTracer)
+	// Joined by parent ids across the two rings, the spans form one tree
+	// under the client's Readdir root.
+	if roots := trace.BuildTree(append(clientSpans, serverSpans...)); len(roots) != 1 || roots[0].Span != root {
+		t.Fatalf("joined tree has %d roots, want the single Readdir@client root", len(roots))
+	}
+
+	// The server process's admin endpoint returns its side as JSON: every
+	// span parented on a client rpc span surfaces as a root.
+	p := obs.New(obs.Config{Name: "dms", Tracer: srvTracer})
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/debug/traces/%#x", tid), nil))
+	p.Admin(p.For("dms", obs.Export{}), nil, nil, nil, nil).
+		ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/debug/traces/%#x", tid), nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/traces/%#x = %d: %s", tid, rec.Code, rec.Body)
 	}
@@ -162,11 +170,9 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("bad JSON from /debug/traces: %v", err)
 	}
-	if out.Spans != len(clientSpans)+len(serverSpans) {
-		t.Errorf("JSON reports %d spans, rings hold %d", out.Spans, len(clientSpans)+len(serverSpans))
-	}
-	if len(out.Tree) != 1 || out.Tree[0].Name != "Readdir" || out.Tree[0].Server != "client" {
-		t.Fatalf("joined tree root = %+v, want single Readdir@client root", out.Tree)
+	if out.Spans != len(serverSpans) || len(out.Tree) != rootLevel {
+		t.Errorf("JSON reports %d spans in %d roots, server ring holds %d spans under %d client rpc spans",
+			out.Spans, len(out.Tree), len(serverSpans), rootLevel)
 	}
 	body := rec.Body.String()
 	for _, want := range []string{`"fms-0"`, `"fms-1"`, `"dms"`, "ReaddirFiles"} {
@@ -234,8 +240,9 @@ func TestHotKeysRankSkewedWorkload(t *testing.T) {
 		t.Errorf("hot key count = %d, want >= 50", top[0].Count)
 	}
 
+	p := obs.New(obs.Config{Name: "dms"})
 	rec := httptest.NewRecorder()
-	trace.HotHandler(map[string]*trace.TopK{"dms": d.HotKeys(), "fms-0": f.HotKeys()}).
+	p.Admin(p.For("dms", obs.Export{}), nil, nil, d.HotKeys(), nil).
 		ServeHTTP(rec, httptest.NewRequest("GET", "/debug/hot?n=3", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("GET /debug/hot = %d", rec.Code)
@@ -251,8 +258,8 @@ func TestHotKeysRankSkewedWorkload(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &sources); err != nil {
 		t.Fatalf("bad JSON from /debug/hot: %v", err)
 	}
-	if len(sources) != 2 || sources[0].Source != "dms" {
-		t.Fatalf("/debug/hot sources = %+v, want dms first", sources)
+	if len(sources) != 1 || sources[0].Source != "dms" {
+		t.Fatalf("/debug/hot sources = %+v, want the dms", sources)
 	}
 	if len(sources[0].Top) == 0 || sources[0].Top[0].Key != "/hot" {
 		t.Errorf("/debug/hot dms ranking = %+v, want /hot first", sources[0].Top)

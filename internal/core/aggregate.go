@@ -49,7 +49,7 @@ func (c *Cluster) StatusSources() []obs.StatusSource {
 
 // ClusterStatus scrapes every live server and returns the merged
 // cluster-health snapshot — the in-process equivalent of /debug/cluster —
-// including the flight recorder's anomaly state.
+// including the flight recorder's anomaly state and counters.
 func (c *Cluster) ClusterStatus() *slo.ClusterStatus {
-	return (&obs.Aggregator{Sources: c.StatusSources, Anomalies: c.Flight.AnomalyState}).Poll()
+	return obs.Poll(c.StatusSources(), c.Flight)
 }

@@ -93,10 +93,7 @@ func TestAggregatorToleratesDeadSource(t *testing.T) {
 	// An unreachable HTTP peer behaves the same way as a failing fetch.
 	deadHTTP := obs.HTTPSource("oss-9", "http://127.0.0.1:1/debug/slo", 0)
 
-	agg := &obs.Aggregator{Sources: func() []obs.StatusSource {
-		return append(c.StatusSources(), dead, deadHTTP)
-	}}
-	cs := agg.Poll()
+	cs := obs.Poll(append(c.StatusSources(), dead, deadHTTP), nil)
 	if cs == nil {
 		t.Fatal("poll with dead sources returned nil")
 	}
@@ -108,9 +105,6 @@ func TestAggregatorToleratesDeadSource(t *testing.T) {
 	}
 	if got := strings.Join(cs.Unreachable, ","); !strings.Contains(got, "fms-9") || !strings.Contains(got, "oss-9") {
 		t.Errorf("unreachable = %v", cs.Unreachable)
-	}
-	if agg.Last() != cs {
-		t.Error("Last() does not return the cached snapshot")
 	}
 
 	// The human-readable table renders the partial view.

@@ -16,7 +16,6 @@ import (
 	"locofs/internal/client"
 	"locofs/internal/dms"
 	"locofs/internal/dms/partition"
-	"locofs/internal/flight"
 	"locofs/internal/fms"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
@@ -106,9 +105,6 @@ type Options struct {
 	// registry (time-local quantiles, SLO burn). The zero value keeps the
 	// telemetry package defaults (6 × 10 s).
 	Window telemetry.WindowConfig
-	// FlightDir spools the always-on flight recorder's anomaly-triggered
-	// diagnostic bundles to disk ("" = memory only).
-	FlightDir string
 }
 
 // KVCost prices Kyoto-Cabinet-style storage work on the paper's metadata
@@ -216,14 +212,14 @@ type Cluster struct {
 	// service/queue latency histograms.
 	Metrics map[string]*telemetry.Registry
 
-	// obs is the process-level observability every server's handle derives
-	// from (obs.Process.For) and every cluster-dialed client's journal comes
-	// from; Flight is its recorder: one shared event journal plus the
-	// anomaly engine and bundle capture over it. Always present; Start does
-	// not launch background polling (call Flight.Start, or Flight.Poll from
-	// a deterministic test loop).
-	obs    *obs.Process
-	Flight *flight.Recorder
+	// Flight is the cluster's one obs.Process, named "cluster": every
+	// server's handle derives from it (Process.For), every cluster-dialed
+	// client gets its journal, and it is the flight recorder — one shared
+	// event journal, the anomaly rules and bundle capture over it. Its own
+	// registry carries the process-wide journal and recorder counters, which
+	// ClusterStatus merges in. Start does not launch background polling
+	// (call Flight.Start, or Flight.Poll from a deterministic test loop).
+	Flight *obs.Process
 
 	rpcServers []*rpc.Server
 	rsByAddr   map[string]*rpc.Server
@@ -262,22 +258,23 @@ func Start(opts Options) (*Cluster, error) {
 	}
 
 	// One process, one recorder: a journal shared by every server (and
-	// every client this cluster dials), an anomaly engine fed from the
+	// every client this cluster dials), anomaly rules fed from the
 	// cluster-wide SLO merge, and bundle capture. Safe to build before the
-	// servers — the SLO feed only runs when Poll/Start is invoked, and by
-	// then the status sources exist.
-	c.obs = obs.New(flight.Config{
-		Server: "cluster",
+	// servers — the status feed only runs when Poll/Start/Capture is
+	// invoked, and by then the status sources exist.
+	c.Flight = obs.New(obs.Config{
+		Name:   "cluster",
 		Tracer: opts.Tracer,
-		SLO:    func() []slo.ClassStatus { return c.ClusterStatus().SLO },
+		Status: func() *slo.ServerStatus {
+			return &slo.ServerStatus{Server: "cluster", SLO: c.ClusterStatus().SLO}
+		},
 		Extra: func() map[string]any {
 			c.mu.Lock()
 			defer c.mu.Unlock()
 			return map[string]any{"map": c.cmap}
 		},
-		Dir: opts.FlightDir,
-	}, 0, opts.Window)
-	c.Flight = c.obs.Recorder
+		Window: opts.Window,
+	})
 
 	// The version-1 cluster map every server starts from, which makes the
 	// cluster elasticity- and failover-ready: servers stamp the version on
@@ -313,10 +310,7 @@ func Start(opts Options) (*Cluster, error) {
 				base = kv.NewBTreeStore()
 			}
 			store := kv.Instrument(base, kv.RAM)
-			// The journal is cluster-wide, so its counters are exported
-			// exactly once (through the bootstrap DMS registry) to keep
-			// SumCounter from double-counting.
-			h := c.obs.For(addr, obs.Export{Recorder: addr == "dms"})
+			h := c.Flight.For(addr, obs.Export{})
 			// Replicas of one partition share a ServerID: UUIDs are
 			// drawn deterministically from it, so applying the same op
 			// log yields byte-identical inodes on every replica. The
@@ -366,7 +360,7 @@ func Start(opts Options) (*Cluster, error) {
 		c.OSS = append(c.OSS, o)
 		addr := fmt.Sprintf("oss-%d", i)
 		c.ossAddrs = append(c.ossAddrs, addr)
-		if err := c.serve(c.obs.For(addr, obs.Export{}), ostore, o.Attach); err != nil {
+		if err := c.serve(c.Flight.For(addr, obs.Export{}), ostore, o.Attach); err != nil {
 			return nil, err
 		}
 		c.rsByAddr[addr].InstallMap(pm, wire.FMSCoords(-1))
@@ -377,7 +371,7 @@ func Start(opts Options) (*Cluster, error) {
 // startFMS builds and serves the file metadata server m names.
 func (c *Cluster) startFMS(m wire.Member) (*fms.Server, error) {
 	fstore := kv.Instrument(kv.NewHashStore(), kv.RAM)
-	h := c.obs.For(m.Addr, obs.Export{})
+	h := c.Flight.For(m.Addr, obs.Export{})
 	f := fms.New(fms.Options{
 		Store:            fstore,
 		ServerID:         uint32(m.ID + 1),
@@ -450,7 +444,7 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	if cfg.Obs != nil {
 		h = *cfg.Obs
 	}
-	h.Journal = c.obs.Journal
+	h.Journal = c.Flight.Journal
 	cfg.Obs = &h
 	cl, err := client.Dial(cfg)
 	if err != nil {

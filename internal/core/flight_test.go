@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"locofs/internal/client"
-	"locofs/internal/flight"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/trace"
@@ -20,15 +18,12 @@ import (
 // each transition lands in the cluster's shared flight journal, the
 // breaker-flap rule fires on the next anomaly poll, and the captured bundle
 // holds the correlated breaker events, the force-kept error spans of the
-// failed operations, and a live goroutine profile — with the bundle spooled
-// to disk.
+// failed operations, and a live goroutine profile.
 func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
-	dir := t.TempDir()
 	tr := trace.New(trace.Config{Sample: 1, BufSpans: 256})
 	c := startCluster(t, Options{
-		FMSCount:  1,
-		Tracer:    tr,
-		FlightDir: dir,
+		FMSCount: 1,
+		Tracer:   tr,
 	})
 	cl := newClient(t, c, ClientConfig{
 		Obs:       &obs.Handle{Tracer: tr},
@@ -47,11 +42,11 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 	// each breaker transition is journaled.
 	c.Network().SetFault("fms-0", netsim.FaultConfig{Blackhole: true})
 	deadlineCh := time.After(10 * time.Second)
-	for c.Flight.Journal().CountKindSince(flight.KindBreaker, 0) < 3 {
+	for c.Flight.Journal.CountKindSince(obs.KindBreaker, 0) < 3 {
 		select {
 		case <-deadlineCh:
 			t.Fatalf("breaker produced only %d transitions",
-				c.Flight.Journal().CountKindSince(flight.KindBreaker, 0))
+				c.Flight.Journal.CountKindSince(obs.KindBreaker, 0))
 		default:
 		}
 		_, _ = cl.StatFile("/d/f")
@@ -81,7 +76,7 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 		t.Errorf("bundle reason = %q, want breaker-flap", b.Reason)
 	}
 	// Correlated breaker events survived into the bundle.
-	if got := len(b.EventsOfKind(flight.KindBreaker)); got < 3 {
+	if got := len(b.EventsOfKind(obs.KindBreaker)); got < 3 {
 		t.Errorf("bundle breaker events = %d, want >= 3", got)
 	}
 	// The failed stats' spans are force-kept (non-OK status) and selected
@@ -102,13 +97,6 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 	if b.Extra["map"] == nil {
 		t.Errorf("bundle extra lacks the cluster map: %+v", b.Extra)
 	}
-	// Spooled to disk as JSON.
-	if b.File == "" {
-		t.Fatal("bundle not spooled despite FlightDir")
-	}
-	if _, err := os.Stat(b.File); err != nil {
-		t.Fatalf("spooled bundle missing: %v", err)
-	}
 
 	// The anomaly reaches the merged cluster status (the /debug/cluster body).
 	cs := c.ClusterStatus()
@@ -128,7 +116,7 @@ func TestFlightRecorderCapturesBreakerFlapBundle(t *testing.T) {
 // land in one timeline alongside client-side events.
 func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 	c := startCluster(t, Options{FMSCount: 2})
-	j := c.Flight.Journal()
+	j := c.Flight.Journal
 	// Start installed map version 1 on every server: one KindEpoch per rpc server.
 	if got := j.KindCounts()["epoch"]; got == 0 {
 		t.Fatalf("no epoch events after Start; counts = %v", j.KindCounts())
@@ -165,6 +153,36 @@ func TestClusterJournalCollectsServerAndClientEvents(t *testing.T) {
 	}
 	if counts["epoch"] < 2 {
 		t.Errorf("epoch events = %d, want >= 2 after AddFMS", counts["epoch"])
+	}
+}
+
+// TestFlightCountersSurviveDMSFailover: the cluster's journal and recorder
+// counters are exported once, by the cluster's own process, so failing over
+// the bootstrap DMS leaves them in the merged status. The parent commit
+// exported them on the "dms" server's registry, which the status stops
+// scraping once "dms" is killed: the count read 0 and the flight: line went
+// blank.
+func TestFlightCountersSurviveDMSFailover(t *testing.T) {
+	c := startCluster(t, Options{FMSCount: 1, DMSReplicas: 2})
+	cl := newClient(t, c, ClientConfig{})
+	if err := cl.Mkdir("/f", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := c.ClusterStatus().SumCounter(obs.MetricEvents)
+	if before == 0 {
+		t.Fatal("no journal events counted before the failover")
+	}
+	if err := c.FailoverDMS(0); err != nil {
+		t.Fatal(err)
+	}
+	cs := c.ClusterStatus()
+	if after := cs.SumCounter(obs.MetricEvents); after < before {
+		t.Fatalf("%s = %v after FailoverDMS(0), was %v before", obs.MetricEvents, after, before)
+	}
+	var sb strings.Builder
+	cs.Format(&sb)
+	if !strings.Contains(sb.String(), "flight:") {
+		t.Errorf("status table lost its flight: line after the failover:\n%s", sb.String())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"locofs/internal/flight"
 	"locofs/internal/obs"
 	"locofs/internal/wire"
 )
@@ -138,7 +137,7 @@ func (lt *leaseTable) rec(path string, t int64) *grantRec {
 			// per-path tracking for one horizon and publish everything.
 			lt.grants = make(map[string]*grantRec)
 			lt.overflowUntil = t + int64(lt.horizon)
-			lt.obs.Emit(flight.KindLeaseOverflow, "", 0, int64(lt.maxGrants), "grants map over bound; suppression off for one horizon")
+			lt.obs.Emit(obs.KindLeaseOverflow, "", 0, int64(lt.maxGrants), "grants map over bound; suppression off for one horizon")
 			return nil
 		}
 		g = &grantRec{}
@@ -223,7 +222,7 @@ func (lt *leaseTable) publish(kind wire.RecallKind, path string) {
 		lt.log = append(lt.log[:0], lt.log[len(lt.log)-lt.logCap:]...)
 	}
 	lt.pub.Store(lt.seq)
-	lt.obs.Emit(flight.KindLeaseRecall, "", 0, int64(lt.seq), path)
+	lt.obs.Emit(obs.KindLeaseRecall, "", 0, int64(lt.seq), path)
 }
 
 // bumpCreated handles a directory creation: clients may hold a negative

@@ -48,7 +48,6 @@ import (
 	"time"
 
 	"locofs/internal/dms"
-	"locofs/internal/flight"
 	"locofs/internal/fspath"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
@@ -376,7 +375,7 @@ func (n *Node) Excluded() []string {
 }
 
 func (n *Node) emit(op string, value int64, detail string) {
-	n.obs.Emit(flight.KindPartition, op, 0, value, detail)
+	n.obs.Emit(obs.KindPartition, op, 0, value, detail)
 }
 
 // Attach hands the initial map to rs, which owns it from here on, and

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"locofs/internal/dms"
-	"locofs/internal/flight"
 	"locofs/internal/kv"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
@@ -324,7 +323,7 @@ func TestRenameRetryAfterLostAbort(t *testing.T) {
 // meet the rename's own freeze and answer EUNAVAIL. The rename executes
 // once, and the node counts the replay and journals it under its trace.
 func TestInFlightRenameDuplicateWaits(t *testing.T) {
-	reg, journal := telemetry.NewRegistry(), flight.NewJournal(0)
+	reg, journal := telemetry.NewRegistry(), obs.New(obs.Config{}).Journal
 	ts := startShard(t, twoPartitionMap(), func(cfg *Config) { cfg.Obs = &obs.Handle{Reg: reg, Journal: journal} })
 	for i, p := range []string{"/b", "/a", "/a/src"} {
 		if st, _ := ts.call(t, "p0-l", wire.OpMkdir, mkdirBody(p), uint64(i+1)); st != wire.StatusOK {
@@ -391,7 +390,7 @@ func TestInFlightRenameDuplicateWaits(t *testing.T) {
 	evs, _, _ := journal.Since(0, 0)
 	replays := 0
 	for _, ev := range evs {
-		if ev.Kind == flight.KindDedupReplay {
+		if ev.Kind == obs.KindDedupReplay {
 			replays++
 			if ev.Trace != 0x7ACE {
 				t.Errorf("dedup_replay trace = %#x, want 0x7ace", ev.Trace)

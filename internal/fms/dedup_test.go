@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"locofs/internal/chash"
-	"locofs/internal/flight"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/rpc"
@@ -28,7 +27,7 @@ type served struct {
 	rs      *rpc.Server
 	cl      *rpc.Client
 	reg     *telemetry.Registry
-	journal *flight.Journal
+	journal *obs.Journal
 
 	parkedExecs atomic.Int64
 	entered     chan struct{}
@@ -39,7 +38,7 @@ func serveFMS(t *testing.T) *served {
 	t.Helper()
 	n := netsim.NewNetwork(netsim.Loopback)
 	t.Cleanup(func() { n.Close() })
-	h := &obs.Handle{Reg: telemetry.NewRegistry(), Journal: flight.NewJournal(0)}
+	h := &obs.Handle{Reg: telemetry.NewRegistry(), Journal: obs.New(obs.Config{}).Journal}
 	f := &served{
 		s:       New(Options{ServerID: 1, Obs: h}),
 		rs:      rpc.New(rpc.Config{Obs: h}),
@@ -106,10 +105,10 @@ func TestDedupReplaysFirstExecution(t *testing.T) {
 	if hits := metricValue(f.reg, obs.MetricDedupHits); hits != 1 {
 		t.Errorf("dedup hits = %v, want 1", hits)
 	}
-	var replays []flight.Event
+	var replays []obs.Event
 	evs, _, _ := f.journal.Since(0, 0)
 	for _, ev := range evs {
-		if ev.Kind == flight.KindDedupReplay {
+		if ev.Kind == obs.KindDedupReplay {
 			replays = append(replays, ev)
 		}
 	}

@@ -21,8 +21,8 @@ import (
 	"bytes"
 
 	"locofs/internal/chash"
-	"locofs/internal/flight"
 	"locofs/internal/layout"
+	"locofs/internal/obs"
 	"locofs/internal/rpc"
 	"locofs/internal/uuid"
 	"locofs/internal/wire"
@@ -89,7 +89,7 @@ func (s *Server) ExportMoved(next *chash.Ring, self, limit int) (moved []MovedFi
 		moved = append(moved, MovedFile{Dir: k.dir, Name: k.name, Meta: m})
 	}
 	if len(moved) > 0 {
-		s.obs.Emit(flight.KindMigration, "export", 0, int64(len(moved)), "")
+		s.obs.Emit(obs.KindMigration, "export", 0, int64(len(moved)), "")
 	}
 	return moved, total, more
 }

@@ -1,15 +1,25 @@
-// Package obs is how a LocoFS component is observed: one Handle, passed at
-// construction (nil = off), carrying the four sinks that used to be wired
-// one setter at a time — metrics registry, span tracer, flight journal, slow
-// threshold — and one assembly, Process, that builds handles the same way
-// for a locofsd server, the locofsd client and every server of an in-process
-// core.Cluster (DESIGN.md "Building a server").
+// Package obs is how a LocoFS component is observed, and how a process
+// keeps its black-box flight recorder.
+//
+// One Handle, passed at construction (nil = off), carries a component's
+// four sinks — metrics registry, span tracer, flight journal, slow
+// threshold — and one assembly, Process, builds handles the same way for a
+// locofsd server, the locofsd client and every server of an in-process
+// core.Cluster (DESIGN.md "Building a server"). The Process is also the
+// recorder: an always-on journal of typed cluster events (breaker
+// transitions, retries, dedup replays, lease recalls, map installs,
+// migration batches, window rollovers, slow requests), anomaly rules over
+// the journal's event rates and the SLO windows, and on a firing a one-shot
+// diagnostic bundle — recent events, force-kept spans, status, goroutine
+// and heap profiles — so the evidence of a fault outlives the fault.
+// Process.Admin serves all of it, and the metrics, over HTTP.
 package obs
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
-	"locofs/internal/flight"
 	"locofs/internal/kv"
 	"locofs/internal/slo"
 	"locofs/internal/telemetry"
@@ -28,7 +38,7 @@ type Handle struct {
 	// Tracer receives request spans (nil when sampling is off).
 	Tracer *trace.Tracer
 	// Journal receives typed flight-recorder events.
-	Journal *flight.Journal
+	Journal *Journal
 	// Slow is the slow-request log threshold (0 = no slow log).
 	Slow time.Duration
 }
@@ -50,7 +60,7 @@ func (h *Handle) StartSpan(traceID, parent uint64, name string) *trace.Span {
 }
 
 // Emit appends one event, sourced h.Name, to the journal.
-func (h *Handle) Emit(kind flight.Kind, op string, traceID uint64, value int64, detail string) {
+func (h *Handle) Emit(kind Kind, op string, traceID uint64, value int64, detail string) {
 	if h != nil {
 		h.Journal.Emit(kind, h.Name, op, traceID, value, detail)
 	}
@@ -71,7 +81,7 @@ func (h *Handle) Replayed(op string, traceID uint64) {
 	if h.Reg != nil {
 		h.Reg.Counter(MetricDedupHits, telemetry.L("op", op)).Inc()
 	}
-	h.Emit(flight.KindDedupReplay, op, traceID, 0, "")
+	h.Emit(KindDedupReplay, op, traceID, 0, "")
 }
 
 // IsSlow reports whether a request that took d belongs in the slow log.
@@ -79,68 +89,111 @@ func (h *Handle) IsSlow(d time.Duration) bool {
 	return h != nil && h.Slow > 0 && d >= h.Slow
 }
 
-// Process is the observability one OS process shares — one journal, one
-// tracer, one recorder — from which each server's Handle derives. A locofsd
-// is a Process with one handle; a core.Cluster is a Process with a handle
-// per server. The embedded Handle is the process-level one: no registry,
-// since registries are per server.
-type Process struct {
-	Handle
-	Recorder *flight.Recorder
-
-	window telemetry.WindowConfig
-	self   StatusSource // the process's own server, once Admin has named it
+// Config assembles a Process.
+type Config struct {
+	// Name names the process ("dms", "fms-1", "cluster", ...).
+	Name string
+	// Tracer is the process's span tracer (nil = tracing off).
+	Tracer *trace.Tracer
+	// Status is what bundles freeze and the SLO rules watch (nil = the
+	// status of the server Admin names).
+	Status func() *slo.ServerStatus
+	// Extra supplies component-specific bundle sections (nil = none).
+	Extra func() map[string]any
+	// Dir spools captured bundles to disk ("" = memory only).
+	Dir string
+	// Slow is the slow-request log threshold of every handle (0 = off).
+	Slow time.Duration
+	// Window sizes the rotating telemetry window of every registry (zero =
+	// the telemetry defaults).
+	Window telemetry.WindowConfig
+	// Now is the journal and recorder clock (nil = time.Now; tests).
+	Now func() time.Time
 }
 
-// New assembles a process's recorder from rec (rec.Server names the
-// process; a nil rec.Journal makes a fresh one of rec.BufEvents) and the
-// process-level handle over it. A rec with neither a Status nor an SLO feed
-// watches the process's own status (see Admin).
-func New(rec flight.Config, slow time.Duration, window telemetry.WindowConfig) *Process {
-	p := &Process{window: window}
-	if rec.Status == nil && rec.SLO == nil {
-		rec.Status = p.status
+// Process is the observability one OS process shares, from which each
+// server's Handle derives, and its flight recorder. A locofsd is a Process
+// with one handle; a core.Cluster is a Process with a handle per server. The
+// embedded Handle is the process-level one; its registry carries the
+// process-wide series — the journal's and the recorder's counters — so they
+// are exported exactly once.
+type Process struct {
+	Handle
+	cfg  Config
+	self StatusSource // the process's own server, once Admin has named it
+
+	mu       sync.Mutex
+	rules    map[string]*ruleState // per-rule firing history
+	hist     map[string][]float64  // per-class p99 poll history (the step rule's baseline)
+	fired    uint64                // lifetime rule firings
+	bundles  []*Bundle             // newest last
+	lastCap  time.Time             // last anomaly-triggered capture (the bundle gap)
+	captures uint64
+
+	stop     chan struct{}
+	stopOnce sync.Once
+	started  atomic.Bool
+}
+
+// New assembles a process. It starts nothing: call Start for the
+// background anomaly poll, or Poll from your own loop.
+func New(cfg Config) *Process {
+	p := &Process{rules: make(map[string]*ruleState), hist: make(map[string][]float64), stop: make(chan struct{})}
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	p.Recorder = flight.New(rec)
-	p.Handle = Handle{Name: rec.Server, Tracer: rec.Tracer, Journal: p.Recorder.Journal(), Slow: slow}
+	if cfg.Status == nil {
+		cfg.Status = p.status
+	}
+	p.cfg = cfg
+	reg := telemetry.NewRegistry(telemetry.L("server", cfg.Name))
+	reg.SetWindow(cfg.Window)
+	p.Handle = Handle{Name: cfg.Name, Reg: reg, Tracer: cfg.Tracer, Journal: newJournal(cfg.Now), Slow: cfg.Slow}
+	p.Journal.registerMetrics(reg)
+	reg.GaugeFunc(MetricAnomalies, func() float64 {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return float64(p.fired)
+	})
+	reg.GaugeFunc(MetricBundles, func() float64 { return float64(p.Captures()) })
 	return p
 }
 
 // Export is what a handle's registry exports beyond the series its holders
-// record: the three things the assembly's call sites differ in on purpose.
+// record: the two things the assembly's call sites differ in on purpose.
 type Export struct {
 	// Objectives exports SLO burn-rate gauges for these objectives. Nil
 	// exports none: a cluster evaluates objectives on its merged status.
 	Objectives []slo.Objective
 	// Store exports this KV store's engine counters (nil = none).
 	Store *kv.Instrumented
-	// Recorder exports the process's journal and recorder counters. They are
-	// process-wide, so exactly one handle of a process sets it, or a merged
-	// view would count them once per server.
-	Recorder bool
 }
 
 // For derives the handle of the server (or client) called name: the
-// process's tracer, journal and slow threshold over a registry of its own,
-// labelled server=name, windowed like every other, exporting build identity,
-// span-ring accounting and window rollovers, plus whatever x asks for.
+// process's tracer, journal and slow threshold over a registry labelled
+// server=name, windowed like every other, exporting build identity,
+// span-ring accounting and window rollovers, plus whatever x asks for. The
+// handle named like the process gets the process's own registry, and with it
+// the process-wide series: a daemon's one handle exports them, and no
+// server of a cluster does, so none takes them down with it.
 func (p *Process) For(name string, x Export) *Handle {
-	reg := telemetry.NewRegistry(telemetry.L("server", name))
-	reg.SetWindow(p.window)
-	telemetry.RegisterBuildInfo(reg)
-	trace.RegisterMetrics(reg, p.Tracer)
-	reg.SetRotateHook(flight.WindowRollEmitter(p.Journal, name, 0))
+	h := p.Handle
+	h.Name = name
+	if name != p.Name {
+		h.Reg = telemetry.NewRegistry(telemetry.L("server", name))
+		h.Reg.SetWindow(p.cfg.Window)
+	}
+	telemetry.RegisterBuildInfo(h.Reg)
+	trace.RegisterMetrics(h.Reg, p.Tracer)
+	// Half a window apart: histograms created a little apart roll over once,
+	// and every window still gets its event.
+	h.Reg.SetRotateHook(windowRollHook(p.Journal, name, h.Reg.Window().Width/2))
 	if x.Store != nil {
-		registerKVGauges(reg, x.Store)
+		registerKVGauges(h.Reg, x.Store)
 	}
 	if x.Objectives != nil {
-		slo.NewTracker(reg, x.Objectives).Export(reg)
+		slo.NewTracker(h.Reg, x.Objectives).Export(h.Reg)
 	}
-	if x.Recorder {
-		p.Recorder.RegisterMetrics(reg)
-	}
-	h := p.Handle
-	h.Name, h.Reg = name, reg
 	return &h
 }
 

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"sort"
 	"sync"
@@ -15,9 +17,12 @@ import (
 // snapshot.
 const hotTopN = 5
 
+// fetchTimeout bounds one HTTP status scrape when HTTPSource is given none.
+const fetchTimeout = 2 * time.Second
+
 // StatusSource is one scrapable server: a name and a fetch that yields its
 // current ServerStatus. Local sources close over a registry; remote ones
-// wrap slo.FetchStatus over HTTP.
+// scrape a peer's /debug/slo over HTTP.
 type StatusSource struct {
 	Name  string
 	Fetch func() (*slo.ServerStatus, error)
@@ -44,42 +49,40 @@ func LocalSource(name string, reg *telemetry.Registry, mapVer func() uint64, hot
 	}
 }
 
-// HTTPSource builds a StatusSource scraping a peer's /debug/slo endpoint.
+// HTTPSource builds a StatusSource scraping a peer's /debug/slo endpoint at
+// url (timeout <= 0 = two seconds).
 func HTTPSource(name, url string, timeout time.Duration) StatusSource {
-	client := &http.Client{Timeout: timeout}
 	if timeout <= 0 {
-		client.Timeout = slo.DefaultFetchTimeout
+		timeout = fetchTimeout
 	}
+	client := &http.Client{Timeout: timeout}
 	return StatusSource{
-		Name:  name,
-		Fetch: func() (*slo.ServerStatus, error) { return slo.FetchStatus(client, url) },
+		Name: name,
+		Fetch: func() (*slo.ServerStatus, error) {
+			resp, err := client.Get(url)
+			if err != nil {
+				return nil, err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return nil, fmt.Errorf("scrape %s: HTTP %d", url, resp.StatusCode)
+			}
+			var st slo.ServerStatus
+			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+				return nil, fmt.Errorf("scrape %s: %w", url, err)
+			}
+			return &st, nil
+		},
 	}
 }
 
-// Aggregator polls a set of status sources and merges them into one
-// cluster-wide snapshot. Sources is re-invoked on every poll, so a source
-// list derived from the cluster map (core.Cluster.StatusSources)
-// automatically follows AddFMS/RemoveFMS and FailoverDMS.
-//
-// A source whose fetch fails does not fail the poll: the merged snapshot
-// simply lists it under Unreachable — a partially-scraped cluster view is
-// exactly what an operator needs while a server is down.
-type Aggregator struct {
-	Sources func() []StatusSource
-
-	// Anomalies, when set, contributes cluster-level anomaly state (e.g.
-	// a flight recorder's engine via Recorder.AnomalyState) on top of
-	// whatever the per-server statuses carried.
-	Anomalies func() []slo.AnomalyState
-
-	mu   sync.Mutex
-	last *slo.ClusterStatus
-}
-
-// Poll scrapes every source concurrently and merges the results, caching
-// and returning the snapshot.
-func (a *Aggregator) Poll() *slo.ClusterStatus {
-	srcs := a.Sources()
+// Poll scrapes every source concurrently and merges the results into one
+// cluster-wide snapshot. A source whose fetch fails does not fail the poll:
+// the snapshot lists it under Unreachable — a partially-scraped cluster view
+// is exactly what an operator needs while a server is down. p (nil ok) adds
+// a process no source scrapes: its anomaly state and its process-wide
+// counters (a core.Cluster's recorder).
+func Poll(srcs []StatusSource, p *Process) *slo.ClusterStatus {
 	statuses := make([]*slo.ServerStatus, len(srcs))
 	errs := make([]error, len(srcs))
 	var wg sync.WaitGroup
@@ -102,25 +105,14 @@ func (a *Aggregator) Poll() *slo.ClusterStatus {
 		ok = append(ok, st)
 	}
 	cs := slo.MergeCluster(ok, unreachable)
-	if a.Anomalies != nil {
-		if extra := a.Anomalies(); len(extra) > 0 {
-			cs.Anomalies = append(cs.Anomalies, extra...)
-			sort.SliceStable(cs.Anomalies, func(i, j int) bool {
-				return cs.Anomalies[i].LastNS > cs.Anomalies[j].LastNS
-			})
+	if p != nil {
+		for _, m := range p.Reg.Snapshot().Metrics {
+			cs.Counters[m.Name+m.Labels] += m.Value
 		}
+		cs.Anomalies = append(cs.Anomalies, p.AnomalyState()...)
+		sort.SliceStable(cs.Anomalies, func(i, j int) bool { return cs.Anomalies[i].LastNS > cs.Anomalies[j].LastNS })
 	}
-	a.mu.Lock()
-	a.last = cs
-	a.mu.Unlock()
 	return cs
-}
-
-// Last returns the most recent snapshot (nil before the first poll).
-func (a *Aggregator) Last() *slo.ClusterStatus {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.last
 }
 
 // status is the process's own status: that of the server Admin named, with
@@ -130,34 +122,6 @@ func (p *Process) status() *slo.ServerStatus {
 		return nil
 	}
 	st, _ := p.self.Fetch()
-	st.Anomalies = p.Recorder.AnomalyState()
+	st.Anomalies = p.AnomalyState()
 	return st
-}
-
-// Admin names h as the server this process's own status describes — judged
-// against objs, with mapVer (nil ok) supplying its cluster-map version and
-// hot (nil ok) its heavy-hitter sketch — and returns the admin endpoints to
-// mount next to /metrics: span trees under /debug/traces, hot under
-// /debug/hot, the process's status under /debug/slo, that status merged with
-// every peer's under /debug/cluster, and the recorder's /debug/events journal
-// and /debug/bundle diagnostics. All endpoints exist even when their feed is
-// empty, so operators can probe them to check whether a feature is enabled.
-// Call it before starting the recorder, which watches the same status unless
-// New was given another feed.
-func (p *Process) Admin(h *Handle, objs []slo.Objective, mapVer func() uint64, hot *trace.TopK, peers []StatusSource) map[string]http.Handler {
-	p.self = LocalSource(h.Name, h.Reg, mapVer, hot, objs)
-	self := StatusSource{Name: "self", Fetch: func() (*slo.ServerStatus, error) { return p.status(), nil }}
-	cluster := &Aggregator{Sources: func() []StatusSource {
-		return append([]StatusSource{self}, peers...)
-	}}
-	routes := map[string]http.Handler{
-		"/debug/traces/": trace.TracesHandler(p.Tracer),
-		"/debug/hot":     trace.HotHandler(map[string]*trace.TopK{h.Name: hot}),
-		"/debug/slo":     slo.StatusHandler(func() any { return p.status() }),
-		"/debug/cluster": slo.StatusHandler(func() any { return cluster.Poll() }),
-	}
-	for path, rh := range p.Recorder.Routes() {
-		routes[path] = rh
-	}
-	return routes
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"locofs/internal/flight"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/telemetry"
@@ -56,7 +55,7 @@ func TestRequestPathAllocs(t *testing.T) {
 		Name:    "srv",
 		Reg:     telemetry.NewRegistry(telemetry.L("server", "srv")),
 		Tracer:  trace.New(trace.Config{Sample: 1}),
-		Journal: flight.NewJournal(0),
+		Journal: obs.New(obs.Config{}).Journal,
 		Slow:    time.Hour,
 	})
 	if full > parentFull {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"locofs/internal/chash"
-	"locofs/internal/flight"
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/telemetry"
@@ -204,7 +203,7 @@ func (s *Server) InstallMap(m *wire.ClusterMap, at wire.Coords) bool {
 		st.ring = chash.NewRing(0, wire.RingIDs(m.FMS)...)
 	}
 	s.cmap.Store(st)
-	s.obs.Emit(flight.KindEpoch, "", 0, int64(m.Ver), "map installed")
+	s.obs.Emit(obs.KindEpoch, "", 0, int64(m.Ver), "map installed")
 	return true
 }
 
@@ -412,7 +411,7 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 		m.queue.Record(queueWait)
 	}
 	if s.obs.IsSlow(service) {
-		s.obs.Emit(flight.KindSlowRequest, op.String(), trace, int64(service), status.String())
+		s.obs.Emit(obs.KindSlowRequest, op.String(), trace, int64(service), status.String())
 		if sub >= 0 {
 			log.Printf("rpc: slow request trace=%#x op=Batch[%d]=%s status=%s service=%v queue=%v",
 				trace, sub, op, status, service, queueWait)

@@ -2,7 +2,6 @@ package slo
 
 import (
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -217,27 +216,6 @@ func TestMergeClusterQuantilesAndEpochs(t *testing.T) {
 	cs2 := MergeCluster([]*ServerStatus{a, b2}, nil)
 	if cs2.MapAgreement || cs2.MapVer != 4 {
 		t.Errorf("disagreement: map version=%d agreement=%v, want 4/false", cs2.MapVer, cs2.MapAgreement)
-	}
-}
-
-func TestStatusHandlerAndFetch(t *testing.T) {
-	reg := telemetry.NewRegistry(telemetry.L("server", "oss-0"))
-	record(reg, MetricService, "PutBlock", 10, time.Millisecond)
-	srv := httptest.NewServer(StatusHandler(func() any {
-		return Collect(reg, CollectOptions{MapVer: 2})
-	}))
-	defer srv.Close()
-
-	st, err := FetchStatus(srv.Client(), srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Server != "oss-0" || st.MapVer != 2 || len(st.Service) != 1 {
-		t.Fatalf("fetched status = %+v", st)
-	}
-
-	if _, err := FetchStatus(nil, "http://127.0.0.1:1/debug/slo"); err == nil {
-		t.Error("fetch from dead endpoint did not error")
 	}
 }
 

@@ -84,8 +84,8 @@ type HotEntry struct {
 
 // AnomalyState is one flight-recorder rule's most recent firing state, as
 // carried by a server's status and merged into the cluster view. Defined
-// here (not in internal/flight) so slo stays the bottom of the status
-// dependency graph: flight imports slo, never the reverse.
+// here (not in internal/obs) so slo stays the bottom of the status
+// dependency graph: obs imports slo, never the reverse.
 type AnomalyState struct {
 	Source string `json:"source,omitempty"` // emitting process ("" until merged)
 	Rule   string `json:"rule"`
@@ -305,7 +305,7 @@ func (cs *ClusterStatus) SumCounter(name string) float64 {
 }
 
 // Flight-recorder and lease metric names rendered by Format. Spelled out
-// rather than imported (flight and dms both sit above slo in the dependency
+// rather than imported (obs and dms both sit above slo in the dependency
 // graph).
 const (
 	metricFlightEvents      = "locofs_flight_events_total"

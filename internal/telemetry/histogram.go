@@ -1,7 +1,8 @@
 // Package telemetry is the observability layer of the reproduction: a
 // lock-cheap latency histogram, a counter/gauge/histogram registry with
-// stable point-in-time snapshots, and an HTTP admin surface (Prometheus
-// text /metrics, expvar, pprof). Every server and client records per-op
+// stable point-in-time snapshots rendered as Prometheus text (served by
+// internal/obs), and the bounded sequenced Ring behind the flight journal
+// and the span tracer. Every server and client records per-op
 // latency distributions here, which is what lets the experiments attribute
 // a regression to the DMS, an FMS, the KV store, or the transport.
 package telemetry

@@ -1,4 +1,4 @@
-package telemetry
+package telemetry_test
 
 import (
 	"io"
@@ -7,7 +7,21 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"locofs/internal/obs"
+	"locofs/internal/telemetry"
 )
+
+// admin is the admin surface of a process named "dms", whose own registry
+// record fills in.
+func admin(record func(reg *telemetry.Registry)) http.Handler {
+	p := obs.New(obs.Config{Name: "dms"})
+	h := p.For("dms", obs.Export{})
+	if record != nil {
+		record(h.Reg)
+	}
+	return p.Admin(h, nil, nil, nil, nil)
+}
 
 // scrape GETs path from the handler and returns the body.
 func scrape(t *testing.T, h http.Handler, path string) string {
@@ -21,21 +35,19 @@ func scrape(t *testing.T, h http.Handler, path string) string {
 	return string(b)
 }
 
-// TestMetricsEndpoint: /metrics renders counters, gauges and histograms from
-// every registry in the Prometheus text format, with base labels stamped.
+// TestMetricsEndpoint: /metrics renders counters, gauges and histograms in
+// the Prometheus text format, with the server base label stamped.
 func TestMetricsEndpoint(t *testing.T) {
-	r1 := NewRegistry(L("server", "dms"))
-	r1.Counter("locofs_test_calls", L("op", "Mkdir")).Add(3)
-	r1.Histogram("locofs_test_latency", L("op", "Mkdir")).Record(2 * time.Millisecond)
-	r2 := NewRegistry()
-	r2.GaugeFunc("locofs_test_depth", func() float64 { return 7 }, L("q", "rx"))
-
-	body := scrape(t, Handler(r1, r2), "/metrics")
+	body := scrape(t, admin(func(r *telemetry.Registry) {
+		r.Counter("locofs_test_calls", telemetry.L("op", "Mkdir")).Add(3)
+		r.Histogram("locofs_test_latency", telemetry.L("op", "Mkdir")).Record(2 * time.Millisecond)
+		r.GaugeFunc("locofs_test_depth", func() float64 { return 7 }, telemetry.L("q", "rx"))
+	}), "/metrics")
 	for _, want := range []string{
 		"# TYPE locofs_test_calls counter",
 		`locofs_test_calls{op="Mkdir",server="dms"} 3`,
 		"# TYPE locofs_test_depth gauge",
-		`locofs_test_depth{q="rx"} 7`,
+		`locofs_test_depth{q="rx",server="dms"} 7`,
 		"# TYPE locofs_test_latency histogram",
 		`locofs_test_latency_count{op="Mkdir",server="dms"} 1`,
 	} {
@@ -51,7 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // TestDebugVarsAndIndex: /debug/vars serves expvar JSON and the index page
 // lists the built-in routes.
 func TestDebugVarsAndIndex(t *testing.T) {
-	h := Handler(NewRegistry())
+	h := admin(nil)
 	if body := scrape(t, h, "/debug/vars"); !strings.Contains(body, "memstats") {
 		t.Errorf("/debug/vars missing memstats: %.120s", body)
 	}
@@ -60,83 +72,50 @@ func TestDebugVarsAndIndex(t *testing.T) {
 	}
 }
 
-// TestHandlerWithExtraRoutes: extra handlers are mounted and advertised on
-// the index line.
+// TestHandlerWithExtraRoutes: the /debug routes share the mux with
+// /metrics and are advertised on the index line; /debug/traces serves its
+// subtree.
 func TestHandlerWithExtraRoutes(t *testing.T) {
-	extra := map[string]http.Handler{
-		"/debug/hot": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "hot!")
-		}),
-		"/debug/traces/": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "traces:"+r.URL.Path)
-		}),
-	}
-	h := HandlerWith(extra, NewRegistry())
-	if body := scrape(t, h, "/debug/hot"); body != "hot!" {
+	h := admin(nil)
+	if body := scrape(t, h, "/debug/hot"); strings.TrimSpace(body) != "[]" {
 		t.Errorf("/debug/hot = %q", body)
 	}
-	if body := scrape(t, h, "/debug/traces/abc"); body != "traces:/debug/traces/abc" {
-		t.Errorf("subtree route = %q", body)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces/0xabc", nil))
+	if rec.Code != http.StatusNotFound || !strings.Contains(rec.Body.String(), "0xabc") {
+		t.Errorf("subtree route = %d %q", rec.Code, rec.Body)
 	}
 	index := scrape(t, h, "/")
 	if !strings.Contains(index, "/debug/hot") || !strings.Contains(index, "/debug/traces") {
-		t.Errorf("index does not advertise extra routes: %q", index)
+		t.Errorf("index does not advertise the /debug routes: %q", index)
 	}
 }
 
-// TestUnregisterStopsLabelLeak: a gauge unregistered after its owner shuts
-// down must disappear from subsequent snapshots, while other kinds under
-// different keys stay.
-func TestUnregisterStopsLabelLeak(t *testing.T) {
-	r := NewRegistry()
-	r.GaugeFunc("g", func() float64 { return 1 }, L("client", "1"))
-	r.GaugeFunc("g", func() float64 { return 2 }, L("client", "2"))
-	r.Counter("c").Inc()
-	if !r.Unregister("g", L("client", "1")) {
-		t.Fatal("Unregister reported nothing removed")
-	}
-	if r.Unregister("g", L("client", "1")) {
-		t.Fatal("second Unregister reported a removal")
-	}
-	s := r.Snapshot()
-	if len(s.Metrics) != 2 {
-		t.Fatalf("snapshot = %+v, want g{client=2} and c only", s.Metrics)
-	}
-	for _, m := range s.Metrics {
-		if m.Name == "g" && strings.Contains(m.Labels, `"1"`) {
-			t.Errorf("unregistered gauge still present: %+v", m)
+func TestServeMetricsAndPprof(t *testing.T) {
+	srv := httptest.NewServer(admin(func(r *telemetry.Registry) {
+		r.Counter("locofs_rpc_requests_total", telemetry.L("op", "Ping")).Inc()
+	}))
+	defer srv.Close()
+
+	get := func(path string) string {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
 		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		return string(b)
 	}
-}
-
-// TestUnregisterAllKinds: Unregister removes counters and histograms too.
-func TestUnregisterAllKinds(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x").Inc()
-	r.Histogram("x").Record(time.Millisecond)
-	if !r.Unregister("x") {
-		t.Fatal("Unregister(x) removed nothing")
+	if out := get("/metrics"); !strings.Contains(out, `locofs_rpc_requests_total{op="Ping",server="dms"} 1`) {
+		t.Errorf("metrics output:\n%s", out)
 	}
-	if n := len(r.Snapshot().Metrics); n != 0 {
-		t.Fatalf("%d metrics left after Unregister", n)
+	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") {
+		t.Error("pprof index missing goroutine profile")
 	}
-}
-
-// TestReset: Reset returns the registry to empty while keeping base labels
-// on metrics registered afterwards.
-func TestReset(t *testing.T) {
-	r := NewRegistry(L("server", "fms-0"))
-	r.Counter("a").Inc()
-	r.Histogram("b").Record(time.Second)
-	r.GaugeFunc("c", func() float64 { return 1 })
-	r.Reset()
-	if n := len(r.Snapshot().Metrics); n != 0 {
-		t.Fatalf("%d metrics left after Reset", n)
-	}
-	r.Counter("a").Add(5)
-	s := r.Snapshot()
-	if len(s.Metrics) != 1 || s.Metrics[0].Value != 5 ||
-		!strings.Contains(s.Metrics[0].Labels, `server="fms-0"`) {
-		t.Fatalf("post-Reset counter = %+v, want fresh a=5 with base label", s.Metrics)
+	if out := get("/debug/vars"); !strings.Contains(out, "memstats") {
+		t.Error("expvar output missing memstats")
 	}
 }

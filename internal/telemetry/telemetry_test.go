@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -172,34 +170,59 @@ func TestSnapshotPromAndOpTable(t *testing.T) {
 	}
 }
 
-func TestServeMetricsAndPprof(t *testing.T) {
-	r := NewRegistry(L("server", "test"))
-	r.Counter("locofs_rpc_requests_total", L("op", "Ping")).Inc()
-	srv, addr, err := Serve("127.0.0.1:0", r)
-	if err != nil {
-		t.Fatal(err)
+// TestUnregisterStopsLabelLeak: a gauge unregistered after its owner shuts
+// down must disappear from subsequent snapshots, while other kinds under
+// different keys stay.
+func TestUnregisterStopsLabelLeak(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("g", func() float64 { return 1 }, L("client", "1"))
+	r.GaugeFunc("g", func() float64 { return 2 }, L("client", "2"))
+	r.Counter("c").Inc()
+	if !r.Unregister("g", L("client", "1")) {
+		t.Fatal("Unregister reported nothing removed")
 	}
-	defer srv.Close()
+	if r.Unregister("g", L("client", "1")) {
+		t.Fatal("second Unregister reported a removal")
+	}
+	s := r.Snapshot()
+	if len(s.Metrics) != 2 {
+		t.Fatalf("snapshot = %+v, want g{client=2} and c only", s.Metrics)
+	}
+	for _, m := range s.Metrics {
+		if m.Name == "g" && strings.Contains(m.Labels, `"1"`) {
+			t.Errorf("unregistered gauge still present: %+v", m)
+		}
+	}
+}
 
-	get := func(path string) string {
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		return string(b)
+// TestUnregisterAllKinds: Unregister removes counters and histograms too.
+func TestUnregisterAllKinds(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x").Inc()
+	r.Histogram("x").Record(time.Millisecond)
+	if !r.Unregister("x") {
+		t.Fatal("Unregister(x) removed nothing")
 	}
-	if out := get("/metrics"); !strings.Contains(out, `locofs_rpc_requests_total{op="Ping",server="test"} 1`) {
-		t.Errorf("metrics output:\n%s", out)
+	if n := len(r.Snapshot().Metrics); n != 0 {
+		t.Fatalf("%d metrics left after Unregister", n)
 	}
-	if out := get("/debug/pprof/"); !strings.Contains(out, "goroutine") {
-		t.Error("pprof index missing goroutine profile")
+}
+
+// TestReset: Reset returns the registry to empty while keeping base labels
+// on metrics registered afterwards.
+func TestReset(t *testing.T) {
+	r := NewRegistry(L("server", "fms-0"))
+	r.Counter("a").Inc()
+	r.Histogram("b").Record(time.Second)
+	r.GaugeFunc("c", func() float64 { return 1 })
+	r.Reset()
+	if n := len(r.Snapshot().Metrics); n != 0 {
+		t.Fatalf("%d metrics left after Reset", n)
 	}
-	if out := get("/debug/vars"); !strings.Contains(out, "memstats") {
-		t.Error("expvar output missing memstats")
+	r.Counter("a").Add(5)
+	s := r.Snapshot()
+	if len(s.Metrics) != 1 || s.Metrics[0].Value != 5 ||
+		!strings.Contains(s.Metrics[0].Labels, `server="fms-0"`) {
+		t.Fatalf("post-Reset counter = %+v, want fresh a=5 with base label", s.Metrics)
 	}
 }

@@ -6,7 +6,7 @@
 // form a parent/child span tree that explains *where* a request's time went
 // across the DMS and many FMS.
 //
-// Completed spans land in a lock-cheap per-process ring buffer. Retention is
+// Completed spans land in a per-process telemetry.Ring. Retention is
 // sampled: spans of slow or failed work are always kept; otherwise a trace
 // is kept with the configured probability, decided by hashing the trace ID —
 // so every process (client and servers) independently reaches the same
@@ -24,6 +24,8 @@ import (
 	"sort"
 	"sync/atomic"
 	"time"
+
+	"locofs/internal/telemetry"
 )
 
 // DefaultBufSpans is the ring capacity used when Config.BufSpans is zero.
@@ -53,11 +55,9 @@ type Config struct {
 type Tracer struct {
 	threshold uint64 // keep trace when mix(traceID) <= threshold
 	slowNS    int64  // 0 = slow force-keep disabled
-	ring      []atomic.Pointer[Span]
-	pos       atomic.Uint64 // next ring slot (monotonic; wraps via modulo)
+	ring      *telemetry.Ring[*Span]
 	spanIDs   atomic.Uint64 // process-local span ID allocator (IDs start at 1)
 	dropped   atomic.Uint64 // finished spans not retained (lost the sampling draw)
-	evicted   atomic.Uint64 // retained spans overwritten by ring wrap-around
 }
 
 // New returns a Tracer for cfg, or nil when cfg.Sample <= 0 (tracing
@@ -79,7 +79,7 @@ func New(cfg Config) *Tracer {
 	}
 	t := &Tracer{
 		slowNS: int64(slow),
-		ring:   make([]atomic.Pointer[Span], buf),
+		ring:   telemetry.NewRing[*Span](buf, nil),
 	}
 	if cfg.Sample >= 1 {
 		t.threshold = math.MaxUint64
@@ -205,10 +205,7 @@ func (s *Span) Finish() {
 		(t.slowNS > 0 && int64(s.Dur) >= t.slowNS) ||
 		t.sampled(s.TraceID)
 	if keep {
-		i := t.pos.Add(1) - 1
-		if old := t.ring[i%uint64(len(t.ring))].Swap(s); old != nil {
-			t.evicted.Add(1)
-		}
+		t.ring.Put(s)
 	} else {
 		t.dropped.Add(1)
 	}
@@ -230,7 +227,7 @@ func (t *Tracer) Evicted() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.evicted.Load()
+	return t.ring.Overwritten()
 }
 
 // Recorded returns the number of spans retained so far (including ones the
@@ -239,28 +236,17 @@ func (t *Tracer) Recorded() uint64 {
 	if t == nil {
 		return 0
 	}
-	return t.pos.Load()
+	return t.ring.Seq()
 }
 
 // Spans returns a point-in-time copy of the ring's retained spans, oldest
-// first (ordering is approximate under concurrent recording).
+// first.
 func (t *Tracer) Spans() []*Span {
 	if t == nil {
 		return nil
 	}
-	out := make([]*Span, 0, len(t.ring))
-	pos := t.pos.Load()
-	n := uint64(len(t.ring))
-	start := uint64(0)
-	if pos > n {
-		start = pos - n
-	}
-	for i := start; i < pos; i++ {
-		if sp := t.ring[i%n].Load(); sp != nil {
-			out = append(out, sp)
-		}
-	}
-	return out
+	spans, _, _ := t.ring.Since(0, 0)
+	return spans
 }
 
 // Trace returns every retained span of one trace, parents before children

@@ -31,5 +31,11 @@ row "$(fields internal/dms/partition/node.go Config)" "partition.Config fields"
 row "$(fields internal/rpc/rpc.go Config)" "rpc.Config fields"
 row "$(fields internal/dms/dms.go Options)" "dms.Options fields"
 row "$(fields internal/fms/fms.go Options)" "fms.Options fields"
+# The observability config: flight.Config until the recorder folded into obs.
+if [ -d internal/flight ]; then
+	row "$(fields internal/flight/recorder.go Config)" "flight.Config fields (observability)"
+else
+	row "$(fields internal/obs/obs.go Config)" "obs.Config fields (observability)"
+fi
 row "$(grep -c '^func (s \*Server) Set' internal/rpc/rpc.go || true)" "rpc.Server Set* methods"
 row "$(grep -hoE 'flag\.(String|Int|Bool|Duration|Float64)\(' cmd/locofsd/*.go | wc -l)" "locofsd flags"
