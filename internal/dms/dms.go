@@ -405,28 +405,24 @@ func (s *Server) rmdirPub(path string, uid, gid uint32) (pubResult, wire.Status)
 }
 
 // removeParentDirent logs a tombstone for cleaned in its parent's subdir
-// list — O(appended bytes) — with amortized compaction. Caller holds s.mu.
+// list — O(appended bytes) — and every layout.CompactEvery tombstones
+// rewrites that list once half of it is garbage. Caller holds s.mu.
 func (s *Server) removeParentDirent(parentUUID uuid.UUID, cleaned string) {
 	_, name := fspath.Split(cleaned)
 	key := subdirsKey(parentUUID)
 	s.store.AppendValue(key, layout.AppendDirentTombstone(nil, name))
 	s.tombs++
-	if s.tombs%compactEvery == 0 {
-		if list, ok := s.store.Get(key); ok {
-			if out, live, err := layout.CompactDirents(list); err == nil {
-				if live == 0 {
-					s.store.Delete(key)
-				} else {
-					s.store.Put(key, out)
-				}
-			}
+	if s.tombs%layout.CompactEvery != 0 {
+		return
+	}
+	if list, ok := s.store.Get(key); ok {
+		if out, live, due := layout.CompactDirentsIfDue(list); due && live == 0 {
+			s.store.Delete(key)
+		} else if due {
+			s.store.Put(key, out)
 		}
 	}
 }
-
-// compactEvery bounds dirent-tombstone garbage: one compaction per this
-// many removals.
-const compactEvery = 64
 
 // Chmod updates a directory's permission bits in place (no value rewrite).
 func (s *Server) Chmod(path string, mode, uid, gid uint32) wire.Status {

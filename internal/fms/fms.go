@@ -363,34 +363,22 @@ func (s *Server) Remove(dir uuid.UUID, name string, uid, gid uint32) (uuid.UUID,
 }
 
 // removeDirent logs a tombstone for name — O(appended bytes), independent
-// of directory width. Every compactEvery removals the list is rewritten to
-// drop dead records, amortizing garbage collection.
+// of directory width. Every layout.CompactEvery removals server-wide the
+// list just appended to is checked and, once half of it is garbage,
+// rewritten.
 func (s *Server) removeDirent(dir uuid.UUID, name string) {
 	key := direntsKey(dir)
 	s.store.AppendValue(key, layout.AppendDirentTombstone(nil, name))
-	if s.tombs.Add(1)%compactEvery == 0 {
-		s.compactDirents(key)
-	}
-}
-
-// compactEvery bounds tombstone garbage: one compaction per this many
-// removals server-wide.
-const compactEvery = 64
-
-func (s *Server) compactDirents(key []byte) {
-	list, ok := s.store.Get(key)
-	if !ok {
+	if s.tombs.Add(1)%layout.CompactEvery != 0 {
 		return
 	}
-	out, live, err := layout.CompactDirents(list)
-	if err != nil {
-		return
+	if list, ok := s.store.Get(key); ok {
+		if out, live, due := layout.CompactDirentsIfDue(list); due && live == 0 {
+			s.store.Delete(key)
+		} else if due {
+			s.store.Put(key, out)
+		}
 	}
-	if live == 0 {
-		s.store.Delete(key)
-		return
-	}
-	s.store.Put(key, out)
 }
 
 // Chmod updates mode and ctime. Decoupled: a 12-byte in-place patch of the

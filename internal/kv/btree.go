@@ -336,17 +336,14 @@ func (t *BTreeStore) ReadAt(key []byte, off int, buf []byte) bool {
 	return true
 }
 
-// AppendValue appends data to the value under key, creating it if absent.
+// AppendValue appends data to the value under key in place, creating it if
+// absent.
 func (t *BTreeStore) AppendValue(key, data []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	lf, i, ok := t.find(key)
 	if ok {
-		v := lf.vals[i]
-		nv := make([]byte, len(v)+len(data))
-		copy(nv, v)
-		copy(nv[len(v):], data)
-		lf.vals[i] = nv
+		lf.vals[i] = append(lf.vals[i], data...)
 		return
 	}
 	t.put(key, data)
@@ -378,7 +375,8 @@ func (t *BTreeStore) ForEach(fn func(key, value []byte) bool) {
 }
 
 // AscendRange visits records with start <= key < end in key order. A nil
-// start begins at the first key; a nil end continues to the last.
+// start begins at the first key; a nil end continues to the last. Values
+// are handed over capacity-clipped (see Store).
 func (t *BTreeStore) AscendRange(start, end []byte, fn func(key, value []byte) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -394,7 +392,8 @@ func (t *BTreeStore) AscendRange(start, end []byte, fn func(key, value []byte) b
 			if end != nil && bytes.Compare(lf.keys[i], end) >= 0 {
 				return
 			}
-			if !fn(lf.keys[i], lf.vals[i]) {
+			v := lf.vals[i]
+			if !fn(lf.keys[i], v[:len(v):len(v)]) {
 				return
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -497,5 +498,81 @@ func TestCountersSnapshot(t *testing.T) {
 	s.Put([]byte("c"), []byte("v"))
 	if snap.Puts != 2 {
 		t.Error("snapshot mutated by later store activity")
+	}
+}
+
+// TestAppendValueAmortised pins AppendValue to the appended bytes: 1,000
+// dirent-sized appends onto a 16k-entry value allocate less than 4x what
+// they append. The value's one geometric growth off its exact-size Put
+// happens before the measurement; a whole-value copy per append would cost
+// ~0.5 MB each.
+func TestAppendValueAmortised(t *testing.T) {
+	for name, mk := range allStores() {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			key := []byte("list")
+			ent := bytes.Repeat([]byte{9}, 30)
+			s.Put(key, bytes.Repeat(ent, 16384))
+			s.AppendValue(key, ent)
+			const appends = 1000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < appends; i++ {
+				s.AppendValue(key, ent)
+			}
+			runtime.ReadMemStats(&after)
+			if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*appends*len(ent)); got >= limit {
+				t.Errorf("%d appends of %d B allocated %d B, want < %d", appends, len(ent), got, limit)
+			}
+			if v, _ := s.Get(key); len(v) != (16384+1+appends)*len(ent) {
+				t.Errorf("value length %d after appends", len(v))
+			}
+		})
+	}
+}
+
+// TestScanValuesCapClipped guards the aliasing rule AppendValue's in-place
+// growth needs: a scan callback's value is capacity-clipped, so appending to
+// a kept one reallocates rather than writing into the store's spare
+// capacity. It runs through both wrappers the servers use.
+func TestScanValuesCapClipped(t *testing.T) {
+	wraps := map[string]func(*testing.T, Store) Store{
+		"instrumented": func(_ *testing.T, s Store) Store { return Instrument(s, RAM) },
+		"persistent": func(t *testing.T, s Store) Store {
+			p, err := OpenPersistent(t.TempDir(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { p.Close() })
+			return p
+		},
+	}
+	type scan func(s Store, fn func(k, v []byte) bool)
+	scans := map[string]scan{"ForEach": func(s Store, fn func(k, v []byte) bool) { s.ForEach(fn) }}
+	scans["AscendRange"] = func(s Store, fn func(k, v []byte) bool) { s.(Ordered).AscendRange(nil, nil, fn) }
+	for engine, mk := range allStores() {
+		for wrap, wrapFn := range wraps {
+			for scanName, scanFn := range scans {
+				if scanName == "AscendRange" && engine == "hash" {
+					continue // the hash engine is unordered
+				}
+				t.Run(engine+"/"+wrap+"/"+scanName, func(t *testing.T) {
+					s := wrapFn(t, mk())
+					key := []byte("k")
+					s.AppendValue(key, []byte("abc"))
+					s.AppendValue(key, []byte("de"))
+					var kept []byte
+					scanFn(s, func(k, v []byte) bool { kept = v; return false })
+					s.AppendValue(key, []byte("fg"))
+					grown := append(kept, 'X', 'Y')
+					if v, _ := s.Get(key); string(v) != "abcdefg" {
+						t.Errorf("Get = %q, want %q", v, "abcdefg")
+					}
+					if string(kept) != "abcde" || string(grown) != "abcdeXY" {
+						t.Errorf("kept %q grown %q", kept, grown)
+					}
+				})
+			}
+		}
 	}
 }

@@ -12,7 +12,11 @@
 // Both engines support the paper's serialization-free access (§3.3.3):
 // PatchInPlace overwrites a fixed-offset field inside a stored value without
 // reading, decoding, or rewriting the rest, and AppendValue extends a value
-// (used for concatenated dirent lists) without copying it out first.
+// (used for concatenated dirent lists) in place, with Go's geometric growth,
+// so an append costs the appended bytes. A stored value may therefore carry
+// spare capacity; scan callbacks are handed it capacity-clipped, so a
+// callback that appends to a value reallocates instead of writing into the
+// store.
 package kv
 
 import (
@@ -22,7 +26,9 @@ import (
 
 // Store is the interface both engines implement. Keys and values are byte
 // strings; implementations must not retain or mutate caller-provided slices
-// and must not expose internal storage (Get returns a copy).
+// and must not expose internal storage writably: Get returns a copy, and the
+// values ForEach and AscendRange hand their callbacks are capacity-clipped
+// (v[:len(v):len(v)]), since AppendValue grows values in place.
 type Store interface {
 	// Get returns a copy of the value stored under key.
 	Get(key []byte) ([]byte, bool)
@@ -40,12 +46,14 @@ type Store interface {
 	// without materializing the whole value.
 	ReadAt(key []byte, off int, buf []byte) bool
 	// AppendValue appends data to the value under key, creating the key
-	// with value == data if absent.
+	// with value == data if absent. The in-memory engines append in place:
+	// amortised O(len(data)), whatever the value's length.
 	AppendValue(key, data []byte)
 	// Len returns the number of stored keys.
 	Len() int
 	// ForEach visits every record in unspecified order until fn returns
-	// false. The callback must not modify the store.
+	// false. The callback must not modify the store; the value it is handed
+	// is capacity-clipped, so appending to it copies.
 	ForEach(fn func(key, value []byte) bool)
 }
 
@@ -157,15 +165,12 @@ func (s *HashStore) ReadAt(key []byte, off int, buf []byte) bool {
 	return true
 }
 
-// AppendValue appends data to the value under key, creating it if absent.
+// AppendValue appends data to the value under key in place, creating it if
+// absent.
 func (s *HashStore) AppendValue(key, data []byte) {
 	sh := s.shard(key)
 	sh.mu.Lock()
-	v := sh.m[string(key)]
-	nv := make([]byte, len(v)+len(data))
-	copy(nv, v)
-	copy(nv[len(v):], data)
-	sh.m[string(key)] = nv
+	sh.m[string(key)] = append(sh.m[string(key)], data...)
 	sh.mu.Unlock()
 }
 
@@ -188,7 +193,7 @@ func (s *HashStore) ForEach(fn func(key, value []byte) bool) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for k, v := range sh.m {
-			if !fn([]byte(k), v) {
+			if !fn([]byte(k), v[:len(v):len(v)]) {
 				sh.mu.RUnlock()
 				return
 			}

@@ -1,8 +1,11 @@
 package layout
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 
 	"locofs/internal/uuid"
@@ -18,7 +21,7 @@ import (
 // entry, a removal appends a *tombstone* for the name. This keeps both
 // create and remove O(appended bytes) regardless of directory width —
 // matching the append-friendly behavior of the log-structured KV stores the
-// design targets — at the cost of periodic compaction (CompactDirents),
+// design targets — at the cost of periodic compaction (CompactDirentsIfDue),
 // which servers amortize over removals.
 //
 // Entry encoding: uvarint header = nameLen<<1 | tombstoneBit, name bytes,
@@ -33,130 +36,183 @@ var ErrCorruptDirentList = errors.New("layout: corrupt dirent list")
 
 // AppendDirent appends one live dirent to a concatenated dirent value.
 func AppendDirent(list []byte, e Dirent) []byte {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(e.Name))<<1)
-	list = append(list, lenBuf[:n]...)
+	list = binary.AppendUvarint(list, uint64(len(e.Name))<<1)
 	list = append(list, e.Name...)
 	return append(list, e.UUID[:]...)
 }
 
 // AppendDirentTombstone appends a removal marker for name.
 func AppendDirentTombstone(list []byte, name string) []byte {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(name))<<1|1)
-	list = append(list, lenBuf[:n]...)
+	list = binary.AppendUvarint(list, uint64(len(name))<<1|1)
 	return append(list, name...)
 }
 
-// walkDirents replays the log in order, calling fn for every record. A
-// tombstone record has tomb == true and a zero UUID.
-func walkDirents(list []byte, fn func(name []byte, u []byte, tomb bool) bool) error {
-	for len(list) > 0 {
-		hdr, n := binary.Uvarint(list)
+// walkDirents replays the log in order, calling fn for every record with
+// the record's name (aliasing list) and the offset just past it, where a
+// live record's UUID starts.
+func walkDirents(list []byte, fn func(name []byte, end int, tomb bool)) error {
+	for off := 0; off < len(list); {
+		hdr, n := binary.Uvarint(list[off:])
 		if n <= 0 {
 			return ErrCorruptDirentList
 		}
-		list = list[n:]
+		off += n
 		nameLen := hdr >> 1
 		tomb := hdr&1 == 1
 		need := nameLen
 		if !tomb {
 			need += uuid.Size
 		}
-		if uint64(len(list)) < need {
+		if uint64(len(list)-off) < need {
 			return ErrCorruptDirentList
 		}
-		name := list[:nameLen]
-		list = list[nameLen:]
-		var u []byte
-		if !tomb {
-			u = list[:uuid.Size]
-			list = list[uuid.Size:]
-		}
-		if !fn(name, u, tomb) {
-			return nil
-		}
+		end := off + int(nameLen)
+		fn(list[off:end], end, tomb)
+		off += int(need)
 	}
 	return nil
+}
+
+// direntRec is one record of a dirent log, aliasing the list. end is the
+// offset just past the name — where a live record's UUID starts — and so
+// also the record's position in log order. first is, for a name's winning
+// record, the end of the name's first live insertion.
+type direntRec struct {
+	name       []byte
+	end, first int
+	tomb       bool
+}
+
+// replayDirents is the one replay behind DecodeDirents, CompactDirents,
+// CountDirents and DirentPageAt: one walk into records that alias list, one
+// sort by name (log order within a name), and the last record per name
+// wins. It returns the live records in name order, reusing the walk's slice;
+// no string is allocated. A non-empty cursor drops names <= cursor during
+// the walk, so later readdir pages sort less.
+func replayDirents(list []byte, cursor string) ([]direntRec, error) {
+	var recs []direntRec
+	err := walkDirents(list, func(name []byte, end int, tomb bool) {
+		if cursor == "" || string(name) > cursor {
+			recs = append(recs, direntRec{name: name, end: end, tomb: tomb})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(recs, func(a, b direntRec) int {
+		if c := bytes.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.end, b.end)
+	})
+	live := recs[:0]
+	for i := 0; i < len(recs); {
+		first, j := -1, i
+		for ; j < len(recs) && bytes.Equal(recs[j].name, recs[i].name); j++ {
+			if first < 0 && !recs[j].tomb {
+				first = recs[j].end
+			}
+		}
+		if last := recs[j-1]; !last.tomb {
+			last.first = first
+			live = append(live, last)
+		}
+		i = j
+	}
+	return live, nil
+}
+
+// inInsertionOrder reorders replayed live records by their name's first
+// insertion, the order DecodeDirents and CompactDirents preserve.
+func inInsertionOrder(live []direntRec) []direntRec {
+	slices.SortFunc(live, func(a, b direntRec) int { return cmp.Compare(a.first, b.first) })
+	return live
+}
+
+// materialize turns replayed records into Dirents, allocating one string
+// per entry.
+func materialize(list []byte, live []direntRec) []Dirent {
+	out := make([]Dirent, len(live))
+	for i, r := range live {
+		out[i] = Dirent{Name: string(r.name), UUID: uuid.MustFromBytes(list[r.end : r.end+uuid.Size])}
+	}
+	return out
 }
 
 // DecodeDirents replays a concatenated dirent value into its live entries,
 // in first-insertion order.
 func DecodeDirents(list []byte) ([]Dirent, error) {
-	var order []string
-	ordered := map[string]bool{}
-	live := map[string]uuid.UUID{}
-	err := walkDirents(list, func(name, u []byte, tomb bool) bool {
-		key := string(name)
-		if tomb {
-			delete(live, key)
-			return true
-		}
-		if !ordered[key] {
-			ordered[key] = true
-			order = append(order, key)
-		}
-		live[key] = uuid.MustFromBytes(u)
-		return true
-	})
+	live, err := replayDirents(list, "")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Dirent, 0, len(live))
-	for _, name := range order {
-		if u, ok := live[name]; ok {
-			out = append(out, Dirent{Name: name, UUID: u})
-		}
-	}
-	return out, nil
+	return materialize(list, inInsertionOrder(live)), nil
 }
 
 // FindDirent replays the list and reports the final state of name.
 func FindDirent(list []byte, name string) (Dirent, bool, error) {
-	var found bool
-	var u uuid.UUID
-	err := walkDirents(list, func(ename, eu []byte, tomb bool) bool {
-		if string(ename) != name {
-			return true
+	end := -1
+	err := walkDirents(list, func(ename []byte, eend int, tomb bool) {
+		if string(ename) == name {
+			end = eend
+			if tomb {
+				end = -1
+			}
 		}
-		if tomb {
-			found = false
-			return true
-		}
-		found = true
-		u = uuid.MustFromBytes(eu)
-		return true
 	})
-	if err != nil {
+	if err != nil || end < 0 {
 		return Dirent{}, false, err
 	}
-	if !found {
-		return Dirent{}, false, nil
-	}
-	return Dirent{Name: name, UUID: u}, true, nil
+	return Dirent{Name: name, UUID: uuid.MustFromBytes(list[end : end+uuid.Size])}, true, nil
 }
 
 // CountDirents returns the number of live entries in the list.
 func CountDirents(list []byte) (int, error) {
-	ents, err := DecodeDirents(list)
-	if err != nil {
-		return 0, err
-	}
-	return len(ents), nil
+	live, err := replayDirents(list, "")
+	return len(live), err
 }
 
 // CompactDirents rewrites the log with tombstones (and the records they
 // killed) dropped, returning the compacted value and the live entry count.
+// Entries keep their first-insertion order.
 func CompactDirents(list []byte) ([]byte, int, error) {
-	ents, err := DecodeDirents(list)
+	live, err := replayDirents(list, "")
 	if err != nil {
 		return nil, 0, err
 	}
 	out := make([]byte, 0, len(list))
-	for _, e := range ents {
-		out = AppendDirent(out, e)
+	for _, r := range inInsertionOrder(live) {
+		out = binary.AppendUvarint(out, uint64(len(r.name))<<1)
+		out = append(out, r.name...)
+		out = append(out, list[r.end:r.end+uuid.Size]...)
 	}
-	return out, len(ents), nil
+	return out, len(live), nil
+}
+
+// CompactEvery is the compaction cadence both metadata servers share: every
+// CompactEvery-th tombstone a server logs, it runs CompactDirentsIfDue on
+// that tombstone's list.
+const CompactEvery = 64
+
+// CompactDirentsIfDue is the servers' compaction step. One allocation-free
+// walk counts records and tombstones; the list is rewritten only when the
+// dead records — each tombstone plus the entry it removed — are at least
+// half of it. Rewrites thus stay in proportion to garbage: amortised O(1)
+// per remove at any directory width. When due, the caller stores out, or
+// deletes the key if live == 0.
+func CompactDirentsIfDue(list []byte) (out []byte, live int, due bool) {
+	recs, tombs := 0, 0
+	err := walkDirents(list, func(_ []byte, _ int, tomb bool) {
+		recs++
+		if tomb {
+			tombs++
+		}
+	})
+	if err != nil || 4*tombs < recs {
+		return nil, 0, false
+	}
+	out, live, err = CompactDirents(list)
+	return out, live, err == nil
 }
 
 // DirentPage decodes the log and returns up to limit live entries in name
@@ -174,18 +230,13 @@ func DirentPage(list []byte, cursor string, limit int) (ents []Dirent, more bool
 // a cursor with skip 0..k-1 fetches k pages in one round trip. skip is
 // ignored when limit <= 0 (unbounded page). remaining is the exact number
 // of live entries beyond the returned page, letting clients size their
-// prefetch batches with no speculative over-fetch.
+// prefetch batches with no speculative over-fetch. Only the returned
+// page's names are allocated.
 func DirentPageAt(list []byte, cursor string, skip, limit int) (ents []Dirent, remaining int, err error) {
-	all, err := DecodeDirents(list)
+	all, err := replayDirents(list, cursor)
 	if err != nil {
 		return nil, 0, err
 	}
-	SortDirents(all)
-	start := 0
-	if cursor != "" {
-		start = sort.Search(len(all), func(i int) bool { return all[i].Name > cursor })
-	}
-	all = all[start:]
 	if limit > 0 && skip > 0 {
 		off := skip * limit
 		if off >= len(all) {
@@ -194,19 +245,15 @@ func DirentPageAt(list []byte, cursor string, skip, limit int) (ents []Dirent, r
 		all = all[off:]
 	}
 	if limit > 0 && len(all) > limit {
-		return all[:limit], len(all) - limit, nil
+		return materialize(list, all[:limit]), len(all) - limit, nil
 	}
-	return all, 0, nil
+	return materialize(list, all), 0, nil
 }
 
-// DirentRecords returns the total record count (live + tombstones), which
-// servers use to decide when to compact.
+// DirentRecords returns the total record count (live + tombstones).
 func DirentRecords(list []byte) (int, error) {
 	n := 0
-	err := walkDirents(list, func(name, u []byte, tomb bool) bool {
-		n++
-		return true
-	})
+	err := walkDirents(list, func([]byte, int, bool) { n++ })
 	return n, err
 }
 
