@@ -385,6 +385,15 @@ func (n *Node) emit(op string, value int64, detail string) {
 // install must run under the partition lock, see installMap). The server
 // stamps the lease-recall sequence and the map version on every response
 // header. A node must be attached before it is used.
+//
+// Every op whose handler can wait on another node or goroutine is
+// registered as blocking, so it does not hold up the reads queued behind it
+// on its connection: the mutations, OpSeedUpdate and the 2PC ops wait for
+// replication, and a cross-partition rename also for its destination;
+// OpLogAppend can wait in applyInOrderLocked for a deposed leader's own
+// rounds; OpSetMap stops replicators and, on a promotion, runs Recover's
+// peer calls. Reads take no partition lock, and OpLogFetch only n.mu,
+// which nobody holds across a wait, so both run on the connection's reader.
 func (n *Node) Attach(rs *rpc.Server) {
 	n.rs = rs
 	rs.InstallMap(n.bootMap, wire.DMSCoords(n.pid, n.bootIdx))
@@ -395,6 +404,7 @@ func (n *Node) Attach(rs *rpc.Server) {
 			rs.HandleMsg(op, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 				return n.serveMutation(op, req, trace, body)
 			})
+			rs.Blocking(op)
 		} else {
 			rs.Handle(op, func(body []byte) (wire.Status, []byte) {
 				return n.serveRead(op, body)
@@ -408,6 +418,8 @@ func (n *Node) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpRenameCommit, n.serveRenameDecision(wire.OpRenameCommit))
 	rs.Handle(wire.OpRenameAbort, n.serveRenameDecision(wire.OpRenameAbort))
 	rs.Handle(wire.OpSetMap, n.serveSetMap)
+	rs.Blocking(wire.OpLogAppend, wire.OpSeedUpdate, wire.OpRenamePrepare,
+		wire.OpRenameCommit, wire.OpRenameAbort, wire.OpSetMap)
 	if n.catchupEvery > 0 {
 		go n.catchupLoop(n.catchupEvery)
 	}

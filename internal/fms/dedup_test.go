@@ -56,6 +56,7 @@ func serveFMS(t *testing.T) *served {
 			return wire.StatusOK, []byte("once")
 		})
 	})
+	f.rs.Blocking(opParked) // parks on the test's channel
 	l, err := n.Listen("fms")
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,33 @@ import (
 	"locofs/internal/wire"
 )
 
-// Conn is a bidirectional, ordered message pipe. Send may be called
-// concurrently; Recv must be called from a single goroutine at a time.
+// Conn is a bidirectional, ordered message pipe. Send, SendMore and Flush
+// may be called concurrently; Recv, Pending and Arrived belong to the one
+// goroutine that reads.
+//
+// One send rule serves both ends of a connection: a sender flushes unless
+// another sender is queued behind it for the connection, whose flush then
+// carries both, or it said more messages are coming (SendMore). A message
+// written but never flushed because its connection failed is not lost
+// silently: a failed write closes the connection, so both ends' Recv report
+// it. The in-process pipe buffers nothing, so every send is delivered at
+// once.
 type Conn interface {
+	// Send transmits m under the send rule above.
 	Send(m *wire.Msg) error
+	// SendMore writes m without flushing: the caller promises a later Send
+	// or Flush on this connection.
+	SendMore(m *wire.Msg) error
+	// Flush puts everything written so far on the wire.
+	Flush() error
 	Recv() (*wire.Msg, error)
+	// Pending reports whether Recv can return a whole message without
+	// waiting on the peer.
+	Pending() bool
+	// Arrived is when the message Recv last returned became receivable:
+	// the end of the socket read that completed it, or its delivery time
+	// on the in-process pipe.
+	Arrived() time.Time
 	Close() error
 }
 
@@ -228,6 +250,7 @@ type pipeEnd struct {
 	once     sync.Once
 	fault    *faultState // shared per-address fault filter (nil = none)
 	toServer bool        // true on the client end: our sends travel client→server
+	arrived  time.Time   // delivery time of the message Recv last returned
 }
 
 func newPipePair(link LinkConfig) (client, server *pipeEnd) {
@@ -274,29 +297,44 @@ func (p *pipeEnd) Send(m *wire.Msg) error {
 	}
 }
 
+// SendMore is Send: the pipe buffers nothing, so there is nothing to defer.
+func (p *pipeEnd) SendMore(m *wire.Msg) error { return p.Send(m) }
+
+// Flush is a no-op: every Send is already delivered.
+func (p *pipeEnd) Flush() error { return nil }
+
 // Recv blocks until the next message has both arrived and matured.
 func (p *pipeEnd) Recv() (*wire.Msg, error) {
 	select {
 	case tm := <-p.in:
-		if d := time.Until(tm.at); d > 0 {
-			time.Sleep(d)
-		}
-		return tm.m, nil
+		return p.deliver(tm), nil
 	case <-p.closed:
 		return nil, ErrClosed
 	case <-p.peer.closed:
 		// Drain anything already in flight before reporting closure.
 		select {
 		case tm := <-p.in:
-			if d := time.Until(tm.at); d > 0 {
-				time.Sleep(d)
-			}
-			return tm.m, nil
+			return p.deliver(tm), nil
 		default:
 			return nil, ErrClosed
 		}
 	}
 }
+
+// deliver waits out tm's link delay and records when it became receivable.
+func (p *pipeEnd) deliver(tm timedMsg) *wire.Msg {
+	if d := time.Until(tm.at); d > 0 {
+		time.Sleep(d)
+	}
+	p.arrived = tm.at
+	return tm.m
+}
+
+// Pending reports whether a message is queued for Recv.
+func (p *pipeEnd) Pending() bool { return len(p.in) > 0 }
+
+// Arrived returns the delivery time of the message Recv last returned.
+func (p *pipeEnd) Arrived() time.Time { return p.arrived }
 
 // Close shuts down this end; the peer's Recv drains then fails.
 func (p *pipeEnd) Close() error {

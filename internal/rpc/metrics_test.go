@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,5 +183,51 @@ func TestUninstrumentedServerUnaffected(t *testing.T) {
 	c := startInstrumented(t, nil, nil, nil)
 	if st, body, err := c.Call(wire.OpPing, []byte("hi")); err != nil || st != wire.StatusOK || string(body) != "hi" {
 		t.Fatalf("ping = %v %q %v", st, body, err)
+	}
+}
+
+// TestQueueWaitSpansBurst: requests that arrive in one read behind a slow
+// one are answered on the same reader after it, and their queue wait says
+// so — it runs from the read that brought their bytes in, not from their
+// own decode.
+func TestQueueWaitSpansBurst(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := New(Config{Obs: &obs.Handle{Reg: reg}})
+	s.Handle(wire.OpMkdir, func([]byte) (wire.Status, []byte) {
+		time.Sleep(20 * time.Millisecond)
+		return wire.StatusOK, nil
+	})
+	fast := []wire.Op{wire.OpStatFile, wire.OpOpenFile, wire.OpAccessFile}
+	for _, op := range fast {
+		s.Handle(op, func([]byte) (wire.Status, []byte) { return wire.StatusOK, nil })
+	}
+	var writes atomic.Int64
+	c, br := serveTCP(t, s, &writes)
+	msgs := []*wire.Msg{{ID: 1, Op: wire.OpMkdir}}
+	for i, op := range fast {
+		msgs = append(msgs, &wire.Msg{ID: uint64(i + 2), Op: op})
+	}
+	if _, err := c.Write(frames(t, msgs...)); err != nil {
+		t.Fatal(err)
+	}
+	for range msgs {
+		if _, err := wire.ReadMsg(br); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := func(name string, op wire.Op) telemetry.Metric {
+		for _, m := range reg.Snapshot().Metrics {
+			if m.Name == name && m.Labels == `{op="`+op.String()+`"}` {
+				return m
+			}
+		}
+		t.Fatalf("no %s for %v", name, op)
+		return telemetry.Metric{}
+	}
+	slow := hist(MetricService, wire.OpMkdir).Hist.Max
+	third := hist(MetricQueue, fast[2])
+	if third.Hist.Count != 1 || third.Hist.Max < slow {
+		t.Errorf("third request behind a %v handler: queue %v (count %d), want >= %v",
+			slow, third.Hist.Max, third.Hist.Count, slow)
 	}
 }

@@ -1,6 +1,11 @@
 // Package rpc is the small request/response layer LocoFS servers and
 // clients speak over a netsim transport: numbered requests multiplexed over
 // a connection, dispatched to per-op handlers on the server side.
+//
+// A server runs each request to completion on its connection's reader
+// goroutine and answers a burst of buffered requests with one flush. Only
+// ops registered as blocking (Server.Blocking) — handlers that can wait on
+// another node or goroutine — are spilled to a goroutine of their own.
 package rpc
 
 import (
@@ -27,7 +32,7 @@ const (
 	MetricRequests = "locofs_rpc_requests_total"  // server: completed requests
 	MetricErrors   = "locofs_rpc_errors_total"    // server: non-OK responses
 	MetricService  = "locofs_rpc_service_seconds" // server: handler service time (measured + modeled)
-	MetricQueue    = "locofs_rpc_queue_seconds"   // server: receipt -> handler start
+	MetricQueue    = "locofs_rpc_queue_seconds"   // server: request's arrival (its socket read) -> handler start
 	MetricRTT      = "locofs_client_rtt_seconds"  // client: wall-clock round trip
 	MetricCalls    = "locofs_client_calls_total"  // client: calls issued
 )
@@ -48,10 +53,11 @@ type opMetrics struct {
 // handles are created on the op's first request, so an op nobody calls puts
 // no zero-count series into /metrics.
 type opEntry struct {
-	name string         // the op label; "unknown" for every unregistered op
-	fn   MsgHandlerFunc // nil on the unknown entry
-	once sync.Once
-	m    opMetrics
+	name     string         // the op label; "unknown" for every unregistered op
+	fn       MsgHandlerFunc // nil on the unknown entry
+	blocking bool           // spilled off the connection's reader (Server.Blocking)
+	once     sync.Once
+	m        opMetrics
 }
 
 // run invokes the op's handler; the unknown entry has none.
@@ -76,7 +82,11 @@ func (e *opEntry) metrics(reg *telemetry.Registry) *opMetrics {
 }
 
 // HandlerFunc serves one request body and returns a status and response
-// body. Handlers run concurrently; they must be safe for concurrent use.
+// body. Handlers of different connections run concurrently, so they must be
+// safe for concurrent use. Unless its op is registered as blocking, a
+// handler runs on its connection's reader: the requests queued behind it on
+// that connection wait until it returns, so it must not wait on another
+// node or goroutine (see Server.Blocking).
 type HandlerFunc func(body []byte) (wire.Status, []byte)
 
 // MsgHandlerFunc is a HandlerFunc that also receives the request's dedup id
@@ -147,7 +157,8 @@ type Server struct {
 func NewServer() *Server { return New(Config{}) }
 
 // New returns a Server with default Ping, OpGetMap and OpSetMap handlers
-// registered. Requests run with unlimited concurrency.
+// registered. Requests of different connections run in parallel, one
+// connection's in arrival order on its reader (see Serve).
 func New(cfg Config) *Server {
 	s := &Server{
 		obs:     cfg.Obs,
@@ -261,6 +272,22 @@ func (s *Server) HandleMsg(op wire.Op, fn MsgHandlerFunc) {
 	s.ops[op] = &opEntry{name: op.String(), fn: fn}
 }
 
+// Blocking marks ops whose handlers can wait on another node or goroutine
+// — replication, a two-phase-commit peer, a fan-out — so a request for one
+// runs on a goroutine of its own instead of the connection's reader, which
+// goes on answering the requests behind it. Call it after registering the
+// ops' handlers; it panics for an op with none, and after Serve.
+func (s *Server) Blocking(ops ...wire.Op) {
+	s.registering("Blocking")
+	for _, op := range ops {
+		e := s.ops[op]
+		if e == nil {
+			panic(fmt.Sprintf("rpc: Blocking(%v) before its handler", op))
+		}
+		e.blocking = true
+	}
+}
+
 // SetLeaseFunc registers the source of the lease-recall sequence stamped on
 // every response (see wire.Msg.Lease). fn must be safe for concurrent use
 // and cheap — it runs on every response send. The DMS partition node
@@ -275,8 +302,12 @@ func (s *Server) SetLeaseFunc(fn func() uint64) {
 func (s *Server) Busy() time.Duration { return time.Duration(s.busyNS.Load()) }
 
 // Serve ends registration, then accepts connections from l until l is
-// closed. It blocks; run it in a goroutine. Each connection's requests are
-// served concurrently.
+// closed. It blocks; run it in a goroutine. Each connection has one reader
+// goroutine, which runs its requests to completion in arrival order and
+// flushes their responses when no further whole request is buffered, so a
+// burst of k requests costs one socket write. Requests for blocking ops
+// (Blocking) and wire.OpBatch envelopes are spilled to goroutines; their
+// responses go out when they finish.
 func (s *Server) Serve(l netsim.Listener) {
 	s.serving.Store(true)
 	s.connMu.Lock()
@@ -317,41 +348,63 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		delete(s.conns, conn)
 		s.connMu.Unlock()
 	}()
+	// held: an inline response waits in the send buffer. A failed flush
+	// closes conn, which the next Recv reports, so flush errors need no
+	// handling here.
+	held := false
 	for {
 		req, err := conn.Recv()
 		if err != nil {
+			if held {
+				_ = conn.Flush() // answer what was read before a bad frame
+			}
 			return
 		}
 		if req.IsResp {
 			continue // protocol violation; ignore
 		}
-		recvT := time.Now()
+		arrived := conn.Arrived()
+		e := s.entry(req.Op)
+		if req.Op != wire.OpBatch && !e.blocking {
+			status, body, service := s.execute(e, req.Op, req.Body, req.Req, req.Trace, req.Span, -1, arrived)
+			held = conn.Pending()
+			s.reply(conn, req, status, body, uint64(service), held)
+			continue
+		}
 		s.wg.Add(1)
-		go func(req *wire.Msg) {
+		go func() {
 			defer s.wg.Done()
 			if req.Op == wire.OpBatch {
-				s.serveBatch(conn, req, recvT)
+				s.serveBatch(conn, req, arrived)
 				return
 			}
-			// Queue wait: receipt to handler start, i.e. goroutine scheduling.
-			status, body, service := s.execute(req.Op, req.Body, req.Req, req.Trace, req.Span, -1, time.Since(recvT))
-			s.reply(conn, req, status, body, uint64(service))
-		}(req)
+			status, body, service := s.execute(e, req.Op, req.Body, req.Req, req.Trace, req.Span, -1, arrived)
+			s.reply(conn, req, status, body, uint64(service), false)
+		}()
+		if held && !conn.Pending() {
+			_ = conn.Flush()
+			held = false
+		}
 	}
 }
 
 // reply sends req's response: the one place a response header is built, for
 // the plain and batch paths alike. Every response echoes
 // the request's correlation ids and carries the installed map's version and
-// the lease-recall sequence.
-func (s *Server) reply(conn netsim.Conn, req *wire.Msg, st wire.Status, body []byte, serviceNS uint64) {
+// the lease-recall sequence. more leaves it in the send buffer for the
+// reader's next response or flush to carry.
+func (s *Server) reply(conn netsim.Conn, req *wire.Msg, st wire.Status, body []byte, serviceNS uint64, more bool) {
 	resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
 		Status: st, ServiceNS: serviceNS, Trace: req.Trace, Span: req.Span,
 		Map: s.MapVer(), Body: body}
 	if s.lease != nil {
 		resp.Lease = s.lease()
 	}
-	_ = conn.Send(resp)
+	if more {
+		_ = conn.SendMore(resp)
+	} else {
+		_ = conn.Send(resp)
+	}
 }
 
 // entry is the request path's one lookup. Unregistered ops share one entry,
@@ -381,9 +434,11 @@ func (s *Server) startSpan(traceID, parent uint64, op wire.Op, sub int) *trace.S
 // sub-request index inside a wire.OpBatch envelope (-1 outside a batch); it
 // appears on the span and in the slow-request log line, so a slow batched
 // sub-op is attributable to its position and opcode, not just the parent
-// trace.
-func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint64, sub int, queueWait time.Duration) (wire.Status, []byte, time.Duration) {
-	e := s.entry(op)
+// trace. Its queue wait runs from arrived, when the request's bytes came in,
+// to now, so a request answered late in a burst counts the handlers it
+// waited behind.
+func (s *Server) execute(e *opEntry, op wire.Op, reqBody []byte, req, trace, parentSpan uint64, sub int, arrived time.Time) (wire.Status, []byte, time.Duration) {
+	queueWait := time.Since(arrived)
 	var status wire.Status
 	var body []byte
 	var service time.Duration
@@ -433,7 +488,7 @@ func (s *Server) execute(op wire.Op, reqBody []byte, req, trace, parentSpan uint
 // server's CPU serializes the work even though one message carried it).
 // Nested batches are rejected per-sub-request via the normal unknown-op
 // path, since OpBatch never reaches the handler table.
-func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
+func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, arrived time.Time) {
 	// The envelope gets its own server-side span under the client's span;
 	// each sub-request's span hangs off the envelope span with its index.
 	esp := s.startSpan(req.Trace, req.Span, wire.OpBatch, -1)
@@ -441,7 +496,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 	if err != nil {
 		esp.SetStatus(wire.StatusInval.String())
 		esp.Finish()
-		s.reply(conn, req, wire.StatusInval, []byte(err.Error()), 0)
+		s.reply(conn, req, wire.StatusInval, []byte(err.Error()), 0, false)
 		return
 	}
 	resps := make([]wire.SubResp, len(subs))
@@ -451,7 +506,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, body, service := s.execute(subs[i].Op, subs[i].Body, 0, req.Trace, esp.ID(), i, time.Since(recvT))
+			st, body, service := s.execute(s.entry(subs[i].Op), subs[i].Op, subs[i].Body, 0, req.Trace, esp.ID(), i, arrived)
 			resps[i] = wire.SubResp{Status: st, Body: body}
 			services[i] = service
 		}(i)
@@ -462,7 +517,7 @@ func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, recvT time.Time) {
 		total += d
 	}
 	esp.Finish()
-	s.reply(conn, req, wire.StatusOK, wire.EncodeBatchResp(resps), uint64(total))
+	s.reply(conn, req, wire.StatusOK, wire.EncodeBatchResp(resps), uint64(total), false)
 }
 
 // Shutdown closes the listener and every established connection, then waits
