@@ -118,7 +118,7 @@ func FigFaults(env Env) (*Table, error) {
 			outcome += " (" + wire.StatusDeadline.String() + "/" + wire.StatusUnavailable.String() + ")"
 		}
 		t.AddRow(sc.name, outcome,
-			fmt.Sprintf("%v", (wall / time.Duration(n)).Round(10*time.Microsecond)),
+			fmt.Sprintf("%v", (wall/time.Duration(n)).Round(10*time.Microsecond)),
 			fmt.Sprint(counterTotal(reg, client.MetricRetries)),
 			fmt.Sprint(counterTotal(reg, client.MetricDeadlines)),
 			fmt.Sprint(counterTotal(reg, client.MetricFastFails)))

@@ -74,10 +74,10 @@ func TestFaultBlackholeEatsBothDirections(t *testing.T) {
 	if err := server.Send(&wire.Msg{ID: 2}); err != nil {
 		t.Fatalf("blackholed send failed: %v", err)
 	}
-	if _, ok := server.recvOrTimeout(50*time.Millisecond); ok {
+	if _, ok := server.recvOrTimeout(50 * time.Millisecond); ok {
 		t.Error("server received a blackholed message")
 	}
-	if _, ok := client.recvOrTimeout(50*time.Millisecond); ok {
+	if _, ok := client.recvOrTimeout(50 * time.Millisecond); ok {
 		t.Error("client received a blackholed message")
 	}
 	// Clearing the fault restores delivery on the same connection.
@@ -97,7 +97,7 @@ func TestFaultDropsAreDirectionalAndCounted(t *testing.T) {
 	if err := client.Send(&wire.Msg{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := server.recvOrTimeout(50*time.Millisecond); ok {
+	if _, ok := server.recvOrTimeout(50 * time.Millisecond); ok {
 		t.Error("first request should have been dropped")
 	}
 	// The countdown is spent: the second request gets through.
@@ -169,7 +169,7 @@ func TestFaultDropEveryN(t *testing.T) {
 		}
 	}
 	for {
-		if _, ok := server.recvOrTimeout(100*time.Millisecond); !ok {
+		if _, ok := server.recvOrTimeout(100 * time.Millisecond); !ok {
 			break
 		}
 		got++

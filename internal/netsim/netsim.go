@@ -21,20 +21,24 @@ import (
 // may be called concurrently; Recv, Pending and Arrived belong to the one
 // goroutine that reads.
 //
-// One send rule serves both ends of a connection: a sender flushes unless
-// another sender is queued behind it for the connection, whose flush then
-// carries both, or it said more messages are coming (SendMore). A message
-// written but never flushed because its connection failed is not lost
-// silently: a failed write closes the connection, so both ends' Recv report
-// it. The in-process pipe buffers nothing, so every send is delivered at
-// once.
+// One send rule serves both ends of a connection: a sent message is
+// appended to the connection's send buffer, and goes out in the next write
+// that finds it. Send flushes unless a write is already in progress, whose
+// writer then writes again before it returns; SendMore leaves the flush to
+// a later Send or Flush. So the messages appended during one write share
+// the next. A message written but never flushed because its connection
+// failed is not lost silently: a failed write closes the connection, so
+// both ends' Recv report it. The in-process pipe buffers nothing, so every
+// send is delivered at once.
 type Conn interface {
 	// Send transmits m under the send rule above.
 	Send(m *wire.Msg) error
 	// SendMore writes m without flushing: the caller promises a later Send
 	// or Flush on this connection.
 	SendMore(m *wire.Msg) error
-	// Flush puts everything written so far on the wire.
+	// Flush puts everything written so far on the wire, or leaves it to
+	// the write already in progress, whose writer writes until nothing is
+	// left.
 	Flush() error
 	Recv() (*wire.Msg, error)
 	// Pending reports whether Recv can return a whole message without

@@ -3,10 +3,8 @@ package netsim
 import (
 	"bufio"
 	"encoding/binary"
-	"errors"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"locofs/internal/wire"
@@ -24,19 +22,32 @@ type DeadlineSender interface {
 }
 
 // tcpConn adapts a net.Conn to the message Conn interface using the wire
-// framing. Senders serialize on wm; one that finds another queued behind it
-// leaves its frame in bw for that sender's flush, so callers that arrive
-// during a write go out together in the next one.
+// framing. Its writer is flat-combining: a sender appends its frame to buf
+// under mu, a short lock never held across a write. The sender that then
+// finds no write in progress becomes the flusher: it takes buf, leaves the
+// spare buffer in its place, writes without mu, and repeats until buf stays
+// empty. A sender that arrives during a write appends and returns; the
+// flusher's next pass carries its frame. So an append never waits on
+// write(2), and however the senders' timing falls, the frames appended
+// during one write cost one more.
 type tcpConn struct {
 	c  net.Conn
 	rd stampedReader
 	br *bufio.Reader
 
-	queued atomic.Int32 // senders waiting for wm
-	wm     sync.Mutex
-	bw     *bufio.Writer
-	by     time.Time // guarded by wm: the tightest write deadline among unflushed frames
+	mu      sync.Mutex
+	buf     []byte    // frames appended since the flusher last took buf
+	spare   []byte    // the flusher's written buffer, emptied, for the next swap
+	by      time.Time // the tightest write deadline among the frames in buf
+	writing bool      // a flusher owns the socket's write side
+
+	wdl time.Time // the socket's write deadline, set and cleared by the flusher
 }
+
+// maxRetained is the largest send buffer kept after its write: a wide
+// readdir page or a migration batch must not pin its buffer for the life of
+// the connection.
+const maxRetained = 64 << 10
 
 // stampedReader notes when each socket read returns: the moment the bytes
 // it brought in became receivable.
@@ -53,44 +64,39 @@ func (r *stampedReader) Read(p []byte) (int, error) {
 
 // NewTCPConn wraps an established net.Conn in the message framing.
 func NewTCPConn(c net.Conn) Conn {
-	t := &tcpConn{c: c, rd: stampedReader{c: c}, bw: bufio.NewWriterSize(c, 64<<10)}
+	t := &tcpConn{c: c, rd: stampedReader{c: c}}
 	t.br = bufio.NewReaderSize(&t.rd, 64<<10)
 	return t
 }
 
-// Send writes one framed message and flushes it, unless another sender is
-// queued behind it: that sender's flush carries this frame too.
+// Send appends one framed message and flushes it, unless a write is in
+// progress: that flusher's next pass carries it.
 func (t *tcpConn) Send(m *wire.Msg) error { return t.send(m, 0, false) }
 
-// SendMore writes one framed message without flushing it.
+// SendMore appends one framed message without flushing it.
 func (t *tcpConn) SendMore(m *wire.Msg) error { return t.send(m, 0, true) }
 
 // SendDeadline is Send with the socket write bounded by timeout (zero =
-// unbounded). The bound is kept until the frame is flushed, whichever
-// sender's flush carries it, and a flush is bounded by the tightest bound
-// among the frames it carries, so a deadline cannot be loosened by a
-// neighbour with a longer one.
+// unbounded). The bound stays with the frame until a flush carries it,
+// whichever sender's flush that is, and a flush runs under the tightest
+// bound among the frames it carries, so a neighbour with a longer one cannot
+// loosen it.
 func (t *tcpConn) SendDeadline(m *wire.Msg, timeout time.Duration) error {
 	return t.send(m, timeout, false)
 }
 
 func (t *tcpConn) send(m *wire.Msg, timeout time.Duration, more bool) error {
-	t.queued.Add(1)
-	t.wm.Lock()
-	t.queued.Add(-1)
-	defer t.wm.Unlock()
-	if timeout > 0 {
+	t.mu.Lock()
+	b, err := wire.AppendMsg(t.buf, m) // refuses only ErrFrameTooLarge, appending nothing
+	t.buf = b
+	if err == nil && timeout > 0 {
 		if by := time.Now().Add(timeout); t.by.IsZero() || by.Before(t.by) {
 			t.by = by
-			t.c.SetWriteDeadline(by)
 		}
 	}
-	err := wire.WriteMsg(t.bw, m)
-	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
-		return t.broken(err)
-	}
 	// Even a refused frame must not strand the ones before it.
-	if more || t.queued.Load() > 0 {
+	if more || t.writing {
+		t.mu.Unlock()
 		return err
 	}
 	if ferr := t.flushLocked(); ferr != nil {
@@ -99,32 +105,56 @@ func (t *tcpConn) send(m *wire.Msg, timeout time.Duration, more bool) error {
 	return err
 }
 
-// Flush puts every written frame on the wire.
+// Flush puts every appended frame on the wire, or leaves them to the write
+// in progress, whose flusher writes until nothing is left.
 func (t *tcpConn) Flush() error {
-	t.wm.Lock()
-	defer t.wm.Unlock()
+	t.mu.Lock()
+	if t.writing {
+		t.mu.Unlock()
+		return nil
+	}
 	return t.flushLocked()
 }
 
+// flushLocked makes the caller the flusher: it writes buf, swapping in the
+// spare so that senders keep appending during the write, until buf is empty.
+// Caller holds mu and no write is in progress; mu is released on return.
 func (t *tcpConn) flushLocked() error {
-	if t.bw.Buffered() == 0 {
-		return nil
+	t.writing = true
+	for len(t.buf) > 0 {
+		b, by := t.buf, t.by
+		t.buf, t.spare, t.by = t.spare[:0], nil, time.Time{}
+		t.mu.Unlock()
+		if !by.Equal(t.wdl) {
+			t.c.SetWriteDeadline(by)
+			t.wdl = by
+		}
+		_, err := t.c.Write(b)
+		t.mu.Lock()
+		if err != nil {
+			return t.broken(err)
+		}
+		if cap(b) <= maxRetained {
+			t.spare = b[:0]
+		}
 	}
-	if err := t.bw.Flush(); err != nil {
-		return t.broken(err)
-	}
-	if !t.by.IsZero() {
-		t.by = time.Time{}
+	if !t.wdl.IsZero() {
 		t.c.SetWriteDeadline(time.Time{})
+		t.wdl = time.Time{}
 	}
+	t.writing = false
+	t.mu.Unlock()
 	return nil
 }
 
 // broken handles a failed socket write. Frames of senders that already
-// returned may have gone down with it, and the stream may end mid-frame, so
-// the connection is closed: both ends' Recv fail, which is how those
-// senders' callers learn of it. Caller holds wm.
+// returned went down with it, and the stream may end mid-frame, so the
+// connection is closed: both ends' Recv fail, which is how those senders'
+// callers learn of it, and the frames appended during the failed write are
+// dropped. Caller holds mu, which is released on return.
 func (t *tcpConn) broken(err error) error {
+	t.buf, t.spare, t.by, t.writing = nil, nil, time.Time{}, false
+	t.mu.Unlock()
 	t.c.Close()
 	return err
 }

@@ -229,8 +229,10 @@ func TestTCPCoalescedFlushKeepsTightestDeadline(t *testing.T) {
 	sent := time.Now()
 	go func() { errs <- tc.SendDeadline(&wire.Msg{ID: 2, Op: wire.OpPing}, time.Minute) }()
 	go func() { errs <- client.Send(&wire.Msg{ID: 3, Op: wire.OpPing}) }()
-	for tc.queued.Load() < 2 {
-		time.Sleep(time.Millisecond)
+	for buffered := 0; buffered < 2*(&wire.Msg{Op: wire.OpPing}).WireSize(); time.Sleep(time.Millisecond) {
+		tc.mu.Lock()
+		buffered = len(tc.buf)
+		tc.mu.Unlock()
 	}
 	close(pw.release)
 	for i := 0; i < 3; i++ {
@@ -249,5 +251,69 @@ func TestTCPCoalescedFlushKeepsTightestDeadline(t *testing.T) {
 	}
 	if !pw.deadline.IsZero() {
 		t.Errorf("deadline %v left set after the flush", pw.deadline)
+	}
+}
+
+// TestTCPLateFrameRidesFlusher: a Send that arrives while another sender's
+// write is parked returns at once, and its frame goes out in that flusher's
+// next pass, before the flusher returns.
+func TestTCPLateFrameRidesFlusher(t *testing.T) {
+	pw := &parkedWriter{parked: make(chan struct{}), release: make(chan struct{})}
+	client, server := tcpPair(t, func(c net.Conn) net.Conn { pw.Conn = c; return pw })
+	first := make(chan error, 1)
+	go func() { first <- client.Send(&wire.Msg{ID: 1, Op: wire.OpPing}) }()
+	<-pw.parked
+	late := make(chan error, 1)
+	go func() { late <- client.Send(&wire.Msg{ID: 2, Op: wire.OpPing}) }()
+	select {
+	case err := <-late:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		close(pw.release)
+		t.Fatal("a Send waited on another sender's write")
+	}
+	close(pw.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	pw.mu.Lock()
+	passes := len(pw.deadlines)
+	pw.mu.Unlock()
+	if passes != 1 {
+		t.Errorf("flusher returned after %d writes beyond the parked one, want 1 carrying the late frame", passes)
+	}
+	for id := uint64(1); id <= 2; id++ {
+		if m, err := server.Recv(); err != nil || m.ID != id {
+			t.Fatalf("received %+v, %v; want message %d", m, err, id)
+		}
+	}
+}
+
+// TestTCPSendBufferBounded: a 1 MiB frame does not leave a 1 MiB send
+// buffer behind it.
+func TestTCPSendBufferBounded(t *testing.T) {
+	client, server := tcpPair(t, func(c net.Conn) net.Conn { return c })
+	tc := client.(*tcpConn)
+	got := make(chan error, 1)
+	go func() {
+		m, err := server.Recv()
+		if err == nil && len(m.Body) != 1<<20 {
+			err = errors.New("body truncated")
+		}
+		got <- err
+	}()
+	if err := client.Send(&wire.Msg{ID: 1, Op: wire.OpPing, Body: make([]byte, 1<<20)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-got; err != nil {
+		t.Fatal(err)
+	}
+	tc.mu.Lock()
+	retained := cap(tc.buf) + cap(tc.spare)
+	tc.mu.Unlock()
+	if retained > maxRetained {
+		t.Errorf("%d bytes of send buffer retained after a 1 MiB frame, want <= %d", retained, maxRetained)
 	}
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -36,16 +37,23 @@ func (l countingListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return countingConn{c, l.writes}, nil
+	return countingConn{Conn: c, writes: l.writes}, nil
 }
 
+// countingConn counts its socket writes and, once failAfter (if positive)
+// writes have gone through, fails every later one without writing.
 type countingConn struct {
 	net.Conn
-	writes *atomic.Int64
+	writes    *atomic.Int64
+	failAfter int64
 }
 
+var errWriteInjected = errors.New("injected write failure")
+
 func (c countingConn) Write(p []byte) (int, error) {
-	c.writes.Add(1)
+	if n := c.writes.Add(1); c.failAfter > 0 && n > c.failAfter {
+		return 0, errWriteInjected
+	}
 	return c.Conn.Write(p)
 }
 

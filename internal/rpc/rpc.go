@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -556,6 +557,10 @@ type Client struct {
 	pending map[uint64]chan *wire.Msg
 	err     error
 
+	// yielding is held by the one busy caller that has yielded before
+	// flushing; see send.
+	yielding atomic.Bool
+
 	closeOnce sync.Once
 }
 
@@ -688,16 +693,11 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 		return wire.StatusIO, nil, 0, err
 	}
 	c.pending[id] = ch
+	busy := len(c.pending) > 1
 	c.mu.Unlock()
 
 	req := &wire.Msg{ID: id, Op: spec.Op, Trace: spec.Trace, Span: spec.Span, Req: spec.Req, Body: spec.Body}
-	var sendErr error
-	if ds, ok := c.conn.(netsim.DeadlineSender); ok && spec.Timeout > 0 {
-		sendErr = ds.SendDeadline(req, spec.Timeout)
-	} else {
-		sendErr = c.conn.Send(req)
-	}
-	if sendErr != nil {
+	if sendErr := c.send(req, spec.Timeout, busy); sendErr != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
@@ -754,6 +754,36 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 		spec.OnLease(resp.Lease)
 	}
 	return resp.Status, resp.Body, virt, nil
+}
+
+// send puts req on the connection. A lone call (busy false: no other call
+// outstanding) sends at once. A busy call appends its frame and then either
+// leaves it to the caller holding yielding, whose flush comes after the
+// claim failed and so carries it, or claims yielding itself: it yields the P
+// once, so that the callers the same burst of responses woke append their
+// frames too, then releases the claim and flushes them all in one write. A
+// lone call never yields: on an idle connection nobody would join it, and
+// the yield would only wake an idle P. A call with a send deadline does not
+// combine either, because SendMore carries no deadline: it sends at once,
+// and its deadline bounds whichever flush carries its frame.
+func (c *Client) send(req *wire.Msg, timeout time.Duration, busy bool) error {
+	if timeout > 0 {
+		if ds, ok := c.conn.(netsim.DeadlineSender); ok {
+			return ds.SendDeadline(req, timeout)
+		}
+	}
+	if !busy {
+		return c.conn.Send(req)
+	}
+	if err := c.conn.SendMore(req); err != nil {
+		return err
+	}
+	if !c.yielding.CompareAndSwap(false, true) {
+		return nil
+	}
+	runtime.Gosched()
+	c.yielding.Store(false)
+	return c.conn.Flush()
 }
 
 // ctxStatus maps a context error to the wire status Do reports: an expired

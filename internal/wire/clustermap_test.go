@@ -139,14 +139,14 @@ func FuzzClusterMap(f *testing.F) {
 
 // FuzzReadMsg: the frame reader is the first thing network bytes meet. It
 // must never panic, and any frame it accepts must re-frame (61-byte header)
-// to a message that reads back identical.
+// through AppendMsg to a message that reads back identical.
 func FuzzReadMsg(f *testing.F) {
 	frame := func(m *Msg) []byte {
-		var buf bytes.Buffer
-		if err := WriteMsg(&buf, m); err != nil {
-			panic(err) // a bytes.Buffer write cannot fail, and no body here exceeds MaxBody
+		b, err := AppendMsg(nil, m)
+		if err != nil {
+			panic(err) // no body here exceeds MaxBody
 		}
-		return buf.Bytes()
+		return b
 	}
 	f.Add(frame(&Msg{ID: 1, Op: OpStatFile, Trace: 1, Body: []byte("0123456789abcdef\x00\x00\x00\x06f00001")}))
 	f.Add(frame(&Msg{ID: 42, IsResp: true, Op: OpSetMap, Status: StatusStale, ServiceNS: 9, Span: 3, Req: 4, Map: 7, Lease: 17}))

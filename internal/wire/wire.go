@@ -445,29 +445,38 @@ const MaxBody = 64 << 20
 // ErrFrameTooLarge reports a frame exceeding MaxBody.
 var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
-// WriteMsg writes one length-prefixed message to w.
-func WriteMsg(w io.Writer, m *Msg) error {
+// AppendMsg appends m's length-prefixed frame to b and returns the extended
+// slice. It is the only frame encoder. A body over MaxBody is refused with
+// ErrFrameTooLarge and b comes back unchanged.
+func AppendMsg(b []byte, m *Msg) ([]byte, error) {
 	if len(m.Body) > MaxBody {
-		return ErrFrameTooLarge
+		return b, ErrFrameTooLarge
 	}
-	var hdr [4 + headerSize]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(headerSize+len(m.Body)))
-	binary.BigEndian.PutUint64(hdr[4:], m.ID)
+	b = binary.BigEndian.AppendUint32(b, uint32(headerSize+len(m.Body)))
+	b = binary.BigEndian.AppendUint64(b, m.ID)
+	var flags byte
 	if m.IsResp {
-		hdr[12] = 1
+		flags = 1
 	}
-	binary.BigEndian.PutUint16(hdr[13:], uint16(m.Op))
-	binary.BigEndian.PutUint16(hdr[15:], uint16(m.Status))
-	binary.BigEndian.PutUint64(hdr[17:], m.ServiceNS)
-	binary.BigEndian.PutUint64(hdr[25:], m.Trace)
-	binary.BigEndian.PutUint64(hdr[33:], m.Span)
-	binary.BigEndian.PutUint64(hdr[41:], m.Req)
-	binary.BigEndian.PutUint64(hdr[49:], m.Map)
-	binary.BigEndian.PutUint64(hdr[57:], m.Lease)
-	if _, err := w.Write(hdr[:]); err != nil {
+	b = append(b, flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(m.Op))
+	b = binary.BigEndian.AppendUint16(b, uint16(m.Status))
+	b = binary.BigEndian.AppendUint64(b, m.ServiceNS)
+	b = binary.BigEndian.AppendUint64(b, m.Trace)
+	b = binary.BigEndian.AppendUint64(b, m.Span)
+	b = binary.BigEndian.AppendUint64(b, m.Req)
+	b = binary.BigEndian.AppendUint64(b, m.Map)
+	b = binary.BigEndian.AppendUint64(b, m.Lease)
+	return append(b, m.Body...), nil
+}
+
+// WriteMsg writes m's frame to w in one Write.
+func WriteMsg(w io.Writer, m *Msg) error {
+	b, err := AppendMsg(make([]byte, 0, m.WireSize()), m)
+	if err != nil {
 		return err
 	}
-	_, err := w.Write(m.Body)
+	_, err = w.Write(b)
 	return err
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -104,6 +105,52 @@ func TestWriteMsgOversizeRejected(t *testing.T) {
 	m := &Msg{Body: make([]byte, MaxBody+1)}
 	if err := WriteMsg(&bytes.Buffer{}, m); !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("err = %v, want ErrFrameTooLarge", err)
+	}
+}
+
+// TestAppendMsgMatchesWriteMsg: AppendMsg extends whatever b holds, and
+// the frame it appends is byte for byte the one WriteMsg writes and the one
+// the 61-byte header layout spells out, field by field at fixed offsets.
+func TestAppendMsgMatchesWriteMsg(t *testing.T) {
+	layout := func(m *Msg) []byte {
+		f := make([]byte, 4+headerSize, 4+headerSize+len(m.Body))
+		binary.BigEndian.PutUint32(f[0:], uint32(headerSize+len(m.Body)))
+		binary.BigEndian.PutUint64(f[4:], m.ID)
+		if m.IsResp {
+			f[12] = 1
+		}
+		binary.BigEndian.PutUint16(f[13:], uint16(m.Op))
+		binary.BigEndian.PutUint16(f[15:], uint16(m.Status))
+		binary.BigEndian.PutUint64(f[17:], m.ServiceNS)
+		binary.BigEndian.PutUint64(f[25:], m.Trace)
+		binary.BigEndian.PutUint64(f[33:], m.Span)
+		binary.BigEndian.PutUint64(f[41:], m.Req)
+		binary.BigEndian.PutUint64(f[49:], m.Map)
+		binary.BigEndian.PutUint64(f[57:], m.Lease)
+		return append(f, m.Body...)
+	}
+	const all = ^uint64(0)
+	for name, m := range map[string]*Msg{
+		"request":  {ID: 7, Op: OpStatFile, Trace: 3, Span: 4, Body: []byte("0123456789abcdef\x00\x00\x00\x06f00001")},
+		"response": {ID: 7, IsResp: true, Op: OpStatFile, Status: StatusNotFound, ServiceNS: 1500, Map: 2, Lease: 9, Body: []byte("attr")},
+		"maximal header": {ID: all, IsResp: true, Op: Op(0xffff), Status: Status(0xffff), ServiceNS: all,
+			Trace: all, Span: all, Req: all, Map: all, Lease: all, Body: []byte{0xff}},
+		"empty body": {ID: 1, Op: OpPing},
+	} {
+		want := layout(m)
+		var buf bytes.Buffer
+		if err := WriteMsg(&buf, m); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: WriteMsg = %x, %v; want %x", name, buf.Bytes(), err, want)
+		}
+		prefix := []byte("earlier frames")
+		got, err := AppendMsg(append([]byte(nil), prefix...), m)
+		if err != nil || !bytes.Equal(got, append(prefix, want...)) {
+			t.Errorf("%s: AppendMsg after %q = %x, %v; want the prefix then %x", name, prefix, got, err, want)
+		}
+	}
+	b := []byte("kept")
+	if got, err := AppendMsg(b, &Msg{Body: make([]byte, MaxBody+1)}); !errors.Is(err, ErrFrameTooLarge) || string(got) != "kept" {
+		t.Errorf("oversize AppendMsg = %q, %v; want the input back and ErrFrameTooLarge", got, err)
 	}
 }
 
