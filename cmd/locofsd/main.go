@@ -23,16 +23,13 @@
 //	locofsd -role client ... -op-timeout 200ms -retries 3 -retry-backoff 10ms \
 //	        -breaker-failures 5 -breaker-cooldown 2s
 //
-// Metadata caching: clients keep a lease-coherent directory cache by
-// default (positive, negative and readdir-listing entries, kept coherent
-// by DMS-granted leases — see DESIGN.md). The DMS side takes -lease-dur to
-// size the granted leases; the client side takes -no-coherent-cache to
-// fall back to plain TTL caching, -lease to set the TTL for that fallback,
-// and -hot-entries/-hot-refresh to keep the N hottest directories on
-// stretched, background-refreshed leases:
+// Metadata caching: clients keep a lease-coherent directory cache
+// (positive, negative and readdir-listing entries, kept coherent by
+// DMS-granted leases — see DESIGN.md), each entry for exactly the lease the
+// DMS granted it. The DMS side takes -lease-dur to size the granted leases;
+// the client role has no cache flag:
 //
 //	locofsd -role dms -listen :7000 -lease-dur 30s
-//	locofsd -role client ... -hot-entries 64 -hot-refresh 5s
 //
 // Sharded DMS: the directory namespace can be split into replicated
 // subtree partitions (DESIGN.md §16). Every DMS process gets the same
@@ -156,10 +153,6 @@ func main() {
 	dmsReplica := flag.Int("replica", 0, "this node's replica slot in its partition group, 0 = leader (dms role with -dms-groups)")
 	dmsLogCap := flag.Int("dms-log-cap", 0, "retained op-log entries per DMS partition before the leader truncates below the group-wide applied watermark (dms role with -dms-groups; 0 = default 4096)")
 	dmsCatchup := flag.Duration("dms-catchup", 5*time.Second, "how often a follower replica probes its leader for missed log entries so an excluded replica rejoins on its own (dms role with -dms-groups; 0 = on-demand only)")
-	lease := flag.Duration("lease", 0, "directory cache lease for the TTL-only fallback (client role; 0 = default 30s)")
-	noCoherent := flag.Bool("no-coherent-cache", false, "revert the directory cache to TTL-only semantics, no lease coherence (client role)")
-	hotEntriesN := flag.Int("hot-entries", 0, "hot-entry tier size: keep the top N resolved directories on stretched leases (client role; 0 = off)")
-	hotRefresh := flag.Duration("hot-refresh", 0, "hot-entry background refresh period (client role; 0 = default)")
 	metricsAddr := flag.String("metrics-addr", "", "admin HTTP address serving /metrics, /debug/vars and /debug/pprof (empty = disabled)")
 	slow := flag.Duration("slow", 0, "log requests slower than this threshold with their trace id (0 = disabled)")
 	traceSample := flag.Float64("trace-sample", 0, "probability a trace's spans are retained for /debug/traces (0 = tracing off, 1 = all)")
@@ -242,8 +235,6 @@ func main() {
 		}
 		p, h := af.observe("client", obs.Export{Objectives: slo.ClientObjectives()})
 		cfg := clientConfig(*dmsAddr, *fmsAddrs, *ossAddrs, h)
-		cfg.Lease, cfg.DisableLeaseCoherence = *lease, *noCoherent
-		cfg.HotEntries, cfg.HotRefreshInterval = *hotEntriesN, *hotRefresh
 		// Fault-tolerance policy.
 		cfg.OpTimeout = *opTimeout
 		cfg.Retry = client.RetryPolicy{Max: *retries, Base: *retryBackoff}

@@ -37,7 +37,6 @@ func main() {
 		FMSCount:            *servers,
 		Link:                netsim.LinkConfig{RTT: *rtt, Bandwidth: 125e6},
 		CostModel:           &core.PaperKVCost,
-		DisableClientCache:  *nocache,
 		CoupledFileMetadata: *coupled,
 	})
 	if err != nil {
@@ -52,7 +51,7 @@ func main() {
 		Depth:          *depth,
 		Phases:         strings.Split(*phasesFlag, ","),
 	}, func() (fsapi.FS, error) {
-		cl, err := cluster.NewClient(core.ClientConfig{})
+		cl, err := cluster.NewClient(core.ClientConfig{DisableCache: *nocache})
 		if err != nil {
 			return nil, err
 		}

@@ -81,20 +81,21 @@ func AblationCacheLease(env Env) (*Table, error) {
 	leases := []time.Duration{0, time.Millisecond, 100 * time.Millisecond, 30 * time.Second}
 	for i, lease := range leases {
 		cluster, err := core.Start(core.Options{
-			FMSCount:           4,
-			Link:               env.Link,
-			CostModel:          &core.PaperKVCost,
-			DisableClientCache: lease == 0,
-			Lease:              lease,
+			FMSCount:  4,
+			Link:      env.Link,
+			CostModel: &core.PaperKVCost,
+			Lease:     lease,
+		})
+		if err != nil {
+			return nil, err
+		}
+		cl, err := cluster.NewClient(core.ClientConfig{
+			DisableCache: lease == 0,
 			// This ablation sweeps the TTL itself, so run the cache in
 			// its TTL-only mode; with lease coherence on, expiry no
 			// longer drives re-lookups the way §3.2.2 describes.
 			DisableLeaseCoherence: true,
 		})
-		if err != nil {
-			return nil, err
-		}
-		cl, err := cluster.NewClient(core.ClientConfig{})
 		if err != nil {
 			cluster.Close()
 			return nil, err

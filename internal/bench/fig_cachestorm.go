@@ -27,10 +27,11 @@ const cacheStormLease = 30 * time.Second
 // metadata storm from a client fleet one to two orders of magnitude larger
 // than the mdtest throughput runs use, with the directory cache in three
 // modes: off (LocoFS-NC), TTL-only (the pre-lease cache), and
-// lease-coherent (negative entries + listing cache + hot tier). Clients
-// run on per-client virtual clocks (~2 ms/op) so TTL expiry is
-// deterministic, warm their caches through the same zipfian stream, and
-// then the steady-state phase counts requests actually served by the DMS.
+// lease-coherent (negative entries + listing cache). The mode is each
+// client's own setting, seed and fleet alike. Clients run on per-client
+// virtual clocks (~2 ms/op) so TTL expiry is deterministic, warm their
+// caches through the same zipfian stream, and then the steady-state phase
+// counts requests actually served by the DMS.
 // The run fails if the lease-coherent cache does not cut steady-state DMS
 // load by at least 5x versus TTL-only, and ends with a coherence probe: a
 // cached ENOENT must stop being served from cache once its holder observes
@@ -57,9 +58,9 @@ func FigCacheStorm(env Env) (*Table, error) {
 		opts core.Options
 		cc   core.ClientConfig
 	}{
-		{"caching off", core.Options{DisableClientCache: true}, core.ClientConfig{}},
-		{"ttl-only", core.Options{DisableLeaseCoherence: true, Lease: cacheStormTTL}, core.ClientConfig{}},
-		{"lease-coherent", core.Options{Lease: cacheStormLease}, core.ClientConfig{HotEntries: 16}},
+		{"caching off", core.Options{}, core.ClientConfig{DisableCache: true}},
+		{"ttl-only", core.Options{Lease: cacheStormTTL}, core.ClientConfig{DisableLeaseCoherence: true}},
+		{"lease-coherent", core.Options{Lease: cacheStormLease}, core.ClientConfig{}},
 	}
 	for _, m := range modes {
 		opts := m.opts
@@ -116,10 +117,10 @@ func (s *stormClock) now() time.Time {
 	return time.Unix(1<<31, 0).Add(time.Duration(s.ns.Load()))
 }
 
-// runCacheStorm starts one cluster in the given mode, runs the zipfian
-// storm (warm then measured phase) and returns the DMS request count of
-// the measured phase alone. When coherent it finishes with the
-// negative-entry coherence probe.
+// runCacheStorm starts one cluster, dials every client in the cache mode cc
+// sets, runs the zipfian storm (warm then measured phase) and returns the
+// DMS request count of the measured phase alone. When coherent it finishes
+// with the negative-entry coherence probe.
 func runCacheStorm(opts core.Options, cc core.ClientConfig, clients, dirs, warm, measure int, coherent bool) (uint64, error) {
 	cluster, err := core.Start(opts)
 	if err != nil {
@@ -127,7 +128,7 @@ func runCacheStorm(opts core.Options, cc core.ClientConfig, clients, dirs, warm,
 	}
 	defer cluster.Close()
 
-	seed, err := cluster.NewClient(core.ClientConfig{})
+	seed, err := cluster.NewClient(cc)
 	if err != nil {
 		return 0, err
 	}
@@ -205,11 +206,11 @@ func runCacheStorm(opts core.Options, cc core.ClientConfig, clients, dirs, warm,
 					return wcl.Remove(p)
 				}
 			}
-			// Warm through the zipfian stream (populates the TopK hot
-			// sketch realistically), then prime every directory once so
-			// the measured phase is pure steady state — without the prime,
-			// zipf-tail directories get their cold misses mid-measurement
-			// in every mode, blurring the steady-state comparison.
+			// Warm through the zipfian stream, then prime every directory
+			// once so the measured phase is pure steady state — without the
+			// prime, zipf-tail directories get their cold misses
+			// mid-measurement in every mode, blurring the steady-state
+			// comparison.
 			ok := true
 			for i := 0; i < warm; i++ {
 				if err := step(i); err != nil {

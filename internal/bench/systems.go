@@ -67,7 +67,6 @@ func StartSystem(name string, n int, link netsim.LinkConfig) (*SUT, error) {
 			FMSCount:            n,
 			Link:                link,
 			CostModel:           &core.PaperKVCost,
-			DisableClientCache:  name == SysLocoNC,
 			CoupledFileMetadata: name == SysLocoCF,
 		}
 		cluster, err := core.Start(opts)
@@ -78,7 +77,10 @@ func StartSystem(name string, n int, link netsim.LinkConfig) (*SUT, error) {
 		return &SUT{
 			Name: name,
 			NewFS: func() (fsapi.FS, error) {
-				cl, err := cluster.NewClient(core.ClientConfig{Obs: &obs.Handle{Reg: reg}})
+				cl, err := cluster.NewClient(core.ClientConfig{
+					Obs:          &obs.Handle{Reg: reg},
+					DisableCache: name == SysLocoNC,
+				})
 				if err != nil {
 					return nil, err
 				}

@@ -9,7 +9,6 @@ import (
 	"locofs/internal/fspath"
 	"locofs/internal/layout"
 	"locofs/internal/telemetry"
-	"locofs/internal/trace"
 	"locofs/internal/wire"
 )
 
@@ -81,13 +80,6 @@ type dirCache struct {
 	recalls     atomic.Uint64
 
 	met *cacheMetrics // nil in direct-constructed tests
-
-	// Hot-entry tier (optional): hot ranks the client's most-resolved
-	// directories; paths in hotSet get their lease stretched hotFactor×,
-	// and the client's background refresher re-resolves them before expiry.
-	hot       *trace.TopK
-	hotFactor int
-	hotSet    atomic.Pointer[map[string]struct{}]
 }
 
 // srcMarks is one recall source's watermark pair (see dirCache.srcs).
@@ -138,15 +130,6 @@ const DefaultLease = 30 * time.Second
 // leaves the cap zero: enough for a wide working set, small enough that a
 // metadata-heavy client cannot grow without limit.
 const DefaultCacheEntries = 64 << 10
-
-// maxHotLeaseFactor bounds the hot-tier lease stretch. It must not exceed
-// the DMS grant horizon factor (dms.maxHotFactor): the server keeps
-// suppression records for dur×(factor+1), so a client stretching further
-// could hold an entry the server no longer publishes recalls for.
-const maxHotLeaseFactor = 8
-
-// HotLeaseFactor is the lease stretch applied to hot entries.
-const HotLeaseFactor = 4
 
 // MetricDirCacheSize is the gauge reporting a client's live directory-cache
 // entry count (inodes + negative entries + listings).
@@ -221,29 +204,6 @@ func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, cohe
 		c.tabs[k] = make(map[string]cacheEntry)
 	}
 	return c
-}
-
-// enableHot turns the hot-entry tier on: track the top `entries` resolved
-// directories and stretch their leases factor× (clamped to the server's
-// grant horizon).
-func (c *dirCache) enableHot(entries, factor int) {
-	if factor > maxHotLeaseFactor {
-		factor = maxHotLeaseFactor
-	}
-	c.hot = trace.NewTopK(4 * entries)
-	c.hotFactor = factor
-}
-
-// setHot installs the current hot-path set (from the refresher).
-func (c *dirCache) setHot(set map[string]struct{}) { c.hotSet.Store(&set) }
-
-func (c *dirCache) isHot(path string) bool {
-	hs := c.hotSet.Load()
-	if hs == nil {
-		return false
-	}
-	_, ok := (*hs)[path]
-	return ok
 }
 
 // marks returns source src's watermark pair, creating it on first use.
@@ -354,13 +314,10 @@ func (c *dirCache) lookup(kind int, path string) (cacheEntry, bool) {
 	return e, true
 }
 
-// get returns the cached inode for path. It alone feeds the hot-tier ranking
-// and counts misses: every resolve starts here, and negHit and getList only
-// ever add their own kind of hit on top.
+// get returns the cached inode for path. It alone counts misses: every
+// resolve starts here, and negHit and getList only ever add their own kind
+// of hit on top.
 func (c *dirCache) get(path string) (layout.DirInode, bool) {
-	if c.hot != nil {
-		c.hot.Touch(path)
-	}
 	e, ok := c.lookup(recInode, path)
 	if !ok {
 		c.misses.Add(1)
@@ -385,17 +342,13 @@ func (c *dirCache) getList(path string) ([]DirEntry, bool) {
 	return e.ents, ok
 }
 
-// leaseFor returns the entry lifetime and grant sequence for a server grant
-// (hot paths get the stretched lease).
-func (c *dirCache) leaseFor(path string, g wire.LeaseGrant) (time.Duration, uint64) {
+// leaseFor returns the entry lifetime and grant sequence for a server grant:
+// exactly the granted lease in coherent mode, the configured one in TTL mode.
+func (c *dirCache) leaseFor(g wire.LeaseGrant) (time.Duration, uint64) {
 	if !c.coherent || !g.Valid() {
 		return c.lease, 0
 	}
-	dur := time.Duration(g.DurMS) * time.Millisecond
-	if c.hotFactor > 1 && c.isHot(path) {
-		dur *= time.Duration(c.hotFactor)
-	}
-	return dur, g.Seq
+	return time.Duration(g.DurMS) * time.Millisecond, g.Seq
 }
 
 // store caches e — its payload set by the caller — as path's entry of the given
@@ -411,7 +364,7 @@ func (c *dirCache) store(kind int, src uint32, path string, g wire.LeaseGrant, e
 	if (kind != recInode && !c.coherent) || (c.coherent && !g.Valid()) {
 		return
 	}
-	dur, gseq := c.leaseFor(path, g)
+	dur, gseq := c.leaseFor(g)
 	e.expires, e.grantSeq, e.src = c.now().Add(dur), gseq, src
 	var m *srcMarks
 	if c.coherent {

@@ -361,43 +361,6 @@ func TestTTLModeIgnoresCoherence(t *testing.T) {
 	}
 }
 
-// TestHotEntryLeaseStretch: a path in the hot set gets its granted lease
-// stretched by the configured factor, clamped to the server horizon bound.
-func TestHotEntryLeaseStretch(t *testing.T) {
-	c, ns := newCoherentCache(0)
-	c.enableHot(4, 4)
-	c.setHot(map[string]struct{}{"/hot": {}})
-
-	g := wire.LeaseGrant{Seq: 1, DurMS: 1000} // 1s grant
-	c.put("/hot", freshInode(1), g)
-	c.put("/cold", freshInode(2), g)
-	c.observe(1)
-
-	ns.Store(int64(2 * time.Second)) // past the plain lease, inside the stretched one
-	if _, ok := c.get("/hot"); !ok {
-		t.Error("hot entry expired before its stretched lease")
-	}
-	if _, ok := c.get("/cold"); ok {
-		t.Error("cold entry outlived its grant")
-	}
-	ns.Store(int64(5 * time.Second)) // past 4x stretch
-	if _, ok := c.get("/hot"); ok {
-		t.Error("hot entry outlived its stretched lease")
-	}
-
-	if got := c.hot.Top(1); len(got) == 0 || got[0].Key != "/hot" {
-		t.Errorf("hot sketch top = %v", got)
-	}
-}
-
-func TestHotFactorClamp(t *testing.T) {
-	c, _ := newCoherentCache(0)
-	c.enableHot(4, 100)
-	if c.hotFactor != maxHotLeaseFactor {
-		t.Errorf("hotFactor = %d, want clamp %d", c.hotFactor, maxHotLeaseFactor)
-	}
-}
-
 // TestCoherentConcurrentPutRecallExpiry hammers put/get/negHit/recall/
 // expiry concurrently; with -race this is the coherence-path counterpart of
 // TestCacheStressOverlappingSubtrees. Afterwards a put granted at the

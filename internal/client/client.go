@@ -67,15 +67,6 @@ type Config struct {
 	// on lookups, stamps its recall sequence on every response, and the
 	// client drops exactly the directories that changed (DESIGN.md §14).
 	DisableLeaseCoherence bool
-	// HotEntries enables the hot-entry tier: the client ranks its most
-	// frequently resolved directories with a space-saving sketch, keeps the
-	// top HotEntries of them on leases stretched HotLeaseFactor×, and
-	// refreshes them in the background. Zero disables the tier. Requires
-	// lease coherence.
-	HotEntries int
-	// HotRefreshInterval is the hot-tier background refresh period
-	// (default DefaultHotRefreshInterval).
-	HotRefreshInterval time.Duration
 	// UID and GID are the credentials stamped on operations.
 	UID, GID uint32
 	// Now overrides the clock (tests).
@@ -173,11 +164,6 @@ type Client struct {
 	// the slowest branch). Cost subtracts it, so the deterministic
 	// virtual-time model sees concurrency.
 	parSavedNS atomic.Int64
-
-	// hotStop/hotDone bracket the hot-tier background refresher's
-	// lifetime; nil when the tier is disabled.
-	hotStop chan struct{}
-	hotDone chan struct{}
 
 	telem     *clientTelem
 	label     telemetry.Label // gauge identity, unregistered by Close
@@ -323,18 +309,7 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 	// benchmark fleet) from clobbering each other's gauges and counters.
 	c.label = telemetry.L("client", fmt.Sprintf("%d", c.traceBase>>48))
 	if !cfg.DisableCache {
-		coherent := !cfg.DisableLeaseCoherence
-		c.cache = newDirCache(cfg.Lease, cfg.Now, cfg.CacheEntries, coherent, newCacheMetrics(reg, c.label))
-		if coherent && cfg.HotEntries > 0 {
-			c.cache.enableHot(cfg.HotEntries, HotLeaseFactor)
-			interval := cfg.HotRefreshInterval
-			if interval <= 0 {
-				interval = DefaultHotRefreshInterval
-			}
-			c.hotStop = make(chan struct{})
-			c.hotDone = make(chan struct{})
-			go c.hotRefreshLoop(cfg.HotEntries, interval, cfg.Now)
-		}
+		c.cache = newDirCache(cfg.Lease, cfg.Now, cfg.CacheEntries, !cfg.DisableLeaseCoherence, newCacheMetrics(reg, c.label))
 	}
 	reg.GaugeFunc(MetricInflight, func() float64 {
 		return float64(c.telem.inflight.Load())
@@ -355,11 +330,6 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 // unregisters the client's gauges so shared registries don't accumulate
 // dead per-client series.
 func (c *Client) Close() error {
-	if c.hotStop != nil {
-		close(c.hotStop)
-		<-c.hotDone
-		c.hotStop = nil
-	}
 	c.telem.Reg.Unregister(MetricInflight, c.label)
 	c.telem.Reg.Unregister(MetricDirCacheSize, c.label)
 	if c.cache != nil {

@@ -120,14 +120,13 @@ func fillDir(t *testing.T, c *Client, dir string, files, subdirs int) {
 // TestReaddirParityAcrossModes: parallel+batched, parallel-only, and serial
 // clients run one script over the client's multi-request steps — a listing
 // wider than several pages, a cold resolve with a recall catch-up owed, two
-// block reclaims, a truncate, a hot-tier refresh — and must return
-// identical results, each at its own fixed round-trip cost. The constants
-// were recorded at the commit before the send path became one (ISSUE 24);
+// block reclaims, a truncate, an uncached resolve that carries an owed
+// catch-up — and must return identical results, each at its own fixed
+// round-trip cost. The constants were recorded at the commit before the
+// send path became one (the last step's before the hot-entry tier went);
 // they are what "batching is the unbatched form plus an envelope" means.
 func TestReaddirParityAcrossModes(t *testing.T) {
 	_, cfg := testCluster(t, 2)
-	cfg.HotEntries = 4
-	cfg.HotRefreshInterval = time.Hour // refreshHot is called by hand below
 	other := dialTest(t, cfg)
 	width := 5*ReaddirPageSize + 57 // per FMS: a first page, then two more in one batch
 	fillDir(t, other, "/wide", width, 5)
@@ -141,8 +140,8 @@ func TestReaddirParityAcrossModes(t *testing.T) {
 		trips []uint64 // per step, in script order
 	}{
 		{"parallel+batch", cfg, []uint64{5, 2, 4, 2, 1}},
-		{"parallel-only", noBatch, []uint64{8, 3, 4, 2, 5}},
-		{"serial", serial, []uint64{8, 3, 4, 2, 5}},
+		{"parallel-only", noBatch, []uint64{8, 3, 4, 2, 2}},
+		{"serial", serial, []uint64{8, 3, 4, 2, 2}},
 	}
 	// churn is another client's directory mutation: it bumps the DMS recall
 	// sequence, so the next DMS response c sees leaves its cache behind.
@@ -249,8 +248,9 @@ func TestReaddirParityAcrossModes(t *testing.T) {
 		churn()
 		_, err = c.StatDir("/wide/sub-002") // observes the churn: c is behind
 		must(err)
-		step(func() { // hot-tier refresh: the top paths plus the catch-up
-			c.refreshHot(4)
+		step(func() { // an uncached resolve: the lookup plus the catch-up
+			_, err := c.StatDir("/wide/sub-003")
+			must(err)
 			d := c.CacheDetail()
 			got = append(got, d.AppliedSeq == d.MaxSeq)
 		})

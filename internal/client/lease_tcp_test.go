@@ -2,7 +2,6 @@ package client
 
 import (
 	"testing"
-	"time"
 
 	"locofs/internal/dms"
 	"locofs/internal/fms"
@@ -108,70 +107,5 @@ func testLeaseCoherenceOverTCP(t *testing.T, disableBatch bool) {
 	}
 	if d.AppliedSeq != d.MaxSeq {
 		t.Errorf("reader not caught up over tcp: applied %d, observed %d", d.AppliedSeq, d.MaxSeq)
-	}
-}
-
-// TestHotTierRefreshOverTCP exercises the hot-entry tier end to end: a
-// client with HotEntries keeps re-resolving its top directories in the
-// background, so a hot entry stays servable past the plain lease without a
-// foreground miss.
-func TestHotTierRefreshOverTCP(t *testing.T) {
-	l, err := netsim.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := rpc.NewServer()
-	soloDMS(dms.New(dms.Options{LeaseDur: 50 * time.Millisecond}))(rs)
-	go rs.Serve(l)
-	t.Cleanup(rs.Shutdown)
-	fl, err := netsim.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frs := rpc.NewServer()
-	fms.New(fms.Options{ServerID: 1}).Attach(frs)
-	go frs.Serve(fl)
-	t.Cleanup(frs.Shutdown)
-
-	c, err := Dial(Config{
-		Dialer:             netsim.TCPDialer{},
-		DMSAddr:            l.Addr(),
-		FMSAddrs:           []string{fl.Addr()},
-		OSSAddrs:           []string{fl.Addr()}, // unused
-		HotEntries:         4,
-		HotRefreshInterval: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if err := c.Mkdir("/hot", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	// Touch it enough to rank in the TopK, and give the refresher a few
-	// ticks to install the hot set and start re-resolving.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := c.StatDir("/hot"); err != nil {
-			t.Fatal(err)
-		}
-		if c.cache.isHot("/hot") {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !c.cache.isHot("/hot") {
-		t.Fatal("hot set never installed")
-	}
-	// Wait past several plain lease durations; the refresher must keep the
-	// entry warm, so a stat is a cache hit (zero trips).
-	time.Sleep(150 * time.Millisecond)
-	trips := c.Trips()
-	if _, err := c.StatDir("/hot"); err != nil {
-		t.Fatal(err)
-	}
-	if c.Trips() != trips {
-		t.Error("hot entry was not kept warm by the background refresher")
 	}
 }

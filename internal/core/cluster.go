@@ -76,17 +76,10 @@ type Options struct {
 	// CheckPermissions enables the ancestor ACL walk (on in the paper; the
 	// work Fig 13 measures).
 	CheckPermissions bool
-	// DisableClientCache turns new clients' directory caches off
-	// (LocoFS-NC). Individual clients can override via ClientConfig.
-	DisableClientCache bool
 	// Lease is the client cache lease (default 30 s). It also sets the
 	// DMS's granted lease duration, so coherent clients and the server's
 	// suppression horizon agree.
 	Lease time.Duration
-	// DisableLeaseCoherence reverts new clients' directory caches to
-	// TTL-only semantics (see client.Config.DisableLeaseCoherence).
-	// Individual clients can override via ClientConfig.
-	DisableLeaseCoherence bool
 	// BlockSize is the object-store block size stamped on new files
 	// (default fms.DefaultBlockSize).
 	BlockSize uint32
@@ -417,8 +410,9 @@ func (c *Cluster) serve(h *obs.Handle, store *kv.Instrumented, attach func(*rpc.
 }
 
 // ClientConfig tweaks one client: a client.Config whose Dialer, Link,
-// addresses and journal NewClient fills in, and whose DisableCache, Lease and
-// DisableLeaseCoherence combine with the cluster's defaults.
+// addresses and journal NewClient fills in, and whose Lease defaults to the
+// cluster's. The cache mode — DisableCache, DisableLeaseCoherence — is the
+// client's own: a cluster sets none.
 type ClientConfig = client.Config
 
 // NewClient connects a LocoLib client to the cluster.
@@ -434,8 +428,6 @@ func (c *Cluster) NewClient(cfg ClientConfig) (*client.Client, error) {
 	}
 	c.mu.Unlock()
 	cfg.Dialer, cfg.Link, cfg.OSSAddrs = c.net, c.opts.Link, c.ossAddrs
-	cfg.DisableCache = cfg.DisableCache || c.opts.DisableClientCache
-	cfg.DisableLeaseCoherence = cfg.DisableLeaseCoherence || c.opts.DisableLeaseCoherence
 	if cfg.Lease == 0 {
 		cfg.Lease = c.opts.Lease
 	}

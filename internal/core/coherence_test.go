@@ -234,12 +234,12 @@ func TestCoherenceSuppressionKeepsSeqStill(t *testing.T) {
 // TestTTLOnlyModeStillCaches: the legacy mode keeps its paper semantics —
 // entries served for the TTL with no coherence machinery.
 func TestTTLOnlyModeStillCaches(t *testing.T) {
-	cl, err := Start(Options{FMSCount: 2, DisableLeaseCoherence: true})
+	cl, err := Start(Options{FMSCount: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, _ := cl.NewClient(ClientConfig{})
+	c, _ := cl.NewClient(ClientConfig{DisableLeaseCoherence: true})
 	defer c.Close()
 	if err := c.Mkdir("/d", 0o755); err != nil {
 		t.Fatal(err)

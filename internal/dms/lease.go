@@ -33,12 +33,6 @@ import (
 // zero — the paper's §3.2.2 30-second client cache lease, now coherent.
 const DefaultLeaseDur = 30 * time.Second
 
-// maxHotFactor bounds how far a client may stretch a granted lease for its
-// hot-entry tier (client HotLeaseFactor is clamped to this). The server
-// assumes any grant can be live for dur×maxHotFactor plus one dur of slack,
-// and keeps suppression records at least that long.
-const maxHotFactor = 8
-
 // defaultMaxGrants bounds the grants map; defaultRecallLog bounds the
 // recall log (clients further behind get a reset instead of a diff).
 const (
@@ -66,7 +60,7 @@ type grantRec struct {
 
 type leaseTable struct {
 	dur     time.Duration // client-visible lease duration
-	horizon time.Duration // how long a grant is assumed live (hot tier + slack)
+	horizon time.Duration // how long a grant is assumed live: one lease plus one of slack
 	now     func() int64
 
 	mu            sync.Mutex
@@ -94,7 +88,7 @@ func newLeaseTable(dur time.Duration, now func() int64) *leaseTable {
 	}
 	return &leaseTable{
 		dur:       dur,
-		horizon:   dur * (maxHotFactor + 1),
+		horizon:   dur * 2,
 		now:       now,
 		grants:    make(map[string]*grantRec),
 		maxGrants: defaultMaxGrants,

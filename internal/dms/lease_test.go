@@ -78,6 +78,25 @@ func TestLeaseGrantExpiryRestoresSuppression(t *testing.T) {
 	}
 }
 
+// TestLeaseGrantHorizon pins the grant horizon at two leases: a client
+// holds an entry exactly as long as its grant, and the server keeps the
+// suppression record one lease longer as slack. A mutation inside the
+// horizon publishes, one past it is suppressed.
+func TestLeaseGrantHorizon(t *testing.T) {
+	const dur = time.Second
+	lt, now := newTestTable(dur)
+	lt.grantChain([]PathInode{{Path: "/a"}})
+	*now += int64(3 * dur / 2)
+	if pub := lt.bumpPatched("/a"); pub.N != 1 {
+		t.Errorf("patch at grant + 1.5 leases published %+v, want one recall", pub)
+	}
+	lt.grantChain([]PathInode{{Path: "/b"}})
+	*now += int64(2*dur) + 1
+	if pub := lt.bumpPatched("/b"); pub.N != 0 {
+		t.Errorf("patch at grant + 2 leases + 1ns published %+v, want suppression", pub)
+	}
+}
+
 func TestLeaseRenameAlwaysPublishesBothSides(t *testing.T) {
 	lt, _ := newTestTable(time.Second)
 	pub := lt.bumpRenamed("/old", "/new")

@@ -197,12 +197,17 @@ func decodeRecord(data []byte) (record, []byte, bool) {
 	return r, rest, true
 }
 
-// log appends one record to the WAL and applies auto-snapshotting.
-func (p *Persistent) log(r record) {
+// log appends one record to the WAL, runs apply — the record's mutation
+// of the wrapped store — in the same critical section, and applies
+// auto-snapshotting. Snapshot takes p.mu too, so every record a snapshot's
+// WAL truncation discards is already in the dump: a record logged but not
+// yet applied would be lost with the log that held it.
+func (p *Persistent) log(r record, apply func()) {
 	p.mu.Lock()
 	buf := appendRecord(nil, r)
 	p.walW.Write(buf)
 	p.walW.Flush()
+	apply()
 	p.mutations++
 	doSnap := p.SnapshotEvery > 0 && p.mutations >= p.SnapshotEvery
 	p.mu.Unlock()
@@ -269,23 +274,22 @@ func (p *Persistent) Get(key []byte) ([]byte, bool) { return p.inner.Get(key) }
 
 // Put implements Store, logging before applying.
 func (p *Persistent) Put(key, value []byte) {
-	p.log(record{kind: recPut, a: key, b: value})
-	p.inner.Put(key, value)
+	p.log(record{kind: recPut, a: key, b: value}, func() { p.inner.Put(key, value) })
 }
 
 // Delete implements Store.
-func (p *Persistent) Delete(key []byte) bool {
-	p.log(record{kind: recDelete, a: key})
-	return p.inner.Delete(key)
+func (p *Persistent) Delete(key []byte) (ok bool) {
+	p.log(record{kind: recDelete, a: key}, func() { ok = p.inner.Delete(key) })
+	return ok
 }
 
 // PatchInPlace implements Store.
-func (p *Persistent) PatchInPlace(key []byte, off int, data []byte) bool {
+func (p *Persistent) PatchInPlace(key []byte, off int, data []byte) (ok bool) {
 	if off < 0 {
 		return false
 	}
-	p.log(record{kind: recPatch, a: key, b: data, n: uint64(off)})
-	return p.inner.PatchInPlace(key, off, data)
+	p.log(record{kind: recPatch, a: key, b: data, n: uint64(off)}, func() { ok = p.inner.PatchInPlace(key, off, data) })
+	return ok
 }
 
 // ReadAt implements Store.
@@ -295,8 +299,7 @@ func (p *Persistent) ReadAt(key []byte, off int, buf []byte) bool {
 
 // AppendValue implements Store.
 func (p *Persistent) AppendValue(key, data []byte) {
-	p.log(record{kind: recAppend, a: key, b: data})
-	p.inner.AppendValue(key, data)
+	p.log(record{kind: recAppend, a: key, b: data}, func() { p.inner.AppendValue(key, data) })
 }
 
 // Len implements Store.
@@ -316,9 +319,9 @@ func (p *Persistent) AscendPrefix(prefix []byte, fn func(key, value []byte) bool
 }
 
 // MovePrefix implements Ordered when the wrapped store is ordered.
-func (p *Persistent) MovePrefix(oldPrefix, newPrefix []byte) int {
-	p.log(record{kind: recMovePrefix, a: oldPrefix, b: newPrefix})
-	return p.ordered.MovePrefix(oldPrefix, newPrefix)
+func (p *Persistent) MovePrefix(oldPrefix, newPrefix []byte) (n int) {
+	p.log(record{kind: recMovePrefix, a: oldPrefix, b: newPrefix}, func() { n = p.ordered.MovePrefix(oldPrefix, newPrefix) })
+	return n
 }
 
 // IsOrdered reports whether ordered operations are available.

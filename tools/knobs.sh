@@ -3,7 +3,9 @@
 # independently settable values each configuration surface has. Counts names,
 # so "UID, GID uint32" is two; an alias type counts as 0 own fields; "-" means
 # the type does not exist. Pass a checkout root to count another tree (the
-# parent commit, for a before/after table); default: this repository.
+# parent commit, for a before/after table); default: this repository. CI
+# diffs the output against tools/knobs.txt, so an added or removed option
+# is named there in the same change.
 set -euo pipefail
 cd "${1:-$(dirname "$0")/..}"
 
