@@ -58,7 +58,7 @@ func main() {
 		{"utimens", "1 RPC; patches the content part only", func() error {
 			return fs.Utimens("/app/data.bin", 1, 2)
 		}},
-		{"truncate", "1 RPC to the FMS (+ block GC on the object stores)", func() error {
+		{"truncate", "1 RPC to the FMS (+ 1 to each object store owning a trimmed block)", func() error {
 			return fs.Truncate("/app/data.bin", 0)
 		}},
 		{"readdir", fmt.Sprintf("1 DMS + %d FMS RPCs (dirents live with their owners)", fmsCount), func() error {
@@ -72,7 +72,7 @@ func main() {
 			_, err := fs.RenameDir("/app/sub", "/app/sub2")
 			return err
 		}},
-		{"remove", "1 FMS RPC + object-store block GC", func() error {
+		{"remove", "1 FMS RPC (+ 1 to each object store owning a block; the file is empty)", func() error {
 			return fs.Remove("/app/data2.bin")
 		}},
 		{"rmdir", fmt.Sprintf("%d FMS emptiness probes + 1 DMS RPC", fmsCount), func() error {

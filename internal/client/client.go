@@ -952,7 +952,11 @@ func (c *Client) StatContext(ctx context.Context, path string) (*Attr, error) {
 	return c.StatDirContext(ctx, cleaned)
 }
 
-// Remove deletes a file and its data blocks.
+// Remove deletes a file and its data blocks. With the parent directory
+// cached, removing an empty file is one round trip, to the file's FMS; a
+// file holding data adds one parallel round to the object store servers
+// that own its blocks, which the FMS's reply (UUID, size, block size)
+// names without asking anyone.
 func (c *Client) Remove(path string) error {
 	return c.RemoveContext(context.Background(), path)
 }
@@ -973,6 +977,7 @@ func (c *Client) RemoveContext(ctx context.Context, path string) (err error) {
 	if st != wire.StatusOK {
 		return st.Err()
 	}
+	u, n := removedExtent(resp)
 	// During a migration window the file may exist at both owners (exported
 	// and installed, source delete pending); removing only one copy would
 	// let the coordinator's next pass resurrect the file from the other.
@@ -981,22 +986,55 @@ func (c *Client) RemoveContext(ctx context.Context, path string) (err error) {
 	if v := c.view.Load(); v.window() {
 		key := fms.FileKey(parent.UUID(), name)
 		if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
-			pe.Call(oc, wire.OpRemoveFile, body, 0)
+			// The two copies share the UUID; reclaim what the larger covers.
+			if st, presp, _, err := pe.Call(oc, wire.OpRemoveFile, body, 0); err == nil && st == wire.StatusOK {
+				if _, pn := removedExtent(presp); pn > n {
+					n = pn
+				}
+			}
 		}
 	}
-	u := wire.NewDec(resp).UUID()
-	c.deleteBlocks(oc, u, 0)
+	c.deleteBlocks(oc, u, 0, n)
 	return nil
 }
 
-// deleteBlocks reclaims every block of file u from block from onward, on
-// every object store server in parallel. Reclaim is best-effort: failures
-// are ignored (the blocks leak until the UUID is reused — never, so this
-// matches the previous fire-and-forget behavior).
-func (c *Client) deleteBlocks(oc opCtx, u uuid.UUID, from uint64) {
-	body := wire.NewEnc().UUID(u).U64(from).Bytes()
-	c.fanOut(oc, "reclaim", len(c.oss), func(boc opCtx, i int) (time.Duration, error) {
-		_, _, virt, _ := c.oss[i].Call(boc, wire.OpDeleteBlocks, body, 0)
+// removedExtent decodes an OpRemoveFile reply: the file's UUID and the
+// number of blocks its size covers.
+func removedExtent(resp []byte) (uuid.UUID, uint64) {
+	d := wire.NewDec(resp)
+	u, size, bs := d.UUID(), d.U64(), d.U32()
+	if d.Err() != nil || bs == 0 {
+		return u, 0
+	}
+	return u, blocksFor(size, bs)
+}
+
+// blocksFor is the number of blocks of size bs that size bytes span.
+func blocksFor(size uint64, bs uint32) uint64 {
+	n := size / uint64(bs)
+	if size%uint64(bs) != 0 {
+		n++
+	}
+	return n
+}
+
+// deleteBlocks reclaims blocks [from, to) of file u, in parallel on the
+// object store servers that own at least one of them: the range is walked
+// with the placement ring until every server has been named, so an empty
+// range calls none. Reclaim is best-effort: failures are ignored (the
+// blocks leak; a UUID is never reused).
+func (c *Client) deleteBlocks(oc opCtx, u uuid.UUID, from, to uint64) {
+	owners := make([]int, 0, len(c.oss))
+	named := make([]bool, len(c.oss))
+	for blk := from; blk < to && len(owners) < len(c.oss); blk++ {
+		if i := c.oring.Locate(objstore.BlockKey(u, blk)); !named[i] {
+			named[i] = true
+			owners = append(owners, i)
+		}
+	}
+	body := wire.NewEnc().UUID(u).U64(from).U64(to).Bytes()
+	c.fanOut(oc, "reclaim", len(owners), func(boc opCtx, i int) (time.Duration, error) {
+		_, _, virt, _ := c.oss[owners[i]].Call(boc, wire.OpDeleteBlocks, body, 0)
 		return virt, nil
 	})
 }
@@ -1109,8 +1147,7 @@ func (c *Client) TruncateContext(ctx context.Context, path string, size uint64) 
 	d := wire.NewDec(resp)
 	u, oldSize, bs := d.UUID(), d.U64(), d.U32()
 	if d.Err() == nil && size < oldSize && bs > 0 {
-		from := (size + uint64(bs) - 1) / uint64(bs)
-		c.deleteBlocks(oc, u, from)
+		c.deleteBlocks(oc, u, blocksFor(size, bs), blocksFor(oldSize, bs))
 	}
 	return nil
 }

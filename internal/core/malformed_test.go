@@ -27,7 +27,7 @@ func TestServersSurviveMalformedBodies(t *testing.T) {
 		wire.OpCreateFile, wire.OpRemoveFile, wire.OpStatFile, wire.OpOpenFile,
 		wire.OpChmodFile, wire.OpChownFile, wire.OpAccessFile, wire.OpUtimensFile,
 		wire.OpTruncateFile, wire.OpUpdateSize, wire.OpReaddirFiles,
-		wire.OpDirHasFiles, wire.OpRemoveDirFiles,
+		wire.OpDirHasFiles,
 	}
 	ossOps := []wire.Op{wire.OpPutBlock, wire.OpGetBlock, wire.OpDeleteBlocks}
 

@@ -342,16 +342,16 @@ func (s *Server) aclStatus(a layout.FileAccess, uid, gid uint32, wantWrite bool)
 	return wire.StatusOK
 }
 
-// Remove deletes the file and returns its UUID so the caller can reclaim
-// data blocks from the object store.
-func (s *Server) Remove(dir uuid.UUID, name string, uid, gid uint32) (uuid.UUID, wire.Status) {
+// Remove deletes the file and returns the content part it held: its UUID,
+// size and block size tell the caller which object-store blocks to reclaim
+// (none for an empty file), at no KV cost beyond the read the delete needs.
+func (s *Server) Remove(dir uuid.UUID, name string, uid, gid uint32) (layout.FileContent, wire.Status) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	m, st := s.getMeta(dir, name)
 	if st != wire.StatusOK {
-		return uuid.Nil, st
+		return nil, st
 	}
-	u := m.UUID()
 	if s.coupled {
 		s.store.Delete(coupledKey(dir, name))
 	} else {
@@ -359,7 +359,7 @@ func (s *Server) Remove(dir uuid.UUID, name string, uid, gid uint32) (uuid.UUID,
 		s.store.Delete(contentKey(dir, name))
 	}
 	s.removeDirent(dir, name)
-	return u, wire.StatusOK
+	return m.Content, wire.StatusOK
 }
 
 // removeDirent logs a tombstone for name — O(appended bytes), independent
@@ -597,33 +597,6 @@ func (s *Server) DirHasFiles(dir uuid.UUID) bool {
 	return err == nil && n > 0
 }
 
-// RemoveDirFiles deletes every file of dir on this server, returning the
-// removed files' UUIDs for object-store cleanup.
-func (s *Server) RemoveDirFiles(dir uuid.UUID) []uuid.UUID {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	list, ok := s.store.Get(direntsKey(dir))
-	if !ok {
-		return nil
-	}
-	ents, err := layout.DecodeDirents(list)
-	if err != nil {
-		return nil
-	}
-	out := make([]uuid.UUID, 0, len(ents))
-	for _, e := range ents {
-		if s.coupled {
-			s.store.Delete(coupledKey(dir, e.Name))
-		} else {
-			s.store.Delete(accessKey(dir, e.Name))
-			s.store.Delete(contentKey(dir, e.Name))
-		}
-		out = append(out, e.UUID)
-	}
-	s.store.Delete(direntsKey(dir))
-	return out
-}
-
 // FileCount returns the number of files on this server (tests/experiments).
 func (s *Server) FileCount() int {
 	s.mu.RLock()
@@ -732,11 +705,11 @@ func (s *Server) Attach(rs *rpc.Server) {
 		}
 		s.touchFile(dir, name)
 		return s.atMostOnce(wire.OpRemoveFile, req, trace, func() (wire.Status, []byte) {
-			u, st := s.Remove(dir, name, uid, gid)
+			c, st := s.Remove(dir, name, uid, gid)
 			if st != wire.StatusOK {
 				return st, nil
 			}
-			return wire.StatusOK, wire.NewEnc().UUID(u).Bytes()
+			return wire.StatusOK, wire.NewEnc().UUID(c.UUID()).U64(c.Size()).U32(c.BlockSize()).Bytes()
 		})
 	})
 	rs.Handle(wire.OpChmodFile, func(body []byte) (wire.Status, []byte) {
@@ -829,22 +802,6 @@ func (s *Server) Attach(rs *rpc.Server) {
 		}
 		s.hot.Touch(dir.String())
 		return wire.StatusOK, wire.NewEnc().Bool(s.DirHasFiles(dir)).Bytes()
-	})
-	rs.HandleMsg(wire.OpRemoveDirFiles, func(req, trace uint64, body []byte) (wire.Status, []byte) {
-		d := wire.NewDec(body)
-		dir := d.UUID()
-		if d.Err() != nil {
-			return wire.StatusInval, nil
-		}
-		s.hot.Touch(dir.String())
-		return s.atMostOnce(wire.OpRemoveDirFiles, req, trace, func() (wire.Status, []byte) {
-			removed := s.RemoveDirFiles(dir)
-			e := wire.NewEnc().U32(uint32(len(removed)))
-			for _, u := range removed {
-				e.UUID(u)
-			}
-			return wire.StatusOK, e.Bytes()
-		})
 	})
 	s.attachMigration(rs)
 }

@@ -206,9 +206,9 @@ func TestRemoveAndDirents(t *testing.T) {
 		if st != wire.StatusOK || len(ents) != 5 || more {
 			t.Fatalf("readdir = %d entries (more=%v), %v", len(ents), more, st)
 		}
-		u, st := s.Remove(dirA, "f2", 1, 1)
-		if st != wire.StatusOK || u.IsNil() {
-			t.Fatalf("Remove = %v, %v", u, st)
+		c, st := s.Remove(dirA, "f2", 1, 1)
+		if st != wire.StatusOK || c.UUID().IsNil() {
+			t.Fatalf("Remove = %v, %v", c, st)
 		}
 		ents, _, _ = s.ReaddirFiles(dirA, "", 0)
 		if len(ents) != 4 {
@@ -235,24 +235,24 @@ func TestRemoveAndDirents(t *testing.T) {
 	})
 }
 
-func TestRemoveDirFiles(t *testing.T) {
+// TestRemoveReportsExtent: Remove hands back the content part it deleted,
+// so the client can reclaim exactly the blocks the file's size covers.
+func TestRemoveReportsExtent(t *testing.T) {
 	both(t, func(t *testing.T, s *Server) {
-		for i := 0; i < 7; i++ {
-			s.Create(dirA, fmt.Sprintf("f%d", i), 0o644, 1, 1)
+		u, _ := s.Create(dirA, "f", 0o644, 1, 1)
+		if st := s.UpdateSize(dirA, "f", 10000); st != wire.StatusOK {
+			t.Fatal(st)
 		}
-		s.Create(dirB, "other", 0o644, 1, 1)
-		removed := s.RemoveDirFiles(dirA)
-		if len(removed) != 7 {
-			t.Fatalf("removed %d, want 7", len(removed))
+		c, st := s.Remove(dirA, "f", 1, 1)
+		if st != wire.StatusOK {
+			t.Fatal(st)
 		}
-		if s.DirHasFiles(dirA) {
-			t.Error("dirA still has files")
+		if c.UUID() != u || c.Size() != 10000 || c.BlockSize() == 0 {
+			t.Errorf("Remove reported uuid %v size %d block size %d, want %v 10000 non-zero",
+				c.UUID(), c.Size(), c.BlockSize(), u)
 		}
-		if !s.DirHasFiles(dirB) {
-			t.Error("dirB lost its file")
-		}
-		if got := s.RemoveDirFiles(dirA); got != nil {
-			t.Errorf("second RemoveDirFiles = %v", got)
+		if c, st := s.Remove(dirA, "f", 1, 1); st != wire.StatusNotFound || c != nil {
+			t.Errorf("second Remove = %v, %v", c, st)
 		}
 	})
 }

@@ -6,6 +6,7 @@
 package objstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 
@@ -77,24 +78,40 @@ func (s *Server) ReadBlock(u uuid.UUID, blk uint64, off uint32, length uint32) (
 	return cur[off:end], wire.StatusOK
 }
 
-// DeleteFrom removes every block of u with blk_num >= fromBlk, up to
-// maxProbe consecutive missing blocks past the last hit (blocks are dense
-// from 0, so the probe terminates quickly). It returns the number deleted.
-func (s *Server) DeleteFrom(u uuid.UUID, fromBlk uint64) int {
+// DeleteRange removes every block of u with from <= blk_num < to and
+// returns the number deleted. Blocks are not dense: a file's blocks spread
+// over the servers by hash, and a sparse write leaves holes. So a range
+// no longer than the store has keys is probed block by block, and a
+// longer one is found by walking the store, which costs
+// O(min(to-from, Len)) either way.
+func (s *Server) DeleteRange(u uuid.UUID, from, to uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	deleted := 0
-	misses := 0
-	const maxProbe = 8
-	for blk := fromBlk; misses < maxProbe; blk++ {
-		if s.store.Delete(BlockKey(u, blk)) {
-			deleted++
-			misses = 0
-		} else {
-			misses++
-		}
+	if from >= to {
+		return 0
 	}
-	return deleted
+	if to-from <= uint64(s.store.Len()) {
+		deleted := 0
+		for blk := from; blk < to; blk++ {
+			if s.store.Delete(BlockKey(u, blk)) {
+				deleted++
+			}
+		}
+		return deleted
+	}
+	var blks []uint64
+	s.store.ForEach(func(k, _ []byte) bool {
+		if len(k) == uuid.Size+8 && bytes.Equal(k[:uuid.Size], u[:]) {
+			if blk := binary.BigEndian.Uint64(k[uuid.Size:]); blk >= from && blk < to {
+				blks = append(blks, blk)
+			}
+		}
+		return true
+	})
+	for _, blk := range blks {
+		s.store.Delete(BlockKey(u, blk))
+	}
+	return len(blks)
 }
 
 // BlockCount returns the number of stored blocks (tests/experiments).
@@ -128,11 +145,11 @@ func (s *Server) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpDeleteBlocks, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)
 		u := d.UUID()
-		from := d.U64()
+		from, to := d.U64(), d.U64()
 		if d.Err() != nil {
 			return wire.StatusInval, nil
 		}
-		n := s.DeleteFrom(u, from)
+		n := s.DeleteRange(u, from, to)
 		return wire.StatusOK, wire.NewEnc().U32(uint32(n)).Bytes()
 	})
 }

@@ -60,7 +60,7 @@ func TestReadShortAtExtent(t *testing.T) {
 	}
 }
 
-func TestDeleteFrom(t *testing.T) {
+func TestDeleteRange(t *testing.T) {
 	s := New(nil)
 	for blk := uint64(0); blk < 10; blk++ {
 		s.WriteBlock(fileU, blk, 0, []byte("x"), 4096)
@@ -68,23 +68,51 @@ func TestDeleteFrom(t *testing.T) {
 	other := uuid.New(1, 43)
 	s.WriteBlock(other, 0, 0, []byte("y"), 4096)
 
-	if n := s.DeleteFrom(fileU, 4); n != 6 {
-		t.Errorf("DeleteFrom(4) = %d, want 6", n)
+	if n := s.DeleteRange(fileU, 4, 8); n != 4 {
+		t.Errorf("DeleteRange(4, 8) = %d, want 4", n)
 	}
-	if got, _ := s.ReadBlock(fileU, 3, 0, 1); len(got) != 1 {
-		t.Error("block 3 vanished")
+	for blk, want := range map[uint64]int{3: 1, 4: 0, 7: 0, 8: 1} {
+		if got, _ := s.ReadBlock(fileU, blk, 0, 1); len(got) != want {
+			t.Errorf("block %d holds %d bytes after DeleteRange(4, 8), want %d", blk, len(got), want)
+		}
 	}
-	if got, _ := s.ReadBlock(fileU, 4, 0, 1); len(got) != 0 {
-		t.Error("block 4 survived")
-	}
-	if n := s.DeleteFrom(fileU, 0); n != 4 {
-		t.Errorf("DeleteFrom(0) = %d, want 4", n)
+	if n := s.DeleteRange(fileU, 0, 10); n != 6 {
+		t.Errorf("DeleteRange(0, 10) = %d, want 6", n)
 	}
 	if got, _ := s.ReadBlock(other, 0, 0, 1); len(got) != 1 {
 		t.Error("other file's block deleted")
 	}
 	if s.BlockCount() != 1 {
 		t.Errorf("BlockCount = %d, want 1", s.BlockCount())
+	}
+}
+
+// TestDeleteRangeSparse covers ranges longer than the store, which are
+// found by walking it: holes of any length are skipped, and blocks outside
+// the range or of another file stay.
+func TestDeleteRangeSparse(t *testing.T) {
+	s := New(nil)
+	other := uuid.New(1, 43)
+	for _, blk := range []uint64{0, 100, 1 << 40, 1<<40 + 1} {
+		s.WriteBlock(fileU, blk, 0, []byte("x"), 4096)
+		s.WriteBlock(other, blk, 0, []byte("y"), 4096)
+	}
+	if n := s.DeleteRange(fileU, 1, 1<<40+1); n != 2 {
+		t.Errorf("DeleteRange(1, 2^40+1) = %d, want 2", n)
+	}
+	for blk, want := range map[uint64]int{0: 1, 100: 0, 1 << 40: 0, 1<<40 + 1: 1} {
+		if got, _ := s.ReadBlock(fileU, blk, 0, 1); len(got) != want {
+			t.Errorf("block %d holds %d bytes, want %d", blk, len(got), want)
+		}
+	}
+	if n := s.DeleteRange(fileU, 0, ^uint64(0)); n != 2 {
+		t.Errorf("DeleteRange(0, max) = %d, want 2", n)
+	}
+	if s.BlockCount() != 4 {
+		t.Errorf("BlockCount = %d, want the other file's 4", s.BlockCount())
+	}
+	if n := s.DeleteRange(other, 5, 5); n != 0 {
+		t.Errorf("empty range deleted %d", n)
 	}
 }
 

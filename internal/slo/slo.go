@@ -82,8 +82,7 @@ func ClassOf(op string) string {
 		return ClassMDRead
 	case "Mkdir", "Rmdir", "RenameDir", "ChmodDir", "ChownDir",
 		"CreateFile", "RemoveFile", "CloseFile", "ChmodFile", "ChownFile",
-		"UtimensFile", "TruncateFile", "UpdateSize", "RenameFile",
-		"RemoveDirFiles":
+		"UtimensFile", "TruncateFile", "UpdateSize", "RenameFile":
 		return ClassMDMutate
 	case "PutBlock", "GetBlock", "DeleteBlocks":
 		return ClassData

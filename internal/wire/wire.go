@@ -47,7 +47,9 @@ const (
 	OpReaddirFiles
 	OpRenameFile
 	OpDirHasFiles // rmdir support: does this FMS hold files of dir uuid?
-	OpRemoveDirFiles
+	// 0x020e is retired (a directory-wide file removal nothing called) and
+	// stays reserved, so the ops below keep their numbers on the wire.
+	_
 	// Migration operations for online membership changes: a scan that
 	// exports the keys a new ring would place elsewhere, an install that
 	// imports one file's metadata at its new owner, and a conditional
@@ -173,8 +175,6 @@ func (o Op) String() string {
 		return "RenameFile"
 	case OpDirHasFiles:
 		return "DirHasFiles"
-	case OpRemoveDirFiles:
-		return "RemoveDirFiles"
 	case OpMigrateScan:
 		return "MigrateScan"
 	case OpMigrateInstall:
@@ -242,10 +242,9 @@ func (o Op) String() string {
 // re-commit, or re-abort of a known transaction acks without re-executing).
 //
 // Everything else — create, remove, mkdir, rmdir, renames, truncate,
-// subtree file removal, and the OpBatch envelope — reports false: a replay
-// observes the first execution's effects (EEXIST, ENOENT, an empty removal
-// list), so retries must instead be deduplicated server-side via Msg.Req,
-// by the service that owns the state.
+// and the OpBatch envelope — reports false: a replay observes the first
+// execution's effects (EEXIST, ENOENT), so retries must instead be
+// deduplicated server-side via Msg.Req, by the service that owns the state.
 func (o Op) Idempotent() bool {
 	switch o {
 	case OpPing, OpStatDir, OpStatFile, OpLookupDir, OpReaddirSubdirs,

@@ -214,3 +214,15 @@ func TestOpStrings(t *testing.T) {
 		t.Errorf("unknown op = %q", Op(0xffff).String())
 	}
 }
+
+// TestFMSOpNumbersStable pins the FMS op numbers past the retired 0x020e
+// slot: renumbering them would break every peer built before.
+func TestFMSOpNumbersStable(t *testing.T) {
+	for op, want := range map[Op]uint16{
+		OpDirHasFiles: 0x020d, OpMigrateScan: 0x020f, OpMigrateInstall: 0x0210, OpMigrateDelete: 0x0211,
+	} {
+		if uint16(op) != want {
+			t.Errorf("%v = 0x%04x, want 0x%04x", op, uint16(op), want)
+		}
+	}
+}
