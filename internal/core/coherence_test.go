@@ -262,3 +262,47 @@ func TestTTLOnlyModeStillCaches(t *testing.T) {
 		t.Errorf("TTL-only client cached negatives/listings: %+v", d)
 	}
 }
+
+// TestCoherenceAcrossPromotion: a promoted DMS leader holds none of its
+// predecessor's lease grants and would publish no recall for them, so its
+// first response must put every client's entries from that partition behind
+// the observed sequence. A reader caches a directory, the leader fails over,
+// a writer changes the directory's mode at the new leader, and after an
+// unrelated round trip to that partition the reader must see the new mode,
+// not its cached one.
+func TestCoherenceAcrossPromotion(t *testing.T) {
+	for _, tc := range []struct {
+		parts, pid int
+		dir        string
+	}{{1, 0, ""}, {2, 1, parityCut}} {
+		t.Run(fmt.Sprintf("%dx2", tc.parts), func(t *testing.T) {
+			c := startTopology(t, tc.parts, 2)
+			reader := newClient(t, c, ClientConfig{})
+			writer := newClient(t, c, ClientConfig{})
+			if tc.dir != "" {
+				if err := writer.Mkdir(tc.dir, 0o755); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d := tc.dir + "/d"
+			if err := writer.Mkdir(d, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if a, err := reader.StatDir(d); err != nil || a.Mode&0o777 != 0o755 {
+				t.Fatalf("initial stat: %+v, %v", a, err)
+			}
+			if err := c.FailoverDMS(tc.pid); err != nil {
+				t.Fatal(err)
+			}
+			if err := writer.ChmodDir(d, 0o700); err != nil {
+				t.Fatal(err)
+			}
+			if err := reader.Mkdir(tc.dir+"/obs3", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if a, err := reader.StatDir(d); err != nil || a.Mode&0o777 != 0o700 {
+				t.Fatalf("stat after chmod at the promoted leader = %+v, %v; stale read", a, err)
+			}
+		})
+	}
+}

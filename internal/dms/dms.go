@@ -597,6 +597,10 @@ func (s *Server) HotKeys() *trace.TopK { return s.hot }
 // LeaseSeq returns the published lease-recall sequence (see lease.go).
 func (s *Server) LeaseSeq() uint64 { return s.leases.Seq() }
 
+// StartLeaseTerm moves the lease-recall sequence into the term of a leader
+// promoted under map version ver (see leaseTable.startTerm).
+func (s *Server) StartLeaseTerm(ver uint64) { s.leases.startTerm(ver) }
+
 // RecallsSuppressed returns how many mutations published no recall because
 // no live lease grant covered the touched paths.
 func (s *Server) RecallsSuppressed() uint64 { return s.leases.Suppressed() }

@@ -219,6 +219,25 @@ func (lt *leaseTable) publish(kind wire.RecallKind, path string) {
 	lt.obs.Emit(obs.KindLeaseRecall, "", 0, int64(lt.seq), path)
 }
 
+// startTerm puts ver, the map version under which this replica was promoted
+// to leader, into the sequence's high bits, the way the partition layer
+// folds it into transaction ids, and empties the recall log. A promoted
+// leader holds none of its predecessor's grants, so it would publish no
+// recall for them; instead its first response puts every client's entries
+// from this partition behind the observed sequence, and the client's recall
+// fetch, whose since predates the log, gets a reset that drops them. 24
+// version bits wrap after 16M map pushes; 40 sequence bits never wrap in
+// practice.
+func (lt *leaseTable) startTerm(ver uint64) {
+	lt.mu.Lock()
+	defer lt.mu.Unlock()
+	if base := (ver & (1<<24 - 1)) << 40; base > lt.seq {
+		lt.seq = base
+		lt.log = lt.log[:0]
+		lt.pub.Store(base)
+	}
+}
+
 // bumpCreated handles a directory creation: clients may hold a negative
 // entry for the exact path or the parent's listing; nothing else changes.
 func (lt *leaseTable) bumpCreated(path, parent string) pubResult {

@@ -136,7 +136,7 @@ func (n *Node) catchUp(why string) error {
 // best-effort, so this is how one that was dark during a push converges; a
 // replica the newer map no longer lists leaves its own alone.
 func (n *Node) pullMap(leader, self string) {
-	st, resp, err := n.callPeerT(leader, wire.OpGetMap, nil, n.repTimeout)
+	st, resp, err := n.callPeerSpec(leader, rpc.CallSpec{Op: wire.OpGetMap, Timeout: n.repTimeout})
 	if err != nil || st != wire.StatusOK {
 		return
 	}

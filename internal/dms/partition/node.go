@@ -7,12 +7,13 @@
 // The namespace is split into subtree range partitions by the versioned
 // wire.ClusterMap. Each partition is a replica group of Nodes wrapping one
 // dms.Server each; replica 0 is the leader. Mutations reach the leader,
-// which appends them to a replicated op log under the partition lock, then
-// fans the entry out to every live follower through per-follower ordered
-// replicators *outside* the lock (a slow follower costs one replication
-// timeout, not a partition-wide stall). All live followers must ack before
-// the leader replies — an acked mutation is on every non-excluded replica,
-// so promoting any follower loses nothing. A follower that cannot ack is
+// which appends them to a replicated op log under the partition lock and,
+// in the same locked step, starts the entry's OpLogAppend to every live
+// follower; the socket write and the wait for acks happen *outside* the
+// lock (a slow follower costs one replication timeout, not a
+// partition-wide stall). All live followers must ack before the leader
+// replies — an acked mutation is on every non-excluded replica, so
+// promoting any follower loses nothing. A follower that cannot ack is
 // excluded from the live set and re-admitted by the catch-up protocol
 // (catchup.go): it replays the missed log range via OpLogFetch and rejoins
 // at the tip. The log itself is bounded: followers report applied
@@ -195,10 +196,10 @@ type Node struct {
 	CrashAfterCommit  atomic.Bool
 
 	// mu serializes log append and apply bookkeeping. It is never held
-	// across an RPC: replication to this partition's own followers runs in
-	// per-follower replicator goroutines outside the lock, and RPCs to
-	// other partitions were always lock-free (deadlock with opposite-
-	// direction traffic).
+	// across an RPC, a dial or a socket write: an append to a follower is
+	// started under it (which fixes wire order to log order) but flushed and
+	// waited for outside it, and RPCs to other partitions were always
+	// lock-free (deadlock with opposite-direction traffic).
 	mu sync.Mutex
 	// applyC signals appliedIdx advancing: appenders wait on it until the
 	// log prefix before their entry has applied, keeping applies in strict
@@ -250,8 +251,9 @@ type Node struct {
 	// gauged records that the log gauges are registered (see
 	// logAppendLocked).
 	gauged bool
-	// reps holds the live per-follower replicators (leader side).
-	reps map[string]*replicator
+	// lagged holds the followers whose ack-lag gauge is registered (leader
+	// side; see registerLagGauge).
+	lagged map[string]bool
 
 	frozen map[string]int                 // subtree roots locked by in-flight 2PC
 	dtx    map[uint64]*wire.RenamePrepare // destination-side prepared txs
@@ -291,7 +293,7 @@ func New(cfg Config) *Node {
 		excluded:     make(map[string]bool),
 		ackMark:      make(map[string]uint64),
 		catch:        make(map[string]catchSession),
-		reps:         make(map[string]*replicator),
+		lagged:       make(map[string]bool),
 		frozen:       make(map[string]int),
 		dtx:          make(map[uint64]*wire.RenamePrepare),
 		stx:          make(map[uint64]*srcTx),
@@ -386,14 +388,19 @@ func (n *Node) emit(op string, value int64, detail string) {
 // stamps the lease-recall sequence and the map version on every response
 // header. A node must be attached before it is used.
 //
-// Every op whose handler can wait on another node or goroutine is
-// registered as blocking, so it does not hold up the reads queued behind it
-// on its connection: the mutations, OpSeedUpdate and the 2PC ops wait for
-// replication, and a cross-partition rename also for its destination;
-// OpLogAppend can wait in applyInOrderLocked for a deposed leader's own
-// rounds; OpSetMap stops replicators and, on a promotion, runs Recover's
-// peer calls. Reads take no partition lock, and OpLogFetch only n.mu,
-// which nobody holds across a wait, so both run on the connection's reader.
+// Every op whose handler can wait on another node is registered as
+// blocking, with its reason below, so it does not hold up the requests
+// queued behind it on its connection. Reads take no partition lock, and
+// OpLogFetch only n.mu, which nobody holds across a wait, so both run on the
+// connection's reader.
+//
+// OpLogAppend runs on the reader too, so the leader's appends apply in the
+// order they arrive, which is log order. Its one wait is applyInOrderLocked
+// on a deposed leader that still has rounds of its own in flight. Those
+// rounds end within one replication timeout, which bounds each of their
+// appends, and they wait only on this node's outbound connections to its
+// followers, never on the inbound one the append arrived on: the reader
+// waits at most one timeout, and never on itself.
 func (n *Node) Attach(rs *rpc.Server) {
 	n.rs = rs
 	rs.InstallMap(n.bootMap, wire.DMSCoords(n.pid, n.bootIdx))
@@ -404,7 +411,7 @@ func (n *Node) Attach(rs *rpc.Server) {
 			rs.HandleMsg(op, func(req, trace uint64, body []byte) (wire.Status, []byte) {
 				return n.serveMutation(op, req, trace, body)
 			})
-			rs.Blocking(op)
+			rs.Blocking(op) // waits for the followers' acks; a cross-partition rename also for its destination
 		} else {
 			rs.Handle(op, func(body []byte) (wire.Status, []byte) {
 				return n.serveRead(op, body)
@@ -418,8 +425,14 @@ func (n *Node) Attach(rs *rpc.Server) {
 	rs.Handle(wire.OpRenameCommit, n.serveRenameDecision(wire.OpRenameCommit))
 	rs.Handle(wire.OpRenameAbort, n.serveRenameDecision(wire.OpRenameAbort))
 	rs.Handle(wire.OpSetMap, n.serveSetMap)
-	rs.Blocking(wire.OpLogAppend, wire.OpSeedUpdate, wire.OpRenamePrepare,
-		wire.OpRenameCommit, wire.OpRenameAbort, wire.OpSetMap)
+	// Blocking, one reason per op:
+	//   OpSeedUpdate:    logs the seed, so waits for the followers' acks;
+	//   OpRenamePrepare: logs the prepare marker, the same;
+	//   OpRenameCommit:  logs the decision, the same;
+	//   OpRenameAbort:   the same;
+	//   OpSetMap:        a promotion runs Recover's calls to other partitions.
+	rs.Blocking(wire.OpSeedUpdate, wire.OpRenamePrepare, wire.OpRenameCommit,
+		wire.OpRenameAbort, wire.OpSetMap)
 	if n.catchupEvery > 0 {
 		go n.catchupLoop(n.catchupEvery)
 	}
@@ -495,7 +508,7 @@ func isCutDir(pm *wire.ClusterMap, p string) bool {
 // pruned-watermark guard), freeze check, append under the lock, follower
 // fan-out outside it, in-order local apply.
 func (n *Node) replicate(op wire.Op, req, trace uint64, body []byte, p1, p2 string) (wire.Status, []byte) {
-	n.mu.Lock()
+	n.lockAppend()
 	if r, ok := n.replayLocked(req); ok {
 		n.mu.Unlock()
 		n.obs.Replayed(op.String(), trace)
@@ -521,20 +534,56 @@ func (n *Node) replicate(op wire.Op, req, trace uint64, body []byte, p1, p2 stri
 	return n.finishAppend(f)
 }
 
-// fanout is the ticket of one append's replication round: finishAppend
-// waits for every live follower's replicator to ack (or exclude itself),
-// then applies the entry in log order.
+// fanout is one append's replication round: the OpLogAppend started to
+// each live follower, which finishAppend waits for before applying the entry
+// in log order.
 type fanout struct {
-	le *wire.LogEntry
-	wg sync.WaitGroup
+	le   *wire.LogEntry
+	acks []repAck
+}
+
+// repAck is one follower's append in a round. cl is nil when the follower
+// had no connection when the append was due (lockAppend's dial failed).
+type repAck struct {
+	addr string
+	cl   *rpc.Client
+	call rpc.Call
+	// Set by wait: the follower's applied watermark, or why it failed.
+	mark uint64
+	fail string
+}
+
+// wait collects the follower's ack. A transport failure or timeout also
+// drops the connection, which fails the later appends still in flight to
+// the same follower at once instead of each after its own timeout.
+func (a *repAck) wait(n *Node) {
+	if a.cl == nil {
+		a.fail = "not connected"
+		return
+	}
+	st, resp, _, err := a.call.Wait()
+	switch {
+	case err != nil:
+		a.fail = err.Error()
+		n.dropPeer(a.addr, a.cl)
+	case st != wire.StatusOK:
+		// A gap: the follower is already starting catch-up on its own.
+		a.fail = st.String()
+	default:
+		a.mark, _ = wire.DecodeLogAck(resp)
+	}
 }
 
 // appendLocked assigns the next index to le, appends it to the log, and
-// enqueues it on every live follower's replicator (ordered per follower;
-// the actual sends run outside n.mu). It returns nil — appending nothing —
-// when this node is not, or no longer, the partition leader: the check runs
-// under n.mu, the same lock installMap installs maps under, so a
-// deposed leader cannot slip an entry in after its successor took over.
+// starts its OpLogAppend to every live follower. Starting only appends the
+// frame to the follower's connection, under the connection's own lock, so
+// wire order is log order; finishAppend flushes it after n.mu is released.
+// Take n.mu with lockAppend, which dials any follower that has no
+// connection yet, so that nothing here dials. appendLocked returns nil —
+// appending nothing — when this node is not, or no longer, the partition
+// leader: the check runs under n.mu, the same lock installMap installs maps
+// under, so a deposed leader cannot slip an entry in after its successor
+// took over.
 //
 // Every non-nil return must be finished with exactly one finishAppend (or
 // appendLocked's caller must otherwise call applyInOrderLocked), or
@@ -559,16 +608,18 @@ func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
 	}
 	f := &fanout{le: le}
 	if flw := n.followersLocked(); len(flw) > 0 {
-		enc := wire.EncodeLogAppend(n.firstIndex, le)
-		for _, addr := range flw {
-			r := n.reps[addr]
-			if r == nil {
-				r = newReplicator(n, addr)
-				n.reps[addr] = r
+		spec := rpc.CallSpec{Op: wire.OpLogAppend, Body: wire.EncodeLogAppend(n.firstIndex, le), Timeout: n.repTimeout}
+		f.acks = make([]repAck, len(flw))
+		for i, addr := range flw {
+			if !n.lagged[addr] {
+				n.lagged[addr] = true
 				n.registerLagGauge(addr)
 			}
-			f.wg.Add(1)
-			r.enqueue(enc, le.Index, &f.wg)
+			a := &f.acks[i]
+			a.addr = addr
+			if a.cl = n.dialed(addr); a.cl != nil {
+				a.call = a.cl.Start(spec)
+			}
 		}
 	}
 	if eager {
@@ -578,13 +629,27 @@ func (n *Node) appendLocked(le *wire.LogEntry, eager bool) *fanout {
 	return f
 }
 
-// finishAppend completes one append outside n.mu: wait for the fan-out
-// round (every live follower acked, or was excluded trying — exclusion
-// happens before the ticket releases, so the acked-everywhere invariant
-// holds at reply time), then apply in log order and prune.
+// finishAppend completes one append outside n.mu: flush the round's
+// appends, wait for every live follower's ack, exclude each follower that
+// failed before anything is applied or answered (so the acked-everywhere
+// invariant holds at reply time), then apply in log order and prune.
 func (n *Node) finishAppend(f *fanout) (wire.Status, []byte) {
-	f.wg.Wait()
+	for i := range f.acks {
+		if cl := f.acks[i].cl; cl != nil {
+			_ = cl.Flush() // a failed write fails the call, which wait reports
+		}
+	}
+	for i := range f.acks {
+		f.acks[i].wait(n)
+	}
 	n.mu.Lock()
+	for _, a := range f.acks {
+		if a.fail != "" {
+			n.excludeLocked(a.addr, f.le.Index, a.fail)
+		} else if !n.excluded[a.addr] && a.mark > n.ackMark[a.addr] {
+			n.ackMark[a.addr] = a.mark
+		}
+	}
 	st, body := n.applyInOrderLocked(f.le)
 	n.maybePruneLocked()
 	n.mu.Unlock()
@@ -648,29 +713,20 @@ func (n *Node) followersLocked() []string {
 	return out
 }
 
-// excludeFollower drops addr from the live fan-out set: its replicator is
-// detached (the caller — the replicator itself — stops on its own) and its
-// ack watermark forgotten. Exclusion happens before the failing append's
-// ticket is released, so the leader never acks a mutation a non-excluded
-// replica is missing. Catch-up re-admits the follower (serveLogFetch).
-func (n *Node) excludeFollower(addr string, idx uint64, detail string) {
-	n.mu.Lock()
-	if !n.excluded[addr] {
-		n.excluded[addr] = true
-		n.emit("follower_excluded", int64(idx), detail)
+// excludeLocked drops addr from the live fan-out set, after its append of
+// entry idx failed, and forgets its ack watermark. finishAppend excludes
+// before it applies or answers, so the leader never acks a mutation a
+// non-excluded replica is missing. A failure of an entry the follower has
+// since reported applied (its watermark is past idx — a late failure from
+// before catch-up readmitted it) excludes nothing. Catch-up re-admits the
+// follower (serveLogFetch).
+func (n *Node) excludeLocked(addr string, idx uint64, detail string) {
+	if n.excluded[addr] || n.ackMark[addr] > idx {
+		return
 	}
-	delete(n.reps, addr)
+	n.excluded[addr] = true
 	delete(n.ackMark, addr)
-	n.mu.Unlock()
-}
-
-// noteAck records a follower's applied watermark from an append ack.
-func (n *Node) noteAck(addr string, mark uint64) {
-	n.mu.Lock()
-	if !n.excluded[addr] && mark > n.ackMark[addr] {
-		n.ackMark[addr] = mark
-	}
-	n.mu.Unlock()
+	n.emit("follower_excluded", int64(idx), detail)
 }
 
 // applyLocked applies one log entry to local state. It runs identically on
@@ -1019,7 +1075,7 @@ func (n *Node) serveSeedUpdate(body []byte) (wire.Status, []byte) {
 	if !n.IsLeader() {
 		return wire.StatusWrongPartition, nil
 	}
-	n.mu.Lock()
+	n.lockAppend()
 	f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpSeedUpdate, Body: body}, false)
 	n.mu.Unlock()
 	// A refused or failed append means the seed is NOT in the replicated
@@ -1098,7 +1154,7 @@ func (n *Node) coordRename(req, trace uint64, oldC, newC string, body []byte, ds
 	// transaction exists), freeze the subtree. The marker is applied
 	// eagerly under the same lock hold: the freeze must guard the subtree
 	// from the instant the export is taken, not an in-order apply later.
-	n.mu.Lock()
+	n.lockAppend()
 	if r, ok := n.replayLocked(req); ok {
 		n.mu.Unlock()
 		n.obs.Replayed(wire.OpRenameDir.String(), trace)
@@ -1164,7 +1220,7 @@ func (n *Node) coordRename(req, trace uint64, oldC, newC string, body []byte, ds
 	// return. Applying it deletes the source subtree and records the
 	// client response, under the client's request id, on every source
 	// replica.
-	n.mu.Lock()
+	n.lockAppend()
 	fCommit := n.appendLocked(&wire.LogEntry{Req: req, TS: n.now(), Op: wire.OpRenameSrcCommit, Body: wire.EncodeRenameDecision(txid)}, false)
 	n.mu.Unlock()
 	if fCommit == nil {
@@ -1193,7 +1249,7 @@ func (n *Node) coordRename(req, trace uint64, oldC, newC string, body []byte, ds
 // abortTx logs the abort decision locally (unfreezing the subtree on every
 // source replica) and tells the destination.
 func (n *Node) abortTx(txid uint64, dest string) {
-	n.mu.Lock()
+	n.lockAppend()
 	f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcAbort, Body: wire.EncodeRenameDecision(txid)}, false)
 	n.mu.Unlock()
 	if f != nil {
@@ -1214,7 +1270,7 @@ func (n *Node) pushDecision(op wire.Op, txid uint64, dest string) bool {
 	if err != nil || st != wire.StatusOK {
 		return false
 	}
-	n.mu.Lock()
+	n.lockAppend()
 	f := n.appendLocked(&wire.LogEntry{TS: n.now(), Op: wire.OpRenameSrcComplete, Body: wire.EncodeRenameDecision(txid)}, false)
 	n.mu.Unlock()
 	if f != nil {
@@ -1233,7 +1289,7 @@ func (n *Node) serveRenamePrepare(body []byte) (wire.Status, []byte) {
 	if !n.IsLeader() {
 		return wire.StatusWrongPartition, nil
 	}
-	n.mu.Lock()
+	n.lockAppend()
 	if _, ok := n.dtx[rp.TxID]; ok {
 		n.mu.Unlock()
 		return wire.StatusOK, nil // duplicate prepare (coordinator retry)
@@ -1262,7 +1318,7 @@ func (n *Node) serveRenameDecision(op wire.Op) rpc.HandlerFunc {
 		if !n.IsLeader() {
 			return wire.StatusWrongPartition, nil
 		}
-		n.mu.Lock()
+		n.lockAppend()
 		if _, ok := n.dtx[txid]; !ok {
 			n.mu.Unlock()
 			// Unknown transaction: already decided and retired here, or
@@ -1307,6 +1363,9 @@ func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
 		n.mu.Unlock()
 		return wire.StatusStale
 	}
+	if at.Idx == 0 && !wasLeader {
+		n.dms.StartLeaseTerm(m.Ver)
+	}
 	// The exclusion, ack watermark, and catch-up session of an address the
 	// group no longer lists die with the map install — a replaced replica
 	// must not stay excluded, hold truncation back, or count toward the
@@ -1331,26 +1390,18 @@ func (n *Node) installMap(m *wire.ClusterMap, at wire.Coords) wire.Status {
 			delete(n.catch, a)
 		}
 	}
-	var stopped []*replicator
-	for a, r := range n.reps {
-		if at.Idx != 0 || !group[a] {
-			delete(n.reps, a)
-			stopped = append(stopped, r)
-		}
-	}
 	// Ack-lag gauges follow the same rule, excluded followers included: a
 	// demoted node exports none, a leader none for a replica it lost.
-	if reg := n.obs.Registry(); reg != nil {
-		for _, a := range old.Groups[n.pid] {
-			if at.Idx != 0 || !group[a] {
+	reg := n.obs.Registry()
+	for _, a := range old.Groups[n.pid] {
+		if at.Idx != 0 || !group[a] {
+			delete(n.lagged, a)
+			if reg != nil {
 				reg.Unregister(MetricFollowerAckLag, telemetry.L("follower", a))
 			}
 		}
 	}
 	n.mu.Unlock()
-	for _, r := range stopped {
-		r.stop()
-	}
 	if at.Idx == 0 && !wasLeader {
 		n.emit("promoted", int64(m.Ver), m.Groups[n.pid][0])
 		n.Recover()
@@ -1400,30 +1451,51 @@ func (n *Node) Recover() {
 
 // ---- peers ----
 
-func (n *Node) peer(addr string) (*rpc.Client, error) {
+// dialed returns the connection to addr, or nil when there is none yet. It
+// never dials, so appendLocked may call it under n.mu.
+func (n *Node) dialed(addr string) *rpc.Client {
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
-	if cl, ok := n.peers[addr]; ok {
+	return n.peers[addr]
+}
+
+// peer returns the connection to addr, dialing it when there is none. The
+// dial runs without peerMu, so a slow dial never holds up dialed.
+func (n *Node) peer(addr string) (*rpc.Client, error) {
+	if cl := n.dialed(addr); cl != nil {
 		return cl, nil
 	}
 	cl, err := rpc.Dial(n.dialer, addr)
 	if err != nil {
 		return nil, err
 	}
+	n.peerMu.Lock()
+	defer n.peerMu.Unlock()
+	if won := n.peers[addr]; won != nil {
+		cl.Close() // a concurrent dial got there first
+		return won, nil
+	}
 	n.peers[addr] = cl
 	return cl, nil
 }
 
-func (n *Node) callPeer(addr string, op wire.Op, body []byte) (wire.Status, []byte, error) {
-	return n.callPeerSpec(addr, rpc.CallSpec{Op: op, Body: body})
+// lockAppend takes n.mu for an append, first dialing every live follower
+// that has no connection yet, with the lock released, so appendLocked dials
+// nothing under it.
+func (n *Node) lockAppend() {
+	n.mu.Lock()
+	pm, idx := n.cur()
+	for i, addr := range pm.Groups[n.pid] {
+		if idx == 0 && i != 0 && !n.excluded[addr] && n.dialed(addr) == nil {
+			n.mu.Unlock()
+			_, _ = n.peer(addr) // a failed dial excludes the follower (repAck.wait)
+			n.mu.Lock()
+		}
+	}
 }
 
-// callPeerT is callPeer with a per-attempt deadline, used on the
-// replication plane (append fan-out, catch-up fetches) where a blackholed
-// peer must cost one bounded timeout, never a hang: netsim faults swallow
-// messages without closing the connection, so only a deadline detects them.
-func (n *Node) callPeerT(addr string, op wire.Op, body []byte, timeout time.Duration) (wire.Status, []byte, error) {
-	return n.callPeerSpec(addr, rpc.CallSpec{Op: op, Body: body, Timeout: timeout})
+func (n *Node) callPeer(addr string, op wire.Op, body []byte) (wire.Status, []byte, error) {
+	return n.callPeerSpec(addr, rpc.CallSpec{Op: op, Body: body})
 }
 
 func (n *Node) callPeerSpec(addr string, spec rpc.CallSpec) (wire.Status, []byte, error) {
@@ -1448,17 +1520,10 @@ func (n *Node) dropPeer(addr string, cl *rpc.Client) {
 	cl.Close()
 }
 
-// Close stops the node's replicators and background catch-up and releases
-// its peer connections.
+// Close stops the node's background catch-up and releases its peer
+// connections, which fails the appends still in flight on them.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() { close(n.closed) })
-	n.mu.Lock()
-	reps := n.reps
-	n.reps = make(map[string]*replicator)
-	n.mu.Unlock()
-	for _, r := range reps {
-		r.stop()
-	}
 	n.peerMu.Lock()
 	defer n.peerMu.Unlock()
 	for addr, cl := range n.peers {

@@ -15,9 +15,14 @@ var ErrInvalidPath = errors.New("fspath: invalid path")
 
 // Clean normalizes p to a canonical absolute path: rooted at "/", no
 // trailing slash (except the root itself), no empty, "." or ".." segments.
+// A p that is already canonical — every path a server receives from a
+// client that cleaned it — is returned as is, without allocating.
 func Clean(p string) (string, error) {
 	if p == "" || p[0] != '/' {
 		return "", ErrInvalidPath
+	}
+	if canonical(p) {
+		return p, nil
 	}
 	parts := strings.Split(p, "/")
 	out := make([]string, 0, len(parts))
@@ -37,6 +42,21 @@ func Clean(p string) (string, error) {
 		return "/", nil
 	}
 	return "/" + strings.Join(out, "/"), nil
+}
+
+// canonical reports whether the rooted path p is its own Clean: the root,
+// or segments none of which is empty, "." or "..", so no trailing slash.
+func canonical(p string) bool {
+	seg := 1 // start of the current segment
+	for i := 1; i <= len(p); i++ {
+		if i == len(p) || p[i] == '/' {
+			if s := p[seg:i]; s == "" || s == "." || s == ".." {
+				return p == "/" // the root's one segment is empty
+			}
+			seg = i + 1
+		}
+	}
+	return true
 }
 
 // Split returns the parent directory and base name of a cleaned path.

@@ -1,6 +1,7 @@
 package fspath
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +32,61 @@ func TestClean(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("Clean(%q) = %q, want error", c.in, got)
+		}
+	}
+}
+
+// cleanModel is Clean's split-and-join algorithm without the canonical
+// fast path: the model FuzzClean holds Clean to.
+func cleanModel(p string) (string, error) {
+	if p == "" || p[0] != '/' {
+		return "", ErrInvalidPath
+	}
+	parts := strings.Split(p, "/")
+	out := make([]string, 0, len(parts))
+	for _, s := range parts {
+		switch s {
+		case "", ".":
+		case "..":
+			if len(out) == 0 {
+				return "", ErrInvalidPath
+			}
+			out = out[:len(out)-1]
+		default:
+			out = append(out, s)
+		}
+	}
+	if len(out) == 0 {
+		return "/", nil
+	}
+	return "/" + strings.Join(out, "/"), nil
+}
+
+func FuzzClean(f *testing.F) {
+	for _, p := range []string{"/", "//", "/a", "/a/", "/a//b", "/a/./b", "/a/b/..",
+		"/..", "/.a/..b/...", "/a/.", "", "a", "/a/b/c", "/./", "/a\x00/b"} {
+		f.Add(p)
+	}
+	f.Fuzz(func(t *testing.T, p string) {
+		got, err := Clean(p)
+		want, werr := cleanModel(p)
+		if got != want || (err == nil) != (werr == nil) {
+			t.Fatalf("Clean(%q) = %q, %v; model %q, %v", p, got, err, want, werr)
+		}
+	})
+}
+
+// TestCleanCanonicalNoAlloc: a path that is already canonical comes back
+// as is — the common case on every server, whose clients clean first.
+func TestCleanCanonicalNoAlloc(t *testing.T) {
+	for _, p := range []string{"/", "/a", "/dir_tree/d0001/d0002/d0003", "/.a/..b/..."} {
+		p := strings.Clone(p)
+		var got string
+		if a := testing.AllocsPerRun(100, func() { got, _ = Clean(p) }); a != 0 {
+			t.Errorf("Clean(%q): %v allocs, want 0", p, a)
+		}
+		if got != p {
+			t.Errorf("Clean(%q) = %q", p, got)
 		}
 	}
 }

@@ -19,6 +19,9 @@ type DeadlineSender interface {
 	// SendDeadline is Send with an upper bound on blocking time. A zero
 	// timeout means no bound.
 	SendDeadline(m *wire.Msg, timeout time.Duration) error
+	// SendMoreDeadline is SendMore with the same bound on the flush that
+	// later writes m.
+	SendMoreDeadline(m *wire.Msg, timeout time.Duration) error
 }
 
 // tcpConn adapts a net.Conn to the message Conn interface using the wire
@@ -83,6 +86,11 @@ func (t *tcpConn) SendMore(m *wire.Msg) error { return t.send(m, 0, true) }
 // loosen it.
 func (t *tcpConn) SendDeadline(m *wire.Msg, timeout time.Duration) error {
 	return t.send(m, timeout, false)
+}
+
+// SendMoreDeadline is SendDeadline without the flush.
+func (t *tcpConn) SendMoreDeadline(m *wire.Msg, timeout time.Duration) error {
+	return t.send(m, timeout, true)
 }
 
 func (t *tcpConn) send(m *wire.Msg, timeout time.Duration, more bool) error {

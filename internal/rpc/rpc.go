@@ -674,42 +674,97 @@ type CallSpec struct {
 }
 
 // Do issues the call described by spec and blocks for its response (or
-// spec.Timeout). The returned error covers transport failures and deadline
-// expiry — the latter distinguishable as wire.StatusOf(err) ==
-// wire.StatusDeadline; application-level failures arrive as a non-OK
-// status with a nil error.
+// spec.Timeout): Start, except that the request is sent at once, then Wait.
+// The returned error covers transport failures and deadline expiry — the
+// latter distinguishable as wire.StatusOf(err) == wire.StatusDeadline;
+// application-level failures arrive as a non-OK status with a nil error.
 func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
+	cl := c.start(spec, false)
+	return cl.Wait()
+}
+
+// Call is one started call: Start (or Do) has registered it and put its
+// request on the connection, and Wait collects its outcome.
+type Call struct {
+	c     *Client
+	spec  CallSpec
+	req   *wire.Msg
+	ch    chan *wire.Msg
+	timer *time.Timer // spec.Timeout, running from the send
+	// st and err are a failed start's outcome, which Wait reports.
+	st  wire.Status
+	err error
+}
+
+// Start registers the call described by spec and appends its request to the
+// connection's send buffer without flushing it: the caller flushes (Flush)
+// when it is done starting calls, which lets it start them while holding a
+// lock it must not hold across a socket write. Calls started in order on
+// one client reach the wire in that order. spec.Timeout runs from the
+// append and, on transports with bounded sends, also bounds whichever
+// flush writes the request. Wait collects the outcome.
+func (c *Client) Start(spec CallSpec) Call { return c.start(spec, true) }
+
+// Flush writes every request Start appended, or leaves them to the write in
+// progress. A failed write closes the connection, which fails the calls it
+// carried, so callers may ignore the error and learn it from Wait.
+func (c *Client) Flush() error { return c.conn.Flush() }
+
+// start is the one call path: register the call and send its request, at
+// once or (more) into the send buffer.
+func (c *Client) start(spec CallSpec, more bool) Call {
+	cl := Call{c: c, spec: spec}
 	if spec.Ctx != nil {
 		if err := spec.Ctx.Err(); err != nil {
-			return ctxStatus(err), nil, 0, ctxErr(err)
+			cl.st, cl.err = ctxStatus(err), ctxErr(err)
+			return cl
 		}
 	}
 	id := c.nextID.Add(1)
 	ch := make(chan *wire.Msg, 1)
 	c.mu.Lock()
 	if c.err != nil {
-		err := c.err
+		cl.st, cl.err = wire.StatusIO, c.err
 		c.mu.Unlock()
-		return wire.StatusIO, nil, 0, err
+		return cl
 	}
 	c.pending[id] = ch
 	busy := len(c.pending) > 1
 	c.mu.Unlock()
 
-	req := &wire.Msg{ID: id, Op: spec.Op, Trace: spec.Trace, Span: spec.Span, Req: spec.Req, Body: spec.Body}
-	if sendErr := c.send(req, spec.Timeout, busy); sendErr != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return wire.StatusIO, nil, 0, sendErr
+	cl.req = &wire.Msg{ID: id, Op: spec.Op, Trace: spec.Trace, Span: spec.Span, Req: spec.Req, Body: spec.Body}
+	if sendErr := c.send(cl.req, spec.Timeout, busy, more); sendErr != nil {
+		c.forget(id)
+		cl.st, cl.err = wire.StatusIO, sendErr
+		return cl
 	}
 	c.trips.Add(1)
-
-	var timeout <-chan time.Time
+	cl.ch = ch
 	if spec.Timeout > 0 {
-		t := time.NewTimer(spec.Timeout)
-		defer t.Stop()
-		timeout = t.C
+		cl.timer = time.NewTimer(spec.Timeout)
+	}
+	return cl
+}
+
+// forget unregisters a call nobody waits for any more; its response, if one
+// still arrives, is dropped by readLoop.
+func (c *Client) forget(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
+}
+
+// Wait blocks for the call's response, its timeout or its context, with
+// Do's results. Call it once.
+func (cl *Call) Wait() (wire.Status, []byte, time.Duration, error) {
+	if cl.ch == nil {
+		return cl.st, nil, 0, cl.err
+	}
+	c, spec := cl.c, &cl.spec
+	var timeout <-chan time.Time
+	if cl.timer != nil {
+		defer cl.timer.Stop()
+		timeout = cl.timer.C
 	}
 	var ctxDone <-chan struct{}
 	if spec.Ctx != nil {
@@ -718,17 +773,12 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 	var resp *wire.Msg
 	var ok bool
 	select {
-	case resp, ok = <-ch:
+	case resp, ok = <-cl.ch:
 	case <-timeout:
-		// Forget the pending call; a late response is dropped by readLoop.
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.forget(cl.req.ID)
 		return wire.StatusDeadline, nil, 0, wire.StatusDeadline.Err()
 	case <-ctxDone:
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.forget(cl.req.ID)
 		err := spec.Ctx.Err()
 		return ctxStatus(err), nil, 0, ctxErr(err)
 	}
@@ -743,7 +793,7 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 	}
 	var virt time.Duration
 	if lp := c.linkVal.Load(); lp != nil {
-		virt += lp.Delay(req.WireSize()) + lp.Delay(resp.WireSize())
+		virt += lp.Delay(cl.req.WireSize()) + lp.Delay(resp.WireSize())
 	}
 	virt += time.Duration(resp.ServiceNS)
 	c.virtNS.Add(uint64(virt))
@@ -756,7 +806,8 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 	return resp.Status, resp.Body, virt, nil
 }
 
-// send puts req on the connection. A lone call (busy false: no other call
+// send puts req on the connection. A started call (more) only appends its
+// frame; its caller flushes. A lone call (busy false: no other call
 // outstanding) sends at once. A busy call appends its frame and then either
 // leaves it to the caller holding yielding, whose flush comes after the
 // claim failed and so carries it, or claims yielding itself: it yields the P
@@ -764,13 +815,19 @@ func (c *Client) Do(spec CallSpec) (wire.Status, []byte, time.Duration, error) {
 // frames too, then releases the claim and flushes them all in one write. A
 // lone call never yields: on an idle connection nobody would join it, and
 // the yield would only wake an idle P. A call with a send deadline does not
-// combine either, because SendMore carries no deadline: it sends at once,
-// and its deadline bounds whichever flush carries its frame.
-func (c *Client) send(req *wire.Msg, timeout time.Duration, busy bool) error {
+// combine either: its frame carries the deadline, which bounds whichever
+// flush writes it, and it is sent at once unless started.
+func (c *Client) send(req *wire.Msg, timeout time.Duration, busy, more bool) error {
 	if timeout > 0 {
 		if ds, ok := c.conn.(netsim.DeadlineSender); ok {
+			if more {
+				return ds.SendMoreDeadline(req, timeout)
+			}
 			return ds.SendDeadline(req, timeout)
 		}
+	}
+	if more {
+		return c.conn.SendMore(req)
 	}
 	if !busy {
 		return c.conn.Send(req)
