@@ -63,7 +63,7 @@ func main() {
 		{"ablation-rename", func() (*bench.Table, error) { return bench.AblationRenameRatio(env) }},
 		{"ablation-lease", func() (*bench.Table, error) { return bench.AblationCacheLease(env) }},
 		{"ablation-dirent", func() (*bench.Table, error) { return bench.AblationDirentGranularity(env) }},
-		// Fan-out study: serial vs parallel vs batched metadata hot paths.
+		// Fan-out study: serial vs parallel metadata hot paths.
 		{"fanout", func() (*bench.Table, error) { return bench.FigFanOut(env) }},
 		// Measured (wall-clock) per-op latency breakdown from the telemetry
 		// histograms — the operator's view, not a paper figure.

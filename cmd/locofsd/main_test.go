@@ -352,7 +352,7 @@ func TestAdminSurfaceShape(t *testing.T) {
 	d := startTracedDMS(t, trace.New(trace.Config{Sample: 1}))
 	f, o := startFMS(t), startOSS(t)
 	cfg := clientConfig(d.addr, f.addr, o.addr, nil)
-	cfg.DisableCache = true // a readdir then resolves through a DMS batch
+	cfg.DisableCache = true // every resolve then looks up at the DMS
 	cl, err := client.Dial(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -371,18 +371,18 @@ func TestAdminSurfaceShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var batch string
+	var lookup string
 	var list []struct{ Trace, Root string }
 	if err := json.Unmarshal([]byte(d.scrape(t, "/debug/traces")), &list); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range list {
-		if s.Root == "Batch" {
-			batch = s.Trace
+		if s.Root == "LookupDir" {
+			lookup = s.Trace
 		}
 	}
-	if batch == "" {
-		t.Fatalf("no Batch trace retained: %+v", list)
+	if lookup == "" {
+		t.Fatalf("no LookupDir trace retained: %+v", list)
 	}
 
 	var sb strings.Builder
@@ -391,7 +391,7 @@ func TestAdminSurfaceShape(t *testing.T) {
 		{"GET", "/metrics"},
 		{"GET", "/debug/vars"},
 		{"GET", "/debug/traces"},
-		{"GET", "/debug/traces/" + batch},
+		{"GET", "/debug/traces/" + lookup},
 		{"GET", "/debug/hot?n=3"},
 		{"GET", "/debug/slo"},
 		{"GET", "/debug/cluster"},
@@ -409,8 +409,8 @@ func TestAdminSurfaceShape(t *testing.T) {
 		rec := httptest.NewRecorder()
 		d.admin.ServeHTTP(rec, httptest.NewRequest(req.method, req.path, nil))
 		path := req.path
-		if path == "/debug/traces/"+batch {
-			path = "/debug/traces/<batch>"
+		if path == "/debug/traces/"+lookup {
+			path = "/debug/traces/<lookup>"
 		}
 		fmt.Fprintf(&sb, "== %s %s %d %s\n", req.method, path, rec.Code, rec.Header().Get("Content-Type"))
 		var lines []string
@@ -432,10 +432,8 @@ func TestAdminSurfaceShape(t *testing.T) {
 			sb.WriteString(l + "\n")
 		}
 	}
-	// The one intended change against the recording: a bundle span carries
-	// "sub" only as a batch sub-request or fan-out branch, as on
-	// /debug/traces. The recording spooled "sub": -1 on every other span and
-	// dropped sub-request 0's index; the key path itself is unchanged.
+	// A bundle span carries "sub" only as a client fan-out branch, as on
+	// /debug/traces, so a server's spans carry none.
 	var b struct {
 		Spans []struct {
 			Name string
@@ -445,15 +443,10 @@ func TestAdminSurfaceShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(d.scrape(t, "/debug/bundle?last=1")), &b); err != nil {
 		t.Fatal(err)
 	}
-	subZero := false
 	for _, sp := range b.Spans {
-		if sp.Sub != nil && *sp.Sub < 0 {
+		if sp.Sub != nil {
 			t.Errorf("bundle span %s has sub %d", sp.Name, *sp.Sub)
 		}
-		subZero = subZero || sp.Sub != nil && *sp.Sub == 0
-	}
-	if !subZero {
-		t.Error("no bundle span carries batch sub-request 0")
 	}
 
 	want, err := os.ReadFile("testdata/admin_shape.txt")

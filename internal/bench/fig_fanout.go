@@ -11,9 +11,8 @@ import (
 
 // Fan-out client modes compared by FigFanOut, in column order.
 const (
-	modeSerial   = "serial"   // one RPC at a time (pre-fan-out baseline)
-	modeParallel = "parallel" // bounded fan-out, one RPC per page
-	modeBatched  = "batched"  // fan-out + wire.OpBatch paging/lookup fusion
+	modeSerial   = "serial"   // one server at a time (pre-fan-out baseline)
+	modeParallel = "parallel" // bounded fan-out (the default client)
 )
 
 // fanOutServers is the FMS-count sweep: the environment's server scale
@@ -34,23 +33,23 @@ func fanOutServers(env Env) []int {
 
 // FigFanOut measures the multi-server metadata hot paths — readdir (DMS +
 // every FMS holds a slice of the listing) and rmdir (every FMS must be
-// probed for emptiness) — under three client configurations: serial RPCs,
-// parallel bounded fan-out, and fan-out plus wire-level batch RPCs. Virtual
-// latency comes from client.Cost deltas, so the table shows exactly how the
-// modeled time scales with FMS count.
+// probed for emptiness) — under two client configurations: one server at a
+// time, and parallel bounded fan-out. Both send their multi-request steps
+// (the cold lookup with the first directory page, follow-up pages) as
+// pipelined groups. Virtual latency comes from client.Cost deltas, so the
+// table shows exactly how the modeled time scales with FMS count.
 //
 // Shape to look for: serial readdir/rmdir grow linearly with FMS count
 // (one round trip per server), while the parallel columns stay nearly flat
 // — the fan-out overlaps the per-server round trips, so latency tracks the
-// slowest server instead of the sum. Batching additionally fuses the cold
-// lookup with the first directory page and packs paging round trips.
+// slowest server instead of the sum.
 func FigFanOut(env Env) (*Table, error) {
 	t := &Table{
 		Title: "Fan-out: readdir/rmdir virtual latency vs #file metadata servers",
 		Note: fmt.Sprintf("modeled link RTT = %v; dir with %d files; latency per op in virtual time",
 			env.Link.RTT, fanOutWidth(env)),
 		Headers: []string{"FMS",
-			"readdir " + modeSerial, "readdir " + modeParallel, "readdir " + modeBatched, "rd-spdup",
+			"readdir " + modeSerial, "readdir " + modeParallel, "rd-spdup",
 			"rmdir " + modeSerial, "rmdir " + modeParallel, "rm-spdup"},
 	}
 	for _, n := range fanOutServers(env) {
@@ -59,7 +58,7 @@ func FigFanOut(env Env) (*Table, error) {
 			return nil, err
 		}
 		t.AddRow(fmt.Sprint(n),
-			fmtUS(res.readdir[modeSerial]), fmtUS(res.readdir[modeParallel]), fmtUS(res.readdir[modeBatched]),
+			fmtUS(res.readdir[modeSerial]), fmtUS(res.readdir[modeParallel]),
 			fmtRatio(ratio(res.readdir[modeSerial], res.readdir[modeParallel])),
 			fmtUS(res.rmdir[modeSerial]), fmtUS(res.rmdir[modeParallel]),
 			fmtRatio(ratio(res.rmdir[modeSerial], res.rmdir[modeParallel])))
@@ -68,8 +67,8 @@ func FigFanOut(env Env) (*Table, error) {
 }
 
 // fanOutWidth is the listing width: wide enough that a single FMS holds
-// several ReaddirPageSize pages (so batched paging has pages to pack at the
-// low end of the sweep), and fixed across the sweep so the scaling columns
+// several ReaddirPageSize pages (so paging has pages to pack into a round
+// trip at the low end of the sweep), and fixed across the sweep so the scaling columns
 // compare like with like.
 func fanOutWidth(env Env) int {
 	return 2*client.ReaddirPageSize + env.LatItems
@@ -81,7 +80,7 @@ type fanOutResult struct {
 	rmdir   map[string]time.Duration
 }
 
-// fanOutPoint runs the three client modes against one cluster of n FMSes.
+// fanOutPoint runs the client modes against one cluster of n FMSes.
 func fanOutPoint(env Env, n int) (*fanOutResult, error) {
 	cluster, err := core.Start(core.Options{
 		FMSCount:  n,
@@ -116,9 +115,8 @@ func fanOutPoint(env Env, n int) (*fanOutResult, error) {
 		name string
 		cfg  core.ClientConfig
 	}{
-		{modeSerial, core.ClientConfig{SerialFanOut: true, DisableBatchRPC: true}},
-		{modeParallel, core.ClientConfig{DisableBatchRPC: true}},
-		{modeBatched, core.ClientConfig{}},
+		{modeSerial, core.ClientConfig{SerialFanOut: true}},
+		{modeParallel, core.ClientConfig{}},
 	}
 	for i, m := range modes {
 		c, err := cluster.NewClient(m.cfg)

@@ -14,7 +14,7 @@ import (
 // Spans runs a mixed metadata workload with full tracing (sample = 1.0, the
 // cluster and the client sharing one span ring) and reports the span-tree
 // breakdown per operation class: for every distinct root-to-span path —
-// e.g. Readdir > page > rpc:Batch > Batch > ReaddirFiles — the number of
+// e.g. Readdir > page > rpc:ReaddirFiles > ReaddirFiles — the number of
 // spans recorded and their mean wall-clock duration. It is the aggregate
 // view of what /debug/traces serves one trace at a time, and shows where
 // each op class spends its time across the client, the DMS, and the FMSes.

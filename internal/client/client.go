@@ -88,12 +88,6 @@ type Config struct {
 	// time, as the pre-parallel client did. Kept as the benchmark
 	// baseline (see internal/bench's fan-out experiment).
 	SerialFanOut bool
-	// DisableBatchRPC disables wire-level request batching (wire.OpBatch):
-	// every sub-request travels as its own framed message. In coherent
-	// caching mode this also costs coherence catch-ups an extra DMS trip —
-	// the OpLeaseRecall fetch travels standalone instead of riding along
-	// with the next lookup.
-	DisableBatchRPC bool
 	// CacheEntries bounds the directory cache; on overflow the oldest
 	// entries are evicted. Zero means DefaultCacheEntries, negative means
 	// unbounded.
@@ -158,7 +152,6 @@ type Client struct {
 	res      *resilience
 
 	serialFanOut bool
-	disableBatch bool
 	// parSavedNS accumulates the virtual time parallel fan-out groups
 	// saved over serial execution (per group: sum of branch times minus
 	// the slowest branch). Cost subtracts it, so the deterministic
@@ -267,7 +260,6 @@ func Dial(cfg Config, opts ...DialOption) (*Client, error) {
 		uid:          cfg.UID,
 		gid:          cfg.GID,
 		serialFanOut: cfg.SerialFanOut,
-		disableBatch: cfg.DisableBatchRPC,
 		telem:        &clientTelem{Handle: &h},
 		traceBase:    (nextClientID.Add(1) & 0xffff) << 48,
 	}
@@ -403,17 +395,17 @@ func (c *Client) ossFor(u uuid.UUID, blk uint64) *endpoint {
 //   - When the cache has observed recalls from the lookup's partition that it
 //     has not applied, the missed entries are fetched alongside, so a
 //     coherence catch-up costs exactly one DMS trip — the same as the plain
-//     miss (with batching disabled send issues the fetch as a second trip;
-//     without it appliedSeq would never advance and every previously cached
-//     entry would stay degraded to a miss until individually re-fetched).
+//     miss (without it appliedSeq would never advance and every previously
+//     cached entry would stay degraded to a miss until individually
+//     re-fetched).
 //   - first, when non-nil, is a listing's wish for the directory's first
 //     subdirectory page: filled from the listing cache on an inode hit, and
 //     on a miss fetched with the lookup — the two DMS round trips a cold
 //     readdir would open with collapse into one. The page is speculative, so
-//     it is asked for only where it costs no trip: not with batching
-//     disabled, and not for a partition cut, whose inode lives with its
-//     parent's partition while its listing lives on the partition it roots
-//     (the pages then go to their own leader unseeded).
+//     it is asked for only where it costs no trip: not for a partition cut,
+//     whose inode lives with its parent's partition while its listing lives
+//     on the partition it roots (the pages then go to their own leader
+//     unseeded).
 //
 // oc is the logical operation's context; its span is annotated with the
 // cache outcome.
@@ -449,7 +441,7 @@ func (c *Client) resolveDir(cleaned string, oc opCtx, first *listPage) (layout.D
 	defer enc.Free()
 	var buf [3]wire.SubReq
 	subs := append(buf[:0], wire.SubReq{Op: wire.OpLookupDir, Body: enc.Str(cleaned).U32(c.uid).U32(c.gid).Bytes()})
-	paged := first != nil && !c.disableBatch && at == pm.LocateList(cleaned)
+	paged := first != nil && at == pm.LocateList(cleaned)
 	if paged {
 		subs = append(subs, wire.SubReq{Op: wire.OpReaddirSubdirs, Body: c.subdirPageBody(cleaned, "", 0)})
 	}
@@ -465,7 +457,7 @@ func (c *Client) resolveDir(cleaned string, oc opCtx, first *listPage) (layout.D
 		return nil, err
 	}
 	// Cache what came back first, then apply the recalls: the fresh entries
-	// carry their grant sequence, so any newer recall in the batch still
+	// carry their grant sequence, so any newer recall in the send still
 	// drops them, while older ones leave them alone.
 	defer c.applyRecall(src, resps, recallAt)
 	ino, err := c.finishLookup(src, cleaned, resps[0].Status, resps[0].Body)
@@ -635,7 +627,7 @@ func (c *Client) RmdirContext(ctx context.Context, path string) (err error) {
 	fmsEps := c.view.Load().fms
 	probe := wire.NewEnc().UUID(ino.UUID()).Bytes()
 	err = c.fanOut(oc, "probe", len(fmsEps), func(boc opCtx, i int) (time.Duration, error) {
-		st, resp, virt, err := fmsEps[i].Call(boc, wire.OpDirHasFiles, probe, 0)
+		st, resp, virt, err := fmsEps[i].Call(boc, wire.OpDirHasFiles, probe)
 		if err != nil {
 			return virt, err
 		}
@@ -724,8 +716,8 @@ func (c *Client) cacheListing(src uint32, cleaned string, p listPage) {
 // Readdir lists a directory: subdirectory entries from the DMS plus file
 // entries from every FMS, fetched in size-bounded pages, merged and
 // name-sorted. The DMS and all FMSes are paged in parallel (one fan-out
-// branch per server), and each server's follow-up pages are prefetched in
-// batched round trips (see readPages).
+// branch per server), and each server's follow-up pages are prefetched
+// several to a round trip (see readPages).
 func (c *Client) Readdir(path string) ([]DirEntry, error) {
 	return c.ReaddirContext(context.Background(), path)
 }
@@ -850,7 +842,7 @@ func (c *Client) CreateContext(ctx context.Context, path string, mode uint32) (e
 		key := fms.FileKey(parent.UUID(), name)
 		if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
 			probe := wire.NewEnc().UUID(parent.UUID()).Str(name).Bytes()
-			pst, _, _, perr := pe.Call(oc, wire.OpStatFile, probe, 0)
+			pst, _, _, perr := pe.Call(oc, wire.OpStatFile, probe)
 			if perr != nil {
 				return perr
 			}
@@ -987,7 +979,7 @@ func (c *Client) RemoveContext(ctx context.Context, path string) (err error) {
 		key := fms.FileKey(parent.UUID(), name)
 		if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
 			// The two copies share the UUID; reclaim what the larger covers.
-			if st, presp, _, err := pe.Call(oc, wire.OpRemoveFile, body, 0); err == nil && st == wire.StatusOK {
+			if st, presp, _, err := pe.Call(oc, wire.OpRemoveFile, body); err == nil && st == wire.StatusOK {
 				if _, pn := removedExtent(presp); pn > n {
 					n = pn
 				}
@@ -1034,7 +1026,7 @@ func (c *Client) deleteBlocks(oc opCtx, u uuid.UUID, from, to uint64) {
 	}
 	body := wire.NewEnc().UUID(u).U64(from).U64(to).Bytes()
 	c.fanOut(oc, "reclaim", len(owners), func(boc opCtx, i int) (time.Duration, error) {
-		_, _, virt, _ := c.oss[owners[i]].Call(boc, wire.OpDeleteBlocks, body, 0)
+		_, _, virt, _ := c.oss[owners[i]].Call(boc, wire.OpDeleteBlocks, body)
 		return virt, nil
 	})
 }

@@ -69,11 +69,11 @@ func (t *clientTelem) forOp(op wire.Op) *clientOpMetrics {
 }
 
 // endpoint is one server connection with transparent re-dial and the
-// client's fault-tolerance policy applied per call: a bounded number of
+// client's fault-tolerance policy applied per send: a bounded number of
 // retry attempts with jittered exponential backoff on attempt-level
 // failures (transport errors, per-attempt deadline expiry, explicit
 // EUNAVAIL), a per-attempt deadline from the resilience configuration, and
-// a circuit breaker that fails calls fast while the server is known-dead.
+// a circuit breaker that fails sends fast while the server is known-dead.
 // Application-level statuses are never retried. Non-idempotent requests
 // carry a dedup id so a retried mutation executes at most once server-side
 // (see wire.Msg.Req).
@@ -98,6 +98,11 @@ type endpoint struct {
 	// response (see wire.Msg.Lease) — the same passive channel, for
 	// noticing directory mutations that may invalidate cached leases.
 	onLease func(seq uint64)
+
+	// savedNS is the virtual time pipelined groups saved over sending their
+	// requests one round trip each: (k-1) link RTTs per answered group of k,
+	// which VirtualTime subtracts.
+	savedNS atomic.Int64
 
 	mu        sync.Mutex
 	cl        *rpc.Client
@@ -155,135 +160,97 @@ func (e *endpoint) retire(cl *rpc.Client) {
 	e.mu.Unlock()
 }
 
-// Call issues one request stamped with oc's trace ID under the client's
-// fault-tolerance policy (per-attempt deadline, bounded retries through
-// fresh connections, circuit breaker — see callAttempts), and returns the
-// call's modeled (virtual) time alongside the response. The wall-clock
-// round trip is recorded in the client's per-op telemetry, the in-flight
-// gauge covers the call while it is on the wire, and calls slower than the
-// configured threshold are logged with the trace ID and server address so
-// they can be matched against server-side slow-request logs. When the
-// operation carries a span, the RPC gets its own child span (annotated with
-// the server address, each retry and any breaker fast-fail) whose ID rides
-// the wire header as the parent of the server-side span.
+// Call sends one request to e: a send of one, returning its status and body
+// with the call's modeled (virtual) time.
+func (e *endpoint) Call(oc opCtx, op wire.Op, body []byte) (wire.Status, []byte, time.Duration, error) {
+	subs := [1]wire.SubReq{{Op: op, Body: body}}
+	var resps [1]wire.SubResp
+	virt, err := e.send(oc, subs[:], resps[:])
+	return resps[0].Status, resps[0].Body, virt, err
+}
+
+// send puts subs on the wire to e as one group, filling resps (one outcome
+// per sub-request, in order), and returns the group's modeled (virtual)
+// time. It is the client's only multi-request path: the requests are
+// pipelined on the endpoint's connection and flushed in one write, which the
+// server runs in arrival order and answers with one write — one round trip,
+// priced as one round of link delays plus the summed service times.
+// Statuses are per sub-request; a transport error fails the whole group,
+// which retries as a whole under the client's fault-tolerance policy (see
+// attempts).
 //
-// A non-zero req pins the dedup request id across the caller's own
-// higher-level retries — the partition router uses it so a mutation re-sent
-// to a promoted leader after a failover replays from the replicated applied
-// table instead of executing twice. req == 0 has the endpoint mint one per
-// call for non-idempotent ops.
-func (e *endpoint) Call(oc opCtx, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
-	sp := oc.sp.StartChild("rpc:" + op.String())
-	if sp != nil {
-		sp.Annotate("addr=" + e.addr)
+// Before the first attempt, a non-idempotent sub-request without a dedup id
+// gets one in subs itself, kept on every retry — and by a caller that
+// re-sends the same subs (the partition router after a failover), so a
+// mutation executes at most once wherever its retries land. The wall-clock
+// round trip is recorded in the client's per-op telemetry for every
+// sub-request, the in-flight gauge covers the group while it is on the wire,
+// and groups slower than the configured threshold are logged per
+// sub-request with the trace id and server address, to be matched against
+// server-side slow-request logs. When the operation carries a span, each
+// sub-request gets its own rpc: child span (annotated with the server
+// address, each retry and any breaker fast-fail) whose id rides the wire
+// header as the parent of its server-side span.
+func (e *endpoint) send(oc opCtx, subs []wire.SubReq, resps []wire.SubResp) (time.Duration, error) {
+	var one [1]*trace.Span
+	sps := one[:]
+	if len(subs) > 1 {
+		sps = make([]*trace.Span, len(subs))
+	}
+	for i := range subs {
+		if sps[i] = oc.sp.StartChild("rpc:" + subs[i].Op.String()); sps[i] != nil {
+			sps[i].Annotate("addr=" + e.addr)
+		}
+		if subs[i].Req == 0 && !subs[i].Op.Idempotent() {
+			subs[i].Req = e.res.nextReq()
+		}
 	}
 	t0 := time.Now()
-	e.telem.inflight.Add(1)
-	st, resp, virt, err := e.callAttempts(oc, sp, op, body, req)
-	e.telem.inflight.Add(-1)
+	e.telem.inflight.Add(int64(len(subs)))
+	virt, err := e.attempts(oc, subs, resps, sps)
+	e.telem.inflight.Add(-int64(len(subs)))
 	rtt := time.Since(t0)
-	m := e.telem.forOp(op)
-	m.calls.Inc()
-	m.rtt.Record(rtt)
-	if e.telem.IsSlow(rtt) {
-		log.Printf("client: slow call trace=%#x op=%s addr=%s rtt=%v status=%s err=%v",
-			oc.tid, op, e.addr, rtt, st, err)
-	}
-	if sp != nil {
+	for i, sub := range subs {
+		st := resps[i].Status
+		m := e.telem.forOp(sub.Op)
+		m.calls.Inc()
+		m.rtt.Record(rtt)
+		if e.telem.IsSlow(rtt) {
+			log.Printf("client: slow call trace=%#x op=%s addr=%s rtt=%v status=%s err=%v",
+				oc.tid, sub.Op, e.addr, rtt, st, err)
+		}
 		if err != nil {
-			sp.SetStatus(wire.StatusOf(err).String())
-		} else if st != wire.StatusOK {
-			sp.SetStatus(st.String())
+			st = wire.StatusOf(err)
 		}
-		sp.Finish()
+		if st != wire.StatusOK {
+			sps[i].SetStatus(st.String())
+		}
+		sps[i].Finish()
 	}
-	return st, resp, virt, err
+	return virt, err
 }
 
-// send puts subs on the wire to e and returns one outcome per sub-request,
-// in order. It is the client's only multi-request path, and the only code
-// that decides what travels: one sub-request goes as a plain Call (req, when
-// non-zero, pins its dedup id as Call describes); several go packed into one
-// wire.OpBatch message — a single framed request, one round of link delays
-// plus the server's summed sub-request service time, the batch RPC's client
-// span parenting the server-side envelope span and its per-sub-request
-// children. With Config.DisableBatchRPC the several go as plain calls
-// instead, one after another on the same endpoint with their virtual times
-// summed: the batched form minus the envelope. Like the envelope, the
-// sequence runs past a non-OK status (statuses are per sub-request) and
-// stops at the first transport error.
-func (c *Client) send(oc opCtx, e *endpoint, subs []wire.SubReq, req uint64) ([]wire.SubResp, time.Duration, error) {
-	if len(subs) == 1 || c.disableBatch {
-		if len(subs) > 1 {
-			// One id names one request: shared, the server would answer the
-			// later sub-requests from the first one's dedup record.
-			req = 0
-		}
-		resps := make([]wire.SubResp, len(subs))
-		var vtotal time.Duration
-		for i, s := range subs {
-			st, body, virt, err := e.Call(oc, s.Op, s.Body, req)
-			vtotal += virt
-			if err != nil {
-				return nil, vtotal, err
-			}
-			resps[i] = wire.SubResp{Status: st, Body: body}
-		}
-		return resps, vtotal, nil
-	}
-	body, err := wire.EncodeBatch(subs)
-	if err != nil {
-		return nil, 0, err
-	}
-	st, resp, virt, err := e.Call(oc, wire.OpBatch, body, 0)
-	if err != nil {
-		return nil, virt, err
-	}
-	if st != wire.StatusOK {
-		// Envelope-level failure (malformed batch); sub-request failures
-		// arrive as per-sub statuses instead.
-		return nil, virt, st.Err()
-	}
-	resps, err := wire.DecodeBatchResp(resp)
-	if err != nil {
-		return nil, virt, err
-	}
-	if len(resps) != len(subs) {
-		return nil, virt, wire.StatusIO.Err()
-	}
-	return resps, virt, nil
-}
-
-// callAttempts runs the per-call resilience loop: up to 1+Retry.Max
+// attempts runs the resilience loop over one group: up to 1+Retry.Max
 // attempts, each gated by the endpoint's circuit breaker and bounded by the
 // per-attempt deadline. An attempt fails at the attempt level on a
-// transport error, a deadline expiry, or an explicit EUNAVAIL status —
-// anything else (including application errors like ENOENT) returns
-// immediately. Failed attempts retire the connection so the next attempt
-// redials; retries back off with jitter and are annotated on the call's
-// span and counted in telemetry. Non-idempotent operations carry one dedup
-// request id across every attempt, so the server executes them at most
-// once no matter how deliveries are duplicated (wire.Op.Idempotent is the
-// retry matrix; OpBatch envelopes are retried freely because the client
-// only batches idempotent sub-ops: lookups, recall fetches, readdir pages,
-// block deletes, and migration's absolute-state installs and deletes).
-func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
-	if req == 0 && !op.Idempotent() && op != wire.OpBatch {
-		req = e.res.nextReq()
-	}
-	m := e.telem.forOp(op)
-	var st wire.Status
-	var resp []byte
-	var virt time.Duration
-	var err error
+// transport error, a deadline expiry, or an explicit EUNAVAIL status on any
+// of its requests — anything else (including application errors like
+// ENOENT) returns immediately — and a failed attempt retries the whole
+// group. Failed attempts retire the connection so the next attempt
+// redials; retries back off with jitter and are annotated on the requests'
+// spans and counted in telemetry. Every attempt carries the same dedup ids
+// (see send), so the server executes a non-idempotent request at most once
+// no matter how deliveries are duplicated (wire.Op.Idempotent is the retry
+// matrix).
+func (e *endpoint) attempts(oc opCtx, subs []wire.SubReq, resps []wire.SubResp, sps []*trace.Span) (virt time.Duration, err error) {
 	for attempt := 0; attempt <= e.res.retry.Max; attempt++ {
 		if attempt > 0 {
 			d := e.res.retry.backoff(attempt)
-			m.retries.Inc()
-			e.telem.Emit(obs.KindRetry, op.String(), oc.tid, int64(attempt), e.addr)
-			if sp != nil {
-				sp.Annotate(fmt.Sprintf("retry=%d backoff=%v", attempt, d))
+			for i, sub := range subs {
+				e.telem.forOp(sub.Op).retries.Inc()
+				sps[i].Annotate(fmt.Sprintf("retry=%d backoff=%v", attempt, d))
 			}
+			e.telem.Emit(obs.KindRetry, subs[0].Op.String(), oc.tid, int64(attempt), e.addr)
 			if d > 0 {
 				// Backoff waits honor the operation's context: a cancelled
 				// caller stops retrying immediately instead of sleeping out
@@ -293,7 +260,7 @@ func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byt
 					select {
 					case <-oc.ctx.Done():
 						t.Stop()
-						return st, resp, virt, ctxAttemptErr(oc.ctx.Err())
+						return virt, ctxAttemptErr(oc.ctx.Err())
 					case <-t.C:
 					}
 				} else {
@@ -304,29 +271,30 @@ func (e *endpoint) callAttempts(oc opCtx, sp *trace.Span, op wire.Op, body []byt
 		if berr := e.brk.allow(); berr != nil {
 			// Open circuit: fail fast instead of burning a timeout on a
 			// server already known to be down.
-			if sp != nil {
-				sp.Annotate("breaker=fastfail")
+			for i := range resps {
+				resps[i] = wire.SubResp{Status: wire.StatusUnavailable}
+				sps[i].Annotate("breaker=fastfail")
 			}
 			e.telem.fastFails().Inc()
-			return wire.StatusUnavailable, nil, virt, berr
+			return virt, berr
 		}
-		st, resp, virt, err = e.callOnce(oc, sp, op, body, req)
-		failed := err != nil || st == wire.StatusUnavailable
+		virt, err = e.once(oc, subs, resps, sps)
+		failed := err != nil
+		for _, r := range resps {
+			failed = failed || r.Status == wire.StatusUnavailable
+		}
 		e.brk.report(!failed)
 		if !failed {
-			return st, resp, virt, nil
+			return virt, nil
 		}
-		if wire.StatusOf(err) == wire.StatusDeadline {
-			m.deadlines.Inc()
-		}
-		// A cancelled or expired operation context ends the whole call —
+		// A cancelled or expired operation context ends the whole send —
 		// retrying on the caller's behalf after it gave up would only burn
 		// backoff time (its per-attempt deadline may still retry above).
 		if oc.ctx != nil && oc.ctx.Err() != nil {
-			return st, resp, virt, err
+			return virt, err
 		}
 	}
-	return st, resp, virt, err
+	return virt, err
 }
 
 // ctxAttemptErr maps an operation context's termination to the call error:
@@ -340,27 +308,70 @@ func ctxAttemptErr(err error) error {
 	return err
 }
 
-// callOnce performs a single attempt on the current connection generation,
-// retiring it on any transport- or deadline-level failure so the next
-// attempt (or call) starts from a fresh dial.
-func (e *endpoint) callOnce(oc opCtx, sp *trace.Span, op wire.Op, body []byte, req uint64) (wire.Status, []byte, time.Duration, error) {
+// once performs one attempt on the current connection generation: a lone
+// request goes as one call; several are started in order, flushed in one
+// write, then waited on. Any transport- or deadline-level failure retires the
+// connection, so the next attempt (or send) starts from a fresh dial.
+func (e *endpoint) once(oc opCtx, subs []wire.SubReq, resps []wire.SubResp, sps []*trace.Span) (virt time.Duration, err error) {
 	cl, err := e.current()
 	if err != nil {
-		return wire.StatusIO, nil, 0, err
+		for i := range resps {
+			resps[i] = wire.SubResp{Status: wire.StatusIO}
+		}
+		return 0, err
 	}
-	st, resp, virt, err := cl.Do(rpc.CallSpec{
-		Op: op, Body: body, Ctx: oc.ctx,
-		Trace: oc.tid, Span: sp.ID(), Req: req,
-		Timeout: e.res.timeout,
-		OnMap:   e.onMap,
-		OnLease: e.onLease,
-	})
+	var calls []rpc.Call
+	if len(subs) > 1 {
+		calls = make([]rpc.Call, len(subs))
+		for i := range subs {
+			calls[i] = cl.Start(e.spec(oc, subs[i], sps[i]))
+		}
+		_ = cl.Flush() // a failed write fails the calls, which Wait reports
+	}
+	answered := 0
+	for i := range subs {
+		var v time.Duration
+		var werr error
+		if calls == nil {
+			resps[i].Status, resps[i].Body, v, werr = cl.Do(e.spec(oc, subs[i], sps[i]))
+		} else {
+			resps[i].Status, resps[i].Body, v, werr = calls[i].Wait()
+		}
+		virt += v
+		if werr == nil {
+			answered++
+			continue
+		}
+		if wire.StatusOf(werr) == wire.StatusDeadline {
+			e.telem.forOp(subs[i].Op).deadlines.Inc()
+		}
+		if err == nil {
+			err = werr
+		}
+	}
+	if answered > 1 {
+		// The group shared one round of link delays: price it once.
+		saved := time.Duration(answered-1) * e.link.RTT
+		e.savedNS.Add(int64(saved))
+		virt -= saved
+	}
 	if err != nil {
 		// The connection is unusable (died) or suspect (a response may
 		// arrive arbitrarily late after a deadline miss); replace it.
 		e.retire(cl)
 	}
-	return st, resp, virt, err
+	return virt, err
+}
+
+// spec is one request of an attempt as the connection sends it.
+func (e *endpoint) spec(oc opCtx, sub wire.SubReq, sp *trace.Span) rpc.CallSpec {
+	return rpc.CallSpec{
+		Op: sub.Op, Body: sub.Body, Ctx: oc.ctx,
+		Trace: oc.tid, Span: sp.ID(), Req: sub.Req,
+		Timeout: e.res.timeout,
+		OnMap:   e.onMap,
+		OnLease: e.onLease,
+	}
 }
 
 // Trips returns cumulative round trips across all generations.
@@ -374,11 +385,12 @@ func (e *endpoint) Trips() uint64 {
 	return n
 }
 
-// VirtualTime returns cumulative modeled time across all generations.
+// VirtualTime returns cumulative modeled time across all generations, less
+// what pipelined groups saved.
 func (e *endpoint) VirtualTime() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	d := e.baseVirt
+	d := e.baseVirt - time.Duration(e.savedNS.Load())
 	if e.cl != nil {
 		d += e.cl.VirtualTime()
 	}

@@ -13,14 +13,13 @@ import (
 // talking to very many servers cannot flood its own links.
 const fanOutLimit = 16
 
-// batchPageDepth caps how many listing pages a paged readdir requests per
-// wire.OpBatch message, bounding each batched response's size. When the
-// server reports an exact remaining-entry count the batch is sized to it
-// (up to this cap); without one a single follow-up page is fetched per
-// round trip, since every page request re-reads the server's dirent log —
-// a speculative empty page would cost a full list scan, not just wire
-// bytes.
-const batchPageDepth = 4
+// pageDepth caps how many listing pages a paged readdir requests per send,
+// bounding each round trip's response bytes. When the server reports an
+// exact remaining-entry count the send is sized to it (up to this cap);
+// without one a single follow-up page is fetched per round trip, since
+// every page request re-reads the server's dirent log — a speculative empty
+// page would cost a full list scan, not just wire bytes.
+const pageDepth = 4
 
 // fanOut runs fn(0..n-1) — each branch typically one or more RPCs to a
 // distinct server — and returns the first branch error (nil if none).
@@ -107,11 +106,11 @@ func (c *Client) fanOut(oc opCtx, label string, n int, fn func(boc opCtx, i int)
 // readPages drains one server's paged directory listing, continuing from
 // page when its first page is already held (prefetched with the DMS lookup,
 // see resolveDir). Each round trip is one send: the first page alone, then —
-// when the server reports remaining entries — up to batchPageDepth follow-up
+// when the server reports remaining entries — up to pageDepth follow-up
 // pages at once (sub-request i carries the same cursor and skip=i,
 // addressing page i after the cursor), sized from the server's exact
 // remaining-entry count, so a large listing costs one round trip per
-// batchPageDepth pages instead of one per page. mkBody builds the request
+// pageDepth pages instead of one per page. mkBody builds the request
 // body for a (cursor, skip) page; onFirst, when set, sees the first page if
 // it was fetched here. Returns the entries and the branch's summed virtual
 // time.
@@ -124,18 +123,17 @@ func (c *Client) readPages(e *endpoint, oc opCtx, op wire.Op, mkBody func(cursor
 			cursor = out[len(out)-1].Name
 		}
 		// Size the send from the server's exact remaining count; with none
-		// reported — or with batching disabled, when the pages would not
-		// share a trip — ask for one page: skip=i re-reads the server's
-		// dirent log, so a speculative empty page costs a full list scan.
+		// reported ask for one page: skip=i re-reads the server's dirent
+		// log, so a speculative empty page costs a full list scan.
 		pages := 1
-		if !c.disableBatch && page.remaining > 0 {
-			pages = min((page.remaining+ReaddirPageSize-1)/ReaddirPageSize, batchPageDepth)
+		if page.remaining > 0 {
+			pages = min((page.remaining+ReaddirPageSize-1)/ReaddirPageSize, pageDepth)
 		}
-		subs := make([]wire.SubReq, pages)
+		subs, resps := make([]wire.SubReq, pages), make([]wire.SubResp, pages)
 		for i := range subs {
 			subs[i] = wire.SubReq{Op: op, Body: mkBody(cursor, uint32(i))}
 		}
-		resps, virt, err := c.send(oc, e, subs, 0)
+		virt, err := e.send(oc, subs, resps)
 		vtotal += virt
 		if err != nil {
 			return nil, vtotal, err

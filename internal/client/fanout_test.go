@@ -117,31 +117,30 @@ func fillDir(t *testing.T, c *Client, dir string, files, subdirs int) {
 	}
 }
 
-// TestReaddirParityAcrossModes: parallel+batched, parallel-only, and serial
-// clients run one script over the client's multi-request steps — a listing
-// wider than several pages, a cold resolve with a recall catch-up owed, two
-// block reclaims, a truncate, an uncached resolve that carries an owed
-// catch-up — and must return identical results, each at its own fixed
-// round-trip cost. The constants were recorded at the commit before the
-// send path became one (the last step's before the hot-entry tier went);
-// they are what "batching is the unbatched form plus an envelope" means.
+// TestReaddirParityAcrossModes: parallel and serial fan-out clients run one
+// script over the client's multi-request steps — a listing wider than
+// several pages, a cold resolve with a recall catch-up owed, two block
+// reclaims, a truncate, an uncached resolve that carries an owed catch-up —
+// and must return identical results at one fixed round-trip cost per step.
+// The constants were recorded with the batch envelope, before pipelined
+// groups replaced it (the last step's before the hot-entry tier went): a
+// group costs the round trips the envelope did, and fanning out one server
+// at a time changes which servers wait, not how many trips they take.
 func TestReaddirParityAcrossModes(t *testing.T) {
 	_, cfg := testCluster(t, 2)
 	other := dialTest(t, cfg)
 	width := 5*ReaddirPageSize + 57 // per FMS: a first page, then two more in one batch
 	fillDir(t, other, "/wide", width, 5)
 
-	noBatch, serial := cfg, cfg
-	noBatch.DisableBatchRPC = true
-	serial.DisableBatchRPC, serial.SerialFanOut = true, true
+	serial := cfg
+	serial.SerialFanOut = true
 	modes := []struct {
 		name  string
 		cfg   Config
 		trips []uint64 // per step, in script order
 	}{
 		{"parallel+batch", cfg, []uint64{5, 2, 4, 2, 1}},
-		{"parallel-only", noBatch, []uint64{8, 3, 4, 2, 2}},
-		{"serial", serial, []uint64{8, 3, 4, 2, 2}},
+		{"serial", serial, []uint64{5, 2, 4, 2, 1}},
 	}
 	// churn is another client's directory mutation: it bumps the DMS recall
 	// sequence, so the next DMS response c sees leaves its cache behind.
@@ -178,7 +177,7 @@ func TestReaddirParityAcrossModes(t *testing.T) {
 		t.Helper()
 		for blk := uint64(0); blk < 3; blk++ {
 			body := wire.NewEnc().UUID(u).U64(blk).U32(0).U32(1).Bytes()
-			st, resp, _, err := c.ossFor(u, blk).Call(opCtx{}, wire.OpGetBlock, body, 0)
+			st, resp, _, err := c.ossFor(u, blk).Call(opCtx{}, wire.OpGetBlock, body)
 			if err != nil || st != wire.StatusOK {
 				t.Fatalf("get block: %v %v", st, err)
 			}
@@ -267,34 +266,25 @@ func TestReaddirParityAcrossModes(t *testing.T) {
 	}
 }
 
-// TestReaddirBatchedPagingSavesTrips: with batching on, a multi-page listing
-// must cost fewer round trips than one per page.
+// TestReaddirBatchedPagingSavesTrips: a cold listing of six pages on one FMS
+// costs 4 round trips, not one per page: the DMS lookup with the first
+// subdirectory page, the first file page, then the remaining five pages
+// sized from the server's remaining count, pageDepth to a trip. 4 is what
+// the batch envelope cost before pipelined groups replaced it (page-per-RPC
+// cost 8).
 func TestReaddirBatchedPagingSavesTrips(t *testing.T) {
 	_, cfg := testCluster(t, 1)
 	seed := dialTest(t, cfg)
 	pages := 6
 	fillDir(t, seed, "/paged", pages*ReaddirPageSize, 0)
 
-	serialCfg := cfg
-	serialCfg.DisableBatchRPC = true
-	serialCfg.SerialFanOut = true
-	serial := dialTest(t, serialCfg)
-	t0 := serial.Trips()
-	if _, err := serial.Readdir("/paged"); err != nil {
+	c := dialTest(t, cfg)
+	t0 := c.Trips()
+	if _, err := c.Readdir("/paged"); err != nil {
 		t.Fatal(err)
 	}
-	serialTrips := serial.Trips() - t0
-
-	batched := dialTest(t, cfg)
-	t0 = batched.Trips()
-	if _, err := batched.Readdir("/paged"); err != nil {
-		t.Fatal(err)
-	}
-	batchedTrips := batched.Trips() - t0
-
-	if batchedTrips >= serialTrips {
-		t.Errorf("batched readdir cost %d trips, serial cost %d — batching saved nothing",
-			batchedTrips, serialTrips)
+	if trips := c.Trips() - t0; trips != 4 {
+		t.Errorf("six-page readdir cost %d trips, want 4", trips)
 	}
 }
 
@@ -328,7 +318,6 @@ func TestParallelCostBelowSerial(t *testing.T) {
 
 	serialCfg := cfg
 	serialCfg.SerialFanOut = true
-	serialCfg.DisableBatchRPC = true
 	serial := dialTest(t, serialCfg)
 	par := dialTest(t, cfg)
 

@@ -108,7 +108,7 @@ func (f *File) WriteAt(p []byte, off uint64) (n int, err error) {
 		enc := wire.GetEnc()
 		body := enc.UUID(f.uuid).U64(blk).U32(bo).U32(f.blockSize).
 			Blob(p[written : written+n]).Bytes()
-		st, _, _, err := f.c.ossFor(f.uuid, blk).Call(oc, wire.OpPutBlock, body, 0)
+		st, _, _, err := f.c.ossFor(f.uuid, blk).Call(oc, wire.OpPutBlock, body)
 		enc.Free()
 		if err != nil {
 			return written, err
@@ -164,7 +164,7 @@ func (f *File) ReadAt(p []byte, off uint64) (n int, err error) {
 		}
 		enc := wire.GetEnc()
 		body := enc.UUID(f.uuid).U64(blk).U32(bo).U32(uint32(n)).Bytes()
-		st, resp, _, err := f.c.ossFor(f.uuid, blk).Call(oc, wire.OpGetBlock, body, 0)
+		st, resp, _, err := f.c.ossFor(f.uuid, blk).Call(oc, wire.OpGetBlock, body)
 		enc.Free()
 		if err != nil {
 			return int(read), err

@@ -15,17 +15,14 @@ import (
 // TCP sockets — the deployment mode of cmd/locofsd: a reader caches
 // directory state, a writer mutates it, the reader observes the bumped
 // recall sequence stamped on an unrelated response header, and its next
-// access must re-resolve instead of serving the stale entry. The no-batch
-// variant covers the standalone OpLeaseRecall fallback: without batching
-// the recall fetch cannot ride along with a lookup, but the reader must
-// still catch its applied watermark up instead of degrading every cached
-// entry forever.
+// access must re-resolve instead of serving the stale entry — with the
+// OpLeaseRecall catch-up pipelined behind the lookup in one group over the
+// socket, so the reader's applied watermark catches up.
 func TestLeaseCoherenceOverTCP(t *testing.T) {
-	t.Run("batched", func(t *testing.T) { testLeaseCoherenceOverTCP(t, false) })
-	t.Run("no-batch", func(t *testing.T) { testLeaseCoherenceOverTCP(t, true) })
+	t.Run("batched", testLeaseCoherenceOverTCP)
 }
 
-func testLeaseCoherenceOverTCP(t *testing.T, disableBatch bool) {
+func testLeaseCoherenceOverTCP(t *testing.T) {
 	listen := func(attach func(*rpc.Server)) string {
 		l, err := netsim.ListenTCP("127.0.0.1:0")
 		if err != nil {
@@ -43,11 +40,10 @@ func testLeaseCoherenceOverTCP(t *testing.T, disableBatch bool) {
 
 	dial := func() *Client {
 		c, err := Dial(Config{
-			Dialer:          netsim.TCPDialer{},
-			DMSAddr:         dmsAddr,
-			FMSAddrs:        []string{fmsAddr},
-			OSSAddrs:        []string{ossAddr},
-			DisableBatchRPC: disableBatch,
+			Dialer:   netsim.TCPDialer{},
+			DMSAddr:  dmsAddr,
+			FMSAddrs: []string{fmsAddr},
+			OSSAddrs: []string{ossAddr},
 		})
 		if err != nil {
 			t.Fatal(err)

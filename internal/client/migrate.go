@@ -115,7 +115,7 @@ func (c *Client) pushMap(oc opCtx, addr string, m *wire.ClusterMap, at wire.Coor
 	if err != nil {
 		return err
 	}
-	st, _, _, err := e.Call(oc, wire.OpSetMap, wire.EncodeSetMap(m, at), 0)
+	st, _, _, err := e.Call(oc, wire.OpSetMap, wire.EncodeSetMap(m, at))
 	if err != nil {
 		return err
 	}
@@ -128,6 +128,14 @@ func (c *Client) pushMap(oc opCtx, addr string, m *wire.ClusterMap, at wire.Coor
 // else: any of them may be promoted to the serialisation point, and in this
 // order a map some other server holds is a map every reachable replica of
 // partition 0 holds.
+//
+// A receiver that must take m but cannot be reached may be a leader a
+// failover is replacing. The client then re-reads the map: once a newer one
+// is serialised, m's change is in it and that change's coordinator delivers
+// it — the only way a receiver stops being one that must take the map — so
+// the push counts as done and the receiver is listed in unreached.
+// Otherwise it backs off and retries, as changeMap does at its
+// serialisation point.
 func (c *Client) pushRest(oc opCtx, m *wire.ClusterMap) (unreached []string, err error) {
 	bound := c.res.timeout
 	if bound <= 0 {
@@ -139,7 +147,8 @@ func (c *Client) pushRest(oc opCtx, m *wire.ClusterMap) (unreached []string, err
 	}
 	// push installs m at addr; ESTALE there (it already holds m or a newer
 	// map) is success. A best-effort receiver gets one bounded attempt and is
-	// listed in unreached when that fails; any other failure ends the change.
+	// listed in unreached when that fails; a must-receiver is retried until a
+	// newer map supersedes m, and its last failure ends the change.
 	push := func(role, addr string, at wire.Coords, must bool) error {
 		boc := oc
 		if !must {
@@ -147,15 +156,21 @@ func (c *Client) pushRest(oc opCtx, m *wire.ClusterMap) (unreached []string, err
 			boc.ctx, cancel = context.WithTimeout(parent, bound)
 			defer cancel()
 		}
-		err := c.pushMap(boc, addr, m, at)
-		if err == nil || wire.StatusOf(err) == wire.StatusStale {
-			return nil
+		for attempt := 1; ; attempt++ {
+			err := c.pushMap(boc, addr, m, at)
+			if err == nil || wire.StatusOf(err) == wire.StatusStale {
+				return nil
+			}
+			// A must-receiver's push is done once a newer map is serialised.
+			if !must || c.refreshMap(oc, addr) == nil && c.Map().Ver > m.Ver {
+				unreached = append(unreached, addr)
+				return nil
+			}
+			if attempt == changeMapAttempts {
+				return fmt.Errorf("%s %s: %w", role, addr, err)
+			}
+			time.Sleep(time.Duration(attempt) * 10 * time.Millisecond)
 		}
-		if must {
-			return fmt.Errorf("%s %s: %w", role, addr, err)
-		}
-		unreached = append(unreached, addr)
-		return nil
 	}
 	for pid, g := range m.Groups {
 		for idx, addr := range g {
@@ -379,7 +394,7 @@ func (c *Client) migrateScan(oc opCtx, src wire.Member, ids []int, limit int) (m
 		enc.I64(int64(id))
 	}
 	body := enc.U32(uint32(limit)).Bytes()
-	st, resp, _, err := e.Call(oc, wire.OpMigrateScan, body, 0)
+	st, resp, _, err := e.Call(oc, wire.OpMigrateScan, body)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -407,12 +422,11 @@ func (c *Client) migrateApply(oc opCtx, addr string, op wire.Op, files []movedFi
 	if err != nil {
 		return err
 	}
-	subs := make([]wire.SubReq, len(files))
+	subs, resps := make([]wire.SubReq, len(files)), make([]wire.SubResp, len(files))
 	for i, f := range files {
 		subs[i] = wire.SubReq{Op: op, Body: wire.NewEnc().UUID(f.dir).Str(f.name).Blob(f.access).Blob(f.content).Bytes()}
 	}
-	resps, _, err := c.send(oc, e, subs, 0)
-	if err != nil {
+	if _, err := e.send(oc, subs, resps); err != nil {
 		return err
 	}
 	for _, r := range resps {

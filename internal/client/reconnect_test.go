@@ -100,7 +100,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	}
 	defer e.Close()
 	for i := 0; i < 5; i++ {
-		if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err != nil { // OpPing
+		if _, _, _, err := e.Call(opCtx{}, 1, nil); err != nil { // OpPing
 			t.Fatal(err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err == nil {
+		if _, _, _, err := e.Call(opCtx{}, 1, nil); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -136,7 +136,7 @@ func TestEndpointRetryPreservesCounters(t *testing.T) {
 	}
 	// A closed endpoint refuses calls.
 	e.Close()
-	if _, _, _, err := e.Call(opCtx{}, 1, nil, 0); err == nil {
+	if _, _, _, err := e.Call(opCtx{}, 1, nil); err == nil {
 		t.Error("call on closed endpoint succeeded")
 	}
 }

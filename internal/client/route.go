@@ -53,25 +53,22 @@ func (c *Client) routeDMS(path string, list bool) (*endpoint, uint32, error) {
 // list) and returns one outcome per sub-request. It is the one routed DMS
 // call: a transport error (dead leader) or an EWRONGPART on any sub-request
 // (stale routing) triggers a map refresh and a whole-send retry, up to
-// dmsRouteAttempts times — safe because a multi-request send carries only
-// idempotent sub-requests, and a lone non-idempotent one carries one dedup
-// id across every attempt and every endpoint, so a mutation is executed at
-// most once cluster-wide no matter where the retries land. The returned
+// dmsRouteAttempts times — safe because a non-idempotent sub-request keeps
+// the dedup id its first send stamped on it (see endpoint.send) across
+// every attempt and every endpoint, so a mutation is executed at most once
+// cluster-wide no matter where the retries land. The returned
 // source is the partition that served the final attempt — the key for the
 // caller's cache accounting. When the attempts run out the last outcome
 // stands: the transport error, or the sub-statuses still saying EWRONGPART.
 func (c *Client) dms(oc opCtx, path string, list bool, subs ...wire.SubReq) (resps []wire.SubResp, src uint32, err error) {
-	var req uint64
-	if len(subs) == 1 && !subs[0].Op.Idempotent() {
-		req = c.res.nextReq()
-	}
+	resps = make([]wire.SubResp, len(subs))
 	for attempt := 0; attempt < dmsRouteAttempts; attempt++ {
 		var e *endpoint
 		if e, src, err = c.routeDMS(path, list); err != nil {
 			c.refreshMap(oc, "")
 			continue
 		}
-		if resps, _, err = c.send(oc, e, subs, req); err != nil {
+		if _, err = e.send(oc, subs, resps); err != nil {
 			if onlyRoute(c.Map()) {
 				return nil, src, err
 			}

@@ -22,8 +22,9 @@ import (
 // locofsd processes would), linked only by the trace and parent-span IDs on
 // the wire. A traced Readdir over two FMS must yield one joined tree — the
 // client root, an rpc child per server call, server-side handler spans
-// parented on those rpc spans, and per-sub-op spans under the DMS OpBatch
-// envelope — retrievable as JSON from /debug/traces/<id>.
+// parented on those rpc spans — the DMS lookup and first subdirectory page,
+// pipelined in one group, each on its own — retrievable as JSON from
+// /debug/traces/<id>.
 func TestTracePropagationOverTCP(t *testing.T) {
 	srvTracer := trace.New(trace.Config{Sample: 1, Slow: -1})
 	cliTracer := trace.New(trace.Config{Sample: 1, Slow: -1})
@@ -50,8 +51,8 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		FMSAddrs: []string{fms1, fms2},
 		OSSAddrs: []string{ossAddr},
 		Obs:      &obs.Handle{Tracer: cliTracer},
-		// No cache: the Readdir resolve must go to the DMS, as a batched
-		// LookupDir + ReaddirSubdirs — the OpBatch linkage under test.
+		// No cache: the Readdir resolve must go to the DMS, as LookupDir +
+		// ReaddirSubdirs pipelined in one group — the linkage under test.
 		DisableCache: true,
 	})
 	if err != nil {
@@ -94,15 +95,11 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		clientByID[sp.SpanID] = sp
 	}
 
-	// Every server-side request span must hang off a client rpc span; both
-	// FMSes must appear, and the DMS Batch envelope must carry sub-op spans.
+	// Every server-side request span must hang off a client rpc span, and
+	// both FMSes must appear.
 	servers := map[string]bool{}
-	var batchEnvelope *trace.Span
 	for _, sp := range serverSpans {
 		servers[sp.Server] = true
-		if sp.Name == "Batch" {
-			batchEnvelope = sp
-		}
 	}
 	for _, want := range []string{"dms", "fms-0", "fms-1"} {
 		if !servers[want] {
@@ -127,20 +124,24 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	if rootLevel == 0 {
 		t.Error("no server span is parented on a client rpc span")
 	}
-	if batchEnvelope == nil {
-		t.Fatal("no DMS Batch envelope span (uncached Readdir resolve should batch)")
-	}
-	subOps := 0
+	// The pipelined DMS group: each sub-op has its own server span, parented
+	// on its own rpc: span.
+	dmsParent := map[string]uint64{}
 	for _, sp := range serverSpans {
-		if sp.Parent == batchEnvelope.SpanID {
-			subOps++
-			if sp.Sub < 0 {
-				t.Errorf("batch sub-op span %s has no sub index", sp.Name)
-			}
+		if sp.Server != "dms" {
+			continue
 		}
+		if sp.Sub >= 0 {
+			t.Errorf("dms span %s carries sub index %d", sp.Name, sp.Sub)
+		}
+		if parent := clientByID[sp.Parent]; parent == nil || parent.Name != "rpc:"+sp.Name {
+			t.Errorf("dms span %s not parented on its own rpc:%s span", sp.Name, sp.Name)
+		}
+		dmsParent[sp.Name] = sp.Parent
 	}
-	if subOps < 2 {
-		t.Errorf("Batch envelope has %d sub-op spans, want >= 2 (LookupDir + ReaddirSubdirs)", subOps)
+	look, page := dmsParent["LookupDir"], dmsParent["ReaddirSubdirs"]
+	if look == 0 || page == 0 || look == page {
+		t.Errorf("dms spans %v: want LookupDir and ReaddirSubdirs under distinct rpc spans", dmsParent)
 	}
 
 	// Joined by parent ids across the two rings, the spans form one tree

@@ -235,7 +235,7 @@ func (c *Client) getMap(oc opCtx, addr string) (*wire.ClusterMap, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, resp, _, err := e.Call(oc, wire.OpGetMap, nil, 0)
+	st, resp, _, err := e.Call(oc, wire.OpGetMap, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -361,14 +361,14 @@ func (c *Client) fmsCall(oc opCtx, dir uuid.UUID, name string, op wire.Op, body 
 	var err error
 	for attempt := 0; attempt < fmsCallAttempts; attempt++ {
 		v := c.view.Load()
-		st, resp, _, err = v.owner(key).Call(oc, op, body, 0)
+		st, resp, _, err = v.owner(key).Call(oc, op, body)
 		if err != nil {
 			return st, resp, err
 		}
 		switch st {
 		case wire.StatusNotFound:
 			if pe := v.prevOwner(key); pe != nil && pe != v.owner(key) {
-				pst, presp, _, perr := pe.Call(oc, op, body, 0)
+				pst, presp, _, perr := pe.Call(oc, op, body)
 				if perr != nil {
 					return pst, presp, perr
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -155,9 +156,6 @@ func TestTopologyParity(t *testing.T) {
 			if got := fs.Trips(); got != 1 {
 				t.Errorf("Dial took %d round trips, want 1", got)
 			}
-			if got := newClient(t, c, ClientConfig{DisableBatchRPC: true}).Trips(); got != 1 {
-				t.Errorf("Dial without batching took %d round trips, want 1", got)
-			}
 			got := runSteps(fs, steps)
 
 			// A retried mutation: the leader executes the mkdir but its
@@ -172,15 +170,15 @@ func TestTopologyParity(t *testing.T) {
 				t.Errorf("retried mkdir took %d round trips, want 2 (attempt + replayed retry)", d)
 			}
 
-			// A cold client lists /a: lookup and first page in one batch,
-			// plus one page from each FMS.
+			// A cold client lists /a: lookup and first page in one
+			// pipelined group, plus one page from each FMS.
 			cold := newClient(t, c, ClientConfig{})
 			before = cold.Trips()
 			if ents, err := cold.Readdir("/a"); err != nil || len(ents) != 5 {
 				t.Errorf("cold readdir /a: %d entries, %v", len(ents), err)
 			}
 			if d := cold.Trips() - before; d != 1+2 {
-				t.Errorf("cold readdir took %d round trips, want 3 (fused DMS batch + 2 FMS)", d)
+				t.Errorf("cold readdir took %d round trips, want 3 (fused DMS group + 2 FMS)", d)
 			}
 
 			// Grow the FMS set mid-script; once the client has caught up with
@@ -486,6 +484,45 @@ func TestAddFMSWithDarkDMSFollower(t *testing.T) {
 			}
 			checkMapAgreement(t, c)
 		})
+	}
+}
+
+// TestMapChangeSupersededAtDeadLeader: a map change serialised while a
+// partition leader is dead cannot reach that leader, which must take every
+// map; once the partition's failover serialises a newer map the change is
+// delivered through it, so the change returns success and names the dead
+// leader as unreached instead of failing.
+func TestMapChangeSupersededAtDeadLeader(t *testing.T) {
+	c := startCluster(t, Options{FMSCount: 2, DMSPartitions: 2, DMSReplicas: 2, DMSCuts: []string{parityCut}})
+	changer, failover := newClient(t, c, ClientConfig{}), newClient(t, c, ClientConfig{})
+	v := c.MapVer()
+	c.rsByAddr["dms-p1-r0"].Shutdown()
+
+	var unreached []string
+	var err error
+	done := make(chan struct{})
+	go func() { defer close(done); _, unreached, err = changer.DropDMSReplica("dms-p0-r1") }()
+	lead := c.rsByAddr["dms"]
+	for deadline := time.Now().Add(10 * time.Second); lead.MapVer() <= v; {
+		if time.Now().After(deadline) {
+			t.Fatal("change not serialised after 10s")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, _, ferr := failover.DropDMSReplica("dms-p1-r0"); ferr != nil {
+		t.Fatalf("failover of partition 1: %v", ferr)
+	}
+	<-done
+	if err != nil {
+		t.Fatalf("change serialised before the failover: %v", err)
+	}
+	if !slices.Contains(unreached, "dms-p1-r0") {
+		t.Errorf("unreached = %v, want the dead leader dms-p1-r0", unreached)
+	}
+	m, _ := lead.Map()
+	if m.Ver != v+2 || len(m.Groups[0]) != 1 || m.Groups[0][0] != "dms" ||
+		len(m.Groups[1]) != 1 || m.Groups[1][0] != "dms-p1-r1" {
+		t.Errorf("serialised map v%d groups %v, want v%d with both changes", m.Ver, m.Groups, v+2)
 	}
 }
 

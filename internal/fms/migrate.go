@@ -151,8 +151,8 @@ func (s *Server) MigrateDelete(dir uuid.UUID, name string, access layout.FileAcc
 //	MigrateInstall: dir uuid, name str, access blob, content blob
 //	MigrateDelete:  dir uuid, name str, access blob, content blob
 //
-// Install and delete ride the wire.OpBatch path in practice — the
-// coordinator packs one sub-request per file.
+// Install and delete arrive as pipelined groups in practice — the
+// coordinator sends one request per file and flushes them in one write.
 func (s *Server) attachMigration(rs *rpc.Server) {
 	rs.Handle(wire.OpMigrateScan, func(body []byte) (wire.Status, []byte) {
 		d := wire.NewDec(body)

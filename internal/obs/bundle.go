@@ -25,8 +25,8 @@ const (
 
 // BundleSpan is one retained span in a bundle, a flattened copy of
 // trace.Span with ids in 0x-hex (matching /debug/traces and the journal).
-// Sub is present exactly when the span is a batch sub-request or fan-out
-// branch, as on /debug/traces.
+// Sub is present exactly when the span is a client fan-out branch, as on
+// /debug/traces.
 type BundleSpan struct {
 	Trace       string   `json:"trace"`
 	Span        string   `json:"span"`

@@ -43,28 +43,30 @@ func fixedService(d time.Duration) ServiceFunc {
 	}
 }
 
+// callBatch starts one call per sub-request, flushes them in one write and
+// waits on each: the pipelined group a client sends its multi-request steps
+// as.
 func callBatch(t *testing.T, c *Client, subs []wire.SubReq) []wire.SubResp {
 	t.Helper()
-	body, err := wire.EncodeBatch(subs)
-	if err != nil {
-		t.Fatal(err)
+	calls := make([]Call, len(subs))
+	for i, s := range subs {
+		calls[i] = c.Start(CallSpec{Op: s.Op, Body: s.Body})
 	}
-	st, resp, err := c.Call(wire.OpBatch, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != wire.StatusOK {
-		t.Fatalf("batch envelope status = %v", st)
-	}
-	resps, err := wire.DecodeBatchResp(resp)
-	if err != nil {
-		t.Fatal(err)
+	c.Flush()
+	resps := make([]wire.SubResp, len(subs))
+	for i := range calls {
+		st, body, _, err := calls[i].Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resps[i] = wire.SubResp{Status: st, Body: body}
 	}
 	return resps
 }
 
-// TestBatchPreservesOrder: sub-responses must line up with sub-requests even
-// though the server dispatches them concurrently.
+// TestBatchPreservesOrder: a flushed group's responses line up with its
+// calls, and the group counts one round trip — a Flush with nothing started
+// counts none.
 func TestBatchPreservesOrder(t *testing.T) {
 	n, _ := startBatchServer(t, Config{})
 	c, _ := Dial(n, "srv")
@@ -75,37 +77,31 @@ func TestBatchPreservesOrder(t *testing.T) {
 		subs[i] = wire.SubReq{Op: wire.Op(0x0F00), Body: []byte(fmt.Sprintf("sub-%02d", i))}
 	}
 	resps := callBatch(t, c, subs)
-	if len(resps) != k {
-		t.Fatalf("got %d sub-responses, want %d", len(resps), k)
-	}
 	for i, r := range resps {
 		want := fmt.Sprintf("echo:sub-%02d", i)
 		if r.Status != wire.StatusOK || string(r.Body) != want {
 			t.Errorf("sub %d = %v %q, want OK %q", i, r.Status, r.Body, want)
 		}
 	}
+	c.Flush()
 	if c.Trips() != 1 {
-		t.Errorf("batch of %d cost %d trips, want 1", k, c.Trips())
+		t.Errorf("group of %d cost %d trips, want 1", k, c.Trips())
 	}
 }
 
-// TestBatchIsolatesErrors: a failing sub-request must not disturb its
-// siblings, and unknown ops (including a nested OpBatch) fail only their own
-// slot.
+// TestBatchIsolatesErrors: a failing call must not disturb the others in its
+// group, and an unknown op fails only its own call.
 func TestBatchIsolatesErrors(t *testing.T) {
 	n, _ := startBatchServer(t, Config{})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
-	nested, _ := wire.EncodeBatch([]wire.SubReq{{Op: wire.Op(0x0F00), Body: []byte("x")}})
 	resps := callBatch(t, c, []wire.SubReq{
 		{Op: wire.Op(0x0F00), Body: []byte("ok1")},
-		{Op: wire.Op(0x0F01)},            // handler fails: ENOENT
-		{Op: wire.Op(0x7777)},            // unregistered op
-		{Op: wire.OpBatch, Body: nested}, // nesting is rejected
+		{Op: wire.Op(0x0F01)}, // handler fails: ENOENT
+		{Op: wire.Op(0x7777)}, // unregistered op
 		{Op: wire.Op(0x0F00), Body: []byte("ok2")},
 	})
-	wantStatus := []wire.Status{wire.StatusOK, wire.StatusNotFound,
-		wire.StatusInval, wire.StatusInval, wire.StatusOK}
+	wantStatus := []wire.Status{wire.StatusOK, wire.StatusNotFound, wire.StatusInval, wire.StatusOK}
 	for i, want := range wantStatus {
 		if resps[i].Status != want {
 			t.Errorf("sub %d status = %v, want %v", i, resps[i].Status, want)
@@ -114,50 +110,42 @@ func TestBatchIsolatesErrors(t *testing.T) {
 	if got := string(resps[0].Body); got != "echo:ok1" {
 		t.Errorf("sub 0 body = %q", got)
 	}
-	if got := string(resps[4].Body); got != "echo:ok2" {
-		t.Errorf("sub 4 body = %q", got)
+	if got := string(resps[3].Body); got != "echo:ok2" {
+		t.Errorf("sub 3 body = %q", got)
 	}
 }
 
-// TestBatchMalformedEnvelope: an undecodable batch body fails the envelope
-// itself with EINVAL.
-func TestBatchMalformedEnvelope(t *testing.T) {
-	n, _ := startBatchServer(t, Config{})
-	c, _ := Dial(n, "srv")
-	defer c.Close()
-	st, _, err := c.Call(wire.OpBatch, []byte{0xde, 0xad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st != wire.StatusInval {
-		t.Errorf("malformed batch envelope status = %v, want EINVAL", st)
-	}
-}
-
-// TestBatchServiceSummed: the envelope's ServiceNS must be the sum of its
-// sub-requests' modeled service times (the server CPU serializes the work
-// even though one message carried it).
+// TestBatchServiceSummed: each call of a group reports its own modeled
+// service time, so the group's summed virtual time holds every call's work
+// (the server's CPU serializes it even though one write carried it).
 func TestBatchServiceSummed(t *testing.T) {
 	n, _ := startBatchServer(t, Config{Service: fixedService(3 * time.Millisecond)})
 	c, _ := Dial(n, "srv")
 	defer c.Close()
 	c.SetLink(netsim.LinkConfig{}) // zero link: virt = ServiceNS only
-	subs := make([]wire.SubReq, 5)
-	for i := range subs {
-		subs[i] = wire.SubReq{Op: wire.Op(0x0F00)}
+	calls := make([]Call, 5)
+	for i := range calls {
+		calls[i] = c.Start(CallSpec{Op: wire.Op(0x0F00)})
 	}
-	body, _ := wire.EncodeBatch(subs)
-	_, _, virt, err := c.Do(CallSpec{Op: wire.OpBatch, Body: body})
-	if err != nil {
-		t.Fatal(err)
+	c.Flush()
+	var sum time.Duration
+	for i := range calls {
+		_, _, virt, err := calls[i].Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if virt != 3*time.Millisecond {
+			t.Errorf("call %d virt = %v, want its own 3ms", i, virt)
+		}
+		sum += virt
 	}
-	if virt < 15*time.Millisecond {
-		t.Errorf("batch virt = %v, want >= 15ms (5 subs x 3ms)", virt)
+	if sum != 15*time.Millisecond || c.VirtualTime() != sum {
+		t.Errorf("group virt = %v (client total %v), want 15ms (5 calls x 3ms)", sum, c.VirtualTime())
 	}
 }
 
-// TestBatchTracePropagates: batched sub-ops must appear in server slow logs
-// under the parent request's trace id.
+// TestBatchTracePropagates: every call of a group appears in the server's
+// slow log as its own request, under its own trace id and opcode.
 func TestBatchTracePropagates(t *testing.T) {
 	n, _ := startBatchServer(t, Config{
 		Service: fixedService(time.Second),
@@ -171,22 +159,29 @@ func TestBatchTracePropagates(t *testing.T) {
 	log.SetOutput(&buf)
 	defer log.SetOutput(prev)
 
-	const trace = 0xabc123
-	body, _ := wire.EncodeBatch([]wire.SubReq{{Op: wire.Op(0x0F00), Body: []byte("x")}})
-	if _, _, _, err := c.Do(CallSpec{Op: wire.OpBatch, Body: body, Trace: trace}); err != nil {
-		t.Fatal(err)
+	traces := []uint64{0xabc123, 0xabc124}
+	ops := []wire.Op{0x0F00, 0x0F01}
+	calls := make([]Call, len(traces))
+	for i := range calls {
+		calls[i] = c.Start(CallSpec{Op: ops[i], Body: []byte("x"), Trace: traces[i]})
+	}
+	c.Flush()
+	for i := range calls {
+		if _, _, _, err := calls[i].Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	logged := buf.String()
-	if !strings.Contains(logged, fmt.Sprintf("trace=%#x", uint64(trace))) {
-		t.Errorf("slow log missing parent trace id: %q", logged)
-	}
-	if !strings.Contains(logged, "op(0x0f00)") {
-		t.Errorf("slow log missing sub-op: %q", logged)
+	for i, tr := range traces {
+		want := fmt.Sprintf("trace=%#x op=%s", tr, ops[i])
+		if !strings.Contains(logged, want) {
+			t.Errorf("slow log missing %q: %q", want, logged)
+		}
 	}
 }
 
-// TestBatchOverTCP: the batch must round-trip through a real TCP socket with
-// per-sub-request statuses intact (acceptance criterion).
+// TestBatchOverTCP: a group must round-trip through a real TCP socket with
+// per-call statuses intact, in one round trip.
 func TestBatchOverTCP(t *testing.T) {
 	l, err := netsim.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -219,5 +214,8 @@ func TestBatchOverTCP(t *testing.T) {
 	}
 	if resps[2].Status != wire.StatusOK || string(resps[2].Body) != "echo:again" {
 		t.Errorf("sub 2 = %v %q", resps[2].Status, resps[2].Body)
+	}
+	if c.Trips() != 1 {
+		t.Errorf("group over tcp cost %d trips, want 1", c.Trips())
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"locofs/internal/netsim"
 	"locofs/internal/obs"
 	"locofs/internal/telemetry"
-	"locofs/internal/trace"
 	"locofs/internal/wire"
 )
 
@@ -106,10 +105,10 @@ type ServiceFunc func(op wire.Op, run func()) time.Duration
 type Config struct {
 	// Obs is the server's observability (nil = off): per-op request/error
 	// counts and service/queue histograms into its registry (see the
-	// Metric* names), a server-side span per request and per batched
-	// sub-request under the wire header's parent span, slow requests and
-	// map installs into its journal, and a log line carrying
-	// the trace id for every request at least Obs.Slow slow.
+	// Metric* names), a server-side span per request under the wire
+	// header's parent span, slow requests and map installs into its
+	// journal, and a log line carrying the trace id for every request at
+	// least Obs.Slow slow.
 	Obs *obs.Handle
 	// Service, when set, replaces wall-clock measurement of handler time
 	// (meaningless under CPU contention on small machines) with a modeled
@@ -307,8 +306,8 @@ func (s *Server) Busy() time.Duration { return time.Duration(s.busyNS.Load()) }
 // goroutine, which runs its requests to completion in arrival order and
 // flushes their responses when no further whole request is buffered, so a
 // burst of k requests costs one socket write. Requests for blocking ops
-// (Blocking) and wire.OpBatch envelopes are spilled to goroutines; their
-// responses go out when they finish.
+// (Blocking) are spilled to goroutines; their responses go out when they
+// finish.
 func (s *Server) Serve(l netsim.Listener) {
 	s.serving.Store(true)
 	s.connMu.Lock()
@@ -366,8 +365,8 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		}
 		arrived := conn.Arrived()
 		e := s.entry(req.Op)
-		if req.Op != wire.OpBatch && !e.blocking {
-			status, body, service := s.execute(e, req.Op, req.Body, req.Req, req.Trace, req.Span, -1, arrived)
+		if !e.blocking {
+			status, body, service := s.execute(e, req, arrived)
 			held = conn.Pending()
 			s.reply(conn, req, status, body, uint64(service), held)
 			continue
@@ -375,11 +374,7 @@ func (s *Server) serveConn(conn netsim.Conn) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			if req.Op == wire.OpBatch {
-				s.serveBatch(conn, req, arrived)
-				return
-			}
-			status, body, service := s.execute(e, req.Op, req.Body, req.Req, req.Trace, req.Span, -1, arrived)
+			status, body, service := s.execute(e, req, arrived)
 			s.reply(conn, req, status, body, uint64(service), false)
 		}()
 		if held && !conn.Pending() {
@@ -390,9 +385,9 @@ func (s *Server) serveConn(conn netsim.Conn) {
 }
 
 // reply sends req's response: the one place a response header is built, for
-// the plain and batch paths alike. Every response echoes
-// the request's correlation ids and carries the installed map's version and
-// the lease-recall sequence. more leaves it in the send buffer for the
+// inline and spilled requests alike. Every response echoes the request's
+// correlation ids and carries the installed map's version and the
+// lease-recall sequence. more leaves it in the send buffer for the
 // reader's next response or flush to carry.
 func (s *Server) reply(conn netsim.Conn, req *wire.Msg, st wire.Status, body []byte, serviceNS uint64, more bool) {
 	resp := &wire.Msg{ID: req.ID, IsResp: true, Op: req.Op,
@@ -417,38 +412,23 @@ func (s *Server) entry(op wire.Op) *opEntry {
 	return &s.unknown
 }
 
-// startSpan opens the server-side span for one request (nil when tracing is
-// off; all span methods are nil-safe). sub is the batch sub-request index,
-// -1 outside a batch.
-func (s *Server) startSpan(traceID, parent uint64, op wire.Op, sub int) *trace.Span {
-	sp := s.obs.StartSpan(traceID, parent, op.String())
-	if sp != nil && sub >= 0 {
-		sp.SetSub(sub)
-	}
-	return sp
-}
-
-// execute runs one request (or one batched sub-request) through the full
-// service pipeline: a server-side child span under parentSpan, modeled/
-// measured service time, busy and served accounting, per-op telemetry, and
-// slow-request logging stamped with the request's trace id. sub is the
-// sub-request index inside a wire.OpBatch envelope (-1 outside a batch); it
-// appears on the span and in the slow-request log line, so a slow batched
-// sub-op is attributable to its position and opcode, not just the parent
-// trace. Its queue wait runs from arrived, when the request's bytes came in,
-// to now, so a request answered late in a burst counts the handlers it
-// waited behind.
-func (s *Server) execute(e *opEntry, op wire.Op, reqBody []byte, req, trace, parentSpan uint64, sub int, arrived time.Time) (wire.Status, []byte, time.Duration) {
+// execute runs one request through the full service pipeline: a
+// server-side child span under the request's parent span, modeled/measured
+// service time, busy and served accounting, per-op telemetry, and
+// slow-request logging stamped with the request's trace id. Its queue wait
+// runs from arrived, when the request's bytes came in, to now, so a request
+// answered late in a burst counts the handlers it waited behind.
+func (s *Server) execute(e *opEntry, req *wire.Msg, arrived time.Time) (wire.Status, []byte, time.Duration) {
 	queueWait := time.Since(arrived)
 	var status wire.Status
 	var body []byte
 	var service time.Duration
-	sp := s.startSpan(trace, parentSpan, op, sub)
+	sp := s.obs.StartSpan(req.Trace, req.Span, req.Op.String())
 	if s.service != nil {
-		service = s.service(op, func() { status, body = e.run(op, req, trace, reqBody) })
+		service = s.service(req.Op, func() { status, body = e.run(req.Op, req.Req, req.Trace, req.Body) })
 	} else {
 		t0 := time.Now()
-		status, body = e.run(op, req, trace, reqBody)
+		status, body = e.run(req.Op, req.Req, req.Trace, req.Body)
 		service = time.Since(t0)
 	}
 	s.busyNS.Add(uint64(service))
@@ -467,58 +447,11 @@ func (s *Server) execute(e *opEntry, op wire.Op, reqBody []byte, req, trace, par
 		m.queue.Record(queueWait)
 	}
 	if s.obs.IsSlow(service) {
-		s.obs.Emit(obs.KindSlowRequest, op.String(), trace, int64(service), status.String())
-		if sub >= 0 {
-			log.Printf("rpc: slow request trace=%#x op=Batch[%d]=%s status=%s service=%v queue=%v",
-				trace, sub, op, status, service, queueWait)
-		} else {
-			log.Printf("rpc: slow request trace=%#x op=%s status=%s service=%v queue=%v",
-				trace, op, status, service, queueWait)
-		}
+		s.obs.Emit(obs.KindSlowRequest, req.Op.String(), req.Trace, int64(service), status.String())
+		log.Printf("rpc: slow request trace=%#x op=%s status=%s service=%v queue=%v",
+			req.Trace, req.Op, status, service, queueWait)
 	}
 	return status, body, service
-}
-
-// serveBatch answers one wire.OpBatch request: every sub-request is
-// dispatched to its registered handler concurrently, and the one response
-// carries a (status, body) pair per sub-request in sub-request order — a
-// failing sub-request never disturbs its siblings. Each sub-request runs
-// the full service pipeline under the envelope's trace id, so batched
-// sub-ops appear individually in telemetry and slow-request logs, and the
-// envelope's ServiceNS is the sum of sub-request service times (the
-// server's CPU serializes the work even though one message carried it).
-// Nested batches are rejected per-sub-request via the normal unknown-op
-// path, since OpBatch never reaches the handler table.
-func (s *Server) serveBatch(conn netsim.Conn, req *wire.Msg, arrived time.Time) {
-	// The envelope gets its own server-side span under the client's span;
-	// each sub-request's span hangs off the envelope span with its index.
-	esp := s.startSpan(req.Trace, req.Span, wire.OpBatch, -1)
-	subs, err := wire.DecodeBatch(req.Body)
-	if err != nil {
-		esp.SetStatus(wire.StatusInval.String())
-		esp.Finish()
-		s.reply(conn, req, wire.StatusInval, []byte(err.Error()), 0, false)
-		return
-	}
-	resps := make([]wire.SubResp, len(subs))
-	services := make([]time.Duration, len(subs))
-	var wg sync.WaitGroup
-	for i := range subs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st, body, service := s.execute(s.entry(subs[i].Op), subs[i].Op, subs[i].Body, 0, req.Trace, esp.ID(), i, arrived)
-			resps[i] = wire.SubResp{Status: st, Body: body}
-			services[i] = service
-		}(i)
-	}
-	wg.Wait()
-	var total time.Duration
-	for _, d := range services {
-		total += d
-	}
-	esp.Finish()
-	s.reply(conn, req, wire.StatusOK, wire.EncodeBatchResp(resps), uint64(total), false)
 }
 
 // Shutdown closes the listener and every established connection, then waits
@@ -543,13 +476,16 @@ func (s *Server) Shutdown() {
 var ErrClientClosed = errors.New("rpc: client closed")
 
 // Client issues calls over one connection. Calls may be made concurrently;
-// responses are matched to requests by id. Every Call is exactly one network
-// round trip, and the client counts them — the paper reports metadata
-// latency in round trips, so this counter is the measurement hook.
+// responses are matched to requests by id. The client counts round trips —
+// the paper reports metadata latency in them, so this counter is the
+// measurement hook: a Do (or Call) is one, and so is a Flush that sends
+// calls started since the last one, however many it carries, because the
+// server answers a burst of requests with one write (see Server.Serve).
 type Client struct {
 	conn    netsim.Conn
 	nextID  atomic.Uint64
 	trips   atomic.Uint64
+	started atomic.Uint64 // calls started (Start) and not yet flushed
 	virtNS  atomic.Uint64
 	linkVal atomic.Pointer[netsim.LinkConfig]
 
@@ -706,9 +642,15 @@ type Call struct {
 func (c *Client) Start(spec CallSpec) Call { return c.start(spec, true) }
 
 // Flush writes every request Start appended, or leaves them to the write in
-// progress. A failed write closes the connection, which fails the calls it
+// progress, and counts one round trip when calls were started since the
+// last Flush. A failed write closes the connection, which fails the calls it
 // carried, so callers may ignore the error and learn it from Wait.
-func (c *Client) Flush() error { return c.conn.Flush() }
+func (c *Client) Flush() error {
+	if c.started.Swap(0) > 0 {
+		c.trips.Add(1)
+	}
+	return c.conn.Flush()
+}
 
 // start is the one call path: register the call and send its request, at
 // once or (more) into the send buffer.
@@ -738,7 +680,11 @@ func (c *Client) start(spec CallSpec, more bool) Call {
 		cl.st, cl.err = wire.StatusIO, sendErr
 		return cl
 	}
-	c.trips.Add(1)
+	if more {
+		c.started.Add(1)
+	} else {
+		c.trips.Add(1)
+	}
 	cl.ch = ch
 	if spec.Timeout > 0 {
 		cl.timer = time.NewTimer(spec.Timeout)
@@ -865,8 +811,9 @@ func ctxErr(err error) error {
 	return err
 }
 
-// Trips returns the number of round trips issued so far. Callers snapshot it
-// around an operation to count that operation's network cost.
+// Trips returns the number of round trips issued so far: one per Do, one per
+// Flush of started calls. Callers snapshot it around an operation to count
+// that operation's network cost.
 func (c *Client) Trips() uint64 { return c.trips.Load() }
 
 // Close tears down the connection; outstanding calls fail.

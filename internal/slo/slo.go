@@ -66,7 +66,7 @@ func (o Objective) covers(op string) bool {
 }
 
 // Operation classes: metadata reads, metadata mutations, data-path ops, and
-// everything else (control plane, migration, batching).
+// everything else (control plane, migration).
 const (
 	ClassMDRead   = "md_read"
 	ClassMDMutate = "md_mutate"

@@ -26,7 +26,6 @@ func TestClassOf(t *testing.T) {
 		"RenameFile": ClassMDMutate,
 		"PutBlock":   ClassData,
 		"Ping":       classOther,
-		"Batch":      classOther,
 		"Migrate":    classOther,
 	}
 	for op, want := range cases {

@@ -2,8 +2,8 @@
 // reproduction. One logical file-system operation — already stamped with a
 // 64-bit trace ID on every wire message — now also carries an 8-byte parent
 // span ID, so the client's operation root, its fan-out branches, every RPC,
-// and each server-side handler (including every sub-op of a wire.OpBatch)
-// form a parent/child span tree that explains *where* a request's time went
+// and each server-side handler (one per request, pipelined or not) form a
+// parent/child span tree that explains *where* a request's time went
 // across the DMS and many FMS.
 //
 // Completed spans land in a per-process telemetry.Ring. Retention is
@@ -118,8 +118,7 @@ type Span struct {
 	Name    string // operation (wire.Op name or logical client op)
 	Server  string // process/component that recorded the span (e.g. "client", "fms-1")
 	Status  string // "" = OK; otherwise the wire status or transport error
-	// Sub is the sub-request index inside a wire.OpBatch envelope, or the
-	// branch index of a client fan-out group; -1 when neither.
+	// Sub is the branch index of a client fan-out group; -1 outside one.
 	Sub         int
 	Start       time.Time
 	Dur         time.Duration
@@ -176,8 +175,7 @@ func (s *Span) SetStatus(status string) {
 	}
 }
 
-// SetSub records the span's sub-request index inside a batch envelope or
-// fan-out group. Nil-safe.
+// SetSub records the span's branch index inside a fan-out group. Nil-safe.
 func (s *Span) SetSub(i int) {
 	if s != nil {
 		s.Sub = i

@@ -213,8 +213,6 @@ func (o Op) String() string {
 		return "RenameSrcComplete"
 	case OpLogFetch:
 		return "LogFetch"
-	case OpBatch:
-		return "Batch"
 	}
 	return fmt.Sprintf("op(0x%04x)", uint16(o))
 }
@@ -241,10 +239,10 @@ func (o Op) String() string {
 // deduplicated by transaction id at the destination (a re-prepare,
 // re-commit, or re-abort of a known transaction acks without re-executing).
 //
-// Everything else — create, remove, mkdir, rmdir, renames, truncate,
-// and the OpBatch envelope — reports false: a replay observes the first
-// execution's effects (EEXIST, ENOENT), so retries must instead be
-// deduplicated server-side via Msg.Req, by the service that owns the state.
+// Everything else — create, remove, mkdir, rmdir, renames and truncate —
+// reports false: a replay observes the first execution's effects (EEXIST,
+// ENOENT), so retries must instead be deduplicated server-side via Msg.Req,
+// by the service that owns the state.
 func (o Op) Idempotent() bool {
 	switch o {
 	case OpPing, OpStatDir, OpStatFile, OpLookupDir, OpReaddirSubdirs,
@@ -382,6 +380,23 @@ func StatusOf(err error) Status {
 		return se.Status
 	}
 	return StatusIO
+}
+
+// SubReq is one request of a multi-request send: the client pipelines a
+// send's requests on one connection and flushes them in one write. Req is
+// the request's dedup id (see Msg.Req), 0 until the sender mints one for a
+// non-idempotent op.
+type SubReq struct {
+	Op   Op
+	Body []byte
+	Req  uint64
+}
+
+// SubResp is one request's outcome in a multi-request send. Statuses are
+// per request: one failing request does not disturb the others.
+type SubResp struct {
+	Status Status
+	Body   []byte
 }
 
 // Msg is one framed message.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -223,6 +224,50 @@ func TestFMSOpNumbersStable(t *testing.T) {
 	} {
 		if uint16(op) != want {
 			t.Errorf("%v = 0x%04x, want 0x%04x", op, uint16(op), want)
+		}
+	}
+}
+
+// allocated returns the bytes fn allocates: the least over a few runs,
+// because TotalAlloc is process-wide and the runtime now and then allocates
+// on its own (5.5 KB at a time under -race).
+func allocated(fn func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestDecodersBoundCountsByInput: an element count read off the wire sizes
+// no allocation the rest of the body cannot back. Each body below declares
+// 2^22 elements and holds none; sized by the count alone, one small frame
+// cost megabytes — and at 2^32-1, the process.
+func TestDecodersBoundCountsByInput(t *testing.T) {
+	const huge = 1 << 22
+	cases := map[string]struct {
+		body   []byte
+		decode func([]byte) error
+	}{
+		"DecodeRecallResp": {NewEnc().U64(9).Bool(false).U32(huge).Bytes(),
+			func(b []byte) error { _, _, _, err := DecodeRecallResp(b); return err }},
+		"DecodeRenamePrepare": {NewEnc().U64(1).Str("/a").Str("/b").U32(0).U32(0).U32(huge).Bytes(),
+			func(b []byte) error { _, err := DecodeRenamePrepare(b); return err }},
+		"DecodeLogFetchResp": {NewEnc().U64(9).U64(0).Bool(false).U32(huge).Bytes(),
+			func(b []byte) error { _, err := DecodeLogFetchResp(b); return err }},
+	}
+	for name, c := range cases {
+		var err error
+		got := allocated(func() { err = c.decode(c.body) })
+		if err == nil {
+			t.Errorf("%s: a count backed by nothing decoded without error", name)
+		}
+		if limit := uint64(16*len(c.body) + 1024); got > limit {
+			t.Errorf("%s: %d bytes allocated decoding a %d-byte body, want <= %d", name, got, len(c.body), limit)
 		}
 	}
 }
