@@ -52,6 +52,12 @@ type dirCache struct {
 
 	tabs [numKinds]map[string]cacheEntry // by kind: recInode, recNeg, recList
 
+	// tree indexes every path holding an entry, and every ancestor of one,
+	// under its parent, so that dropping a subtree visits only that subtree.
+	// setLocked and delLocked, the only writers of tabs, keep it.
+	tree map[string]pathNode
+	walk []string // dropTreeLocked's scratch, reused under mu
+
 	max  int       // total entry cap; <= 0 means unbounded
 	fifo []fifoRec // insertion order; stale records skipped lazily
 	seq  uint64    // ties entries to their live fifo record
@@ -116,6 +122,27 @@ const (
 	recList
 	numKinds
 )
+
+// pathNode is one path's place in the tree index: how many kinds of entry
+// the path holds, and its children that hold entries or have descendants
+// that do.
+type pathNode struct {
+	held uint8
+	kids map[string]struct{}
+}
+
+// parentOf returns the path the tree index files p under; the root, and a
+// path with no slash, have none.
+func parentOf(p string) (string, bool) {
+	i := strings.LastIndexByte(p, '/')
+	switch {
+	case i < 0 || p == "/":
+		return "", false
+	case i == 0:
+		return "/", true
+	}
+	return p[:i], true
+}
 
 type fifoRec struct {
 	path string
@@ -197,6 +224,7 @@ func newDirCache(lease time.Duration, now func() time.Time, maxEntries int, cohe
 		now:      now,
 		coherent: coherent,
 		srcs:     make(map[uint32]*srcMarks),
+		tree:     make(map[string]pathNode),
 		max:      maxEntries,
 		met:      met,
 	}
@@ -292,7 +320,7 @@ func (c *dirCache) lookup(kind int, path string) (cacheEntry, bool) {
 		// exact expired entry.
 		c.mu.Lock()
 		if cur, still := c.tabs[kind][path]; still && cur.seq == e.seq {
-			delete(c.tabs[kind], path)
+			c.delLocked(kind, path)
 		}
 		c.mu.Unlock()
 		return cacheEntry{}, false
@@ -379,7 +407,7 @@ func (c *dirCache) store(kind int, src uint32, path string, g wire.LeaseGrant, e
 	}
 	c.seq++
 	e.seq = c.seq
-	c.tabs[kind][path] = e
+	c.setLocked(kind, path, e)
 	c.fifo = append(c.fifo, fifoRec{path: path, seq: c.seq, kind: uint8(kind)})
 	c.evictLocked()
 	c.compactLocked()
@@ -399,6 +427,54 @@ func (c *dirCache) putNegFrom(src uint32, path string, g wire.LeaseGrant) {
 // listing grant.
 func (c *dirCache) putListFrom(src uint32, path string, ents []DirEntry, g wire.LeaseGrant) {
 	c.store(recList, src, path, g, cacheEntry{ents: ents})
+}
+
+// setLocked stores path's entry of one kind, filing a new path in the tree
+// index. Caller holds c.mu.
+func (c *dirCache) setLocked(kind int, path string, e cacheEntry) {
+	if _, ok := c.tabs[kind][path]; !ok {
+		n, indexed := c.tree[path]
+		n.held++
+		c.tree[path] = n
+		for child := path; !indexed; {
+			parent, ok := parentOf(child)
+			if !ok {
+				break
+			}
+			var pn pathNode
+			pn, indexed = c.tree[parent]
+			if pn.kids == nil {
+				pn.kids = make(map[string]struct{})
+			}
+			pn.kids[child] = struct{}{}
+			c.tree[parent] = pn
+			child = parent
+		}
+	}
+	c.tabs[kind][path] = e
+}
+
+// delLocked deletes path's entry of one kind, if any, and unfiles from the
+// tree index each node left with no entry and no children. Caller holds
+// c.mu.
+func (c *dirCache) delLocked(kind int, path string) {
+	if _, ok := c.tabs[kind][path]; !ok {
+		return
+	}
+	delete(c.tabs[kind], path)
+	n := c.tree[path]
+	n.held--
+	c.tree[path] = n
+	for n.held == 0 && len(n.kids) == 0 {
+		delete(c.tree, path)
+		parent, ok := parentOf(path)
+		if !ok {
+			return
+		}
+		n = c.tree[parent]
+		delete(n.kids, path)
+		path = parent
+	}
 }
 
 func (c *dirCache) liveLocked() int {
@@ -428,7 +504,7 @@ func (c *dirCache) dropRecLocked(rec fifoRec) bool {
 	if !c.recLiveLocked(rec) {
 		return false
 	}
-	delete(c.tabs[rec.kind], rec.path)
+	c.delLocked(int(rec.kind), rec.path)
 	return true
 }
 
@@ -472,6 +548,7 @@ func (c *dirCache) applyRecallsFrom(src uint32, cur uint64, reset bool, entries 
 		for k := range c.tabs {
 			clear(c.tabs[k])
 		}
+		clear(c.tree)
 		c.fifo = c.fifo[:0]
 		c.recalls.Add(1)
 		if c.met != nil {
@@ -528,24 +605,32 @@ func (c *dirCache) applyOneLocked(src uint32, seq uint64, kind wire.RecallKind, 
 // invalidates it. Caller holds c.mu.
 func (c *dirCache) dropOneLocked(kind int, src uint32, path string, seq uint64) {
 	if e, ok := c.tabs[kind][path]; ok && e.hitBy(src, seq) {
-		delete(c.tabs[kind], path)
+		c.delLocked(kind, path)
 	}
 }
 
 // dropTreeLocked drops cached state of the given kinds at and under path,
-// honoring the grant-sequence guard and the source scope. Caller holds c.mu.
+// honoring the grant-sequence guard and the source scope. It walks the tree
+// index from path, so it costs the subtree, not the cache. Caller holds c.mu.
 func (c *dirCache) dropTreeLocked(src uint32, path string, seq uint64, kinds ...int) {
-	prefix := path
-	if prefix != "/" {
-		prefix += "/"
+	if _, ok := c.tree[path]; !ok {
+		return
 	}
-	for _, k := range kinds {
-		for p, e := range c.tabs[k] {
-			if e.hitBy(src, seq) && (p == path || strings.HasPrefix(p, prefix)) {
-				delete(c.tabs[k], p)
-			}
+	walk := append(c.walk[:0], path)
+	for i := 0; i < len(walk); i++ {
+		for kid := range c.tree[walk[i]].kids {
+			walk = append(walk, kid)
 		}
 	}
+	for _, p := range walk {
+		for _, k := range kinds {
+			c.dropOneLocked(k, src, p, seq)
+		}
+	}
+	if cap(walk) > 1024 {
+		walk = nil // a wide drop must not pin its scratch
+	}
+	c.walk = walk[:0]
 }
 
 // selfOp is one drop of a client's own mutation (see selfApply).
@@ -626,7 +711,7 @@ func (c *dirCache) accountPub(src uint32, last uint64, n uint32) {
 func (c *dirCache) invalidate(path string) {
 	c.mu.Lock()
 	for k := range c.tabs {
-		delete(c.tabs[k], path)
+		c.delLocked(k, path)
 	}
 	c.mu.Unlock()
 }

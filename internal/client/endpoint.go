@@ -198,7 +198,8 @@ func (e *endpoint) send(oc opCtx, subs []wire.SubReq, resps []wire.SubResp) (tim
 		sps = make([]*trace.Span, len(subs))
 	}
 	for i := range subs {
-		if sps[i] = oc.sp.StartChild("rpc:" + subs[i].Op.String()); sps[i] != nil {
+		if oc.sp != nil { // an untraced op builds no span name
+			sps[i] = oc.sp.StartChild("rpc:" + subs[i].Op.String())
 			sps[i].Annotate("addr=" + e.addr)
 		}
 		if subs[i].Req == 0 && !subs[i].Op.Idempotent() {

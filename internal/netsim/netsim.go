@@ -141,29 +141,28 @@ func (n *Network) Dial(addr string) (Conn, error) {
 	}
 	client, server := newPipePair(n.link)
 	client.fault, server.fault = n.fault(addr), n.fault(addr)
-	select {
-	case l.backlog <- server:
-		n.mu.Lock()
-		n.conns = append(n.conns, client, server)
-		// Long-lived fabrics accumulate many short-lived connections
-		// (e.g. workload clients); prune the already-closed ones so the
-		// tracking list stays proportional to live connections.
-		if len(n.conns) >= 4096 {
-			live := n.conns[:0]
-			for _, c := range n.conns {
-				select {
-				case <-c.closed:
-				default:
-					live = append(live, c)
-				}
-			}
-			n.conns = live
-		}
-		n.mu.Unlock()
-		return client, nil
-	case <-l.done():
-		return nil, ErrClosed
+	if err := l.enqueue(server); err != nil {
+		client.Close()
+		return nil, err
 	}
+	n.mu.Lock()
+	n.conns = append(n.conns, client, server)
+	// Long-lived fabrics accumulate many short-lived connections
+	// (e.g. workload clients); prune the already-closed ones so the
+	// tracking list stays proportional to live connections.
+	if len(n.conns) >= 4096 {
+		live := n.conns[:0]
+		for _, c := range n.conns {
+			select {
+			case <-c.closed:
+			default:
+				live = append(live, c)
+			}
+		}
+		n.conns = live
+	}
+	n.mu.Unlock()
+	return client, nil
 }
 
 // Close tears down the fabric: all listeners and every open connection, so
@@ -223,13 +222,48 @@ func (l *simListener) Close() error {
 	return nil
 }
 
-// shutdown marks the listener closed and releases blocked Accepts.
+// enqueue hands an inbound connection to Accept. A closed listener refuses
+// it, as a TCP listener resets a connection it will never accept: a send
+// that races shutdown is checked under the listener's lock afterwards, and
+// if shutdown came first, whoever drains last closes the connection.
+func (l *simListener) enqueue(c Conn) error {
+	select {
+	case l.backlog <- c:
+	case <-l.done():
+		return ErrClosed
+	}
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		l.drain()
+		return ErrClosed
+	}
+	return nil
+}
+
+// shutdown marks the listener closed, releases blocked Accepts and closes
+// the connections still in the backlog, whose dialers would otherwise wait
+// forever for an answer.
 func (l *simListener) shutdown() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if !l.closed {
 		l.closed = true
 		close(l.done())
+	}
+	l.mu.Unlock()
+	l.drain()
+}
+
+// drain closes every connection waiting in the backlog.
+func (l *simListener) drain() {
+	for {
+		select {
+		case c := <-l.backlog:
+			c.Close()
+		default:
+			return
+		}
 	}
 }
 

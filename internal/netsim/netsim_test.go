@@ -275,3 +275,70 @@ func TestTCPTransport(t *testing.T) {
 		t.Errorf("tcp round trip = %+v, %v", m, err)
 	}
 }
+
+// TestClosedListenerResetsBacklog: a connection dialed but never accepted
+// before its listener closed is closed, as TCP resets it, so its dialer's
+// Recv fails instead of waiting forever. A dial after the close is refused.
+func TestClosedListenerResetsBacklog(t *testing.T) {
+	n := NewNetwork(Loopback)
+	defer n.Close()
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := n.Dial("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	got := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err == nil {
+			t.Error("Recv on a never-accepted connection returned a message")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("never-accepted connection still open 2 s after its listener closed")
+	}
+	if err := c.Send(&wire.Msg{ID: 1, Op: wire.OpPing}); err == nil {
+		t.Error("Send on a never-accepted connection succeeded")
+	}
+	if _, err := n.Dial("srv"); err == nil {
+		t.Error("Dial to a closed listener succeeded")
+	}
+}
+
+// TestDialRacingListenerCloseNeverStrands: however a Dial's hand-off races
+// the listener's close, the dialer either is refused or holds a connection
+// that the close ended; it never holds one nobody will accept.
+func TestDialRacingListenerCloseNeverStrands(t *testing.T) {
+	const dialers = 4
+	for i := 0; i < 200; i++ {
+		n := NewNetwork(Loopback)
+		l, err := n.Listen("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dialed := make(chan Conn, dialers)
+		for d := 0; d < dialers; d++ {
+			go func() {
+				c, _ := n.Dial("srv")
+				dialed <- c
+			}()
+		}
+		time.Sleep(time.Duration(i%50) * time.Microsecond)
+		l.Close()
+		for d := 0; d < dialers; d++ {
+			if c := <-dialed; c != nil {
+				if err := c.Send(&wire.Msg{ID: 1, Op: wire.OpPing}); err == nil {
+					t.Fatalf("round %d: a connection dialed across the close is still open", i)
+				}
+			}
+		}
+		n.Close()
+	}
+}

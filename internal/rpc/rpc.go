@@ -6,6 +6,10 @@
 // goroutine and answers a burst of buffered requests with one flush. Only
 // ops registered as blocking (Server.Blocking) — handlers that can wait on
 // another node or goroutine — are spilled to a goroutine of their own.
+//
+// A client has no reader goroutine: the callers waiting on their calls read
+// the connection, one at a time, each handing the other callers' responses
+// to them (see Client).
 package rpc
 
 import (
@@ -481,6 +485,20 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // measurement hook: a Do (or Call) is one, and so is a Flush that sends
 // calls started since the last one, however many it carries, because the
 // server answers a burst of requests with one write (see Server.Serve).
+//
+// No goroutine of its own reads the connection: the callers waiting on
+// their calls do, one at a time (the read role). A caller that finds
+// nobody reading reads the connection itself until its own response
+// arrives, handing every other call's response to that call's waiter on
+// the way; it then takes the responses already buffered, and passes the
+// role to a waiting caller or drops it. So a lone call costs its caller one
+// wake-up, from the socket, and no hand-off. A waiter bounded by a timeout
+// or a cancellable context never blocks in a read, which it could not
+// abandon without breaking the framing: when nobody reads for it, a reader
+// goroutine does, until no call is pending. Because nothing reads an idle
+// connection, its death is found by the next call's send or read, not at
+// once; that call fails like any transport error, and the client's retry
+// loop redials.
 type Client struct {
 	conn    netsim.Conn
 	nextID  atomic.Uint64
@@ -490,8 +508,9 @@ type Client struct {
 	linkVal atomic.Pointer[netsim.LinkConfig]
 
 	mu      sync.Mutex
-	pending map[uint64]chan *wire.Msg
+	pending map[uint64]*mailbox // registered calls by request id
 	err     error
+	reading bool // a goroutine holds the read role
 
 	// yielding is held by the one busy caller that has yielded before
 	// flushing; see send.
@@ -500,11 +519,46 @@ type Client struct {
 	closeOnce sync.Once
 }
 
-// NewClient wraps an established connection and starts its response reader.
+// mailbox is where a call's outcome is delivered: its response, nil when the
+// connection failed, or roleToken, which hands its waiter the read role.
+// Each call gets one delivery. Mailboxes are pooled, so a call allocates no
+// channel.
+type mailbox struct {
+	ch   chan *wire.Msg // capacity 1
+	wait waitState      // guarded by Client.mu
+}
+
+// waitState is how a call's waiter waits, which decides whether it can be
+// handed the read role.
+type waitState uint8
+
+const (
+	notWaiting waitState = iota
+	parked               // blocked on its mailbox with no bound: can read
+	bounded              // blocked under a timeout or context: must not read
+)
+
+var mailboxes = sync.Pool{New: func() any { return &mailbox{ch: make(chan *wire.Msg, 1)} }}
+
+// roleToken, delivered to a parked waiter's mailbox, passes it the read role.
+var roleToken = new(wire.Msg)
+
+// release returns mb to the pool once no delivery can reach it any more: its
+// call is out of pending, and every delivery happens under Client.mu in the
+// critical section that took the call out, so at most one is left to drain.
+func release(mb *mailbox) {
+	select {
+	case <-mb.ch:
+	default:
+	}
+	mb.wait = notWaiting
+	mailboxes.Put(mb)
+}
+
+// NewClient wraps an established connection. It starts no goroutine: the
+// connection is read by the callers that wait on it (see Client).
 func NewClient(conn netsim.Conn) *Client {
-	c := &Client{conn: conn, pending: make(map[uint64]chan *wire.Msg)}
-	go c.readLoop()
-	return c
+	return &Client{conn: conn, pending: make(map[uint64]*mailbox)}
 }
 
 // Dial connects to addr via d and returns a ready client.
@@ -530,38 +584,33 @@ func (c *Client) VirtualTime() time.Duration {
 	return time.Duration(c.virtNS.Load())
 }
 
-func (c *Client) readLoop() {
-	for {
-		m, err := c.conn.Recv()
-		if err != nil {
-			c.failAll(err)
-			return
-		}
-		if !m.IsResp {
-			continue
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[m.ID]
-		if ok {
-			delete(c.pending, m.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- m
-		}
-	}
-}
-
+// failAll records the connection's failure and fails every pending call.
+// A mailbox already holding the role token is left alone: its waiter reads
+// next and finds the failure itself.
 func (c *Client) failAll(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
 	}
-	for id, ch := range c.pending {
+	for id, mb := range c.pending {
 		delete(c.pending, id)
-		close(ch)
+		select {
+		case mb.ch <- nil:
+		default:
+		}
 	}
 	c.mu.Unlock()
+}
+
+// deliverLocked hands a response to its call's mailbox. A response nobody
+// waits for any more (its call timed out or was abandoned) is dropped.
+// Caller holds c.mu.
+func (c *Client) deliverLocked(m *wire.Msg) {
+	if mb, ok := c.pending[m.ID]; ok {
+		delete(c.pending, m.ID)
+		mb.wait = notWaiting
+		mb.ch <- m
+	}
 }
 
 // Call sends one request and blocks for its response: Do with every optional
@@ -625,7 +674,7 @@ type Call struct {
 	c     *Client
 	spec  CallSpec
 	req   *wire.Msg
-	ch    chan *wire.Msg
+	mb    *mailbox
 	timer *time.Timer // spec.Timeout, running from the send
 	// st and err are a failed start's outcome, which Wait reports.
 	st  wire.Status
@@ -663,20 +712,21 @@ func (c *Client) start(spec CallSpec, more bool) Call {
 		}
 	}
 	id := c.nextID.Add(1)
-	ch := make(chan *wire.Msg, 1)
+	mb := mailboxes.Get().(*mailbox)
 	c.mu.Lock()
 	if c.err != nil {
 		cl.st, cl.err = wire.StatusIO, c.err
 		c.mu.Unlock()
+		mailboxes.Put(mb)
 		return cl
 	}
-	c.pending[id] = ch
+	c.pending[id] = mb
 	busy := len(c.pending) > 1
 	c.mu.Unlock()
 
 	cl.req = &wire.Msg{ID: id, Op: spec.Op, Trace: spec.Trace, Span: spec.Span, Req: spec.Req, Body: spec.Body}
 	if sendErr := c.send(cl.req, spec.Timeout, busy, more); sendErr != nil {
-		c.forget(id)
+		c.forget(id, mb)
 		cl.st, cl.err = wire.StatusIO, sendErr
 		return cl
 	}
@@ -685,50 +735,36 @@ func (c *Client) start(spec CallSpec, more bool) Call {
 	} else {
 		c.trips.Add(1)
 	}
-	cl.ch = ch
+	cl.mb = mb
 	if spec.Timeout > 0 {
 		cl.timer = time.NewTimer(spec.Timeout)
 	}
 	return cl
 }
 
-// forget unregisters a call nobody waits for any more; its response, if one
-// still arrives, is dropped by readLoop.
-func (c *Client) forget(id uint64) {
+// forget unregisters a call nobody waits for any more and releases its
+// mailbox; its response, if one still arrives, is dropped by whoever reads.
+func (c *Client) forget(id uint64, mb *mailbox) {
 	c.mu.Lock()
 	delete(c.pending, id)
 	c.mu.Unlock()
+	release(mb)
 }
 
 // Wait blocks for the call's response, its timeout or its context, with
 // Do's results. Call it once.
 func (cl *Call) Wait() (wire.Status, []byte, time.Duration, error) {
-	if cl.ch == nil {
+	if cl.mb == nil {
 		return cl.st, nil, 0, cl.err
 	}
-	c, spec := cl.c, &cl.spec
-	var timeout <-chan time.Time
-	if cl.timer != nil {
-		defer cl.timer.Stop()
-		timeout = cl.timer.C
+	c, spec, mb := cl.c, &cl.spec, cl.mb
+	cl.mb = nil
+	resp, st, err := c.await(cl, mb)
+	if err != nil {
+		return st, nil, 0, err
 	}
-	var ctxDone <-chan struct{}
-	if spec.Ctx != nil {
-		ctxDone = spec.Ctx.Done()
-	}
-	var resp *wire.Msg
-	var ok bool
-	select {
-	case resp, ok = <-cl.ch:
-	case <-timeout:
-		c.forget(cl.req.ID)
-		return wire.StatusDeadline, nil, 0, wire.StatusDeadline.Err()
-	case <-ctxDone:
-		c.forget(cl.req.ID)
-		err := spec.Ctx.Err()
-		return ctxStatus(err), nil, 0, ctxErr(err)
-	}
-	if !ok {
+	release(mb)
+	if resp == nil {
 		c.mu.Lock()
 		err := c.err
 		c.mu.Unlock()
@@ -750,6 +786,137 @@ func (cl *Call) Wait() (wire.Status, []byte, time.Duration, error) {
 		spec.OnLease(resp.Lease)
 	}
 	return resp.Status, resp.Body, virt, nil
+}
+
+// await returns cl's response, or nil once the connection has failed. An
+// unbounded waiter takes the read role if nobody holds it, and otherwise
+// parks on its mailbox, where the reader delivers its response or passes it
+// the role. A waiter bounded by a timeout or a context never reads: it
+// starts a reader goroutine if nobody reads, and returns an error when its
+// bound trips first.
+func (c *Client) await(cl *Call, mb *mailbox) (*wire.Msg, wire.Status, error) {
+	id := cl.req.ID
+	var ctxDone <-chan struct{}
+	if cl.spec.Ctx != nil {
+		ctxDone = cl.spec.Ctx.Done()
+	}
+	isBounded := cl.timer != nil || ctxDone != nil
+	c.mu.Lock()
+	_, isPending := c.pending[id]
+	switch {
+	case !isPending: // delivered (or failed) already
+	case isBounded:
+		mb.wait = bounded
+		if !c.reading {
+			c.reading = true
+			go c.readPending()
+		}
+	case c.reading:
+		mb.wait = parked
+	default:
+		c.reading = true
+		c.mu.Unlock()
+		return c.lead(id), 0, nil
+	}
+	c.mu.Unlock()
+	if !isBounded {
+		if m := <-mb.ch; m != roleToken {
+			return m, 0, nil
+		}
+		return c.lead(id), 0, nil
+	}
+	var timeout <-chan time.Time
+	if cl.timer != nil {
+		defer cl.timer.Stop()
+		timeout = cl.timer.C
+	}
+	select {
+	case m := <-mb.ch:
+		return m, 0, nil
+	case <-timeout:
+		c.forget(id, mb)
+		return nil, wire.StatusDeadline, wire.StatusDeadline.Err()
+	case <-ctxDone:
+		c.forget(id, mb)
+		err := cl.spec.Ctx.Err()
+		return nil, ctxStatus(err), ctxErr(err)
+	}
+}
+
+// lead holds the read role until call id's response arrives, delivering the
+// other calls' responses it reads on the way, then the responses already
+// buffered, which cost no socket read, and passes the role on. It returns
+// nil once the connection has failed.
+func (c *Client) lead(id uint64) *wire.Msg {
+	var own *wire.Msg
+	for own == nil || c.conn.Pending() {
+		m, err := c.conn.Recv()
+		if err != nil {
+			c.failAll(err)
+			break
+		}
+		if !m.IsResp {
+			continue
+		}
+		c.mu.Lock()
+		if m.ID == id {
+			delete(c.pending, id)
+			own = m
+		} else {
+			c.deliverLocked(m)
+		}
+		c.mu.Unlock()
+	}
+	c.pass()
+	return own
+}
+
+// pass ends a caller's read role: it goes to a parked waiter, which reads
+// next; to a reader goroutine when the only waiters are bounded ones, which
+// must not read; or to nobody, and the next caller to wait takes it.
+func (c *Client) pass() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil {
+		boundedWaiter := false
+		for _, mb := range c.pending {
+			switch mb.wait {
+			case parked:
+				mb.wait = notWaiting
+				mb.ch <- roleToken
+				return
+			case bounded:
+				boundedWaiter = true
+			}
+		}
+		if boundedWaiter {
+			go c.readPending()
+			return
+		}
+	}
+	c.reading = false
+}
+
+// readPending is the reader for bounded waiters, which never read: it holds
+// the read role until no call is pending, delivering every response.
+func (c *Client) readPending() {
+	for {
+		m, err := c.conn.Recv()
+		if err != nil {
+			c.failAll(err)
+			return
+		}
+		c.mu.Lock()
+		if m.IsResp {
+			c.deliverLocked(m)
+		}
+		if len(c.pending) == 0 {
+			c.reading = false
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+	}
 }
 
 // send puts req on the connection. A started call (more) only appends its

@@ -160,7 +160,7 @@ func TestCallAfterClose(t *testing.T) {
 	n, _ := startEcho(t)
 	c, _ := Dial(n, "srv")
 	c.Close()
-	// The readLoop records the failure asynchronously; poll briefly.
+	// Poll briefly: calls must start failing within a second of Close.
 	deadline := time.Now().Add(time.Second)
 	for {
 		_, _, err := c.Call(wire.OpPing, nil)
@@ -195,6 +195,39 @@ func TestShutdownStopsAccept(t *testing.T) {
 	}
 	if _, err := n.Dial("srv"); err == nil {
 		t.Error("listener still reachable after Shutdown")
+	}
+}
+
+// TestServeAfterShutdownResetsDialed: a connection dialed before Serve, to
+// a server shut down before Serve started, is never accepted; the listener's
+// close must end it, so the dialer's call fails instead of hanging.
+func TestServeAfterShutdownResetsDialed(t *testing.T) {
+	n := netsim.NewNetwork(netsim.Loopback)
+	defer n.Close()
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(n, "srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	s := NewServer()
+	s.Shutdown()
+	s.Serve(l) // returns at once: the server is shut down
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Call(wire.OpPing, nil)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Error("call on a never-accepted connection succeeded")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("call on a never-accepted connection still waiting after 2 s")
 	}
 }
 
